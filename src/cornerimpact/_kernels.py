@@ -12,20 +12,36 @@ measures pure round-off.
 
 Everything is scalar arithmetic on purpose: the identical source compiles
 under numba (CORNERIMPACT_BACKEND=numba/auto) and runs unmodified as plain
-Python.  No allocation happens inside the step loop except for sample-array
-growth.
+Python.  No allocation happens inside the step loop except for array growth.
 
-Event handling: the first sample with Theta >= theta_target brackets the
-crossing; bisection with single-RK-step re-evaluation from the bracket
-start refines it until the bracket is below 1e-12 wide AND the angle
-mismatch is below 1e-10.  Both bounds are needed: at acute exits
-Theta' ~ W can be huge, so a narrow bracket alone does not pin the angle.
+Dense output: every accepted step stores its length and its stage slopes
+k1, k3 ... k7 (k2 has zero weight), so the caller can evaluate the free
+DOPRI5 continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6) anywhere in the step,
+
+    y(tau_n + x h) = y_n + h K^T DENSE_P [x, x^2, x^3, x^4],
+
+without a further right-hand-side call.  It is fourth-order accurate and
+exact at both step ends.
+
+Event handling: Theta' > 0, so a step contains at most one crossing of
+theta_target.  The crossing is first located on the step's quartic Theta
+interpolant (no RHS call), then polished by Newton iterations on the exact
+single-step map with slope cth / R^2, and bracketed between two evaluated
+offsets.  The exit is the upper end of a bisection from (0, h) that runs
+until the bracket is below 1e-12 wide AND the angle mismatch is below
+1e-10; both bounds are needed, since at acute exits Theta' ~ W can be huge
+and a narrow bracket alone does not pin the angle.  Probes outside the
+Newton bracket take their side from it, because the single-step angle is
+monotone in the offset, so only a few probes re-run a step, and the exit
+is the one a bisection probing every point would find.
 
 Status codes returned by ``integrate_radial``:
     0  horizon reached
     1  stopped at the theta event
     2  step-size underflow (failure)
     3  step budget exhausted (failure)
+    4  step-size underflow driven by a singular radius (failure)
 """
 from __future__ import annotations
 
@@ -47,6 +63,23 @@ B1, B3, B4, B5, B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 E1, E3, E4, E5, E6, E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                           -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
+# Dense-output coefficients: row s weights the stage slope k1, k3, ..., k7
+# in the coefficients of x, x^2, x^3, x^4 (the row of k2 is zero).
+DENSE_P = np.array([
+    [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
+     -12715105075.0 / 11282082432.0],
+    [0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
+     87487479700.0 / 32700410799.0],
+    [0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
+     -10690763975.0 / 1880347072.0],
+    [0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
+     701980252875.0 / 199316789632.0],
+    [0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
+     -1453857185.0 / 822651844.0],
+    [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
+     69997945.0 / 29380423.0],
+])
+
 EVENT_TAU_WIDTH = 1e-12
 EVENT_THETA_TOL = 1e-10
 
@@ -57,11 +90,12 @@ def _rhs(R, V, c3, alpha, cth):
 
 
 @jit
-def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
+def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth, k):
     """One trial step of size h from (R, V, T) with cached first stage.
 
     Returns (ok, R5, V5, T5, f7R, f7V, f7T, eR, eV, eT): ok is False when a
     stage radius left (0, inf); e* are the raw embedded error components.
+    The stage slopes k1, k3 ... k7 go to the rows of ``k`` (shape (6, 3)).
     """
     bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -69,7 +103,6 @@ def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
     if not (R2 > 0.0 and np.isfinite(R2)):
         return bad
     V2 = V + h * (A21 * f1V)
-    T2 = T + h * (A21 * f1T)
     f2R, f2V, f2T = _rhs(R2, V2, c3, alpha, cth)
 
     R3 = R + h * (A31 * f1R + A32 * f2R)
@@ -104,6 +137,13 @@ def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
     T5 = T + h * (B1 * f1T + B3 * f3T + B4 * f4T + B5 * f5T + B6 * f6T)
     f7R, f7V, f7T = _rhs(R5, V5, c3, alpha, cth)
 
+    k[0, 0], k[0, 1], k[0, 2] = f1R, f1V, f1T
+    k[1, 0], k[1, 1], k[1, 2] = f3R, f3V, f3T
+    k[2, 0], k[2, 1], k[2, 2] = f4R, f4V, f4T
+    k[3, 0], k[3, 1], k[3, 2] = f5R, f5V, f5T
+    k[4, 0], k[4, 1], k[4, 2] = f6R, f6V, f6T
+    k[5, 0], k[5, 1], k[5, 2] = f7R, f7V, f7T
+
     eR = h * (E1 * f1R + E3 * f3R + E4 * f4R + E5 * f5R + E6 * f6R + E7 * f7R)
     eV = h * (E1 * f1V + E3 * f3V + E4 * f4V + E5 * f5V + E6 * f6V + E7 * f7V)
     eT = h * (E1 * f1T + E3 * f3T + E4 * f4T + E5 * f5T + E6 * f6T + E7 * f7T)
@@ -114,7 +154,7 @@ def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
 def _substep(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
     """5th-order state at offset h from a step start (no error control)."""
     ok, R5, V5, T5, _, _, _, _, _, _ = _attempt(
-        R, V, T, f1R, f1V, f1T, h, c3, alpha, cth)
+        R, V, T, f1R, f1V, f1T, h, c3, alpha, cth, np.empty((6, 3)))
     return ok, R5, V5, T5
 
 
@@ -130,32 +170,130 @@ def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
 
 
 @jit
+def _exit_bracket(R, V, T, f1R, f1V, f1T, h, k, theta_target,
+                  c3, alpha, cth):
+    """Offsets (a, b) with Theta(a) < theta_target <= Theta(b) on the exact
+    single-step map from (R, V, T), or (0, h) when the polish fails.  k
+    holds the stage slopes of the step of length h.
+    """
+    # Root of the quartic Theta interpolant, by safeguarded Newton in x.
+    q1 = 0.0
+    q2 = 0.0
+    q3 = 0.0
+    q4 = 0.0
+    for j in range(6):
+        q1 += k[j, 2] * DENSE_P[j, 0]
+        q2 += k[j, 2] * DENSE_P[j, 1]
+        q3 += k[j, 2] * DENSE_P[j, 2]
+        q4 += k[j, 2] * DENSE_P[j, 3]
+    x = 0.5
+    for _ in range(30):
+        g = T + h * (x * (q1 + x * (q2 + x * (q3 + x * q4)))) - theta_target
+        dg = h * (q1 + x * (2.0 * q2 + x * (3.0 * q3 + x * 4.0 * q4)))
+        if not dg > 0.0:
+            break
+        dx = g / dg
+        x -= dx
+        if x < 0.0:
+            x = 0.0
+        elif x > 1.0:
+            x = 1.0
+        if abs(dx) <= 1e-15:
+            break
+
+    # Newton polish on the exact single-step map, Theta' = cth / R^2, down
+    # to a fraction of the event tolerances.
+    s = x * h
+    d = 0.0
+    for _ in range(8):
+        ok, Rm, _, Tm = _substep(R, V, T, f1R, f1V, f1T, s, c3, alpha, cth)
+        if not ok:
+            return 0.0, h
+        slope = cth / (Rm * Rm)
+        d = 0.25 * min(EVENT_TAU_WIDTH, EVENT_THETA_TOL / slope)
+        ds = (Tm - theta_target) / slope
+        s -= ds
+        if not (0.0 < s < h):
+            return 0.0, h
+        if abs(ds) <= 0.1 * d:
+            break
+
+    oka, _, _, Ta = _substep(R, V, T, f1R, f1V, f1T, s - d, c3, alpha, cth)
+    okb, _, _, Tb = _substep(R, V, T, f1R, f1V, f1T, s + d, c3, alpha, cth)
+    if oka and okb and Ta < theta_target <= Tb:
+        return s - d, s + d
+    return 0.0, h
+
+
+@jit
+def _locate_exit(R, V, T, f1R, f1V, f1T, h, Tn, k, theta_target,
+                 c3, alpha, cth):
+    """Bisection for the crossing inside an accepted step of length h.
+
+    Returns (ok, s, Re, Ve, Te): the exit offset s and the single-step
+    state there; ok is False when that state could not be evaluated.
+    """
+    a, b = _exit_bracket(R, V, T, f1R, f1V, f1T, h, k, theta_target,
+                         c3, alpha, cth)
+    lo = 0.0
+    hi = h
+    Th_hi = Tn
+    hi_known = True
+    for _ in range(200):
+        if hi - lo <= EVENT_TAU_WIDTH:
+            if not hi_known:
+                ok, _, _, Tm = _substep(R, V, T, f1R, f1V, f1T, hi,
+                                        c3, alpha, cth)
+                if ok:
+                    Th_hi = Tm
+                hi_known = True
+            if abs(Th_hi - theta_target) <= EVENT_THETA_TOL:
+                break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # bracket at floating-point resolution
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+            hi_known = False
+        else:
+            okm, _, _, Tm = _substep(R, V, T, f1R, f1V, f1T, mid,
+                                     c3, alpha, cth)
+            if (not okm) or Tm >= theta_target:
+                hi = mid
+                if okm:
+                    Th_hi = Tm
+                hi_known = True
+            else:
+                lo = mid
+    ok, Re, Ve, Te = _substep(R, V, T, f1R, f1V, f1T, hi, c3, alpha, cth)
+    return ok, hi, Re, Ve, Te
+
+
+@jit
 def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
-                     rtol, atol, h0, max_step, max_steps, tau_eval,
-                     stop_at_event):
+                     rtol, atol, h0, max_step, max_steps, stop_at_event):
     """Adaptive DP45 integration of the scaled corner flow from tau = 0.
 
-    theta_target = NaN disables the event.  tau_eval must be sorted,
-    strictly positive offsets; states there are produced by single-step
-    re-evaluation from the covering step's start, so their accuracy matches
-    the step tolerance.
+    theta_target = NaN disables the event.  Returns the n samples (ts, Rs,
+    Vs, Ths), the dense-output data of the n - 1 steps between them (their
+    lengths hs and stage slopes ks, shape (n - 1, 6, 3)), the exit, and the
+    step counts.  Step i starts at sample i; when the run stops at the
+    event, the last step is the full accepted step that holds the crossing.
     """
     cap = 4096
     ts = np.empty(cap)
     Rs = np.empty(cap)
     Vs = np.empty(cap)
     Ths = np.empty(cap)
+    hs = np.empty(cap)
+    ks = np.empty((cap, 6, 3))
     ts[0] = 0.0
     Rs[0] = R0
     Vs[0] = V0
     Ths[0] = 0.0
     n = 1
-
-    n_ev = tau_eval.shape[0]
-    ev_R = np.empty(n_ev)
-    ev_V = np.empty(n_ev)
-    ev_T = np.empty(n_ev)
-    iev = 0
 
     has_event = not np.isnan(theta_target)
     exit_found = False
@@ -175,8 +313,8 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
     Th = 0.0
 
     if tau_end <= 0.0:
-        return (status, n, ts, Rs, Vs, Ths, exit_found, exit_tau,
-                exR, exV, exT, iev, ev_R, ev_V, ev_T, nacc, nrej)
+        return (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+                exR, exV, exT, nacc, nrej)
 
     f1R, f1V, f1T = _rhs(R, V, c3, alpha, cth)
     h = h0
@@ -197,8 +335,10 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
             status = 2
             break
 
+        # Step n - 1 fills row n - 1 of ks; n < cap holds after growth.
+        k = ks[n - 1]
         ok, Rn, Vn, Tn, f7R, f7V, f7T, eR, eV, eT = _attempt(
-            R, V, Th, f1R, f1V, f1T, h, c3, alpha, cth)
+            R, V, Th, f1R, f1V, f1T, h, c3, alpha, cth, k)
         if not ok:
             h *= 0.25
             nrej += 1
@@ -222,76 +362,26 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         # Step accepted.
         nacc += 1
         last_reject_bad = False
-        bound = tau + h
+        hs[n - 1] = h
 
         if has_event and (not exit_found) and Tn >= theta_target:
-            lo = 0.0
-            hi = h
-            Th_hi = Tn
-            for _ in range(200):
-                if hi - lo <= EVENT_TAU_WIDTH and \
-                        abs(Th_hi - theta_target) <= EVENT_THETA_TOL:
-                    break
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break  # bracket at floating-point resolution
-                okm, Rm, Vm, Tm = _substep(
-                    R, V, Th, f1R, f1V, f1T, mid, c3, alpha, cth)
-                if (not okm) or Tm >= theta_target:
-                    hi = mid
-                    if okm:
-                        Th_hi = Tm
-                else:
-                    lo = mid
-            oke, Re, Ve, Te = _substep(
-                R, V, Th, f1R, f1V, f1T, hi, c3, alpha, cth)
+            oke, s, Re, Ve, Te = _locate_exit(
+                R, V, Th, f1R, f1V, f1T, h, Tn, k, theta_target,
+                c3, alpha, cth)
             exit_found = True
-            exit_tau = tau + hi
+            exit_tau = tau + s
             if oke:
                 exR, exV, exT = Re, Ve, Te
             else:
                 exR, exV, exT = Rn, Vn, Tn
             if stop_at_event:
-                bound = exit_tau
-
-        while iev < n_ev and tau_eval[iev] <= bound:
-            s = tau_eval[iev] - tau
-            if s <= 0.0:
-                ev_R[iev] = R
-                ev_V[iev] = V
-                ev_T[iev] = Th
-            else:
-                okm, Rm, Vm, Tm = _substep(
-                    R, V, Th, f1R, f1V, f1T, s, c3, alpha, cth)
-                if okm:
-                    ev_R[iev] = Rm
-                    ev_V[iev] = Vm
-                    ev_T[iev] = Tm
-                else:
-                    ev_R[iev] = Rn
-                    ev_V[iev] = Vn
-                    ev_T[iev] = Tn
-            iev += 1
-
-        if exit_found and stop_at_event:
-            if n == cap:
-                cap *= 2
-                ts2 = np.empty(cap)
-                Rs2 = np.empty(cap)
-                Vs2 = np.empty(cap)
-                Ths2 = np.empty(cap)
-                ts2[:n] = ts[:n]
-                Rs2[:n] = Rs[:n]
-                Vs2[:n] = Vs[:n]
-                Ths2[:n] = Ths[:n]
-                ts, Rs, Vs, Ths = ts2, Rs2, Vs2, Ths2
-            ts[n] = exit_tau
-            Rs[n] = exR
-            Vs[n] = exV
-            Ths[n] = exT
-            n += 1
-            status = 1
-            break
+                ts[n] = exit_tau
+                Rs[n] = exR
+                Vs[n] = exV
+                Ths[n] = exT
+                n += 1
+                status = 1
+                break
 
         tau += h
         R = Rn
@@ -299,22 +389,26 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         Th = Tn
         f1R, f1V, f1T = f7R, f7V, f7T  # FSAL
 
+        ts[n] = tau
+        Rs[n] = R
+        Vs[n] = V
+        Ths[n] = Th
+        n += 1
         if n == cap:
             cap *= 2
             ts2 = np.empty(cap)
             Rs2 = np.empty(cap)
             Vs2 = np.empty(cap)
             Ths2 = np.empty(cap)
+            hs2 = np.empty(cap)
+            ks2 = np.empty((cap, 6, 3))
             ts2[:n] = ts[:n]
             Rs2[:n] = Rs[:n]
             Vs2[:n] = Vs[:n]
             Ths2[:n] = Ths[:n]
-            ts, Rs, Vs, Ths = ts2, Rs2, Vs2, Ths2
-        ts[n] = tau
-        Rs[n] = R
-        Vs[n] = V
-        Ths[n] = Th
-        n += 1
+            hs2[:n] = hs[:n]
+            ks2[:n] = ks[:n]
+            ts, Rs, Vs, Ths, hs, ks = ts2, Rs2, Vs2, Ths2, hs2, ks2
 
         if err < 1e-30:
             fac = 5.0
@@ -326,16 +420,8 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
                 fac = 0.2
         h *= fac
 
-    # Consume eval points stranded within a final-step ulp of the horizon.
-    if status == 0:
-        while iev < n_ev and tau_eval[iev] <= tau_end * (1.0 + 1e-12):
-            ev_R[iev] = R
-            ev_V[iev] = V
-            ev_T[iev] = Th
-            iev += 1
-
     if status == 2 and last_reject_bad:
         status = 4  # underflow driven by a singular radius
 
-    return (status, n, ts, Rs, Vs, Ths, exit_found, exit_tau,
-            exR, exV, exT, iev, ev_R, ev_V, ev_T, nacc, nrej)
+    return (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+            exR, exV, exT, nacc, nrej)

@@ -1,4 +1,4 @@
-"""Matched asymptotics, kernel bounds and the Lyapunov attractor data.
+r"""Matched asymptotics, kernel bounds and the Lyapunov attractor data.
 
 First (corner) asymptotic: the undamped central-force comparison orbit
 
@@ -134,7 +134,7 @@ def kernel_solutions_z(params, tau):
 
 def delta_bound(params, *, n_grid: int = 401, tau_max: float = 1.0,
                 quad_tol: float = 1e-10):
-    """Grid maximum of the contraction integral I(tau) vs its ceiling 4/E.
+    r"""Grid maximum of the contraction integral I(tau) vs its ceiling 4/E.
 
     In the substituted variable x = (sigma - tau0)/kappa the integrand is
     rational,

@@ -24,7 +24,7 @@ __all__ = ["SimConfig", "parse_config", "load_config"]
 
 _FLOAT_KEYS = {
     "alpha", "theta_bar", "s0", "dr0", "ds0", "k", "eta", "eps", "gamma1",
-    "zeta", "rtol", "atol", "horizon_safety", "T", "margin",
+    "zeta", "rtol", "atol", "T",
 }
 _STR_KEYS = {"mode", "eps_policy", "out"}
 _INT_KEYS = {"n_grid"}
@@ -49,8 +49,6 @@ class SimConfig:
     zeta: float | None = None       # default 0.5/|xi1| at use sites
     rtol: float = 1e-10
     atol: float = 1e-12
-    horizon_safety: float = 1.0
-    margin: float = 1.01
     T: float | None = None          # physical horizon, default 2 t0
     n_grid: int = 2000
     out: str | None = None
@@ -108,11 +106,6 @@ class SimConfig:
             fail("rtol", f"rtol must be positive, got {self.rtol!r}")
         if not self.atol > 0.0:
             fail("atol", f"atol must be positive, got {self.atol!r}")
-        if not self.horizon_safety > 0.0:
-            fail("horizon_safety",
-                 f"horizon_safety must be positive, got {self.horizon_safety!r}")
-        if not self.margin >= 1.0:
-            fail("margin", f"margin must be at least 1, got {self.margin!r}")
         if self.T is not None and not self.T > 0.0:
             fail("T", f"T must be positive, got {self.T!r}")
         if self.n_grid < 2:

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 
 from . import asymptotics
 from ._backend import BACKEND
-from ._kernels import integrate_radial
+from ._kernels import DENSE_P, integrate_radial
 from .errors import (
     IntegrationFailure,
     InvalidInput,
@@ -70,7 +70,8 @@ class CornerResult:
     ``tau``/``R``/``dR``/``Theta`` are the accepted-step samples (always
     starting at tau = 0).  When a ``tau_eval`` grid was supplied, the
     states there are in ``eval_*`` (clipped to the part of the grid the
-    run actually covered).  ``exit_state`` is set when the angle event
+    run actually covered), taken from the DOPRI5 continuous extension of
+    the covering step.  ``exit_state`` is set when the angle event
     fired, whether or not the run stopped there.
     """
 
@@ -114,6 +115,20 @@ def default_horizon(params: ScaledParams, zeta: float | None = None,
     return zeta * math.log(1.0 / params.eta) * (1.0 + 2.0 * lam2 * safety)
 
 
+def _dense_eval(t, y, h, k, tau):
+    """DOPRI5 continuous extension at sorted offsets ``tau`` > 0.
+
+    Step i starts at t[i] (t[0] = 0) in state y[i] (columns R, dR, Theta),
+    has length h[i] and stage slopes k[i] (k1, k3 ... k7 by row).  An
+    offset at the fraction x of the last step starting before it gets
+    y[i] + h[i] K^T P [x, x^2, x^3, x^4].
+    """
+    i = np.searchsorted(t, tau, side="right") - 1
+    x = (tau - t[i]) / h[i]
+    weights = (x[:, None] ** np.arange(1, 5)) @ DENSE_P.T
+    return y[i] + h[i, None] * np.einsum("ns,nsc->nc", weights, k[i])
+
+
 def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                      horizon: float | None = None, zeta: float | None = None,
@@ -143,7 +158,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     if tau_eval is None:
         ev = np.empty(0)
     else:
-        ev = np.ascontiguousarray(np.asarray(tau_eval, dtype=float))
+        ev = np.asarray(tau_eval, dtype=float)
         if ev.ndim != 1 or (ev.size and (np.any(np.diff(ev) <= 0.0)
                                          or ev[0] <= 0.0)):
             raise InvalidInput(
@@ -154,11 +169,11 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     cth = math.sqrt(params.E) * one
     theta_target = cone.theta_bar if theta_event else math.nan
 
-    (status, n, ts, Rs, Vs, Ths, exit_found, exit_tau, exR, exV, exT,
-     n_ev_done, ev_R, ev_V, ev_T, nacc, nrej) = integrate_radial(
+    (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+     exR, exV, exT, nacc, nrej) = integrate_radial(
         params.R0, params.dR0, c3, cth, params.damping.alpha, theta_target,
         float(horizon), float(rtol), float(atol), float(initial_step),
-        float(max_step), max_steps, ev, bool(stop_at_event))
+        float(max_step), max_steps, bool(stop_at_event))
 
     if status == 2:
         raise IntegrationFailure(
@@ -194,10 +209,20 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         horizon=float(horizon), params=params,
     )
     if ev.size:
-        result.eval_tau = ev[:n_ev_done].copy()
-        result.eval_R = ev_R[:n_ev_done].copy()
-        result.eval_dR = ev_V[:n_ev_done].copy()
-        result.eval_Theta = ev_T[:n_ev_done].copy()
+        # The run covers the grid up to the exit, or up to the horizon
+        # within a final-step rounding.
+        if exit_found and stop_at_event:
+            end = exit_tau
+        else:
+            end = horizon * (1.0 + 1e-12)
+        ev = ev[:np.searchsorted(ev, end, side="right")]
+        m = n - 1
+        y = np.column_stack([Rs[:m], Vs[:m], Ths[:m]])
+        eval_y = _dense_eval(ts[:m], y, hs[:m], ks[:m], ev)
+        result.eval_tau = ev.copy()
+        result.eval_R = eval_y[:, 0]
+        result.eval_dR = eval_y[:, 1]
+        result.eval_Theta = eval_y[:, 2]
     return result
 
 

@@ -3,8 +3,11 @@
 ``simulate_full`` chains the three phases of a physical run: the face-1
 closed form up to the crossing time t0, the adaptive corner passage in
 scaled variables, and (once the exit angle is reached) the face-2 closed
-form.  Handoffs use the exact matching formulas, so position and velocity
-are continuous to round-off; the residuals are recorded in the metadata.
+form.  Handoffs use the exact matching formulas.  At t0 position and
+velocity are continuous to round-off.  At the exit the corner state lies
+within the event tolerance ``EVENT_THETA_TOL`` (1e-10 rad) of face 2, so the
+mismatch there is of order that angle times the radius or speed.  Both
+residuals are recorded in the metadata.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
 trajectory over a uniform grid, ``asymptotic_report`` measures the corner
@@ -104,11 +107,18 @@ def _merged_grid(lo: float, hi: float, extra, n: int) -> np.ndarray:
     return base
 
 
+def _increasing_mask(t: np.ndarray, start: float) -> np.ndarray:
+    """Mask of the entries of t above start and above every earlier entry."""
+    prev = np.maximum.accumulate(np.concatenate([[start], t]))[:-1]
+    return t > prev
+
+
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
     ``t_eval`` times are folded into the sample set exactly (the corner
-    window maps them into scaled offsets for in-step evaluation).  The
+    window maps them into scaled offsets, evaluated on the dense output
+    of the corner integration).  The
     corner phase is additionally refined on a geometric grid so every
     timescale between the layer width and the horizon is resolved.
     """
@@ -169,12 +179,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         t2 = t0 + taus / sk
         # Sub-ulp corner samples collapse onto t0 at large k; keep the
         # strictly increasing subsequence.
-        prev = g1[-1]
-        keep = np.zeros(t2.size, dtype=bool)
-        for i in range(t2.size):
-            if t2[i] > prev:
-                keep[i] = True
-                prev = t2[i]
+        keep = _increasing_mask(t2, g1[-1])
         t2, Rs, dRs, Ths = t2[keep], Rs[keep], dRs[keep], Ths[keep]
 
         radial = params.eta * Rs / sk

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cornerimpact import (
+    BACKEND,
     ConeGeometry,
     InitialData,
     InvalidInput,
@@ -19,6 +20,7 @@ from cornerimpact import (
     scaled_params_direct,
     scaled_params_from_physical,
 )
+from cornerimpact._kernels import DENSE_P, _rhs, _substep
 from cornerimpact.corner_phase import default_horizon
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
@@ -72,6 +74,22 @@ def test_momentum_drift_is_roundoff(eta, cone):
     assert res.momentum_drift <= 1e-14
 
 
+@pytest.mark.skipif(BACKEND == "numba",
+                    reason="compiled kernels do not call a patched function")
+@pytest.mark.parametrize("eta", [1e-2, 1e-4])
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
+def test_exit_matches_unbracketed_bisection(cone, eta, monkeypatch):
+    # Bisection probes outside the Newton bracket take their side without a
+    # step; the exit must be the one found by stepping at every probe.
+    from cornerimpact import _kernels
+
+    fast = integrate_corner(params_at(eta), cone)
+    monkeypatch.setattr(_kernels, "_exit_bracket", lambda *a: (0.0, a[6]))
+    full = integrate_corner(params_at(eta), cone)
+    assert fast.exit_tau == full.exit_tau
+    assert fast.exit_state == full.exit_state
+
+
 def test_angle_event_tolerance():
     for eta in (1e-2, 1e-3):
         res = integrate_corner(params_at(eta), ACUTE)
@@ -108,6 +126,44 @@ def test_eval_grid_states():
     # Momentum holds on the eval grid too.
     mom = res.eval_R ** 2 * (math.sqrt(p.E) * (1 - p.eps) / res.eval_R ** 2)
     np.testing.assert_allclose(mom, p.momentum, rtol=1e-15)
+
+
+def test_dense_coefficients_match_scipy():
+    from scipy.integrate._ivp.rk import RK45
+
+    assert not np.any(RK45.P[1])            # k2 has zero weight
+    np.testing.assert_array_equal(DENSE_P, np.delete(RK45.P, 1, axis=0))
+
+
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
+def test_dense_output_matches_single_step(cone):
+    # eval_* come from the continuous extension of the covering step; a
+    # 5th-order single step from that step's start is the reference.
+    p = params_at(1e-3)
+    run = integrate_corner(p, cone)
+    rng = np.random.default_rng(20)
+    step = rng.integers(0, run.tau.size - 1, 50)
+    x = rng.uniform(0.0, 1.0, 50)
+    ev = np.unique(run.tau[step] + x * (run.tau[step + 1] - run.tau[step]))
+    res = integrate_corner(p, cone, tau_eval=ev)
+    np.testing.assert_array_equal(res.eval_tau, ev)
+
+    one = 1.0 - p.eps
+    c3, cth = p.E * one * one, math.sqrt(p.E) * one
+    alpha = p.damping.alpha
+    ref = np.empty((ev.size, 3))
+    for j, tau in enumerate(ev):
+        i = np.searchsorted(res.tau, tau, side="right") - 1
+        R, V, T = res.R[i], res.dR[i], res.Theta[i]
+        ok, *ref[j] = _substep(R, V, T, *_rhs(R, V, c3, alpha, cth),
+                               tau - res.tau[i], c3, alpha, cth)
+        assert ok
+    np.testing.assert_allclose(res.eval_R, ref[:, 0], rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(res.eval_Theta, ref[:, 2], rtol=1e-8,
+                               atol=0.0)
+    # dR changes sign at the turning point: relative to its scale.
+    dR_scale = np.max(np.abs(res.dR))
+    assert np.max(np.abs(res.eval_dR - ref[:, 1])) <= 1e-8 * dR_scale
 
 
 def test_eval_points_clipped_at_event_stop():

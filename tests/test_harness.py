@@ -23,8 +23,9 @@ from cornerimpact.harness import (
     PHASE_CORNER,
     PHASE_FACE1,
     PHASE_FACE2,
+    _increasing_mask,
 )
-from cornerimpact import asymptotic_report
+from cornerimpact import BACKEND, asymptotic_report
 
 ACUTE_CFG = SimConfig().override(mode="physical", k=100.0, T=2.0)
 OBTUSE_CFG = SimConfig().override(mode="physical", k=400.0, T=2.0,
@@ -115,6 +116,40 @@ def test_t_eval_in_corner_window(acute_traj):
     j = np.argmin(np.abs(traj.t - mid))
     # The mapped corner sample lands within one round-off of the request.
     assert abs(traj.t[j] - mid) <= 4.0 * np.spacing(mid)
+
+
+@pytest.mark.skipif(BACKEND == "numba",
+                    reason="compiled kernels do not call a patched _rhs")
+def test_corner_rhs_calls_are_stepping_only(monkeypatch):
+    # The ~1200 corner samples come from the dense output: right-hand-side
+    # calls are the steps' stages plus a few for the exit polish.
+    from cornerimpact import _kernels, harness
+
+    calls = []
+    rhs = _kernels._rhs
+    monkeypatch.setattr(_kernels, "_rhs",
+                        lambda *a: calls.append(1) or rhs(*a))
+    runs = []
+    corner = harness.integrate_corner
+    monkeypatch.setattr(harness, "integrate_corner",
+                        lambda *a, **kw: runs.append(corner(*a, **kw))
+                        or runs[-1])
+    traj = simulate_full(ACUTE_CFG.override(k=1e4))
+    (res,) = runs
+    assert res.exit_tau is not None
+    assert traj.metadata["phase_counts"][PHASE_CORNER] > 0
+    assert len(calls) <= 7 * (res.n_accepted + res.n_rejected) + 64
+
+
+def test_increasing_mask_matches_scan():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t = 1.0 + np.cumsum(rng.choice([-1e-16, 0.0, 2.2e-16, 1e-3], 300))
+        keep, prev = [], 1.0
+        for ti in t:
+            keep.append(ti > prev)
+            prev = max(prev, ti)
+        np.testing.assert_array_equal(_increasing_mask(t, 1.0), keep)
 
 
 def test_horizon_before_crossing():
