@@ -35,9 +35,9 @@ from .corner_phase import (
     integrate_corner,
     oracle_fast_time_integration,
     radial_rhs,
-    reconstruct_cartesian,
     scaled_params_direct,
     scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 from .errors import (
     ConfigError,

@@ -1,12 +1,13 @@
-"""Scaled corner passage: adaptive integration, reconstruction, oracle.
+"""Scaled corner passage: adaptive integration and oracle.
 
 ``integrate_corner`` drives the Dormand-Prince cores in ``_kernels`` on the
 reduced radial system and optionally stops at the first crossing of the
-target angle theta_bar (the exit onto face 2).  ``reconstruct_cartesian``
-maps scaled samples back to physical coordinates, which needs the physical
-stiffness.  ``oracle_fast_time_integration`` is a deliberately independent
-route: it integrates the full penalty vector field in Cartesian fast time
-with scipy's DOP853 and shares no stepping code with the pipeline.
+target angle theta_bar (the exit onto face 2).  Its states map back to
+physical coordinates through ``scaled_to_cartesian`` (from ``scaling``),
+which needs the physical stiffness.  ``oracle_fast_time_integration`` is a
+deliberately independent route: it integrates the full penalty vector
+field in Cartesian fast time with scipy's DOP853 and shares no stepping
+code with the pipeline.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from ._kernels import DENSE_P, integrate_radial
 from .errors import (
     IntegrationFailure,
     InvalidInput,
-    ScaleFreeRun,
     SingularRadius,
 )
 from .geometry import ConeGeometry, damping_force_G, project_onto_cone
@@ -32,6 +32,7 @@ from .scaling import (          # noqa: F401  (re-exported API surface)
     ScaledState,
     scaled_params_direct,
     scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
     "scaled_params_direct",
     "radial_rhs",
     "integrate_corner",
-    "reconstruct_cartesian",
+    "scaled_to_cartesian",
     "oracle_fast_time_integration",
     "OracleRun",
 ]
@@ -91,13 +92,6 @@ class CornerResult:
     eval_dR: np.ndarray | None = None
     eval_Theta: np.ndarray | None = None
     horizon: float = 0.0
-    params: ScaledParams | None = field(default=None, repr=False)
-
-    def states(self):
-        """Iterate accepted samples as ScaledState records."""
-        for i in range(len(self.tau)):
-            yield ScaledState(self.tau[i], self.R[i], self.dR[i],
-                              self.Theta[i])
 
 
 def default_horizon(params: ScaledParams, zeta: float | None = None,
@@ -206,7 +200,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         exit_tau=et, exit_state=exit_state,
         reached_horizon=not (exit_found and stop_at_event),
         momentum_drift=drift, n_accepted=int(nacc), n_rejected=int(nrej),
-        horizon=float(horizon), params=params,
+        horizon=float(horizon),
     )
     if ev.size:
         # The run covers the grid up to the exit, or up to the horizon
@@ -224,31 +218,6 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         result.eval_dR = eval_y[:, 1]
         result.eval_Theta = eval_y[:, 2]
     return result
-
-
-def reconstruct_cartesian(result: CornerResult, params: ScaledParams,
-                          k: float | None = None,
-                          t0: float | None = None) -> np.ndarray:
-    """Physical-time positions (t, u1, u2) for the accepted corner samples.
-
-    Needs the stiffness (taken from ``params.k`` unless given) and the
-    crossing time t0; u = (eta R / sqrt k)(cos Theta, sin Theta) at
-    t = t0 + tau / sqrt k.
-    """
-    if k is None:
-        k = params.k
-    if k is None:
-        raise ScaleFreeRun(
-            "scale-free run: physical reconstruction needs a stiffness k")
-    if t0 is None:
-        t0 = -params.init.s0 / params.init.ds0
-    sk = math.sqrt(k)
-    r = params.eta * result.R / sk
-    out = np.empty((len(result.tau), 3))
-    out[:, 0] = t0 + result.tau / sk
-    out[:, 1] = r * np.cos(result.Theta)
-    out[:, 2] = r * np.sin(result.Theta)
-    return out
 
 
 @dataclass

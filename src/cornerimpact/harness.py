@@ -39,6 +39,7 @@ from .corner_phase import (
     radial_rhs,
     scaled_params_direct,
     scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 from .errors import InvalidInput
 from .geometry import ConeGeometry
@@ -107,20 +108,17 @@ def _merged_grid(lo: float, hi: float, extra, n: int) -> np.ndarray:
     return base
 
 
-def _increasing_mask(t: np.ndarray, start: float) -> np.ndarray:
-    """Mask of the entries of t above start and above every earlier entry."""
-    prev = np.maximum.accumulate(np.concatenate([[start], t]))[:-1]
-    return t > prev
-
-
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
-    ``t_eval`` times are folded into the sample set exactly (the corner
-    window maps them into scaled offsets, evaluated on the dense output
-    of the corner integration).  The
-    corner phase is additionally refined on a geometric grid so every
-    timescale between the layer width and the horizon is resolved.
+    ``t_eval`` times are folded into the sample set exactly.  The corner
+    window is sampled only from the dense output of the corner
+    integration, on a geometric grid of scaled offsets (so every
+    timescale between the layer width and the horizon is resolved) plus
+    the mapped ``t_eval`` points, and ``scaled_to_cartesian`` maps the
+    samples to physical time.  Samples that do not advance in physical
+    time are dropped, and the corner rows stop before the exit time,
+    where the face-2 rows start.
     """
     config = config.validated()
     if config.mode != "physical":
@@ -165,31 +163,18 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         res = integrate_corner(params, cone, rtol=config.rtol,
                                atol=config.atol, horizon=tau_end,
                                tau_eval=ev, stop_at_event=True)
-        taus = np.concatenate([res.tau, res.eval_tau])
-        Rs = np.concatenate([res.R, res.eval_R])
-        dRs = np.concatenate([res.dR, res.eval_dR])
-        Ths = np.concatenate([res.Theta, res.eval_Theta])
-        order = np.argsort(taus, kind="stable")
-        taus, Rs, dRs, Ths = taus[order], Rs[order], dRs[order], Ths[order]
-        keep = np.ones(taus.size, dtype=bool)
-        keep[1:] = np.diff(taus) > 0.0
-        keep &= taus > 0.0          # tau = 0 belongs to phase 1
-        taus, Rs, dRs, Ths = taus[keep], Rs[keep], dRs[keep], Ths[keep]
-
-        t2 = t0 + taus / sk
-        # Sub-ulp corner samples collapse onto t0 at large k; keep the
-        # strictly increasing subsequence.
-        keep = _increasing_mask(t2, g1[-1])
-        t2, Rs, dRs, Ths = t2[keep], Rs[keep], dRs[keep], Ths[keep]
-
-        radial = params.eta * Rs / sk
-        cross = params.eta * params.momentum / Rs
-        cos_t, sin_t = np.cos(Ths), np.sin(Ths)
-        u2 = np.column_stack([radial * cos_t, radial * sin_t])
-        v2 = np.column_stack([
-            params.eta * dRs * cos_t - cross * sin_t,
-            params.eta * dRs * sin_t + cross * cos_t,
-        ])
+        st = res.exit_state
+        t_bar = math.inf
+        if st is not None:
+            t_bar, u_cbar, v_cbar = scaled_to_cartesian(
+                params, st.tau, st.R, st.dR, st.Theta)
+        t2, u2, v2 = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
+                                         res.eval_dR, res.eval_Theta)
+        # Corner rows are the distinct sample times in (t0, t_bar): at
+        # large k sub-ulp samples collapse onto t0 or onto each other, and
+        # the exit row at t_bar opens face 2.
+        keep = (np.diff(t2, prepend=t0) > 0.0) & (t2 < t_bar)
+        t2, u2, v2 = t2[keep], u2[keep], v2[keep]
         parts_t.append(t2)
         parts_u.append(u2)
         parts_v.append(v2)
@@ -199,18 +184,15 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                     corner_steps=res.n_accepted)
         # Handoff residuals at t0 (both are exact formulas; record the
         # floating-point mismatch).
-        u_c0 = np.array([params.eta * params.R0 / sk, 0.0])
-        v_c0 = np.array([params.eta * params.dR0,
-                         params.eta * params.momentum / params.R0])
+        _, u_c0, v_c0 = scaled_to_cartesian(params, 0.0, params.R0,
+                                            params.dR0, 0.0)
         r_l, rdot_l, s_l, sdot_l = r1_phase_state(init, damping, k, t0)
         u_l = np.array([r_l, s_l])
         v_l = np.array([rdot_l, sdot_l])
         meta["handoff_pos_t0"] = float(np.linalg.norm(u_c0 - u_l))
         meta["handoff_vel_t0"] = float(np.linalg.norm(v_c0 - v_l))
 
-        if res.exit_tau is not None:
-            st = res.exit_state
-            t_bar = t0 + st.tau / sk
+        if st is not None:
             y1_0 = params.eta * st.R / sk
             dy1_0 = params.eta * st.dR
             dy2_0 = params.eta * params.momentum / st.R
@@ -220,12 +202,6 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
 
             n2 = cone.face2_normal
             d2 = cone.face2_direction
-            u_cbar = (params.eta * st.R / sk) * np.array(
-                [math.cos(st.Theta), math.sin(st.Theta)])
-            v_cbar = (params.eta * st.dR * np.array(
-                [math.cos(st.Theta), math.sin(st.Theta)])
-                + (params.eta * params.momentum / st.R) * np.array(
-                    [-math.sin(st.Theta), math.cos(st.Theta)]))
             meta["handoff_pos_exit"] = float(
                 np.linalg.norm(u_cbar - y1_0 * n2))
             meta["handoff_vel_exit"] = float(
@@ -233,8 +209,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
 
             if t_bar < T:
                 g3 = _merged_grid(t_bar, T, t_eval, N_PHASE_SAMPLES)
-                last_t = t2[-1] if t2.size else g1[-1]
-                g3 = g3[g3 > last_t]
+                g3 = g3[g3 > t0]        # t_bar rounds onto t0 at large k
                 y1, y1d, y2, y2d = face_phase_state(
                     y1_0, dy1_0, dy2_0, damping, k, g3 - t_bar)
                 u3 = np.outer(y1, n2) + np.outer(y2, d2)
@@ -326,6 +301,10 @@ def asymptotic_report(config: SimConfig, eta_list=None):
         times = asymptotic_times(eta, damping, gamma1=config.gamma1,
                                  zeta=config.zeta)
         tau1, tau3 = times.tau1, times.tau3
+        if not tau1 < tau3:
+            raise InvalidInput(
+                f"eta = {eta!r} is too close to 1: the matching time "
+                f"tau1 = {tau1:.3g} does not precede tau3 = {tau3:.3g}")
         lo = max(params.kappa * 1e-3, tau1 * 1e-15)
         ev = np.unique(np.concatenate([
             np.geomspace(lo, tau1, 700),

@@ -23,18 +23,22 @@ sqrt(E)(1-eps) conserved exactly.  Initial values at tau = 0:
 
 Derived reference quantities: W = R'(0)^2 + E/R(0)^2 (first integral of the
 undamped comparison flow), the turning time tau0 = -R'(0) R(0) / W and the
-corner timescale kappa = sqrt(E)/W.
+corner timescale kappa = sqrt(E)/W.  Both constructors refuse eta below
+exp(-175), where these quantities leave double range.
 
 The same system can be posed scale-free by prescribing eta (and an eps
 policy) directly; then no physical stiffness exists and Gamma/k-dependent
-reconstruction is unavailable.
+reconstruction is unavailable.  ``scaled_to_cartesian`` inverts the zoom
+for runs that have a stiffness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInput, ScaleUnderflow
+import numpy as np
+
+from .errors import InvalidInput, ScaleFreeRun, ScaleUnderflow
 from .linear_phase import DampingParams, InitialData, first_crossing_time
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
     "ScaledState",
     "scaled_params_from_physical",
     "scaled_params_direct",
+    "scaled_to_cartesian",
 ]
 
 # Beyond this exponent, tau0 ~ eta^4 goes subnormal and W^2 ~ eta^-4
@@ -86,6 +91,13 @@ class ScaledParams:
         return math.sqrt(self.E) * (1.0 - self.eps)
 
 
+def _check_scale(log_eta: float, hint: str) -> None:
+    if 2.0 * log_eta < _UNDERFLOW_EXPONENT:
+        raise ScaleUnderflow(
+            f"eta = exp({log_eta:.5g}) leaves double range "
+            f"(eta must be >= exp({_UNDERFLOW_EXPONENT / 2.0:.3g})); {hint}")
+
+
 def _finish(eta: float, eps: float, damping: DampingParams, init: InitialData,
             k: float | None) -> ScaledParams:
     sd = damping.sqrt_delta
@@ -111,11 +123,8 @@ def scaled_params_from_physical(init: InitialData, damping: DampingParams,
     t0 = first_crossing_time(init)
     sk = math.sqrt(k)
     exponent = damping.xi1 * t0 * sk
-    if exponent < _UNDERFLOW_EXPONENT:
-        raise ScaleUnderflow(
-            f"eta = exp({exponent / 2.0:.3g}) leaves double range; "
-            "use the scale-free parameterisation (eta given directly)"
-        )
+    _check_scale(exponent / 2.0,
+                 "use the scale-free parameterisation (eta given directly)")
     eta = math.exp(exponent / 2.0)
     eps = math.exp((damping.xi2 - damping.xi1) * t0 * sk)
     return _finish(eta, eps, damping, init, k)
@@ -131,6 +140,7 @@ def scaled_params_direct(eta: float, eps: float | str, init: InitialData,
     """
     if not (math.isfinite(eta) and 0.0 < eta < 1.0):
         raise InvalidInput(f"eta must lie in (0, 1), got {eta!r}")
+    _check_scale(math.log(eta), "choose a larger eta")
     if isinstance(eps, str):
         policy = eps.strip().lower()
         if policy == "derive":
@@ -146,3 +156,25 @@ def scaled_params_direct(eta: float, eps: float | str, init: InitialData,
         if not (math.isfinite(eps_val) and 0.0 <= eps_val < 1.0):
             raise InvalidInput(f"eps must lie in [0, 1), got {eps!r}")
     return _finish(eta, eps_val, damping, init, None)
+
+
+def scaled_to_cartesian(params: ScaledParams, tau, R, dR, Theta):
+    """Physical (t, u, v) of scaled corner states (scalars or arrays).
+
+    t = t0 + tau / sqrt(k), u = (eta R / sqrt(k)) e_r and
+    v = eta R' e_r + (eta sqrt(E)(1-eps) / R) e_Theta, with
+    e_r = (cos Theta, sin Theta) and e_Theta = (-sin Theta, cos Theta).
+    u and v hold the Cartesian pair on their last axis.
+    """
+    if params.k is None:
+        raise ScaleFreeRun(
+            "scale-free run: physical reconstruction needs a stiffness k")
+    sk = math.sqrt(params.k)
+    t = first_crossing_time(params.init) + tau / sk
+    radial = params.eta * R / sk
+    cross = params.eta * params.momentum / R
+    cos_t, sin_t = np.cos(Theta), np.sin(Theta)
+    u = np.stack([radial * cos_t, radial * sin_t], axis=-1)
+    v = np.stack([params.eta * dR * cos_t - cross * sin_t,
+                  params.eta * dR * sin_t + cross * cos_t], axis=-1)
+    return t, u, v

@@ -16,9 +16,9 @@ from cornerimpact import (
     integrate_corner,
     oracle_fast_time_integration,
     radial_rhs,
-    reconstruct_cartesian,
     scaled_params_direct,
     scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 from cornerimpact._kernels import DENSE_P, _rhs, _substep
 from cornerimpact.corner_phase import default_horizon
@@ -245,13 +245,32 @@ def test_tolerance_consistency():
 def test_reconstruct_cartesian():
     phys = scaled_params_from_physical(UNIT, DAMP2, 100.0)
     res = integrate_corner(phys, ACUTE)
-    out = reconstruct_cartesian(res, phys)
-    assert out.shape == (res.tau.size, 3)
-    np.testing.assert_allclose(out[:, 0], 1.0 + res.tau / 10.0, rtol=1e-15)
+    t, u, v = scaled_to_cartesian(phys, res.tau, res.R, res.dR, res.Theta)
+    assert t.shape == (res.tau.size,)
+    assert u.shape == v.shape == (res.tau.size, 2)
+    np.testing.assert_allclose(t, 1.0 + res.tau / 10.0, rtol=1e-15)
     r = phys.eta * res.R / 10.0
-    np.testing.assert_allclose(out[:, 1], r * np.cos(res.Theta), rtol=1e-14)
+    np.testing.assert_allclose(u[:, 0], r * np.cos(res.Theta), rtol=1e-14)
+    np.testing.assert_allclose(u[:, 1], r * np.sin(res.Theta), rtol=1e-14)
+    # Radial velocity eta R' and transverse velocity r Theta' in physical
+    # time, where Theta' = sqrt(E)(1-eps)/R^2 in scaled time.
+    e_r = np.column_stack([np.cos(res.Theta), np.sin(res.Theta)])
+    e_th = np.column_stack([-np.sin(res.Theta), np.cos(res.Theta)])
+    np.testing.assert_allclose(np.sum(v * e_r, axis=1), phys.eta * res.dR,
+                               rtol=1e-12)
+    np.testing.assert_allclose(np.sum(v * e_th, axis=1),
+                               r * phys.momentum / res.R ** 2 * 10.0,
+                               rtol=1e-12)
+    # A scalar state gives a scalar time and Cartesian pairs.
+    st = res.exit_state
+    t1, u1, v1 = scaled_to_cartesian(phys, st.tau, st.R, st.dR, st.Theta)
+    assert np.ndim(t1) == 0 and u1.shape == v1.shape == (2,)
+    assert t1 == t[-1]
+    np.testing.assert_array_equal(u1, u[-1])
+    np.testing.assert_array_equal(v1, v[-1])
     with pytest.raises(ScaleFreeRun):
-        reconstruct_cartesian(res, params_at(1e-2))
+        scaled_to_cartesian(params_at(1e-2), res.tau, res.R, res.dR,
+                            res.Theta)
 
 
 def test_oracle_agrees_near_first_crossing():

@@ -23,7 +23,6 @@ from cornerimpact.harness import (
     PHASE_CORNER,
     PHASE_FACE1,
     PHASE_FACE2,
-    _increasing_mask,
 )
 from cornerimpact import BACKEND, asymptotic_report
 
@@ -141,15 +140,32 @@ def test_corner_rhs_calls_are_stepping_only(monkeypatch):
     assert len(calls) <= 7 * (res.n_accepted + res.n_rejected) + 64
 
 
-def test_increasing_mask_matches_scan():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        t = 1.0 + np.cumsum(rng.choice([-1e-16, 0.0, 2.2e-16, 1e-3], 300))
-        keep, prev = [], 1.0
-        for ti in t:
-            keep.append(ti > prev)
-            prev = max(prev, ti)
-        np.testing.assert_array_equal(_increasing_mask(t, 1.0), keep)
+@pytest.mark.parametrize("cfg", [ACUTE_CFG, ACUTE_CFG.override(k=1e4),
+                                 OBTUSE_CFG])
+def test_corner_rows_are_mapped_dense_samples(monkeypatch, cfg):
+    from cornerimpact import harness, scaled_to_cartesian
+
+    runs = []
+    corner = harness.integrate_corner
+    monkeypatch.setattr(harness, "integrate_corner",
+                        lambda *a, **kw: runs.append((a, corner(*a, **kw)))
+                        or runs[-1][1])
+    grid = np.linspace(0.0, 2.0, 400)
+    traj = simulate_full(cfg, t_eval=grid)
+    ((params, _), res), = runs
+    t, u, v = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
+                                  res.eval_dR, res.eval_Theta)
+    # One corner row per distinct sample time between t0 = 1 and the
+    # exit, holding the first dense sample mapped to that time; the exit
+    # itself is the first face-2 row.
+    t_exit = traj.metadata["t_exit"]
+    corner = traj.phase == PHASE_CORNER
+    np.testing.assert_array_equal(traj.t[corner],
+                                  np.unique(t[(t > 1.0) & (t < t_exit)]))
+    first = np.searchsorted(t, traj.t[corner])
+    np.testing.assert_array_equal(traj.u[corner], u[first])
+    np.testing.assert_array_equal(traj.v[corner], v[first])
+    assert traj.t[traj.phase == PHASE_FACE2][0] == t_exit
 
 
 def test_horizon_before_crossing():
