@@ -30,14 +30,9 @@ from .asymptotics import (
 from .corner_phase import (
     CornerResult,
     OracleRun,
-    ScaledParams,
-    ScaledState,
     integrate_corner,
     oracle_fast_time_integration,
     radial_rhs,
-    scaled_params_direct,
-    scaled_params_from_physical,
-    scaled_to_cartesian,
 )
 from .errors import (
     ConfigError,
@@ -87,6 +82,13 @@ from .moreau import (
     build_limit,
     limit_trajectory,
     moreau_velocity_jump,
+)
+from .scaling import (
+    ScaledParams,
+    ScaledState,
+    scaled_params_direct,
+    scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 
 __version__ = "0.1.0"

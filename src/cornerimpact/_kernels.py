@@ -14,10 +14,12 @@ Everything is scalar arithmetic on purpose: the identical source compiles
 under numba (CORNERIMPACT_BACKEND=numba/auto) and runs unmodified as plain
 Python.  No allocation happens inside the step loop except for array growth.
 
-Dense output: every accepted step stores its length and its stage slopes
-k1, k3 ... k7 (k2 has zero weight), so the caller can evaluate the free
-DOPRI5 continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
-II.6) anywhere in the step,
+Storage: each accepted step appends its end time and its state, one row of
+an (n, 3) array with columns R, V, Theta.  Dense output: every accepted
+step also stores its length and its stage slopes k1, k3 ... k7 (k2 has
+zero weight), so the caller can evaluate the free DOPRI5 continuous
+extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) anywhere in the
+step,
 
     y(tau_n + x h) = y_n + h K^T DENSE_P [x, x^2, x^3, x^4],
 
@@ -40,7 +42,7 @@ Status codes returned by ``integrate_radial``:
     0  horizon reached
     1  stopped at the theta event
     2  step-size underflow (failure)
-    3  step budget exhausted (failure)
+    3  step budget of MAX_STEPS attempts exhausted (failure)
     4  step-size underflow driven by a singular radius (failure)
 """
 from __future__ import annotations
@@ -82,6 +84,8 @@ DENSE_P = np.array([
 
 EVENT_TAU_WIDTH = 1e-12
 EVENT_THETA_TOL = 1e-10
+# Attempted steps (accepted + rejected) before a run gives up.
+MAX_STEPS = 4_000_000
 
 
 @jit
@@ -273,29 +277,29 @@ def _locate_exit(R, V, T, f1R, f1V, f1T, h, Tn, k, theta_target,
 
 @jit
 def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
-                     rtol, atol, h0, max_step, max_steps, stop_at_event):
+                     rtol, atol, h0, stop_at_event):
     """Adaptive DP45 integration of the scaled corner flow from tau = 0.
 
-    theta_target = NaN disables the event.  Returns the n samples (ts, Rs,
-    Vs, Ths), the dense-output data of the n - 1 steps between them (their
-    lengths hs and stage slopes ks, shape (n - 1, 6, 3)), the exit, and the
-    step counts.  Step i starts at sample i; when the run stops at the
-    event, the last step is the full accepted step that holds the crossing.
+    Returns (status, n, ts, ys, hs, ks, exit_found, exit_tau, exR, exV,
+    exT, nacc, nrej): the n samples (times ts, states ys with columns R,
+    R', Theta), the dense-output data of the n - 1 steps between them
+    (their lengths hs and stage slopes ks, shape (n - 1, 6, 3)), the exit,
+    and the step counts.  Step i starts at sample i; when the run stops at
+    the event, the last step is the full accepted step that holds the
+    crossing.  The arrays are growth buffers: only their first n (or
+    n - 1) rows are filled.
     """
     cap = 4096
     ts = np.empty(cap)
-    Rs = np.empty(cap)
-    Vs = np.empty(cap)
-    Ths = np.empty(cap)
+    ys = np.empty((cap, 3))
     hs = np.empty(cap)
     ks = np.empty((cap, 6, 3))
     ts[0] = 0.0
-    Rs[0] = R0
-    Vs[0] = V0
-    Ths[0] = 0.0
+    ys[0, 0] = R0
+    ys[0, 1] = V0
+    ys[0, 2] = 0.0
     n = 1
 
-    has_event = not np.isnan(theta_target)
     exit_found = False
     exit_tau = np.nan
     exR = np.nan
@@ -313,22 +317,18 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
     Th = 0.0
 
     if tau_end <= 0.0:
-        return (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+        return (status, n, ts, ys, hs, ks, exit_found, exit_tau,
                 exR, exV, exT, nacc, nrej)
 
     f1R, f1V, f1T = _rhs(R, V, c3, alpha, cth)
     h = h0
     if h > tau_end:
         h = tau_end
-    if h > max_step:
-        h = max_step
 
     while tau < tau_end:
-        if nacc + nrej >= max_steps:
+        if nacc + nrej >= MAX_STEPS:
             status = 3
             break
-        if h > max_step:
-            h = max_step
         if tau + h > tau_end:
             h = tau_end - tau
         if tau + h == tau:
@@ -364,7 +364,7 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         last_reject_bad = False
         hs[n - 1] = h
 
-        if has_event and (not exit_found) and Tn >= theta_target:
+        if (not exit_found) and Tn >= theta_target:
             oke, s, Re, Ve, Te = _locate_exit(
                 R, V, Th, f1R, f1V, f1T, h, Tn, k, theta_target,
                 c3, alpha, cth)
@@ -376,9 +376,9 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
                 exR, exV, exT = Rn, Vn, Tn
             if stop_at_event:
                 ts[n] = exit_tau
-                Rs[n] = exR
-                Vs[n] = exV
-                Ths[n] = exT
+                ys[n, 0] = exR
+                ys[n, 1] = exV
+                ys[n, 2] = exT
                 n += 1
                 status = 1
                 break
@@ -390,25 +390,21 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         f1R, f1V, f1T = f7R, f7V, f7T  # FSAL
 
         ts[n] = tau
-        Rs[n] = R
-        Vs[n] = V
-        Ths[n] = Th
+        ys[n, 0] = R
+        ys[n, 1] = V
+        ys[n, 2] = Th
         n += 1
         if n == cap:
             cap *= 2
             ts2 = np.empty(cap)
-            Rs2 = np.empty(cap)
-            Vs2 = np.empty(cap)
-            Ths2 = np.empty(cap)
+            ys2 = np.empty((cap, 3))
             hs2 = np.empty(cap)
             ks2 = np.empty((cap, 6, 3))
             ts2[:n] = ts[:n]
-            Rs2[:n] = Rs[:n]
-            Vs2[:n] = Vs[:n]
-            Ths2[:n] = Ths[:n]
+            ys2[:n] = ys[:n]
             hs2[:n] = hs[:n]
             ks2[:n] = ks[:n]
-            ts, Rs, Vs, Ths, hs, ks = ts2, Rs2, Vs2, Ths2, hs2, ks2
+            ts, ys, hs, ks = ts2, ys2, hs2, ks2
 
         if err < 1e-30:
             fac = 5.0
@@ -423,5 +419,5 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
     if status == 2 and last_reject_bad:
         status = 4  # underflow driven by a singular radius
 
-    return (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+    return (status, n, ts, ys, hs, ks, exit_found, exit_tau,
             exR, exV, exT, nacc, nrej)

@@ -20,7 +20,6 @@ import argparse
 import sys
 
 from .config import SimConfig, load_config
-from .corner_phase import scaled_params_direct, scaled_params_from_physical
 from .errors import InvalidInput, NumericFailure
 from .harness import (
     asymptotic_report,
@@ -30,6 +29,7 @@ from .harness import (
     write_csv,
 )
 from .linear_phase import InitialData, characteristic_roots
+from .scaling import scaled_params_direct, scaled_params_from_physical
 
 __all__ = ["main", "build_parser"]
 

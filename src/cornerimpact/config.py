@@ -102,12 +102,12 @@ class SimConfig:
                 fail("zeta",
                      f"zeta must lie in (0, 1/|xi1|={1.0 / abs(xi1):g}), "
                      f"got {self.zeta!r}")
-        if not self.rtol > 0.0:
-            fail("rtol", f"rtol must be positive, got {self.rtol!r}")
-        if not self.atol > 0.0:
-            fail("atol", f"atol must be positive, got {self.atol!r}")
-        if self.T is not None and not self.T > 0.0:
-            fail("T", f"T must be positive, got {self.T!r}")
+        for key in ("rtol", "atol"):
+            val = getattr(self, key)
+            if not 0.0 < val < math.inf:
+                fail(key, f"{key} must be positive and finite, got {val!r}")
+        if self.T is not None and not 0.0 < self.T < math.inf:
+            fail("T", f"T must be positive and finite, got {self.T!r}")
         if self.n_grid < 2:
             fail("n_grid", f"n_grid must be at least 2, got {self.n_grid!r}")
         for key in ("k_list", "eta_list"):

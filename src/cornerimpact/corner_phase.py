@@ -1,13 +1,13 @@
 """Scaled corner passage: adaptive integration and oracle.
 
 ``integrate_corner`` drives the Dormand-Prince cores in ``_kernels`` on the
-reduced radial system and optionally stops at the first crossing of the
-target angle theta_bar (the exit onto face 2).  Its states map back to
-physical coordinates through ``scaled_to_cartesian`` (from ``scaling``),
-which needs the physical stiffness.  ``oracle_fast_time_integration`` is a
-deliberately independent route: it integrates the full penalty vector
-field in Cartesian fast time with scipy's DOP853 and shares no stepping
-code with the pipeline.
+reduced radial system and locates the first crossing of the target angle
+theta_bar (the exit onto face 2), stopping there unless the run continues
+to its horizon.  Its states map back to physical coordinates through
+``scaling.scaled_to_cartesian``, which needs the physical stiffness.
+``oracle_fast_time_integration`` is a deliberately independent route: it
+integrates the full penalty vector field in Cartesian fast time with
+scipy's DOP853 and shares no stepping code with the pipeline.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import asymptotics
 from ._backend import BACKEND
-from ._kernels import DENSE_P, integrate_radial
+from ._kernels import DENSE_P, MAX_STEPS, integrate_radial
 from .errors import (
     IntegrationFailure,
     InvalidInput,
@@ -27,23 +27,12 @@ from .errors import (
 )
 from .geometry import ConeGeometry, damping_force_G, project_onto_cone
 from .linear_phase import DampingParams, InitialData
-from .scaling import (          # noqa: F401  (re-exported API surface)
-    ScaledParams,
-    ScaledState,
-    scaled_params_direct,
-    scaled_params_from_physical,
-    scaled_to_cartesian,
-)
+from .scaling import ScaledParams, ScaledState
 
 __all__ = [
-    "ScaledParams",
-    "ScaledState",
     "CornerResult",
-    "scaled_params_from_physical",
-    "scaled_params_direct",
     "radial_rhs",
     "integrate_corner",
-    "scaled_to_cartesian",
     "oracle_fast_time_integration",
     "OracleRun",
 ]
@@ -69,11 +58,13 @@ class CornerResult:
     """Outcome of a corner integration.
 
     ``tau``/``R``/``dR``/``Theta`` are the accepted-step samples (always
-    starting at tau = 0).  When a ``tau_eval`` grid was supplied, the
-    states there are in ``eval_*`` (clipped to the part of the grid the
-    run actually covered), taken from the DOPRI5 continuous extension of
-    the covering step.  ``exit_state`` is set when the angle event
-    fired, whether or not the run stopped there.
+    starting at tau = 0; the columns of the kernel's state array).  When a
+    ``tau_eval`` grid was supplied, the states there are in ``eval_*``
+    (clipped to the part of the grid the run actually covered), taken from
+    the DOPRI5 continuous extension of the covering step.  ``exit_state``
+    is set when the run crossed theta_bar, whether it stopped there or
+    continued past the exit (``stop_at_event=False``).  ``horizon`` is the
+    scaled end time the run was given.
     """
 
     tau: np.ndarray
@@ -94,19 +85,12 @@ class CornerResult:
     horizon: float = 0.0
 
 
-def default_horizon(params: ScaledParams, zeta: float | None = None,
-                    safety: float = 1.0) -> float:
-    """Budget zeta ln(1/eta) (1 + 2 lambda2 safety) covering exit + settle."""
+def default_horizon(params: ScaledParams) -> float:
+    """Budget tau3 (1 + 2 lambda2) covering exit + settle, where tau3 =
+    zeta ln(1/eta) at the default zeta of ``asymptotic_times``."""
     damping = params.damping
-    if zeta is None:
-        zeta = 0.5 / abs(damping.xi1)
-    elif not 0.0 < zeta < 1.0 / abs(damping.xi1):
-        raise InvalidInput(
-            f"zeta must lie in (0, 1/|xi1|={1.0 / abs(damping.xi1):g}), "
-            f"got {zeta!r}"
-        )
-    lam2 = asymptotics.lyapunov_Q(damping).lambda2
-    return zeta * math.log(1.0 / params.eta) * (1.0 + 2.0 * lam2 * safety)
+    tau3 = asymptotics.asymptotic_times(params.eta, damping).tau3
+    return tau3 * (1.0 + 2.0 * asymptotics.lyapunov_Q(damping).lambda2)
 
 
 def _dense_eval(t, y, h, k, tau):
@@ -125,29 +109,26 @@ def _dense_eval(t, y, h, k, tau):
 
 def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                     horizon: float | None = None, zeta: float | None = None,
-                     horizon_safety: float = 1.0, theta_event: bool = True,
-                     stop_at_event: bool = True, tau_eval=None,
-                     initial_step: float | None = None,
-                     max_step: float = math.inf,
-                     max_steps: int = 4_000_000) -> CornerResult:
+                     horizon: float | None = None,
+                     stop_at_event: bool = True,
+                     tau_eval=None) -> CornerResult:
     """Integrate the scaled corner flow from tau = 0.
 
-    The run ends at the first crossing of Theta = theta_bar (when
-    ``theta_event`` and ``stop_at_event``) or at the horizon, whichever
-    comes first.  With ``stop_at_event=False`` the crossing is still
-    located and reported, but integration continues to the horizon.
+    The run ends at the first crossing of Theta = theta_bar or at the
+    horizon (``default_horizon`` when None), whichever comes first.  With
+    ``stop_at_event=False`` the crossing is still located and reported,
+    but integration continues to the horizon.  The first trial step is
+    1e-3 kappa.
     """
-    if not (rtol > 0.0 and atol > 0.0):
-        raise InvalidInput("rtol and atol must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise InvalidInput(
+            f"rtol and atol must be positive and finite, got {rtol!r}, "
+            f"{atol!r}")
     if horizon is None:
-        horizon = default_horizon(params, zeta=zeta, safety=horizon_safety)
-    if horizon < 0.0:
-        raise InvalidInput(f"horizon must be non-negative, got {horizon!r}")
-    if initial_step is None:
-        initial_step = 1e-3 * params.kappa
-    if not (initial_step > 0.0):
-        raise InvalidInput("initial step must be positive")
+        horizon = default_horizon(params)
+    if not 0.0 <= horizon < math.inf:
+        raise InvalidInput(
+            f"horizon must be non-negative and finite, got {horizon!r}")
 
     if tau_eval is None:
         ev = np.empty(0)
@@ -161,27 +142,24 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     one = 1.0 - params.eps
     c3 = params.E * one * one
     cth = math.sqrt(params.E) * one
-    theta_target = cone.theta_bar if theta_event else math.nan
 
-    (status, n, ts, Rs, Vs, Ths, hs, ks, exit_found, exit_tau,
+    (status, n, ts, ys, hs, ks, exit_found, exit_tau,
      exR, exV, exT, nacc, nrej) = integrate_radial(
-        params.R0, params.dR0, c3, cth, params.damping.alpha, theta_target,
-        float(horizon), float(rtol), float(atol), float(initial_step),
-        float(max_step), max_steps, bool(stop_at_event))
+        params.R0, params.dR0, c3, cth, params.damping.alpha,
+        cone.theta_bar, float(horizon), float(rtol), float(atol),
+        1e-3 * params.kappa, bool(stop_at_event))
 
     if status == 2:
         raise IntegrationFailure(
             f"step size underflow at tau ~ {ts[n - 1]:.6g}")
     if status == 3:
-        raise IntegrationFailure(f"step budget {max_steps} exhausted")
+        raise IntegrationFailure(f"step budget {MAX_STEPS} exhausted")
     if status == 4:
         raise SingularRadius(
             f"radius collapsed toward zero near tau ~ {ts[n - 1]:.6g}")
 
     tau_s = ts[:n].copy()
-    R_s = Rs[:n].copy()
-    dR_s = Vs[:n].copy()
-    Th_s = Ths[:n].copy()
+    R_s, dR_s, Th_s = ys[:n].T.copy()
 
     # Conserved-momentum diagnostic over the samples (round-off only for
     # the reduced system, by construction).
@@ -211,8 +189,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
             end = horizon * (1.0 + 1e-12)
         ev = ev[:np.searchsorted(ev, end, side="right")]
         m = n - 1
-        y = np.column_stack([Rs[:m], Vs[:m], Ths[:m]])
-        eval_y = _dense_eval(ts[:m], y, hs[:m], ks[:m], ev)
+        eval_y = _dense_eval(ts[:m], ys[:m], hs[:m], ks[:m], ev)
         result.eval_tau = ev.copy()
         result.eval_R = eval_y[:, 0]
         result.eval_dR = eval_y[:, 1]

@@ -32,15 +32,7 @@ from .asymptotics import (
     second_asymptotic_R2,
 )
 from .config import SimConfig
-from .corner_phase import (
-    ScaledParams,
-    ScaledState,
-    integrate_corner,
-    radial_rhs,
-    scaled_params_direct,
-    scaled_params_from_physical,
-    scaled_to_cartesian,
-)
+from .corner_phase import integrate_corner, radial_rhs
 from .errors import InvalidInput
 from .geometry import ConeGeometry
 from .linear_phase import (
@@ -51,6 +43,13 @@ from .linear_phase import (
     r1_phase_state,
 )
 from .moreau import limit_trajectory
+from .scaling import (
+    ScaledParams,
+    ScaledState,
+    scaled_params_direct,
+    scaled_params_from_physical,
+    scaled_to_cartesian,
+)
 
 __all__ = [
     "Trajectory",
@@ -227,7 +226,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         phase=np.concatenate(parts_phase),
         metadata=meta,
     )
-    if np.any(np.diff(traj.t) <= 0.0):
+    if not np.all(np.diff(traj.t) > 0.0):
         raise InvalidInput("internal error: trajectory times not increasing")
     counts = {}
     for label in (PHASE_FACE1, PHASE_CORNER, PHASE_FACE2):
@@ -313,7 +312,7 @@ def asymptotic_report(config: SimConfig, eta_list=None):
         ]))
         res = integrate_corner(params, cone, rtol=config.rtol,
                                atol=config.atol, horizon=tau3, tau_eval=ev,
-                               stop_at_event=False, zeta=config.zeta)
+                               stop_at_event=False)
         ev = res.eval_tau
         R_num = res.eval_R
         dR_num = res.eval_dR
@@ -368,32 +367,30 @@ def phase_portrait(params: ScaledParams, R_range=(0.1, 2.0),
         raise InvalidInput(f"R_range must be positive increasing, got {R_range!r}")
     if not dR_range[0] < dR_range[1]:
         raise InvalidInput(f"dR_range must be increasing, got {dR_range!r}")
-    cols = {name: [] for name in
-            ("R", "dR", "dR_dtau", "ddR_dtau", "at_critical")}
-    if grid_n > 0:
-        for R in np.linspace(R_range[0], R_range[1], grid_n):
-            for dR in np.linspace(dR_range[0], dR_range[1], grid_n):
-                d1, d2, _ = radial_rhs(ScaledState(0.0, R, dR, 0.0), params)
-                cols["R"].append(R)
-                cols["dR"].append(dR)
-                cols["dR_dtau"].append(d1)
-                cols["ddR_dtau"].append(d2)
-                cols["at_critical"].append(0.0)
-        Rc = critical_point(params.E, params.eps)
-        d1, d2, _ = radial_rhs(ScaledState(0.0, Rc, 0.0, 0.0), params)
-        cols["R"].append(Rc)
-        cols["dR"].append(0.0)
-        cols["dR_dtau"].append(d1)
-        cols["ddR_dtau"].append(d2)
-        cols["at_critical"].append(1.0)
-    return {name: np.asarray(vals) for name, vals in cols.items()}
+    names = ("R", "dR", "dR_dtau", "ddR_dtau", "at_critical")
+    if grid_n == 0:
+        return {name: np.empty(0) for name in names}
+    Rs = np.linspace(R_range[0], R_range[1], grid_n)
+    dRs = np.linspace(dR_range[0], dR_range[1], grid_n)
+    Rc = critical_point(params.E, params.eps)
+    # One call per radius, vectorised over dR (rows R-major).  R stays a
+    # scalar, so R**3 rounds as in a per-point evaluation.
+    rhs = [radial_rhs(ScaledState(0.0, R, dRs, 0.0), params) for R in Rs]
+    rhs.append(radial_rhs(ScaledState(0.0, Rc, np.zeros(1), 0.0), params))
+    return dict(zip(names, (
+        np.append(np.repeat(Rs, grid_n), Rc),
+        np.append(np.tile(dRs, grid_n), 0.0),
+        np.concatenate([f[0] for f in rhs]),
+        np.concatenate([f[1] for f in rhs]),
+        np.append(np.zeros(grid_n * grid_n), 1.0),
+    )))
 
 
 def write_csv(data, path) -> None:
     """Write a Trajectory or a column mapping as CSV.
 
-    Floats are printed with 17 significant digits so reading them back
-    reproduces the exact double.
+    Float columns are printed with 17 significant digits so reading them
+    back reproduces the exact double; other columns print as ``str``.
     """
     if isinstance(data, Trajectory):
         columns = {
@@ -411,15 +408,10 @@ def write_csv(data, path) -> None:
         raise InvalidInput(f"column lengths differ: {lengths}")
 
     names = list(columns)
-    n_rows = lengths.pop()
+    row_format = ",".join(
+        "%.17g" if columns[name].dtype.kind == "f" else "%s"
+        for name in names) + "\n"
+    rows = zip(*(columns[name].tolist() for name in names))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n_rows):
-            cells = []
-            for name in names:
-                val = columns[name][i]
-                if isinstance(val, (np.floating, float)):
-                    cells.append(format(float(val), ".17g"))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row_format % row for row in rows)

@@ -8,13 +8,16 @@ from cornerimpact import (
     ConeGeometry,
     InitialData,
     InvalidInput,
+    ScaledState,
     SimConfig,
     Trajectory,
     characteristic_roots,
     convergence_study,
+    critical_point,
     limit_trajectory,
     phase_portrait,
     r1_phase_state,
+    radial_rhs,
     scaled_params_direct,
     simulate_full,
     write_csv,
@@ -252,6 +255,22 @@ def test_phase_portrait_table():
     np.testing.assert_array_equal(table["dR_dtau"], table["dR"])
 
 
+def test_phase_portrait_matches_pointwise_rhs():
+    # The table is vectorised over dR; it must equal scalar evaluations at
+    # every grid point, in R-major row order, bit for bit.  On this grid
+    # both an array R**3 and R*R*R move ddR_dtau in the last bit.
+    params = scaled_params_direct(1e-2, "derive", InitialData(-1.0, 2.0, 2.0),
+                                  characteristic_roots(2.0))
+    table = phase_portrait(params, R_range=(0.25, 2.0), grid_n=7)
+    points = [(R, dR) for R in np.linspace(0.25, 2.0, 7)
+              for dR in np.linspace(-1.0, 1.0, 7)]
+    points.append((critical_point(params.E, params.eps), 0.0))
+    ref = np.array([(R, dR) + radial_rhs(ScaledState(0.0, R, dR, 0.0),
+                                         params)[:2] for R, dR in points])
+    for j, name in enumerate(("R", "dR", "dR_dtau", "ddR_dtau")):
+        np.testing.assert_array_equal(table[name], ref[:, j])
+
+
 def test_phase_portrait_empty_and_validation():
     params = scaled_params_direct(1e-2, "derive", InitialData(-1.0, 1.0, 1.0),
                                   characteristic_roots(2.0))
@@ -269,15 +288,20 @@ def test_write_csv_roundtrip_exact(tmp_path):
     cols = {
         "a": np.array([1.0 / 3.0, 1e-300, 0.1, -0.0, 123456789.123456789]),
         "b": np.array([math.pi, 2.0 ** -1074, 1e308, -1.5, 0.0]),
+        "n": np.array([0, -7, 2 ** 53 + 1, 42, 1]),
+        "s": np.array(["R1-phase", "corner", "R3-phase", "x", ""]),
     }
     path = tmp_path / "table.csv"
     write_csv(cols, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "a,b"
+    assert lines[0] == "a,b,n,s"
     for i, line in enumerate(lines[1:]):
-        for name, cell in zip(("a", "b"), line.split(",")):
+        a, b, n, s = line.split(",")
+        for name, cell in (("a", a), ("b", b)):
             parsed = np.float64(cell)
             assert parsed.tobytes() == cols[name][i].tobytes()
+        assert int(n) == cols["n"][i]
+        assert s == cols["s"][i]
 
 
 def test_write_csv_trajectory_roundtrip(acute_traj, tmp_path):

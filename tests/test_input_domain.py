@@ -1,14 +1,18 @@
 """Seeded property tests: inputs across the domain fail only with named errors."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cornerimpact import (
+    ConeGeometry,
     CornerImpactError,
     InitialData,
+    InvalidInput,
     ScaleUnderflow,
     characteristic_roots,
+    integrate_corner,
     scaled_params_direct,
 )
 from cornerimpact.cli import main
@@ -63,3 +67,46 @@ def test_eta_near_one_is_invalid_for_the_report(capsys):
     # tau1 = eta^gamma1 would not precede tau3 = zeta ln(1/eta).
     assert main(["asym-report", "--eta", "0.9"]) == 2
     assert "tau1" in capsys.readouterr().err
+
+
+def _fails_fast(call):
+    start = time.perf_counter()
+    result = call()
+    assert time.perf_counter() - start < 1.0
+    return result
+
+
+@pytest.mark.parametrize("T", ["inf", "nan"])
+def test_non_finite_horizon_is_invalid(T, capsys):
+    # T = inf used to run and print inf/NaN times and positions.
+    assert _fails_fast(lambda: main(["simulate", "--k", "100", "--T", T])) == 2
+    assert "T must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rtol", "atol"])
+def test_non_finite_tolerance_in_config_is_invalid(key, tmp_path, capsys):
+    # rtol = inf used to run silently with a wrong exit time.
+    path = tmp_path / "run.cfg"
+    path.write_text(f"k = 100\n{key} = inf\n", encoding="utf-8")
+    assert _fails_fast(lambda: main(["simulate", "--config", str(path)])) == 2
+    assert f"line 2: {key} must be positive and finite" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan])
+def test_non_finite_corner_horizon_is_invalid(horizon):
+    # inf spun until the step budget ran out; NaN returned an empty run.
+    p = scaled_params_direct(1e-2, "derive", UNIT, DAMP2)
+
+    def run():
+        with pytest.raises(InvalidInput, match="horizon"):
+            integrate_corner(p, ConeGeometry(2.0), horizon=horizon,
+                             stop_at_event=False)
+    _fails_fast(run)
+
+
+@pytest.mark.parametrize("tol", [{"rtol": math.inf}, {"atol": math.nan}])
+def test_non_finite_corner_tolerance_is_invalid(tol):
+    p = scaled_params_direct(1e-2, "derive", UNIT, DAMP2)
+    with pytest.raises(InvalidInput, match="rtol and atol"):
+        integrate_corner(p, ConeGeometry(2.0), **tol)
