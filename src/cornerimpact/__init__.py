@@ -53,6 +53,7 @@ from .geometry import (
     classify_region,
     damping_force_G,
     penalty_direction,
+    penalty_field,
     pi1,
     pi2,
     project_onto_cone,

@@ -80,8 +80,8 @@ class SimConfig:
                  f"mode must be 'physical' or 'scaled', got {self.mode!r}")
         # k/eta may stay unset here: sweep commands supply them per run and
         # single-run consumers check completeness for their mode.
-        if self.k is not None and not self.k > 0.0:
-            fail("k", f"k must be positive, got {self.k!r}")
+        if self.k is not None and not 0.0 < self.k < math.inf:
+            fail("k", f"k must be positive and finite, got {self.k!r}")
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             fail("eta", f"eta must lie in (0, 1), got {self.eta!r}")
         if self.eps_policy not in ("derive", "zero", "fixed"):

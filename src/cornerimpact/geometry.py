@@ -41,6 +41,7 @@ __all__ = [
     "project_onto_cone",
     "penalty_direction",
     "damping_force_G",
+    "penalty_field",
     "pi1",
     "pi2",
     "tangent_cone_project",
@@ -152,6 +153,35 @@ def damping_force_G(point, velocity, cone: ConeGeometry) -> np.ndarray:
     if w2 == 0.0:
         return np.zeros(2)
     return (float(v @ w) / w2) * w
+
+
+def penalty_field(x1: float, x2: float, v1: float, v2: float,
+                  cone: ConeGeometry) -> tuple[float, float, float, float]:
+    """Spring displacement w and damping direction G at a state, as floats.
+
+    Returns (w1, w2, G1, G2) with w = x - P_K x and G = (v . w / |w|^2) w,
+    the values ``penalty_direction`` and ``damping_force_G`` give, in scalar
+    arithmetic and without validation: the inner loop of the oracle.  The
+    regions follow ``classify_region`` (priority K > R1 > R2 > R3).  The
+    dot products round as ``a*b + c*d``, so they may differ from numpy's
+    in the last bits.  Non-finite input propagates as NaN or inf.
+    """
+    c = cone.cos_theta
+    s = cone.sin_theta
+    if x1 <= 0.0 and x1 * c + x2 * s <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    d_dot = -x1 * s + x2 * c
+    if x1 >= 0.0 and x2 <= 0.0:
+        w1, w2 = x1, 0.0
+    elif x2 >= 0.0 and d_dot <= 0.0:
+        w1, w2 = x1, x2
+    else:
+        w1, w2 = x1 + d_dot * s, x2 - d_dot * c
+    ww = w1 * w1 + w2 * w2
+    if ww == 0.0:
+        return w1, w2, 0.0, 0.0
+    f = (v1 * w1 + v2 * w2) / ww
+    return w1, w2, f * w1, f * w2
 
 
 def pi1(velocity) -> np.ndarray:

@@ -245,8 +245,8 @@ def convergence_study(config: SimConfig, k_list=None, T: float | None = None):
     if k_list is None:
         k_list = config.k_list
     k_arr = np.asarray(sorted(float(k) for k in k_list))
-    if k_arr.size == 0 or np.any(k_arr <= 0.0):
-        raise InvalidInput("k_list must contain positive stiffnesses")
+    if k_arr.size == 0 or not np.all((k_arr > 0.0) & (k_arr < np.inf)):
+        raise InvalidInput("k_list values must be positive and finite")
     # Mode/k completeness is supplied per run below; validate the rest now.
     config = config.override(mode="physical", k=float(k_arr[0]))
     damping, init, cone = _context(config)
@@ -284,7 +284,7 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     if eta_list is None:
         eta_list = config.eta_list
     etas = np.asarray(sorted((float(e) for e in eta_list), reverse=True))
-    if etas.size == 0 or np.any((etas <= 0.0) | (etas >= 1.0)):
+    if etas.size == 0 or not np.all((etas > 0.0) & (etas < 1.0)):
         raise InvalidInput("eta_list values must lie in (0, 1)")
     # The report is scale-free; validate with the mode completed.
     config = config.override(mode="scaled", eta=float(etas[0]))

@@ -1,5 +1,6 @@
 """Adaptive corner integration: events, sampling, conservation, oracle."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cornerimpact import (
     BACKEND,
     ConeGeometry,
     InitialData,
+    IntegrationFailure,
     InvalidInput,
     ScaleFreeRun,
     ScaledState,
@@ -21,7 +23,7 @@ from cornerimpact import (
     scaled_to_cartesian,
 )
 from cornerimpact._kernels import DENSE_P, _rhs, _substep
-from cornerimpact.corner_phase import default_horizon
+from cornerimpact.corner_phase import ORACLE_MAX_RHS, default_horizon
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
 DAMP2 = characteristic_roots(2.0)
@@ -279,6 +281,34 @@ def test_oracle_validation():
         oracle_fast_time_integration(UNIT, DAMP2, ACUTE, -1.0, horizon=1.0)
     with pytest.raises(InvalidInput):
         oracle_fast_time_integration(UNIT, DAMP2, ACUTE, 100.0, horizon=0.0)
+
+
+# The documented step collapse: alpha = 2, theta_bar = 1, k = 1e4.
+COLLAPSE = dict(damping=DAMP2, cone=ConeGeometry(1.0), k=1e4, rtol=1e-11,
+                atol=1e-13)
+
+
+def test_oracle_fails_fast_past_its_budget():
+    # Horizon 2.0 needs ~8M right-hand-side calls (over a minute).
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailure,
+                       match=rf"budget of {ORACLE_MAX_RHS} .* fast time"):
+        oracle_fast_time_integration(UNIT, horizon=2.0, **COLLAPSE)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_oracle_runs_into_the_collapse_within_budget():
+    run = oracle_fast_time_integration(UNIT, horizon=1.5, **COLLAPSE)
+    assert run.t[-1] == pytest.approx(1.5, rel=1e-12)
+    assert np.all(np.isfinite(run.u)) and np.all(np.isfinite(run.v))
+
+
+def test_oracle_overflow_is_integration_failure():
+    # A state that overflows used to escape as InvalidInput from the
+    # per-call point validation.
+    with pytest.raises(IntegrationFailure):
+        oracle_fast_time_integration(InitialData(-1.0, 1e300, 1e300),
+                                     horizon=1.0, **COLLAPSE)
 
 
 def test_backend_report():

@@ -11,6 +11,7 @@ from cornerimpact import (
     classify_region,
     damping_force_G,
     penalty_direction,
+    penalty_field,
     pi1,
     pi2,
     project_onto_cone,
@@ -193,6 +194,61 @@ def test_damping_discontinuous_across_face():
     inside = damping_force_G((-1e-8, -1.0), v, ACUTE)
     np.testing.assert_allclose(outside, [1.0, 0.0], atol=1e-12)
     np.testing.assert_array_equal(inside, [0.0, 0.0])
+
+
+def _boundary_points(cone):
+    """Face 1, face 2, the vertex, and both R2 edges (x2 = 0, d.x = 0)."""
+    return np.array([(0.0, -2.0), tuple(1.5 * cone.face2_direction),
+                     (0.0, 0.0), (2.0, 0.0), tuple(1.5 * cone.face2_normal)])
+
+
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
+def test_penalty_field_matches_vector_route(cone):
+    # The oracle's scalar field against P_K and G composed from the
+    # validated vector functions, in every region and on the boundaries.
+    rng = np.random.default_rng(31)
+    points = np.vstack([rng.uniform(-3.0, 3.0, (400, 2)),
+                        _boundary_points(cone)])
+    velocities = rng.uniform(-3.0, 3.0, points.shape)
+    velocities[::7] = 0.0
+    velocities[-5:] = [(1.0, -0.5), (0.0, 0.0), (-0.7, 1.2), (0.3, 0.3),
+                       (2.0, 1.0)]
+    regions = set()
+    for x, v in zip(points, velocities):
+        regions.add(classify_region(x, cone))
+        out = penalty_field(*x.tolist(), *v.tolist(), cone)
+        assert all(type(c) is float for c in out)
+        w = x - project_onto_cone(x, cone)
+        g = damping_force_G(x, v, cone)
+        scale = np.hypot(*x) + np.hypot(*v)
+        np.testing.assert_allclose(out[:2], w, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(out[2:], g, rtol=0.0, atol=1e-12 * scale)
+        if not v.any():
+            assert out[2:] == (0.0, 0.0)
+    assert regions == set(Region)
+
+
+def test_penalty_field_at_boundary_points():
+    # Exact boundary states: no spring on the faces and the vertex, the
+    # full displacement on both R2 edges.
+    v = (0.4, -1.3)
+    for cone in (ACUTE, OBTUSE):
+        face1, face2, vertex, edge_x2, edge_d = _boundary_points(cone)
+        for x in (face1, vertex):
+            assert penalty_field(*x, *v, cone) == (0.0, 0.0, 0.0, 0.0)
+        w1, w2, _, _ = penalty_field(*face2, *v, cone)
+        assert math.hypot(w1, w2) <= 1e-15
+        for x in (edge_x2, edge_d):
+            w1, w2, g1, g2 = penalty_field(*x, *v, cone)
+            np.testing.assert_allclose((w1, w2), x, rtol=1e-15)
+            unit = x / np.hypot(*x)
+            np.testing.assert_allclose((g1, g2), (unit @ v) * unit,
+                                       atol=1e-15)
+
+
+def test_penalty_field_propagates_non_finite_state():
+    out = penalty_field(math.nan, -1.0, 0.0, 1.0, ACUTE)
+    assert all(math.isnan(c) for c in out)
 
 
 def test_tangential_projections():

@@ -110,3 +110,23 @@ def test_non_finite_corner_tolerance_is_invalid(tol):
     p = scaled_params_direct(1e-2, "derive", UNIT, DAMP2)
     with pytest.raises(InvalidInput, match="rtol and atol"):
         integrate_corner(p, ConeGeometry(2.0), **tol)
+
+
+def test_infinite_stiffness_is_invalid(capsys):
+    # k = inf used to pass the config check and fail later with
+    # "stiffness k must be positive, got inf".
+    assert _fails_fast(lambda: main(["simulate", "--k", "inf"])) == 2
+    assert "k must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,flag,values", [
+    ("asym-report", "--eta-list", "1e-2,nan"),
+    ("converge", "--k-list", "1e2,nan"),
+    ("converge", "--k-list", "1e2,inf"),
+])
+def test_non_finite_study_list_entry_is_invalid(cmd, flag, values, capsys):
+    # NaN passed the comparison-only list checks and failed later with a
+    # message that named a single value, not the list.
+    assert _fails_fast(lambda: main([cmd, flag, values])) == 2
+    name = flag[2:].replace("-", "_")
+    assert f"{name} values must" in capsys.readouterr().err
