@@ -27,16 +27,16 @@ without a further right-hand-side call.  It is fourth-order accurate and
 exact at both step ends.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
-theta_target.  The crossing is first located on the step's quartic Theta
-interpolant (no RHS call), then polished by Newton iterations on the exact
-single-step map with slope cth / R^2, and bracketed between two evaluated
-offsets.  The exit is the upper end of a bisection from (0, h) that runs
-until the bracket is below 1e-12 wide AND the angle mismatch is below
-1e-10; both bounds are needed, since at acute exits Theta' ~ W can be huge
-and a narrow bracket alone does not pin the angle.  Probes outside the
-Newton bracket take their side from it, because the single-step angle is
-monotone in the offset, so only a few probes re-run a step, and the exit
-is the one a bisection probing every point would find.
+theta_target.  The exit is the root of Theta = theta_target on the exact
+single-step map from the start of the accepted step that crosses it.
+Newton iterations with the slope Theta' = cth / R^2 start from the secant
+guess between the step's end points and stay inside a bracket (lo, hi)
+with Theta(lo) < theta_target <= Theta(hi); an iterate outside the
+bracket, or one whose step fails, is replaced by the bracket midpoint.
+The search stops when Theta equals theta_target, when Newton stops
+moving, or when the bracket reaches floating-point resolution, so the
+exit angle misses theta_target by round-off only, even at acute exits
+where Theta' ~ W is huge.  It takes about three single-step re-runs.
 
 Status codes returned by ``integrate_radial``:
     0  horizon reached
@@ -82,8 +82,6 @@ DENSE_P = np.array([
      69997945.0 / 29380423.0],
 ])
 
-EVENT_TAU_WIDTH = 1e-12
-EVENT_THETA_TOL = 1e-10
 # Attempted steps (accepted + rejected) before a run gives up.
 MAX_STEPS = 4_000_000
 
@@ -174,105 +172,39 @@ def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
 
 
 @jit
-def _exit_bracket(R, V, T, f1R, f1V, f1T, h, k, theta_target,
-                  c3, alpha, cth):
-    """Offsets (a, b) with Theta(a) < theta_target <= Theta(b) on the exact
-    single-step map from (R, V, T), or (0, h) when the polish fails.  k
-    holds the stage slopes of the step of length h.
-    """
-    # Root of the quartic Theta interpolant, by safeguarded Newton in x.
-    q1 = 0.0
-    q2 = 0.0
-    q3 = 0.0
-    q4 = 0.0
-    for j in range(6):
-        q1 += k[j, 2] * DENSE_P[j, 0]
-        q2 += k[j, 2] * DENSE_P[j, 1]
-        q3 += k[j, 2] * DENSE_P[j, 2]
-        q4 += k[j, 2] * DENSE_P[j, 3]
-    x = 0.5
-    for _ in range(30):
-        g = T + h * (x * (q1 + x * (q2 + x * (q3 + x * q4)))) - theta_target
-        dg = h * (q1 + x * (2.0 * q2 + x * (3.0 * q3 + x * 4.0 * q4)))
-        if not dg > 0.0:
-            break
-        dx = g / dg
-        x -= dx
-        if x < 0.0:
-            x = 0.0
-        elif x > 1.0:
-            x = 1.0
-        if abs(dx) <= 1e-15:
-            break
-
-    # Newton polish on the exact single-step map, Theta' = cth / R^2, down
-    # to a fraction of the event tolerances.
-    s = x * h
-    d = 0.0
-    for _ in range(8):
-        ok, Rm, _, Tm = _substep(R, V, T, f1R, f1V, f1T, s, c3, alpha, cth)
-        if not ok:
-            return 0.0, h
-        slope = cth / (Rm * Rm)
-        d = 0.25 * min(EVENT_TAU_WIDTH, EVENT_THETA_TOL / slope)
-        ds = (Tm - theta_target) / slope
-        s -= ds
-        if not (0.0 < s < h):
-            return 0.0, h
-        if abs(ds) <= 0.1 * d:
-            break
-
-    oka, _, _, Ta = _substep(R, V, T, f1R, f1V, f1T, s - d, c3, alpha, cth)
-    okb, _, _, Tb = _substep(R, V, T, f1R, f1V, f1T, s + d, c3, alpha, cth)
-    if oka and okb and Ta < theta_target <= Tb:
-        return s - d, s + d
-    return 0.0, h
-
-
-@jit
-def _locate_exit(R, V, T, f1R, f1V, f1T, h, Tn, k, theta_target,
+def _locate_exit(R, V, T, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
                  c3, alpha, cth):
-    """Bisection for the crossing inside an accepted step of length h.
+    """Crossing of theta_target inside an accepted step of length h from
+    (R, V, T) to (Rn, Vn, Tn), by the search under "Event handling".
 
-    Returns (ok, s, Re, Ve, Te): the exit offset s and the single-step
-    state there; ok is False when that state could not be evaluated.
+    Returns (s, Re, Ve, Te): the last offset whose single-step state could
+    be evaluated, and that state; (h, Rn, Vn, Tn) when none could.
     """
-    a, b = _exit_bracket(R, V, T, f1R, f1V, f1T, h, k, theta_target,
-                         c3, alpha, cth)
     lo = 0.0
     hi = h
-    Th_hi = Tn
-    hi_known = True
+    se, Re, Ve, Te = h, Rn, Vn, Tn
+    s = (theta_target - T) / (Tn - T) * h
     for _ in range(200):
-        if hi - lo <= EVENT_TAU_WIDTH:
-            if not hi_known:
-                ok, _, _, Tm = _substep(R, V, T, f1R, f1V, f1T, hi,
-                                        c3, alpha, cth)
-                if ok:
-                    Th_hi = Tm
-                hi_known = True
-            if abs(Th_hi - theta_target) <= EVENT_THETA_TOL:
-                break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at floating-point resolution
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-            hi_known = False
+        if not (lo < s < hi):
+            s = 0.5 * (lo + hi)
+            if not (lo < s < hi):
+                break  # bracket at floating-point resolution
+        ok, Rs, Vs, Ts = _substep(R, V, T, f1R, f1V, f1T, s, c3, alpha, cth)
+        if not ok:
+            hi = s  # the next iterate is the midpoint
+            continue
+        se, Re, Ve, Te = s, Rs, Vs, Ts
+        if Ts == theta_target:
+            break
+        if Ts > theta_target:
+            hi = s
         else:
-            okm, _, _, Tm = _substep(R, V, T, f1R, f1V, f1T, mid,
-                                     c3, alpha, cth)
-            if (not okm) or Tm >= theta_target:
-                hi = mid
-                if okm:
-                    Th_hi = Tm
-                hi_known = True
-            else:
-                lo = mid
-    ok, Re, Ve, Te = _substep(R, V, T, f1R, f1V, f1T, hi, c3, alpha, cth)
-    return ok, hi, Re, Ve, Te
+            lo = s
+        s_next = s - (Ts - theta_target) * (Rs * Rs) / cth
+        if s_next == s:
+            break  # Newton stopped moving
+        s = s_next
+    return se, Re, Ve, Te
 
 
 @jit
@@ -365,15 +297,11 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         hs[n - 1] = h
 
         if (not exit_found) and Tn >= theta_target:
-            oke, s, Re, Ve, Te = _locate_exit(
-                R, V, Th, f1R, f1V, f1T, h, Tn, k, theta_target,
+            s, exR, exV, exT = _locate_exit(
+                R, V, Th, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
                 c3, alpha, cth)
             exit_found = True
             exit_tau = tau + s
-            if oke:
-                exR, exV, exT = Re, Ve, Te
-            else:
-                exR, exV, exT = Rn, Vn, Tn
             if stop_at_event:
                 ts[n] = exit_tau
                 ys[n, 0] = exR

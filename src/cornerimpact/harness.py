@@ -4,9 +4,9 @@
 closed form up to the crossing time t0, the adaptive corner passage in
 scaled variables, and (once the exit angle is reached) the face-2 closed
 form.  Handoffs use the exact matching formulas.  At t0 position and
-velocity are continuous to round-off.  At the exit the corner state lies
-within the event tolerance ``EVENT_THETA_TOL`` (1e-10 rad) of face 2, so the
-mismatch there is of order that angle times the radius or speed.  Both
+velocity are continuous to round-off.  The exit state is located at the
+root of Theta = theta_bar on the exact single-step map, so it lies on
+face 2 and the exit handoff is continuous to round-off as well.  Both
 residuals are recorded in the metadata.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
@@ -33,7 +33,7 @@ from .asymptotics import (
 )
 from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericFailure
 from .geometry import ConeGeometry
 from .linear_phase import (
     InitialData,
@@ -227,7 +227,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         metadata=meta,
     )
     if not np.all(np.diff(traj.t) > 0.0):
-        raise InvalidInput("internal error: trajectory times not increasing")
+        raise NumericFailure("internal error: trajectory times not increasing")
     counts = {}
     for label in (PHASE_FACE1, PHASE_CORNER, PHASE_FACE2):
         counts[label] = int(np.sum(traj.phase == label))

@@ -25,6 +25,9 @@ for name, theta in (("acute", math.pi/3), ("obtuse", 2*math.pi/3)):
                            tau_eval=[1e-4, 1e-2, 0.5])
     out[name] = {
         "exit_tau": repr(res.exit_tau),
+        "exit_R": repr(float(res.exit_state.R)),
+        "exit_dR": repr(float(res.exit_state.dR)),
+        "exit_Theta": repr(float(res.exit_state.Theta)),
         "R_last": repr(float(res.R[-1])),
         "dR_last": repr(float(res.dR[-1])),
         "Theta_last": repr(float(res.Theta[-1])),

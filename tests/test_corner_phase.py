@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cornerimpact import (
-    BACKEND,
     ConeGeometry,
     InitialData,
     IntegrationFailure,
@@ -51,11 +50,12 @@ def test_radial_rhs_values():
 def test_acute_exit_regression():
     # Deterministic pin; identical under both backends.
     res = integrate_corner(params_at(1e-2), ACUTE)
-    assert res.exit_tau == pytest.approx(4.99976174086278e-05, rel=1e-12)
+    assert res.exit_tau == pytest.approx(4.9997617401302205e-05, rel=1e-12,
+                                         abs=0.0)
     st = res.exit_state
-    assert st.R == pytest.approx(0.005773081590290175, rel=1e-12)
-    assert st.dR == pytest.approx(86.59130466111013, rel=1e-12)
-    assert abs(st.Theta - ACUTE.theta_bar) <= 1e-10
+    assert st.R == pytest.approx(0.005773081589655843, rel=1e-12, abs=0.0)
+    assert st.dR == pytest.approx(86.5913046579399, rel=1e-12)
+    assert abs(st.Theta - ACUTE.theta_bar) <= 1e-14
     assert not res.reached_horizon
     assert res.tau[-1] == res.exit_tau
 
@@ -64,7 +64,7 @@ def test_obtuse_exit_regression():
     res = integrate_corner(params_at(1e-2), OBTUSE)
     assert res.exit_tau == pytest.approx(12.516784288239046, rel=1e-12)
     assert res.exit_state.R == pytest.approx(1.0254348265945852, rel=1e-12)
-    assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-10
+    assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-14
     # The obtuse passage exits well before the default settle horizon.
     assert res.exit_tau < res.horizon
 
@@ -76,26 +76,40 @@ def test_momentum_drift_is_roundoff(eta, cone):
     assert res.momentum_drift <= 1e-14
 
 
-@pytest.mark.skipif(BACKEND == "numba",
-                    reason="compiled kernels do not call a patched function")
-@pytest.mark.parametrize("eta", [1e-2, 1e-4])
-@pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
-def test_exit_matches_unbracketed_bisection(cone, eta, monkeypatch):
-    # Bisection probes outside the Newton bracket take their side without a
-    # step; the exit must be the one found by stepping at every probe.
-    from cornerimpact import _kernels
-
-    fast = integrate_corner(params_at(eta), cone)
-    monkeypatch.setattr(_kernels, "_exit_bracket", lambda *a: (0.0, a[6]))
-    full = integrate_corner(params_at(eta), cone)
-    assert fast.exit_tau == full.exit_tau
-    assert fast.exit_state == full.exit_state
-
-
 def test_angle_event_tolerance():
     for eta in (1e-2, 1e-3):
         res = integrate_corner(params_at(eta), ACUTE)
-        assert abs(res.exit_state.Theta - ACUTE.theta_bar) <= 1e-10
+        assert abs(res.exit_state.Theta - ACUTE.theta_bar) <= 1e-14
+
+
+# (alpha, theta_bar, eta): two acute exits and one obtuse.
+REFERENCE_CASES = [(2.0, math.pi / 3.0, 0.1), (1.5, 1.2, 0.1),
+                   (1.5, 2.0 * math.pi / 3.0, 0.1)]
+
+
+@pytest.mark.parametrize("alpha, theta_bar, eta", REFERENCE_CASES)
+def test_exit_time_matches_high_precision_reference(alpha, theta_bar, eta):
+    # The same scaled flow solved by a 25-digit Taylor series and rooted
+    # at Theta = theta_bar: the exit time is off by the integration error
+    # alone, at rtol 1e-10 and at rtol 1e-13.
+    mp = pytest.importorskip("mpmath")
+    p = scaled_params_direct(eta, "derive", UNIT, characteristic_roots(alpha))
+    cone = ConeGeometry(theta_bar)
+    runs = {rtol: integrate_corner(p, cone, rtol=rtol, atol=1e-2 * rtol)
+            for rtol in (1e-10, 1e-13)}
+    with mp.workdps(25):
+        one = 1 - mp.mpf(p.eps)
+        c3 = mp.mpf(p.E) * one * one
+        cth = mp.sqrt(mp.mpf(p.E)) * one
+        a = mp.mpf(p.damping.alpha)
+        sol = mp.odefun(
+            lambda t, y: [y[1], c3 / y[0] ** 3 - 2 * a * y[1] - y[0],
+                          cth / y[0] ** 2],
+            0, [mp.mpf(p.R0), mp.mpf(p.dR0), mp.mpf(0)])
+        ref = float(mp.findroot(lambda t: sol(t)[2] - theta_bar,
+                                mp.mpf(runs[1e-13].exit_tau)))
+    for rtol, res in runs.items():
+        assert abs(res.exit_tau - ref) <= 10.0 * rtol * ref, rtol
 
 
 def test_acute_exit_time_scale():
