@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) cores for the scaled corner flow.
+"""Adaptive Lawson Dormand-Prince 5(4) cores for the scaled corner flow.
 
 Integrates the reduced radial system
 
@@ -10,21 +10,51 @@ The angle rides along as a quadrature, so the conserved momentum
 R^2 Theta' = cth holds by construction and the drift diagnostic downstream
 measures pure round-off.
 
-Everything is scalar arithmetic on purpose: the identical source compiles
-under numba (CORNERIMPACT_BACKEND=numba/auto) and runs unmodified as plain
-Python.  No allocation happens inside the step loop except for array growth.
+Lawson stepping (Lawson 1967; Hochbruck & Ostermann, Acta Numerica 2010):
+write y = (R, V) and y' = A y + N(y), with the damped-linear part
+A y = (V, -2 alpha V - R) and the penalty perturbation N = (0, c3 / R^3).
+The linear part is propagated exactly by
+
+    Phi(s) = exp(A s) = [[H2(s), K2(s)], [-K2(s), K2'(s)]],
+
+the fundamental solutions of ``linear_phase``, in the cancellation-free
+form e = e^{xi1 s}, q = -expm1(-2 sqrt(D) s) / (2 sqrt(D)), K2 = e q,
+H2 = e (1 - xi1 q), K2' = e (1 + xi2 q).  Each step is taken about the
+rest point w of the frozen first-stage force n1 = c3 / R_n^3 (A (w, 0) +
+(0, n1) = 0 gives w = n1), capped at R_n: in u = y - (w, 0) the flow reads
+u' = A u + M(y) with M = N - (0, w), and the Dormand-Prince tableau
+(a, b, c) acts on M alone:
+
+    U_i     = Phi(c_i h) u_n + h sum_{l<i} a_il Phi((c_i - c_l) h) M_l
+    u_{n+1} = Phi(h) u_n     + h sum_l    b_l  Phi((1 - c_l) h)   M_l
+
+and the embedded error weighs the same terms with b - b^.  The shift makes
+a step exact while N stays constant; without it, a step near the rest
+point Rc = c3^(1/4), where c3 / R^3 balances R, would be limited by the
+quadrature of Phi against a constant force (about 30 times shorter than a
+DP45 step at alpha = 8).  The cap keeps w + H2 (R - w) from rounding on the
+scale of n1 >> R in the early window.  The nodes increase, so every
+argument of Phi is >= 0: Phi only decays, and no step length overflows it.
+The last stage is the step end, so its N is the next step's first stage
+(FSAL).  N depends on R alone, so stage velocities are never formed.
+Theta is a plain DP quadrature of cth / R^2 over the stage radii.  While
+R >> 1 (the paper's second asymptotic R2 = K2 R' + H2 R), N is negligible
+and y follows the exact linear flow; the step is then limited by the Theta
+quadrature only, and the cost hardly grows as eta shrinks.
+
+Everything is scalar arithmetic on purpose (``math.exp``/``math.expm1``,
+not their numpy twins, which are slow on Python floats): the identical
+source compiles under numba (CORNERIMPACT_BACKEND=numba/auto) and runs
+unmodified as plain Python.  No allocation happens inside the step loop
+except for array growth.
 
 Storage: each accepted step appends its end time and its state, one row of
-an (n, 3) array with columns R, V, Theta.  Dense output: every accepted
-step also stores its length and its stage slopes k1, k3 ... k7 (k2 has
-zero weight), so the caller can evaluate the free DOPRI5 continuous
-extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6) anywhere in the
-step,
-
-    y(tau_n + x h) = y_n + h K^T DENSE_P [x, x^2, x^3, x^4],
-
-without a further right-hand-side call.  It is fourth-order accurate and
-exact at both step ends.
+an (n, 3) array with columns R, V, Theta.  Sampling: the state at an
+offset s into an accepted step is the single-step map ``_substep`` of
+length s from that step's start, the same map the exit search solves on.
+``substep_many`` evaluates it at many (start, offset) pairs at once in
+numpy; it is exact at both step ends and as accurate as the step itself
+in between.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
 theta_target.  The exit is the root of Theta = theta_target on the exact
@@ -47,11 +77,14 @@ Status codes returned by ``integrate_radial``:
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._backend import jit
 
 # Dormand-Prince 5(4) tableau.
+C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 A21 = 1.0 / 5.0
 A31, A32 = 3.0 / 40.0, 9.0 / 40.0
 A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -64,100 +97,172 @@ B1, B3, B4, B5, B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
 # b(5th) - b(4th), for the embedded error estimate.
 E1, E3, E4, E5, E6, E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                           -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-
-# Dense-output coefficients: row s weights the stage slope k1, k3, ..., k7
-# in the coefficients of x, x^2, x^3, x^4 (the row of k2 is zero).
-DENSE_P = np.array([
-    [1.0, -8048581381.0 / 2820520608.0, 8663915743.0 / 2820520608.0,
-     -12715105075.0 / 11282082432.0],
-    [0.0, 131558114200.0 / 32700410799.0, -68118460800.0 / 10900136933.0,
-     87487479700.0 / 32700410799.0],
-    [0.0, -1754552775.0 / 470086768.0, 14199869525.0 / 1410260304.0,
-     -10690763975.0 / 1880347072.0],
-    [0.0, 127303824393.0 / 49829197408.0, -318862633887.0 / 49829197408.0,
-     701980252875.0 / 199316789632.0],
-    [0.0, -282668133.0 / 205662961.0, 2019193451.0 / 616988883.0,
-     -1453857185.0 / 822651844.0],
-    [0.0, 40617522.0 / 29380423.0, -110615467.0 / 29380423.0,
-     69997945.0 / 29380423.0],
-])
+# Node differences c_i - c_l that are not nodes themselves.
+D32 = 1.0 / 10.0
+D42, D43 = 3.0 / 5.0, 1.0 / 2.0
+D52, D53, D54 = 31.0 / 45.0, 53.0 / 90.0, 4.0 / 45.0
+D63, D65 = 7.0 / 10.0, 1.0 / 9.0
 
 # Attempted steps (accepted + rejected) before a run gives up.
 MAX_STEPS = 4_000_000
 
+# Nodes and rows of the tableau for the vectorised map; the last row
+# (node 1, weights b) is the step end.
+_NODES = np.array([0.0, C2, C3, C4, C5, 1.0, 1.0])
+_ROWS = tuple(np.array(row) for row in (
+    (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
+    (A61, A62, A63, A64, A65), (B1, 0.0, B3, B4, B5, B6)))
+
 
 @jit
-def _rhs(R, V, c3, alpha, cth):
-    return V, c3 / (R * R * R) - 2.0 * alpha * V - R, cth / (R * R)
+def roots(alpha):
+    """(xi1, xi2, 2 sqrt(D)) of the damped-linear part, D = alpha^2 - 1.
 
-
-@jit
-def _attempt(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth, k):
-    """One trial step of size h from (R, V, T) with cached first stage.
-
-    Returns (ok, R5, V5, T5, f7R, f7V, f7T, eR, eV, eT): ok is False when a
-    stage radius left (0, inf); e* are the raw embedded error components.
-    The stage slopes k1, k3 ... k7 go to the rows of ``k`` (shape (6, 3)).
+    D as (alpha - 1)(alpha + 1) and xi1 = 1 / xi2 avoid the cancellations
+    of alpha^2 - 1 near alpha = 1 and of -alpha + sqrt(D) at large alpha.
     """
-    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    R2 = R + h * (A21 * f1R)
-    if not (R2 > 0.0 and np.isfinite(R2)):
-        return bad
-    V2 = V + h * (A21 * f1V)
-    f2R, f2V, f2T = _rhs(R2, V2, c3, alpha, cth)
-
-    R3 = R + h * (A31 * f1R + A32 * f2R)
-    if not (R3 > 0.0 and np.isfinite(R3)):
-        return bad
-    V3 = V + h * (A31 * f1V + A32 * f2V)
-    f3R, f3V, f3T = _rhs(R3, V3, c3, alpha, cth)
-
-    R4 = R + h * (A41 * f1R + A42 * f2R + A43 * f3R)
-    if not (R4 > 0.0 and np.isfinite(R4)):
-        return bad
-    V4 = V + h * (A41 * f1V + A42 * f2V + A43 * f3V)
-    f4R, f4V, f4T = _rhs(R4, V4, c3, alpha, cth)
-
-    R5s = R + h * (A51 * f1R + A52 * f2R + A53 * f3R + A54 * f4R)
-    if not (R5s > 0.0 and np.isfinite(R5s)):
-        return bad
-    V5s = V + h * (A51 * f1V + A52 * f2V + A53 * f3V + A54 * f4V)
-    f5R, f5V, f5T = _rhs(R5s, V5s, c3, alpha, cth)
-
-    R6 = R + h * (A61 * f1R + A62 * f2R + A63 * f3R + A64 * f4R + A65 * f5R)
-    if not (R6 > 0.0 and np.isfinite(R6)):
-        return bad
-    V6 = V + h * (A61 * f1V + A62 * f2V + A63 * f3V + A64 * f4V + A65 * f5V)
-    f6R, f6V, f6T = _rhs(R6, V6, c3, alpha, cth)
-
-    # 5th-order solution (b row equals the 7th stage row: FSAL).
-    R5 = R + h * (B1 * f1R + B3 * f3R + B4 * f4R + B5 * f5R + B6 * f6R)
-    if not (R5 > 0.0 and np.isfinite(R5)):
-        return bad
-    V5 = V + h * (B1 * f1V + B3 * f3V + B4 * f4V + B5 * f5V + B6 * f6V)
-    T5 = T + h * (B1 * f1T + B3 * f3T + B4 * f4T + B5 * f5T + B6 * f6T)
-    f7R, f7V, f7T = _rhs(R5, V5, c3, alpha, cth)
-
-    k[0, 0], k[0, 1], k[0, 2] = f1R, f1V, f1T
-    k[1, 0], k[1, 1], k[1, 2] = f3R, f3V, f3T
-    k[2, 0], k[2, 1], k[2, 2] = f4R, f4V, f4T
-    k[3, 0], k[3, 1], k[3, 2] = f5R, f5V, f5T
-    k[4, 0], k[4, 1], k[4, 2] = f6R, f6V, f6T
-    k[5, 0], k[5, 1], k[5, 2] = f7R, f7V, f7T
-
-    eR = h * (E1 * f1R + E3 * f3R + E4 * f4R + E5 * f5R + E6 * f6R + E7 * f7R)
-    eV = h * (E1 * f1V + E3 * f3V + E4 * f4V + E5 * f5V + E6 * f6V + E7 * f7V)
-    eT = h * (E1 * f1T + E3 * f3T + E4 * f4T + E5 * f5T + E6 * f6T + E7 * f7T)
-    return True, R5, V5, T5, f7R, f7V, f7T, eR, eV, eT
+    sd = math.sqrt((alpha - 1.0) * (alpha + 1.0))
+    xi2 = -alpha - sd
+    return 1.0 / xi2, xi2, 2.0 * sd
 
 
 @jit
-def _substep(R, V, T, f1R, f1V, f1T, h, c3, alpha, cth):
+def _rhs(R, c3, cth):
+    """Perturbation c3 / R^3 of R'' and the angle slope cth / R^2."""
+    R2 = R * R
+    return c3 / (R2 * R), cth / R2
+
+
+@jit
+def _prop(s, xi1, xi2, sd2):
+    """(H2, K2, K2') of the linear propagator Phi(s), s >= 0."""
+    e = math.exp(xi1 * s)
+    q = -math.expm1(-sd2 * s) / sd2
+    return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
+
+
+@jit
+def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
+    """One trial Lawson step of size h from (R, V, T).
+
+    (n1, g1) = _rhs(R) is the cached first stage.  Returns (ok, Rn, Vn,
+    Tn, n7, g7, eR, eV, eT): ok is False when a stage radius left
+    (0, inf); (n7, g7) = _rhs(Rn) is the next step's first stage; e* are
+    the raw embedded error components.
+    """
+    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    INF = math.inf
+    # Lawson in u = R - w about the rest point w of the frozen force n1,
+    # capped at R so that w + H2 (R - w) rounds like R; m = n - w.
+    w = n1 if n1 < R else R
+    u = R - w
+    m1 = n1 - w
+
+    H, K, dK2 = _prop(C2 * h, xi1, xi2, sd2)
+    K64 = K  # c6 - c4 = c2
+    R2 = w + H * u + K * (V + h * A21 * m1)
+    if not (0.0 < R2 < INF):
+        return bad
+    n2, g2 = _rhs(R2, c3, cth)
+    m2 = n2 - w
+
+    H, K, _ = _prop(C3 * h, xi1, xi2, sd2)
+    _, K32, _ = _prop(D32 * h, xi1, xi2, sd2)
+    R3 = w + H * u + K * (V + h * A31 * m1) + h * (A32 * K32 * m2)
+    if not (0.0 < R3 < INF):
+        return bad
+    n3, g3 = _rhs(R3, c3, cth)
+    m3 = n3 - w
+
+    H, K, _ = _prop(C4 * h, xi1, xi2, sd2)
+    K62 = K  # c6 - c2 = c4
+    _, K42, _ = _prop(D42 * h, xi1, xi2, sd2)
+    _, K43, _ = _prop(D43 * h, xi1, xi2, sd2)
+    R4 = (w + H * u + K * (V + h * A41 * m1)
+          + h * (A42 * K42 * m2 + A43 * K43 * m3))
+    if not (0.0 < R4 < INF):
+        return bad
+    n4, g4 = _rhs(R4, c3, cth)
+    m4 = n4 - w
+
+    H, K, _ = _prop(C5 * h, xi1, xi2, sd2)
+    _, K52, _ = _prop(D52 * h, xi1, xi2, sd2)
+    _, K53, _ = _prop(D53 * h, xi1, xi2, sd2)
+    _, K54, _ = _prop(D54 * h, xi1, xi2, sd2)
+    R5 = (w + H * u + K * (V + h * A51 * m1)
+          + h * (A52 * K52 * m2 + A53 * K53 * m3 + A54 * K54 * m4))
+    if not (0.0 < R5 < INF):
+        return bad
+    n5, g5 = _rhs(R5, c3, cth)
+    m5 = n5 - w
+
+    # Offsets 1 - c_l of the last stage and of the step end.
+    H1, K1, dK1 = _prop(h, xi1, xi2, sd2)
+    _, K63, dK63 = _prop(D63 * h, xi1, xi2, sd2)
+    _, K65, dK65 = _prop(D65 * h, xi1, xi2, sd2)
+    R6 = (w + H1 * u + K1 * (V + h * A61 * m1)
+          + h * (A62 * K62 * m2 + A63 * K63 * m3 + A64 * K64 * m4
+                 + A65 * K65 * m5))
+    if not (0.0 < R6 < INF):
+        return bad
+    n6, g6 = _rhs(R6, c3, cth)
+    m6 = n6 - w
+
+    # 5th-order solution (b row equals the 7th stage row: FSAL); the R
+    # component of Phi(0) N6 is zero.
+    Vb = V + h * B1 * m1
+    Rn = w + H1 * u + K1 * Vb + h * (B3 * K63 * m3 + B4 * K64 * m4
+                                     + B5 * K65 * m5)
+    if not (0.0 < Rn < INF):
+        return bad
+    Vn = -K1 * u + dK1 * Vb + h * (B3 * dK63 * m3 + B4 * dK2 * m4
+                                   + B5 * dK65 * m5 + B6 * m6)
+    Tn = T + h * (B1 * g1 + B3 * g3 + B4 * g4 + B5 * g5 + B6 * g6)
+    n7, g7 = _rhs(Rn, c3, cth)
+
+    eR = h * (E1 * K1 * m1 + E3 * K63 * m3 + E4 * K64 * m4 + E5 * K65 * m5)
+    eV = h * (E1 * dK1 * m1 + E3 * dK63 * m3 + E4 * dK2 * m4
+              + E5 * dK65 * m5 + E6 * m6 + E7 * (n7 - w))
+    eT = h * (E1 * g1 + E3 * g3 + E4 * g4 + E5 * g5 + E6 * g6 + E7 * g7)
+    return True, Rn, Vn, Tn, n7, g7, eR, eV, eT
+
+
+@jit
+def _substep(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     """5th-order state at offset h from a step start (no error control)."""
-    ok, R5, V5, T5, _, _, _, _, _, _ = _attempt(
-        R, V, T, f1R, f1V, f1T, h, c3, alpha, cth, np.empty((6, 3)))
-    return ok, R5, V5, T5
+    ok, Rn, Vn, Tn, _, _, _, _, _ = _attempt(
+        R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2)
+    return ok, Rn, Vn, Tn
+
+
+def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
+    """``_substep`` at many starts (R, V, T) and offsets s >= 0 at once.
+
+    Plain numpy over the sample axis (not compiled), with the stage sums
+    in tableau order; agrees with ``_substep`` to round-off.  Stage radii
+    are not checked: the offsets lie inside accepted steps.  Returns the
+    end states as an array with columns R, V, Theta.
+    """
+    n1 = c3 / (R * R * R)
+    w = np.minimum(n1, R)
+    u = R - w
+    m = [n1 - w]
+    g = [cth / (R * R)]
+    for i, row in enumerate(_ROWS, start=1):
+        x = s[:, None] * (_NODES[i] - _NODES[:i])
+        e = np.exp(xi1 * x)
+        q = -np.expm1(-sd2 * x) / sd2
+        K = e * q
+        M = np.column_stack(m)
+        Ri = (w + e[:, 0] * (1.0 - xi1 * q[:, 0]) * u + K[:, 0] * V
+              + s * ((K * M) @ row))
+        if i < len(_ROWS):
+            m.append(c3 / (Ri * Ri * Ri) - w)
+            g.append(cth / (Ri * Ri))
+    D = e * (1.0 + xi2 * q)
+    Vi = -K[:, 0] * u + D[:, 0] * V + s * ((D * M) @ row)
+    Ti = T + s * (np.column_stack(g) @ row)
+    return np.column_stack([Ri, Vi, Ti])
 
 
 @jit
@@ -168,12 +273,12 @@ def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
     a = eR / sR
     b = eV / sV
     c = eT / sT
-    return np.sqrt((a * a + b * b + c * c) / 3.0)
+    return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
 @jit
-def _locate_exit(R, V, T, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
-                 c3, alpha, cth):
+def _locate_exit(R, V, T, n1, g1, h, Rn, Vn, Tn, theta_target,
+                 c3, cth, xi1, xi2, sd2):
     """Crossing of theta_target inside an accepted step of length h from
     (R, V, T) to (Rn, Vn, Tn), by the search under "Event handling".
 
@@ -189,7 +294,8 @@ def _locate_exit(R, V, T, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
             s = 0.5 * (lo + hi)
             if not (lo < s < hi):
                 break  # bracket at floating-point resolution
-        ok, Rs, Vs, Ts = _substep(R, V, T, f1R, f1V, f1T, s, c3, alpha, cth)
+        ok, Rs, Vs, Ts = _substep(R, V, T, n1, g1, s, c3, cth,
+                                  xi1, xi2, sd2)
         if not ok:
             hi = s  # the next iterate is the midpoint
             continue
@@ -210,22 +316,19 @@ def _locate_exit(R, V, T, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
 @jit
 def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
                      rtol, atol, h0, stop_at_event):
-    """Adaptive DP45 integration of the scaled corner flow from tau = 0.
+    """Adaptive Lawson DP45 integration of the scaled corner flow from
+    tau = 0.
 
-    Returns (status, n, ts, ys, hs, ks, exit_found, exit_tau, exR, exV,
-    exT, nacc, nrej): the n samples (times ts, states ys with columns R,
-    R', Theta), the dense-output data of the n - 1 steps between them
-    (their lengths hs and stage slopes ks, shape (n - 1, 6, 3)), the exit,
-    and the step counts.  Step i starts at sample i; when the run stops at
-    the event, the last step is the full accepted step that holds the
-    crossing.  The arrays are growth buffers: only their first n (or
-    n - 1) rows are filled.
+    Returns (status, n, ts, ys, exit_found, exit_tau, exR, exV, exT, nacc,
+    nrej): the n samples (times ts, states ys with columns R, R', Theta),
+    the exit, and the step counts.  Step i starts at sample i; when the
+    run stops at the event, the last step is the full accepted step that
+    holds the crossing.  The arrays are growth buffers: only their first n
+    rows are filled.
     """
     cap = 4096
     ts = np.empty(cap)
     ys = np.empty((cap, 3))
-    hs = np.empty(cap)
-    ks = np.empty((cap, 6, 3))
     ts[0] = 0.0
     ys[0, 0] = R0
     ys[0, 1] = V0
@@ -249,10 +352,11 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
     Th = 0.0
 
     if tau_end <= 0.0:
-        return (status, n, ts, ys, hs, ks, exit_found, exit_tau,
+        return (status, n, ts, ys, exit_found, exit_tau,
                 exR, exV, exT, nacc, nrej)
 
-    f1R, f1V, f1T = _rhs(R, V, c3, alpha, cth)
+    xi1, xi2, sd2 = roots(alpha)
+    n1, g1 = _rhs(R, c3, cth)
     h = h0
     if h > tau_end:
         h = tau_end
@@ -267,17 +371,15 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
             status = 2
             break
 
-        # Step n - 1 fills row n - 1 of ks; n < cap holds after growth.
-        k = ks[n - 1]
-        ok, Rn, Vn, Tn, f7R, f7V, f7T, eR, eV, eT = _attempt(
-            R, V, Th, f1R, f1V, f1T, h, c3, alpha, cth, k)
+        ok, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
+            R, V, Th, n1, g1, h, c3, cth, xi1, xi2, sd2)
         if not ok:
             h *= 0.25
             nrej += 1
             last_reject_bad = True
             continue
         err = _err_norm(eR, eV, eT, R, V, Th, Rn, Vn, Tn, atol, rtol)
-        if not np.isfinite(err):
+        if not math.isfinite(err):
             h *= 0.25
             nrej += 1
             last_reject_bad = True
@@ -294,12 +396,11 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         # Step accepted.
         nacc += 1
         last_reject_bad = False
-        hs[n - 1] = h
 
         if (not exit_found) and Tn >= theta_target:
             s, exR, exV, exT = _locate_exit(
-                R, V, Th, f1R, f1V, f1T, h, Rn, Vn, Tn, theta_target,
-                c3, alpha, cth)
+                R, V, Th, n1, g1, h, Rn, Vn, Tn, theta_target,
+                c3, cth, xi1, xi2, sd2)
             exit_found = True
             exit_tau = tau + s
             if stop_at_event:
@@ -315,7 +416,7 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         R = Rn
         V = Vn
         Th = Tn
-        f1R, f1V, f1T = f7R, f7V, f7T  # FSAL
+        n1, g1 = n7, g7  # FSAL
 
         ts[n] = tau
         ys[n, 0] = R
@@ -326,13 +427,9 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
             cap *= 2
             ts2 = np.empty(cap)
             ys2 = np.empty((cap, 3))
-            hs2 = np.empty(cap)
-            ks2 = np.empty((cap, 6, 3))
             ts2[:n] = ts[:n]
             ys2[:n] = ys[:n]
-            hs2[:n] = hs[:n]
-            ks2[:n] = ks[:n]
-            ts, ys, hs, ks = ts2, ys2, hs2, ks2
+            ts, ys = ts2, ys2
 
         if err < 1e-30:
             fac = 5.0
@@ -347,5 +444,5 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
     if status == 2 and last_reject_bad:
         status = 4  # underflow driven by a singular radius
 
-    return (status, n, ts, ys, hs, ks, exit_found, exit_tau,
+    return (status, n, ts, ys, exit_found, exit_tau,
             exR, exV, exT, nacc, nrej)

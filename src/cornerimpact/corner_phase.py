@@ -1,9 +1,9 @@
 """Scaled corner passage: adaptive integration and oracle.
 
-``integrate_corner`` drives the Dormand-Prince cores in ``_kernels`` on the
-reduced radial system and locates the first crossing of the target angle
-theta_bar (the exit onto face 2), stopping there unless the run continues
-to its horizon.  Its states map back to physical coordinates through
+``integrate_corner`` drives the Lawson Dormand-Prince cores in ``_kernels``
+on the reduced radial system and locates the first crossing of the target
+angle theta_bar (the exit onto face 2), stopping there unless the run
+continues to its horizon.  Its states map back to physical coordinates through
 ``scaling.scaled_to_cartesian``, which needs the physical stiffness.
 ``oracle_fast_time_integration`` is a deliberately independent route: it
 integrates the full penalty vector field in Cartesian fast time with
@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import asymptotics
 from ._backend import BACKEND
-from ._kernels import DENSE_P, MAX_STEPS, integrate_radial
+from ._kernels import MAX_STEPS, integrate_radial, roots, substep_many
 from .errors import (
     IntegrationFailure,
     InvalidInput,
@@ -66,7 +66,7 @@ class CornerResult:
     starting at tau = 0; the columns of the kernel's state array).  When a
     ``tau_eval`` grid was supplied, the states there are in ``eval_*``
     (clipped to the part of the grid the run actually covered), taken from
-    the DOPRI5 continuous extension of the covering step.  ``exit_state``
+    the single-step map from the start of the covering step.  ``exit_state``
     is set when the run crossed theta_bar, whether it stopped there or
     continued past the exit (``stop_at_event=False``).  ``horizon`` is the
     scaled end time the run was given.
@@ -96,20 +96,6 @@ def default_horizon(params: ScaledParams) -> float:
     damping = params.damping
     tau3 = asymptotics.asymptotic_times(params.eta, damping).tau3
     return tau3 * (1.0 + 2.0 * asymptotics.lyapunov_Q(damping).lambda2)
-
-
-def _dense_eval(t, y, h, k, tau):
-    """DOPRI5 continuous extension at sorted offsets ``tau`` > 0.
-
-    Step i starts at t[i] (t[0] = 0) in state y[i] (columns R, dR, Theta),
-    has length h[i] and stage slopes k[i] (k1, k3 ... k7 by row).  An
-    offset at the fraction x of the last step starting before it gets
-    y[i] + h[i] K^T P [x, x^2, x^3, x^4].
-    """
-    i = np.searchsorted(t, tau, side="right") - 1
-    x = (tau - t[i]) / h[i]
-    weights = (x[:, None] ** np.arange(1, 5)) @ DENSE_P.T
-    return y[i] + h[i, None] * np.einsum("ns,nsc->nc", weights, k[i])
 
 
 def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
@@ -148,7 +134,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     c3 = params.E * one * one
     cth = math.sqrt(params.E) * one
 
-    (status, n, ts, ys, hs, ks, exit_found, exit_tau,
+    (status, n, ts, ys, exit_found, exit_tau,
      exR, exV, exT, nacc, nrej) = integrate_radial(
         params.R0, params.dR0, c3, cth, params.damping.alpha,
         cone.theta_bar, float(horizon), float(rtol), float(atol),
@@ -193,8 +179,10 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         else:
             end = horizon * (1.0 + 1e-12)
         ev = ev[:np.searchsorted(ev, end, side="right")]
-        m = n - 1
-        eval_y = _dense_eval(ts[:m], ys[:m], hs[:m], ks[:m], ev)
+        # Sample j lies in the step that starts at sample i[j].
+        i = np.searchsorted(ts[:n - 1], ev, side="right") - 1
+        eval_y = substep_many(*ys[i].T, ev - ts[i], c3, cth,
+                              *roots(params.damping.alpha))
         result.eval_tau = ev.copy()
         result.eval_R = eval_y[:, 0]
         result.eval_dR = eval_y[:, 1]

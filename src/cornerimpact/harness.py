@@ -111,7 +111,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
     ``t_eval`` times are folded into the sample set exactly.  The corner
-    window is sampled only from the dense output of the corner
+    window is sampled only through the single-step map of the corner
     integration, on a geometric grid of scaled offsets (so every
     timescale between the layer width and the horizon is resolved) plus
     the mapped ``t_eval`` points, and ``scaled_to_cartesian`` maps the

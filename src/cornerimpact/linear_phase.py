@@ -13,9 +13,10 @@ fundamental solutions in the fast time tau = t sqrt(k) are
     K2(tau) = (e^{xi1 tau} - e^{xi2 tau}) / (2 sqrt(D))      K2(0)=0, K2'(0)=1
     H2(tau) = (-xi2 e^{xi1 tau} + xi1 e^{xi2 tau}) / (2 sqrt(D))   H2(0)=1
 
-with H2' = -K2 (because xi1 xi2 = 1).  Both are evaluated via an expm1
-rearrangement that is cancellation-free for small tau and overflow-free for
-large tau.
+with H2' = -K2 (because xi1 xi2 = 1).  With q = -expm1(-2 sqrt(D) tau) /
+(2 sqrt(D)) they read K2 = e^{xi1 tau} q, H2 = e^{xi1 tau} (1 - xi1 q) and
+K2' = e^{xi1 tau} (1 + xi2 q): cancellation-free for small tau, and
+overflow-free for large tau.
 
 Initial data: the particle starts on face 1 at (0, s0), s0 < 0, with
 velocity (dr0, ds0), dr0 > 0 (into the wall), ds0 > 0 (sliding toward the
@@ -88,17 +89,22 @@ def first_crossing_time(init) -> float:
     return -init.s0 / init.ds0
 
 
+def _envelope(damping: DampingParams, tau):
+    """(e^{xi1 tau}, q) with q = -expm1(-2 sqrt(D) tau) / (2 sqrt(D))."""
+    sd2 = 2.0 * damping.sqrt_delta
+    return np.exp(damping.xi1 * tau), -np.expm1(-sd2 * tau) / sd2
+
+
 def kernels_K2_H2(damping: DampingParams, tau):
     """Fundamental solutions (K2, H2) at fast time tau (scalar or array).
 
-    Extended by zero for tau < 0.
+    K2 = e^{xi1 tau} q and H2 = e^{xi1 tau} (1 - xi1 q), the form the corner
+    kernel propagates with.  Extended by zero for tau < 0.
     """
     tau = np.asarray(tau, dtype=float)
-    sd = damping.sqrt_delta
-    grow = np.exp(damping.xi1 * tau)      # slow envelope, <= 1 for tau >= 0
-    gap = np.exp(-2.0 * sd * tau)         # e^{(xi2-xi1) tau}, in (0, 1]
-    K2 = grow * (-np.expm1(-2.0 * sd * tau)) / (2.0 * sd)
-    H2 = grow * (-damping.xi2 + damping.xi1 * gap) / (2.0 * sd)
+    grow, q = _envelope(damping, tau)     # grow <= 1 for tau >= 0
+    K2 = grow * q
+    H2 = grow * (1.0 - damping.xi1 * q)
     neg = tau < 0.0
     if np.any(neg):
         K2 = np.where(neg, 0.0, K2)
@@ -109,12 +115,11 @@ def kernels_K2_H2(damping: DampingParams, tau):
 
 
 def kernel_K2_dot(damping: DampingParams, tau):
-    """d K2 / d tau, used for velocity reconstruction; K2'(0) = 1."""
+    """d K2 / d tau = e^{xi1 tau} (1 + xi2 q), used for velocity
+    reconstruction; K2'(0) = 1."""
     tau = np.asarray(tau, dtype=float)
-    sd = damping.sqrt_delta
-    grow = np.exp(damping.xi1 * tau)
-    gap = np.exp(-2.0 * sd * tau)
-    out = grow * (damping.xi1 - damping.xi2 * gap) / (2.0 * sd)
+    grow, q = _envelope(damping, tau)
+    out = grow * (1.0 + damping.xi2 * q)
     out = np.where(tau < 0.0, 0.0, out)
     if out.ndim == 0:
         return float(out)

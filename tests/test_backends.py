@@ -16,13 +16,18 @@ from cornerimpact import (ConeGeometry, InitialData, characteristic_roots,
                           integrate_corner, scaled_params_direct)
 from cornerimpact._backend import BACKEND
 
-params = scaled_params_direct(1e-2, "derive", InitialData(-1.0, 1.0, 1.0),
-                              characteristic_roots(2.0))
+damping = characteristic_roots(2.0)
+unit = InitialData(-1.0, 1.0, 1.0)
 out = {"backend": BACKEND}
-for name, theta in (("acute", math.pi/3), ("obtuse", 2*math.pi/3)):
+# (name, eta, theta_bar, tau_eval); at eta = 1e-20 the obtuse run takes
+# Lawson steps of tens of tau units, and the samples fall inside them.
+for name, eta, theta, ev in (
+        ("acute", 1e-2, math.pi/3, [1e-4, 1e-2, 0.5]),
+        ("obtuse", 1e-2, 2*math.pi/3, [1e-4, 1e-2, 0.5]),
+        ("obtuse_far", 1e-20, 2*math.pi/3, [1.0, 20.0, 60.0, 120.0, 160.0])):
+    params = scaled_params_direct(eta, "derive", unit, damping)
     res = integrate_corner(params, ConeGeometry(theta),
-                           rtol=1e-10, atol=1e-12,
-                           tau_eval=[1e-4, 1e-2, 0.5])
+                           rtol=1e-10, atol=1e-12, tau_eval=ev)
     out[name] = {
         "exit_tau": repr(res.exit_tau),
         "exit_R": repr(float(res.exit_state.R)),
@@ -32,7 +37,10 @@ for name, theta in (("acute", math.pi/3), ("obtuse", 2*math.pi/3)):
         "dR_last": repr(float(res.dR[-1])),
         "Theta_last": repr(float(res.Theta[-1])),
         "eval_R": [repr(float(x)) for x in res.eval_R],
+        "eval_dR": [repr(float(x)) for x in res.eval_dR],
+        "eval_Theta": [repr(float(x)) for x in res.eval_Theta],
         "n_accepted": res.n_accepted,
+        "n_rejected": res.n_rejected,
         "drift": repr(res.momentum_drift),
     }
 json.dump(out, sys.stdout)
@@ -65,7 +73,7 @@ def test_backend_env_selection():
 def test_backends_bitwise_identical():
     a = run_probe("numpy")
     b = run_probe("numba")
-    for case in ("acute", "obtuse"):
+    for case in ("acute", "obtuse", "obtuse_far"):
         assert a[case] == b[case], f"backend mismatch in {case} case"
 
 

@@ -15,13 +15,15 @@ from cornerimpact import (
     SingularRadius,
     characteristic_roots,
     integrate_corner,
+    kernel_K2_dot,
+    kernels_K2_H2,
     oracle_fast_time_integration,
     radial_rhs,
     scaled_params_direct,
     scaled_params_from_physical,
     scaled_to_cartesian,
 )
-from cornerimpact._kernels import DENSE_P, _rhs, _substep
+from cornerimpact._kernels import _rhs, _substep, integrate_radial, roots
 from cornerimpact.corner_phase import ORACLE_MAX_RHS, default_horizon
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
@@ -50,11 +52,11 @@ def test_radial_rhs_values():
 def test_acute_exit_regression():
     # Deterministic pin; identical under both backends.
     res = integrate_corner(params_at(1e-2), ACUTE)
-    assert res.exit_tau == pytest.approx(4.9997617401302205e-05, rel=1e-12,
+    assert res.exit_tau == pytest.approx(4.9997617401402155e-05, rel=1e-12,
                                          abs=0.0)
     st = res.exit_state
-    assert st.R == pytest.approx(0.005773081589655843, rel=1e-12, abs=0.0)
-    assert st.dR == pytest.approx(86.5913046579399, rel=1e-12)
+    assert st.R == pytest.approx(0.005773081589641302, rel=1e-12, abs=0.0)
+    assert st.dR == pytest.approx(86.59130465777689, rel=1e-12)
     assert abs(st.Theta - ACUTE.theta_bar) <= 1e-14
     assert not res.reached_horizon
     assert res.tau[-1] == res.exit_tau
@@ -62,8 +64,8 @@ def test_acute_exit_regression():
 
 def test_obtuse_exit_regression():
     res = integrate_corner(params_at(1e-2), OBTUSE)
-    assert res.exit_tau == pytest.approx(12.516784288239046, rel=1e-12)
-    assert res.exit_state.R == pytest.approx(1.0254348265945852, rel=1e-12)
+    assert res.exit_tau == pytest.approx(12.516784287211966, rel=1e-12)
+    assert res.exit_state.R == pytest.approx(1.0254348268261178, rel=1e-12)
     assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-14
     # The obtuse passage exits well before the default settle horizon.
     assert res.exit_tau < res.horizon
@@ -144,17 +146,10 @@ def test_eval_grid_states():
     np.testing.assert_allclose(mom, p.momentum, rtol=1e-15)
 
 
-def test_dense_coefficients_match_scipy():
-    from scipy.integrate._ivp.rk import RK45
-
-    assert not np.any(RK45.P[1])            # k2 has zero weight
-    np.testing.assert_array_equal(DENSE_P, np.delete(RK45.P, 1, axis=0))
-
-
 @pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
 def test_dense_output_matches_single_step(cone):
-    # eval_* come from the continuous extension of the covering step; a
-    # 5th-order single step from that step's start is the reference.
+    # eval_* come from the single-step map from the covering step's start,
+    # evaluated for all samples at once; the scalar map is the reference.
     p = params_at(1e-3)
     run = integrate_corner(p, cone)
     rng = np.random.default_rng(20)
@@ -166,20 +161,81 @@ def test_dense_output_matches_single_step(cone):
 
     one = 1.0 - p.eps
     c3, cth = p.E * one * one, math.sqrt(p.E) * one
-    alpha = p.damping.alpha
+    lin = roots(p.damping.alpha)
     ref = np.empty((ev.size, 3))
     for j, tau in enumerate(ev):
         i = np.searchsorted(res.tau, tau, side="right") - 1
         R, V, T = res.R[i], res.dR[i], res.Theta[i]
-        ok, *ref[j] = _substep(R, V, T, *_rhs(R, V, c3, alpha, cth),
-                               tau - res.tau[i], c3, alpha, cth)
+        ok, *ref[j] = _substep(R, V, T, *_rhs(R, c3, cth), tau - res.tau[i],
+                               c3, cth, *lin)
         assert ok
-    np.testing.assert_allclose(res.eval_R, ref[:, 0], rtol=1e-8, atol=0.0)
-    np.testing.assert_allclose(res.eval_Theta, ref[:, 2], rtol=1e-8,
+    np.testing.assert_allclose(res.eval_R, ref[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(res.eval_Theta, ref[:, 2], rtol=1e-13,
                                atol=0.0)
     # dR changes sign at the turning point: relative to its scale.
     dR_scale = np.max(np.abs(res.dR))
-    assert np.max(np.abs(res.eval_dR - ref[:, 1])) <= 1e-8 * dR_scale
+    assert np.max(np.abs(res.eval_dR - ref[:, 1])) <= 1e-13 * dR_scale
+
+
+def test_linear_part_is_exact():
+    # Without the penalty term the flow is the damped-linear propagator
+    # itself; Lawson steps carry it exactly, so the step size is free to
+    # grow to the horizon.
+    R0, V0 = 1.0, -0.3
+    (status, n, ts, ys, _, _, _, _, _, nacc, _) = integrate_radial(
+        R0, V0, 0.0, 0.0, DAMP2.alpha, 1.0, 50.0, 1e-10, 1e-12, 1e-3,
+        True)
+    assert status == 0 and nacc <= 10
+    tau = ts[:n]
+    assert tau[-1] == 50.0
+    K2, H2 = kernels_K2_H2(DAMP2, tau)
+    dK2 = kernel_K2_dot(DAMP2, tau)
+    np.testing.assert_allclose(ys[:n, 0], H2 * R0 + K2 * V0, rtol=1e-13,
+                               atol=0.0)
+    np.testing.assert_allclose(ys[:n, 1], -K2 * R0 + dK2 * V0, rtol=1e-13,
+                               atol=0.0)
+
+
+def test_rest_point_is_exact():
+    # At the rest point Rc = c3^(1/4) the penalty force balances the
+    # spring.  Each step is taken about the rest point of the frozen
+    # force, so it is exact there: the run stays put and its step grows to
+    # the horizon, as in the settle phase of a run past the exit.
+    c3, cth = 0.3, 0.5
+    Rc = c3 ** 0.25
+    (status, n, ts, ys, _, _, _, _, _, nacc, _) = integrate_radial(
+        Rc, 0.0, c3, cth, 8.0, math.inf, 50.0, 1e-10, 1e-12, 1e-3, True)
+    assert status == 0 and nacc <= 10
+    np.testing.assert_allclose(ys[:n, 0], Rc, rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(ys[:n, 1])) <= 1e-14 * Rc
+    np.testing.assert_allclose(ys[:n, 2], cth / Rc ** 2 * ts[:n],
+                               rtol=1e-13, atol=0.0)
+
+
+def test_obtuse_cost_is_flat_in_k():
+    # Along the second asymptotic R decays from ~1/eta at the exact linear
+    # rate, so shrinking eta by two orders of magnitude adds only the
+    # steps of the longer approach, not thousands.
+    cone = ConeGeometry(2.0)
+    steps = [integrate_corner(scaled_params_from_physical(UNIT, DAMP2, k),
+                              cone).n_accepted for k in (1e4, 1.2e6)]
+    assert max(steps) < 2 * min(steps), steps
+
+
+def test_samples_across_long_steps():
+    # At eta = 1e-20 the obtuse passage takes steps of tens of tau units
+    # while R >> 1; samples inside them stay finite and accurate.
+    p = params_at(1e-20)
+    run = integrate_corner(p, OBTUSE)
+    assert np.max(np.diff(run.tau)) > 10.0
+    ev = np.linspace(0.1, 0.99, 300) * run.exit_tau
+    res = integrate_corner(p, OBTUSE, tau_eval=ev)
+    ref = integrate_corner(p, OBTUSE, tau_eval=ev, rtol=1e-13, atol=1e-15)
+    for name in ("eval_R", "eval_dR", "eval_Theta"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert got.size == 300 and np.all(np.isfinite(got)), name
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0,
+                                   err_msg=name)
 
 
 def test_eval_points_clipped_at_event_stop():

@@ -139,8 +139,9 @@ def test_unordered_trajectory_is_numeric_failure(monkeypatch, capsys):
 @pytest.mark.skipif(BACKEND == "numba",
                     reason="compiled kernels do not call a patched _rhs")
 def test_corner_rhs_calls_are_stepping_only(monkeypatch):
-    # The ~1200 corner samples come from the dense output: right-hand-side
-    # calls are the steps' stages plus a few for the exit search.
+    # The ~1200 corner samples come from the vectorised single-step map,
+    # which does not call _rhs: its calls are the steps' stages plus a few
+    # for the exit search.
     from cornerimpact import _kernels, harness
 
     calls = []
@@ -175,7 +176,7 @@ def test_corner_rows_are_mapped_dense_samples(monkeypatch, cfg):
     t, u, v = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
                                   res.eval_dR, res.eval_Theta)
     # One corner row per distinct sample time between t0 = 1 and the
-    # exit, holding the first dense sample mapped to that time; the exit
+    # exit, holding the first corner sample mapped to that time; the exit
     # itself is the first face-2 row.
     t_exit = traj.metadata["t_exit"]
     corner = traj.phase == PHASE_CORNER

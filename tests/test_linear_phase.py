@@ -98,6 +98,33 @@ def test_kernels_large_tau_no_overflow():
     assert 0.0 <= K2 < 1e-300 and 0.0 <= H2 < 1e-300
 
 
+def test_kernels_near_critical_damping_match_high_precision():
+    # At alpha = 1 + 1e-8 the textbook forms cancel to ~1e-13; the
+    # propagator forms stay at a few ulps against 40-digit exponentials
+    # with the exact roots of the same alpha.
+    mp = pytest.importorskip("mpmath")
+    alpha = 1.0 + 1e-8
+    d = characteristic_roots(alpha)
+    tau = np.geomspace(1e-6, 50.0, 200)
+    K2, H2 = kernels_K2_H2(d, tau)
+    K2d = kernel_K2_dot(d, tau)
+    err = np.empty((tau.size, 3))
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        sd = mp.sqrt(a * a - 1)
+        x1, x2 = -a + sd, -a - sd
+        for j, t in enumerate(tau):
+            e1, e2 = mp.exp(x1 * mp.mpf(t)), mp.exp(x2 * mp.mpf(t))
+            ref_K2d = (x1 * e1 - x2 * e2) / (2 * sd)
+            err[j] = (abs(H2[j] / ((-x2 * e1 + x1 * e2) / (2 * sd)) - 1),
+                      abs(K2[j] / ((e1 - e2) / (2 * sd)) - 1),
+                      # K2' changes sign near tau = 1: relative to its
+                      # envelope.
+                      abs(K2d[j] - ref_K2d) / max(abs(ref_K2d), e1))
+    worst = np.max(err, axis=0)     # H2, K2, K2'
+    assert np.all(worst <= 1e-13), worst
+
+
 def test_kernels_zero_extension():
     d = characteristic_roots(2.0)
     tau = np.array([-2.0, -1e-9, 0.0, 0.5])
