@@ -7,8 +7,7 @@ Integrates the reduced radial system
     Theta' = cth / R^2                       cth = sqrt(E) (1-eps)
 
 The angle rides along as a quadrature, so the conserved momentum
-R^2 Theta' = cth holds by construction and the drift diagnostic downstream
-measures pure round-off.
+R^2 Theta' = cth holds by construction.
 
 Lawson stepping (Lawson 1967; Hochbruck & Ostermann, Acta Numerica 2010):
 write y = (R, V) and y' = A y + N(y), with the damped-linear part
@@ -19,7 +18,9 @@ The linear part is propagated exactly by
 
 the fundamental solutions of ``linear_phase``, in the cancellation-free
 form e = e^{xi1 s}, q = -expm1(-2 sqrt(D) s) / (2 sqrt(D)), K2 = e q,
-H2 = e (1 - xi1 q), K2' = e (1 + xi2 q).  Each step is taken about the
+H2 = e (1 - xi1 q), K2' = e (1 + xi2 q).  The roots xi1, xi2 and
+2 sqrt(D) come in as arguments from ``linear_phase.characteristic_roots``,
+the same values the face phases use.  Each step is taken about the
 rest point w of the frozen first-stage force n1 = c3 / R_n^3 (A (w, 0) +
 (0, n1) = 0 gives w = n1), capped at R_n: in u = y - (w, 0) the flow reads
 u' = A u + M(y) with M = N - (0, w), and the Dormand-Prince tableau
@@ -112,18 +113,6 @@ _NODES = np.array([0.0, C2, C3, C4, C5, 1.0, 1.0])
 _ROWS = tuple(np.array(row) for row in (
     (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
     (A61, A62, A63, A64, A65), (B1, 0.0, B3, B4, B5, B6)))
-
-
-@jit
-def roots(alpha):
-    """(xi1, xi2, 2 sqrt(D)) of the damped-linear part, D = alpha^2 - 1.
-
-    D as (alpha - 1)(alpha + 1) and xi1 = 1 / xi2 avoid the cancellations
-    of alpha^2 - 1 near alpha = 1 and of -alpha + sqrt(D) at large alpha.
-    """
-    sd = math.sqrt((alpha - 1.0) * (alpha + 1.0))
-    xi2 = -alpha - sd
-    return 1.0 / xi2, xi2, 2.0 * sd
 
 
 @jit
@@ -314,10 +303,11 @@ def _locate_exit(R, V, T, n1, g1, h, Rn, Vn, Tn, theta_target,
 
 
 @jit
-def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
+def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
                      rtol, atol, h0, stop_at_event):
     """Adaptive Lawson DP45 integration of the scaled corner flow from
-    tau = 0.
+    tau = 0, with the roots (xi1, xi2) and sd2 = 2 sqrt(D) of
+    ``linear_phase.characteristic_roots``.
 
     Returns (status, n, ts, ys, exit_found, exit_tau, exR, exV, exT, nacc,
     nrej): the n samples (times ts, states ys with columns R, R', Theta),
@@ -355,7 +345,6 @@ def integrate_radial(R0, V0, c3, cth, alpha, theta_target, tau_end,
         return (status, n, ts, ys, exit_found, exit_tau,
                 exR, exV, exT, nacc, nrej)
 
-    xi1, xi2, sd2 = roots(alpha)
     n1, g1 = _rhs(R, c3, cth)
     h = h0
     if h > tau_end:

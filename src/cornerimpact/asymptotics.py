@@ -23,7 +23,10 @@ ceiling.
 Second (exit) asymptotic: past tau1 = eta^gamma1 the spring dominates and
 R follows the damped-linear propagation of its matched state,
 
-    R2(tau) = K2(tau - tau1) R'(tau1) + H2(tau - tau1) R(tau1).
+    R2(tau) = K2(tau - tau1) R'(tau1) + H2(tau - tau1) R(tau1),
+
+the face closed form of ``linear_phase`` with the roots of
+``characteristic_roots`` that the face phases and the corner kernel share.
 
 Attractor data: with x = (R, R') and M = [[0, 1], [-1, -2 alpha]], the
 quadratic form Q solving M^T Q + Q M = -I is
@@ -44,11 +47,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidInput
-from .linear_phase import (
-    DampingParams,
-    kernel_K2_dot,
-    kernels_K2_H2,
-)
+from .linear_phase import DampingParams, face_phase_state
 
 __all__ = [
     "AsymptoticTimes",
@@ -171,20 +170,13 @@ def second_asymptotic_R2(match_state, damping: DampingParams,
                          tau1: float, tau):
     """Damped-linear continuation matched to (R, R') at tau1.
 
-    Returns (R2, R2') at ``tau`` (>= tau1; earlier times give zero via the
-    kernels' zero extension).
+    The face closed form of ``linear_phase`` in the scaled time (k = 1)
+    started from (R, R') at tau1.  Returns (R2, R2') at ``tau``; times
+    before tau1 raise ``OutOfPhase``.
     """
     R_m, dR_m = match_state
-    tau = np.asarray(tau, dtype=float)
-    s = tau - tau1
-    K2, H2 = kernels_K2_H2(damping, s)
-    K2 = np.asarray(K2)
-    H2 = np.asarray(H2)
-    R2 = K2 * dR_m + H2 * R_m
-    dR2 = np.asarray(kernel_K2_dot(damping, s)) * dR_m - K2 * R_m
-    if tau.ndim == 0:
-        return float(R2), float(dR2)
-    return R2, dR2
+    s = np.asarray(tau, dtype=float) - tau1
+    return face_phase_state(R_m, dR_m, 0.0, damping, 1.0, s)[:2]
 
 
 @dataclass(frozen=True)
@@ -319,5 +311,5 @@ def exit_equivalents(params, cone, zeta: float | None = None):
         R_est = (init.ds0 / (2.0 * sd)
                  * params.eta ** (-(1.0 + zeta * damping.xi1)))
         dR_est = damping.xi1 * R_est
-    dTheta_est = math.sqrt(params.E) * (1.0 - params.eps) / R_est ** 2
+    dTheta_est = params.momentum / R_est ** 2
     return tau_bar, R_est, dR_est, dTheta_est

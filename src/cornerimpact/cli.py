@@ -157,7 +157,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               f"Theta = {meta['exit_Theta']:.12g})")
     else:
         print("no angle exit inside the horizon")
-    print(f"momentum drift = {meta.get('momentum_drift', 0.0):.3e}")
     if config.out:
         write_csv(traj, config.out)
         print(f"wrote {traj.t.size} samples to {config.out}")
@@ -206,8 +205,7 @@ def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     if config.mode == "physical" and config.k is not None:
         params = scaled_params_from_physical(init, damping, config.k)
     elif config.eta is not None:
-        params = scaled_params_direct(config.eta, config.eps_spec, init,
-                                      damping)
+        params = scaled_params_direct(config.eta, config.eps, init, damping)
     else:
         raise InvalidInput(
             "phase-portrait needs either --k (physical) or --eta (scaled)")

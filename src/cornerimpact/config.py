@@ -26,7 +26,9 @@ _FLOAT_KEYS = {
     "alpha", "theta_bar", "s0", "dr0", "ds0", "k", "eta", "eps", "gamma1",
     "zeta", "rtol", "atol", "T",
 }
-_STR_KEYS = {"mode", "eps_policy", "out"}
+_STR_KEYS = {"mode", "out"}
+# Words ``eps`` takes besides a number (see ``scaled_params_direct``).
+_EPS_POLICIES = ("derive", "zero")
 _INT_KEYS = {"n_grid"}
 _LIST_KEYS = {"k_list", "eta_list"}
 
@@ -43,8 +45,7 @@ class SimConfig:
     mode: str = "physical"          # "physical" | "scaled"
     k: float | None = None
     eta: float | None = None
-    eps_policy: str = "derive"      # "derive" | "zero" | "fixed"
-    eps: float | None = None
+    eps: float | str = "derive"     # "derive" | "zero" | number in [0, 1)
     gamma1: float = 1.2
     zeta: float | None = None       # default 0.5/|xi1| at use sites
     rtol: float = 1e-10
@@ -84,15 +85,10 @@ class SimConfig:
             fail("k", f"k must be positive and finite, got {self.k!r}")
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             fail("eta", f"eta must lie in (0, 1), got {self.eta!r}")
-        if self.eps_policy not in ("derive", "zero", "fixed"):
-            fail("eps_policy",
-                 "eps_policy must be 'derive', 'zero' or 'fixed', "
-                 f"got {self.eps_policy!r}")
-        if self.eps_policy == "fixed":
-            if self.eps is None:
-                fail("eps_policy", "eps_policy 'fixed' requires eps")
-            if not 0.0 <= self.eps < 1.0:
-                fail("eps", f"eps must lie in [0, 1), got {self.eps!r}")
+        if (self.eps not in _EPS_POLICIES if isinstance(self.eps, str)
+                else not 0.0 <= self.eps < 1.0):
+            fail("eps", "eps must be 'derive', 'zero' or a number in [0, 1), "
+                 f"got {self.eps!r}")
         if not 1.0 < self.gamma1 < 4.0 / 3.0:
             fail("gamma1",
                  f"gamma1 must lie in (1, 4/3), got {self.gamma1!r}")
@@ -120,13 +116,6 @@ class SimConfig:
         """Replace fields (CLI overrides) and re-validate."""
         return replace(self, **kwargs).validated()
 
-    @property
-    def eps_spec(self) -> float | str:
-        """eps argument for scaled_params_direct per the configured policy."""
-        if self.eps_policy == "fixed":
-            return float(self.eps)
-        return self.eps_policy
-
 
 _KNOWN = _FLOAT_KEYS | _STR_KEYS | _INT_KEYS | _LIST_KEYS
 _FIELD_NAMES = {f.name for f in fields(SimConfig)}
@@ -137,8 +126,9 @@ def _parse_float(key: str, raw: str, lineno: int) -> float:
     try:
         return float(raw)
     except ValueError:
+        what = "'derive', 'zero' or a number" if key == "eps" else "a number"
         raise ConfigError(
-            f"line {lineno}: {key} expects a number, got {raw!r}") from None
+            f"line {lineno}: {key} expects {what}, got {raw!r}") from None
 
 
 def parse_config(text: str) -> SimConfig:
@@ -157,7 +147,9 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _FLOAT_KEYS:
+        if key == "eps" and raw in _EPS_POLICIES:
+            values[key] = raw
+        elif key in _FLOAT_KEYS:
             values[key] = _parse_float(key, raw, lineno)
         elif key in _INT_KEYS:
             try:

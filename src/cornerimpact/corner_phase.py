@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import asymptotics
 from ._backend import BACKEND
-from ._kernels import MAX_STEPS, integrate_radial, roots, substep_many
+from ._kernels import MAX_STEPS, integrate_radial, substep_many
 from .errors import (
     IntegrationFailure,
     InvalidInput,
@@ -50,11 +50,10 @@ def radial_rhs(state: ScaledState, params: ScaledParams):
     """Right-hand side (R', R'', Theta') of the reduced corner system."""
     if not (state.R > 0.0 and math.isfinite(state.R)):
         raise SingularRadius(f"radius must be positive, got {state.R!r}")
-    one = 1.0 - params.eps
-    c3 = params.E * one * one
     dR = state.dR
-    ddR = c3 / state.R ** 3 - 2.0 * params.damping.alpha * dR - state.R
-    dTheta = math.sqrt(params.E) * one / state.R ** 2
+    ddR = (params.c3 / state.R ** 3 - 2.0 * params.damping.alpha * dR
+           - state.R)
+    dTheta = params.momentum / state.R ** 2
     return dR, ddR, dTheta
 
 
@@ -79,7 +78,6 @@ class CornerResult:
     exit_tau: float | None
     exit_state: ScaledState | None
     reached_horizon: bool
-    momentum_drift: float
     n_accepted: int
     n_rejected: int
     backend: str = BACKEND
@@ -130,14 +128,15 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
             raise InvalidInput(
                 "tau_eval must be strictly increasing and positive")
 
-    one = 1.0 - params.eps
-    c3 = params.E * one * one
-    cth = math.sqrt(params.E) * one
+    c3 = params.c3
+    cth = params.momentum
+    d = params.damping
+    lin = (d.xi1, d.xi2, 2.0 * d.sqrt_delta)  # roots of the linear part
 
     (status, n, ts, ys, exit_found, exit_tau,
      exR, exV, exT, nacc, nrej) = integrate_radial(
-        params.R0, params.dR0, c3, cth, params.damping.alpha,
-        cone.theta_bar, float(horizon), float(rtol), float(atol),
+        params.R0, params.dR0, c3, cth, *lin, cone.theta_bar,
+        float(horizon), float(rtol), float(atol),
         1e-3 * params.kappa, bool(stop_at_event))
 
     if status == 2:
@@ -152,12 +151,6 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     tau_s = ts[:n].copy()
     R_s, dR_s, Th_s = ys[:n].T.copy()
 
-    # Conserved-momentum diagnostic over the samples (round-off only for
-    # the reduced system, by construction).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (R_s ** 2) * (cth / R_s ** 2) / cth
-    drift = float(np.max(np.abs(ratio - 1.0))) if n else 0.0
-
     exit_state = None
     et = None
     if exit_found:
@@ -168,7 +161,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         tau=tau_s, R=R_s, dR=dR_s, Theta=Th_s,
         exit_tau=et, exit_state=exit_state,
         reached_horizon=not (exit_found and stop_at_event),
-        momentum_drift=drift, n_accepted=int(nacc), n_rejected=int(nrej),
+        n_accepted=int(nacc), n_rejected=int(nrej),
         horizon=float(horizon),
     )
     if ev.size:
@@ -181,8 +174,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         ev = ev[:np.searchsorted(ev, end, side="right")]
         # Sample j lies in the step that starts at sample i[j].
         i = np.searchsorted(ts[:n - 1], ev, side="right") - 1
-        eval_y = substep_many(*ys[i].T, ev - ts[i], c3, cth,
-                              *roots(params.damping.alpha))
+        eval_y = substep_many(*ys[i].T, ev - ts[i], c3, cth, *lin)
         result.eval_tau = ev.copy()
         result.eval_R = eval_y[:, 0]
         result.eval_dR = eval_y[:, 1]

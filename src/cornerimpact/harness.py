@@ -179,8 +179,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         parts_v.append(v2)
         parts_phase.append(np.full(t2.size, PHASE_CORNER, dtype="<U8"))
 
-        meta.update(momentum_drift=res.momentum_drift,
-                    corner_steps=res.n_accepted)
+        meta["corner_steps"] = res.n_accepted
         # Handoff residuals at t0 (both are exact formulas; record the
         # floating-point mismatch).
         _, u_c0, v_c0 = scaled_to_cartesian(params, 0.0, params.R0,
@@ -296,7 +295,7 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     exit_ratio = np.empty(etas.size)
 
     for i, eta in enumerate(etas):
-        params = scaled_params_direct(eta, config.eps_spec, init, damping)
+        params = scaled_params_direct(eta, config.eps, init, damping)
         times = asymptotic_times(eta, damping, gamma1=config.gamma1,
                                  zeta=config.zeta)
         tau1, tau3 = times.tau1, times.tau3

@@ -7,8 +7,12 @@ along it.  With stiffness k and damping ratio alpha > 1 the normal equation
     q'' + 2 alpha sqrt(k) q' + k q = 0
 
 has characteristic roots sqrt(k) xi_{1,2}, xi_{1,2} = -alpha +- sqrt(D),
-D = alpha^2 - 1, with xi1 xi2 = 1 and xi1 + xi2 = -2 alpha.  Its
-fundamental solutions in the fast time tau = t sqrt(k) are
+D = alpha^2 - 1, with xi1 xi2 = 1 and xi1 + xi2 = -2 alpha.  This module
+is the one place where the damped-linear flow is defined:
+``characteristic_roots`` computes the roots in cancellation-free form for
+the face phases, the second asymptotic of ``asymptotics`` and the corner
+kernel in ``_kernels`` alike.  Its fundamental solutions in the fast time
+tau = t sqrt(k) are
 
     K2(tau) = (e^{xi1 tau} - e^{xi2 tau}) / (2 sqrt(D))      K2(0)=0, K2'(0)=1
     H2(tau) = (-xi2 e^{xi1 tau} + xi1 e^{xi2 tau}) / (2 sqrt(D))   H2(0)=1
@@ -16,7 +20,9 @@ fundamental solutions in the fast time tau = t sqrt(k) are
 with H2' = -K2 (because xi1 xi2 = 1).  With q = -expm1(-2 sqrt(D) tau) /
 (2 sqrt(D)) they read K2 = e^{xi1 tau} q, H2 = e^{xi1 tau} (1 - xi1 q) and
 K2' = e^{xi1 tau} (1 + xi2 q): cancellation-free for small tau, and
-overflow-free for large tau.
+overflow-free for large tau.  ``face_phase_state`` applies them to a
+state (q, q'); the face-1 approach and the second asymptotic are that
+closed form with their own initial data.
 
 Initial data: the particle starts on face 1 at (0, s0), s0 < 0, with
 velocity (dr0, ds0), dr0 > 0 (into the wall), ds0 > 0 (sliding toward the
@@ -56,13 +62,20 @@ class DampingParams:
 
 
 def characteristic_roots(alpha: float) -> DampingParams:
+    """Roots of the damped-linear flow, shared by the face phases and the
+    corner kernel.
+
+    D as (alpha - 1)(alpha + 1) and xi1 = 1 / xi2 avoid the cancellations
+    of alpha^2 - 1 near alpha = 1 and of -alpha + sqrt(D) at large alpha.
+    """
     a = float(alpha)
     if not math.isfinite(a) or a <= 1.0:
         raise NotOverDamped(f"alpha must exceed 1, got {alpha!r}")
-    delta = a * a - 1.0
+    delta = (a - 1.0) * (a + 1.0)
     sd = math.sqrt(delta)
+    xi2 = -a - sd
     return DampingParams(alpha=a, delta=delta, sqrt_delta=sd,
-                         xi1=-a + sd, xi2=-a - sd)
+                         xi1=1.0 / xi2, xi2=xi2)
 
 
 @dataclass(frozen=True)
@@ -129,25 +142,17 @@ def kernel_K2_dot(damping: DampingParams, tau):
 def r1_phase_state(init: InitialData, damping: DampingParams, k: float, t):
     """State (r, rdot, s, sdot) during the face-1 phase, 0 <= t <= t0.
 
-    r(t) = dr0 K2(t sqrt k)/sqrt k decays after one fast oscillation-free
-    rebound; the slide is free: s(t) = s0 + t ds0.
+    The face-2 closed form started at the origin with velocity (dr0, ds0)
+    and shifted by s0: r(t) = dr0 K2(t sqrt k)/sqrt k decays after one
+    fast oscillation-free rebound; the slide is free: s(t) = s0 + t ds0.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidInput(f"stiffness k must be positive, got {k!r}")
     t0 = first_crossing_time(init)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > t0 * (1.0 + 1e-12)):
         raise OutOfPhase(f"t must lie in [0, t0={t0:g}] for the face-1 phase")
-    sk = math.sqrt(k)
-    tau = t_arr * sk
-    K2, _ = kernels_K2_H2(damping, tau)
-    r = init.dr0 * np.asarray(K2) / sk
-    rdot = init.dr0 * np.asarray(kernel_K2_dot(damping, tau))
-    s = init.s0 + t_arr * init.ds0
-    sdot = np.full_like(t_arr, init.ds0)
-    if t_arr.ndim == 0:
-        return float(r), float(rdot), float(s), float(sdot)
-    return r, rdot, s, sdot
+    r, rdot, y2, sdot = face_phase_state(0.0, init.dr0, init.ds0, damping,
+                                         k, t)
+    return r, rdot, init.s0 + y2, sdot
 
 
 def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
@@ -160,7 +165,9 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
         y1(tp) = dy1_0 K2(tau)/sqrt k + y1_0 H2(tau),  tau = tp sqrt k,
         y2(tp) = tp dy2_0.
 
-    Requires y1_0 >= 0 (the particle exits the corner outside K).
+    Requires y1_0 >= 0 (the particle exits the corner outside K).  The
+    face-1 approach (``r1_phase_state``) and the second asymptotic (k = 1)
+    are this closed form too.
     """
     if not (math.isfinite(k) and k > 0.0):
         raise InvalidInput(f"stiffness k must be positive, got {k!r}")
@@ -168,7 +175,8 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
         raise InvalidInput(f"y1_0 must be non-negative, got {y1_0!r}")
     tp_arr = np.asarray(tp, dtype=float)
     if np.any(tp_arr < 0.0):
-        raise OutOfPhase("tp must be non-negative for the face-2 phase")
+        raise OutOfPhase("tp must be non-negative: the closed form starts "
+                         "at its initial state")
     sk = math.sqrt(k)
     tau = tp_arr * sk
     K2, H2 = kernels_K2_H2(damping, tau)

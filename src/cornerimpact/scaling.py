@@ -90,6 +90,12 @@ class ScaledParams:
         """Conserved scaled angular momentum R^2 Theta' = sqrt(E)(1-eps)."""
         return math.sqrt(self.E) * (1.0 - self.eps)
 
+    @property
+    def c3(self) -> float:
+        """Penalty coefficient E (1-eps)^2 of R'' = c3 / R^3 - ..."""
+        one = 1.0 - self.eps
+        return self.E * one * one
+
 
 def _check_scale(log_eta: float, hint: str) -> None:
     if 2.0 * log_eta < _UNDERFLOW_EXPONENT:

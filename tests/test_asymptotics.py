@@ -17,6 +17,7 @@ from cornerimpact import (
     ConeGeometry,
     InitialData,
     InvalidInput,
+    OutOfPhase,
     asymptotic_times,
     characteristic_roots,
     critical_point,
@@ -214,6 +215,15 @@ def test_second_asymptotic_matching():
     K2, H2 = kernels_K2_H2(DAMP2, tau - 1.5)
     R2b, _ = second_asymptotic_R2(match, DAMP2, 1.5, tau)
     assert R2b == pytest.approx(-0.3 * K2 + 0.7 * H2, rel=1e-14)
+
+
+def test_second_asymptotic_starts_at_tau1():
+    # The continuation is defined from the matching time on; earlier times
+    # are outside its phase.
+    with pytest.raises(OutOfPhase):
+        second_asymptotic_R2((0.7, -0.3), DAMP2, 1.5, 1.4)
+    with pytest.raises(OutOfPhase):
+        second_asymptotic_R2((0.7, -0.3), DAMP2, 1.5, np.array([1.5, 1.0]))
 
 
 def test_second_asymptotic_ode():

@@ -41,7 +41,6 @@ for name, eta, theta, ev in (
         "eval_Theta": [repr(float(x)) for x in res.eval_Theta],
         "n_accepted": res.n_accepted,
         "n_rejected": res.n_rejected,
-        "drift": repr(res.momentum_drift),
     }
 json.dump(out, sys.stdout)
 """

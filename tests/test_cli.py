@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, overrides and CSV output."""
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ def test_simulate_exit_zero(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "exit at t = " in text
-    assert "momentum drift" in text
     lines = out.read_text().splitlines()
     assert lines[0] == "t,u1,u2,v1,v2,phase"
     assert len(lines) > 1000
@@ -146,3 +146,30 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "exit at t" in proc.stdout
     assert out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> dict:
+    """Command line -> printed lines of each ``$ cornerimpact`` example."""
+    examples: dict = {}
+    command = None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ cornerimpact "):
+            command = line.removeprefix("$ cornerimpact ")
+            examples[command] = []
+        elif command is not None and line and not line.startswith("```"):
+            examples[command].append(line)
+        else:
+            command = None
+    return examples
+
+
+@pytest.mark.parametrize("command", ["simulate --k 400 --T 2.0",
+                                     "converge --k-list 100,1000,10000"])
+def test_readme_examples_print_what_readme_shows(command, capsys):
+    expected = readme_examples()[command]
+    assert expected
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out.splitlines() == expected

@@ -3,7 +3,14 @@ import math
 
 import pytest
 
-from cornerimpact import ConfigError, SimConfig, load_config, parse_config
+from cornerimpact import (
+    ConfigError,
+    SimConfig,
+    asymptotic_report,
+    load_config,
+    parse_config,
+)
+from cornerimpact import cli, harness
 
 VALID = """\
 # corner passage, physical parameterisation
@@ -27,7 +34,7 @@ def test_parse_valid_text():
     assert cfg.n_grid == 500
     assert cfg.out == "run.csv"
     # Untouched keys keep their defaults.
-    assert cfg.gamma1 == 1.2 and cfg.eps_policy == "derive"
+    assert cfg.gamma1 == 1.2 and cfg.eps == "derive"
 
 
 def test_defaults_validate():
@@ -40,7 +47,7 @@ def test_defaults_validate():
     ("gamma1 = 1.5", "gamma1 must lie in (1, 4/3)"),
     ("theta_bar = 3.5", "theta_bar must lie in (0, pi)"),
     ("mode = quantum", "mode must be 'physical' or 'scaled'"),
-    ("eps_policy = fixed", "requires eps"),
+    ("eps = 1.0", "eps must be 'derive', 'zero' or a number in"),
     ("k = -1", "k must be positive"),
     ("eta = 1.5", "eta must lie in (0, 1)"),
     ("n_grid = 1", "n_grid must be at least 2"),
@@ -77,12 +84,50 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_scaled_mode_round_trip():
-    cfg = parse_config("mode = scaled\neta = 0.001\neps_policy = fixed\n"
-                       "eps = 0.1\n")
+    cfg = parse_config("mode = scaled\neta = 0.001\neps = 0.1\n")
     assert cfg.mode == "scaled" and cfg.eta == 0.001
-    assert cfg.eps_spec == 0.1
-    assert parse_config("eps_policy = zero\n").eps_spec == "zero"
-    assert SimConfig().eps_spec == "derive"
+    assert cfg.eps == 0.1
+    assert parse_config("eps = zero\n").eps == "zero"
+    assert parse_config("eps = derive\n").eps == "derive"
+    assert SimConfig().eps == "derive"
+
+
+def test_eps_errors_name_the_line():
+    with pytest.raises(ConfigError, match="line 2: eps expects 'derive', "
+                                          "'zero' or a number, got 'maybe'"):
+        parse_config("eta = 0.01\neps = maybe\n")
+    with pytest.raises(ConfigError, match="line 3: eps must be"):
+        parse_config("eta = 0.01\nmode = scaled\neps = 1.0\n")
+    # The policy is a value of eps now; the old key is unknown.
+    with pytest.raises(ConfigError, match="line 2: unknown key 'eps_policy'"):
+        parse_config("eta = 0.01\neps_policy = fixed\n")
+    with pytest.raises(ConfigError, match="eps must be"):
+        SimConfig().override(eps="fixed")
+
+
+def test_eps_reaches_scaled_params(monkeypatch, tmp_path):
+    # Both scale-free consumers hand config.eps to scaled_params_direct.
+    seen = []
+
+    def spy(module):
+        real = module.scaled_params_direct
+
+        def recording(eta, eps, *rest):
+            seen.append(eps)
+            return real(eta, eps, *rest)
+
+        monkeypatch.setattr(module, "scaled_params_direct", recording)
+
+    spy(cli)
+    spy(harness)
+    text = "eps = 0.5\neta = 0.01\nmode = scaled\n"
+    cfg = parse_config(text)
+    path = tmp_path / "scaled.cfg"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["phase-portrait", "--config", str(path),
+                     "--grid-n", "2"]) == 0
+    asymptotic_report(cfg, eta_list=(0.01,))
+    assert seen == [0.5, 0.5]
 
 
 def test_override_revalidates():

@@ -76,7 +76,6 @@ def test_handoff_residuals(acute_traj):
     assert meta["handoff_vel_t0"] < 1e-12
     assert meta["handoff_pos_exit"] < 1e-12
     assert meta["handoff_vel_exit"] < 1e-13
-    assert meta["momentum_drift"] <= 1e-14
 
 
 def test_metadata_contents(acute_traj):

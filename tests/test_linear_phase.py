@@ -46,6 +46,25 @@ def test_root_identities(alpha):
     assert -1.0 < d.xi1 < 0.0 and d.xi2 < -1.0
 
 
+@pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-8, 1.0001, 1.05,
+                                   2.0, 30.0, 1e4, 1e8])
+def test_roots_match_high_precision(alpha):
+    # D = (alpha - 1)(alpha + 1) and xi1 = 1 / xi2 keep every quantity at
+    # round-off, both near critical damping and at large alpha, against
+    # 40-digit roots of the same double alpha.
+    mp = pytest.importorskip("mpmath")
+    d = characteristic_roots(alpha)
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        delta = (a - 1) * (a + 1)
+        sd = mp.sqrt(delta)
+        ref = {"delta": delta, "sqrt_delta": sd, "xi1": -a + sd,
+               "xi2": -a - sd}
+        err = {name: float(abs(mp.mpf(getattr(d, name)) / val - 1))
+               for name, val in ref.items()}
+    assert max(err.values()) <= 1e-15, err
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.5, -3.0, math.nan])
 def test_subcritical_damping_rejected(alpha):
     with pytest.raises(NotOverDamped):
