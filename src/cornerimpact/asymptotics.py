@@ -35,8 +35,8 @@ quadratic form Q solving M^T Q + Q M = -I is
 
 and the centered form decays at rate at least 1/(2 lambda2) once the
 radius has fallen below the trapping threshold
-R_bar = margin (4 lambda2^{3/2} E (1-eps)^2 / lambda1^{1/2})^{1/4}.  The
-no-event flow settles at the critical radius Rc = (E (1-eps)^2)^{1/4}.
+R_bar = margin (4 lambda2^{3/2} c3 / lambda1^{1/2})^{1/4}, and the no-event
+flow settles at Rc = c3^{1/4}, with c3 = E (1-eps)^2 = ``ScaledParams.c3``.
 """
 from __future__ import annotations
 
@@ -181,11 +181,7 @@ def second_asymptotic_R2(match_state, damping: DampingParams,
 
 @dataclass(frozen=True)
 class AsymptoticTimes:
-    """Reference times of the corner passage at scale eta.
-
-    tau4 (the trapping-crossing time) has no closed form with explicit
-    constants; it is measured from trajectories, so it defaults to None.
-    """
+    """Reference times of the corner passage at scale eta."""
 
     eta: float
     gamma1: float
@@ -193,7 +189,6 @@ class AsymptoticTimes:
     tau1: float
     tau2: float
     tau3: float
-    tau4: float | None = None
 
 
 def asymptotic_times(eta: float, damping: DampingParams,
@@ -218,18 +213,16 @@ def asymptotic_times(eta: float, damping: DampingParams,
                            tau1=tau1, tau2=tau2, tau3=tau3)
 
 
-def critical_point(E: float, eps: float) -> float:
-    """Rest radius of the damped radial flow, Rc = (E (1-eps)^2)^{1/4}."""
-    if not (E > 0.0 and 0.0 <= eps < 1.0):
-        raise InvalidInput("need E > 0 and eps in [0, 1)")
-    return (E * (1.0 - eps) ** 2) ** 0.25
+def critical_point(params) -> float:
+    """Rest radius of the damped radial flow, Rc = c3^{1/4}."""
+    return params.c3 ** 0.25
 
 
-def lyapunov_F(R, dR, E: float, eps: float):
-    """Monotone energy F = R^2 + E(1-eps)^2/R^2 + R'^2 (F' = -4 alpha R'^2)."""
+def lyapunov_F(params, R, dR):
+    """Monotone energy F = R^2 + c3/R^2 + R'^2 (F' = -4 alpha R'^2)."""
     R = np.asarray(R, dtype=float)
     dR = np.asarray(dR, dtype=float)
-    out = R ** 2 + E * (1.0 - eps) ** 2 / R ** 2 + dR ** 2
+    out = R ** 2 + params.c3 / R ** 2 + dR ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -252,19 +245,15 @@ def lyapunov_Q(damping: DampingParams) -> LyapunovData:
     return LyapunovData(Q=Q, lambda1=float(lam[0]), lambda2=float(lam[1]))
 
 
-def trapping_threshold(E: float, eps: float, damping: DampingParams,
-                       margin: float = 1.01) -> float:
+def trapping_threshold(params, margin: float = 1.01) -> float:
     """Radius below which the Q-form decays at rate >= 1/(2 lambda2).
 
-    R_bar = margin (4 lambda2^{3/2} E (1-eps)^2 / lambda1^{1/2})^{1/4}.
+    R_bar = margin (4 lambda2^{3/2} c3 / lambda1^{1/2})^{1/4}.
     """
-    if not (E > 0.0 and 0.0 <= eps < 1.0):
-        raise InvalidInput("need E > 0 and eps in [0, 1)")
     if margin < 1.0:
         raise InvalidInput(f"margin must be at least 1, got {margin!r}")
-    lyap = lyapunov_Q(damping)
-    val = (4.0 * lyap.lambda2 ** 1.5 * E * (1.0 - eps) ** 2
-           / math.sqrt(lyap.lambda1))
+    lyap = lyapunov_Q(params.damping)
+    val = 4.0 * lyap.lambda2 ** 1.5 * params.c3 / math.sqrt(lyap.lambda1)
     return margin * val ** 0.25
 
 
@@ -281,7 +270,7 @@ def obtuse_exponents(gamma1: float, damping: DampingParams):
     return r, max(2.0 - r, gamma1)
 
 
-def exit_equivalents(params, cone, zeta: float | None = None):
+def exit_equivalents(params, cone, times: AsymptoticTimes):
     """Leading-order exit data (tau_bar, R, R', Theta') estimates.
 
     Acute wedge: the comparison orbit crosses theta_bar at
@@ -291,9 +280,9 @@ def exit_equivalents(params, cone, zeta: float | None = None):
         R'(tau_bar) ~ ds0 sin(theta_bar) / eta.
 
     At or beyond a right angle no sharp exit equivalent exists (only lower
-    bounds); the returned tuple then carries the reference time tau3 with
-    the late-time scalings R(tau3) ~ ds0 eta^{-(1+zeta xi1)}/(2 sqrt D)
-    and R'(tau3) ~ xi1 R(tau3).
+    bounds); the returned tuple then carries tau3 and zeta of ``times``
+    (``asymptotic_times`` at the same eta) with the late-time scalings
+    R(tau3) ~ ds0 eta^{-(1+zeta xi1)}/(2 sqrt D), R'(tau3) ~ xi1 R(tau3).
     """
     damping = params.damping
     init = params.init
@@ -305,11 +294,9 @@ def exit_equivalents(params, cone, zeta: float | None = None):
         R_est = init.dr0 * params.eta / (2.0 * cone.cos_theta * sd)
         dR_est = init.ds0 * cone.sin_theta / params.eta
     else:
-        if zeta is None:
-            zeta = 0.5 / abs(damping.xi1)
-        tau_bar = zeta * math.log(1.0 / params.eta)
+        tau_bar = times.tau3
         R_est = (init.ds0 / (2.0 * sd)
-                 * params.eta ** (-(1.0 + zeta * damping.xi1)))
+                 * params.eta ** (-(1.0 + times.zeta * damping.xi1)))
         dR_est = damping.xi1 * R_est
     dTheta_est = params.momentum / R_est ** 2
     return tau_bar, R_est, dR_est, dTheta_est

@@ -18,31 +18,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import SimConfig, load_config
+from .config import SimConfig, load_config, parse_floats
 from .errors import InvalidInput, NumericFailure
 from .harness import (
+    _context,
     asymptotic_report,
     convergence_study,
     phase_portrait,
     simulate_full,
     write_csv,
 )
-from .linear_phase import InitialData, characteristic_roots
 from .scaling import scaled_params_direct, scaled_params_from_physical
 
 __all__ = ["main", "build_parser"]
 
 
-def _parse_list(raw: str, what: str):
-    try:
-        vals = tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise InvalidInput(f"{what} expects comma-separated numbers, "
-                           f"got {raw!r}") from None
-    if not vals:
-        raise InvalidInput(f"{what} must not be empty, got {raw!r}")
-    return vals
+# Flags whose dest is one of these override the config field of that name.
+_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -116,30 +110,24 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
     config = load_config(args.config) if args.config else SimConfig()
     if args.k is not None and args.eta is not None:
         raise InvalidInput("--k and --eta are mutually exclusive")
-    over: dict = {}
+    over = {name: value for name, value in vars(args).items()
+            if name in _CONFIG_FIELDS and value is not None}
+    for name in ("k_list", "eta_list"):
+        if name in over:
+            over[name] = parse_floats(over[name],
+                                      "--" + name.replace("_", "-"))
     if args.k is not None:
-        over.update(mode="physical", k=args.k)
+        over["mode"] = "physical"
     if args.eta is not None:
-        over.update(mode="scaled", eta=args.eta)
-    if args.theta_bar is not None:
-        over["theta_bar"] = args.theta_bar
-    if args.alpha is not None:
-        over["alpha"] = args.alpha
-    if args.out is not None:
-        over["out"] = args.out
-    if getattr(args, "T", None) is not None:
-        over["T"] = args.T
-    if getattr(args, "n_grid", None) is not None:
-        over["n_grid"] = args.n_grid
-    if getattr(args, "gamma1", None) is not None:
-        over["gamma1"] = args.gamma1
-    if getattr(args, "zeta", None) is not None:
-        over["zeta"] = args.zeta
-    if getattr(args, "k_list", None) is not None:
-        over["k_list"] = _parse_list(args.k_list, "--k-list")
-    if getattr(args, "eta_list", None) is not None:
-        over["eta_list"] = _parse_list(args.eta_list, "--eta-list")
+        over["mode"] = "scaled"
     return config.override(**over) if over else config.validated()
+
+
+def _write_table(table: dict, out: str | None) -> int:
+    if out:
+        write_csv(table, out)
+        print(f"wrote table to {out}")
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -173,10 +161,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         print(f"k = {k:>12g}   sup_error = {err:.8e}")
     if order is not None:
         print(f"fitted order in 1/sqrt(k): {order:.4f}")
-    if config.out:
-        write_csv(table, config.out)
-        print(f"wrote table to {config.out}")
-    return 0
+    return _write_table(table, config.out)
 
 
 def _cmd_asym_report(args: argparse.Namespace) -> int:
@@ -192,16 +177,12 @@ def _cmd_asym_report(args: argparse.Namespace) -> int:
             *(table[name][i] for name in header)).rstrip())
     print(f"fitted order err_R1 ~ eta^{fits['order_R1']:.3f},  "
           f"err_R2 ~ eta^{fits['order_R2']:.3f}")
-    if config.out:
-        write_csv(table, config.out)
-        print(f"wrote table to {config.out}")
-    return 0
+    return _write_table(table, config.out)
 
 
 def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    damping = characteristic_roots(config.alpha)
-    init = InitialData(s0=config.s0, dr0=config.dr0, ds0=config.ds0)
+    damping, init, _ = _context(config)
     if config.mode == "physical" and config.k is not None:
         params = scaled_params_from_physical(init, damping, config.k)
     elif config.eta is not None:
@@ -209,8 +190,8 @@ def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     else:
         raise InvalidInput(
             "phase-portrait needs either --k (physical) or --eta (scaled)")
-    r_range = _parse_list(args.r_range, "--r-range")
-    dr_range = _parse_list(args.dr_range, "--dr-range")
+    r_range = parse_floats(args.r_range, "--r-range")
+    dr_range = parse_floats(args.dr_range, "--dr-range")
     if len(r_range) != 2 or len(dr_range) != 2:
         raise InvalidInput("--r-range and --dr-range expect exactly two "
                            "comma-separated numbers")
@@ -218,10 +199,7 @@ def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     n_rows = len(table["R"])
     print(f"{n_rows} rows (grid {args.grid_n} x {args.grid_n} plus rest "
           f"point)" if args.grid_n else "0 rows (empty grid)")
-    if config.out:
-        write_csv(table, config.out)
-        print(f"wrote table to {config.out}")
-    return 0
+    return _write_table(table, config.out)
 
 
 _DISPATCH = {

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .linear_phase import characteristic_roots
+from .scaling import EPS_POLICIES
 
 __all__ = ["SimConfig", "parse_config", "load_config"]
 
@@ -27,8 +28,7 @@ _FLOAT_KEYS = {
     "zeta", "rtol", "atol", "T",
 }
 _STR_KEYS = {"mode", "out"}
-# Words ``eps`` takes besides a number (see ``scaled_params_direct``).
-_EPS_POLICIES = ("derive", "zero")
+_EPS_WORDS = ", ".join(map(repr, EPS_POLICIES))     # 'derive', 'zero'
 _INT_KEYS = {"n_grid"}
 _LIST_KEYS = {"k_list", "eta_list"}
 
@@ -47,7 +47,7 @@ class SimConfig:
     eta: float | None = None
     eps: float | str = "derive"     # "derive" | "zero" | number in [0, 1)
     gamma1: float = 1.2
-    zeta: float | None = None       # default 0.5/|xi1| at use sites
+    zeta: float | None = None       # default from asymptotic_times
     rtol: float = 1e-10
     atol: float = 1e-12
     T: float | None = None          # physical horizon, default 2 t0
@@ -70,12 +70,12 @@ class SimConfig:
         if not (0.0 < self.theta_bar < math.pi):
             fail("theta_bar",
                  f"theta_bar must lie in (0, pi), got {self.theta_bar!r}")
-        if not self.s0 < 0.0:
-            fail("s0", f"s0 must be negative, got {self.s0!r}")
-        if not self.dr0 > 0.0:
-            fail("dr0", f"dr0 must be positive, got {self.dr0!r}")
-        if not self.ds0 > 0.0:
-            fail("ds0", f"ds0 must be positive, got {self.ds0!r}")
+        if not -math.inf < self.s0 < 0.0:
+            fail("s0", f"s0 must be negative and finite, got {self.s0!r}")
+        for key in ("dr0", "ds0"):
+            val = getattr(self, key)
+            if not 0.0 < val < math.inf:
+                fail(key, f"{key} must be positive and finite, got {val!r}")
         if self.mode not in ("physical", "scaled"):
             fail("mode",
                  f"mode must be 'physical' or 'scaled', got {self.mode!r}")
@@ -85,9 +85,9 @@ class SimConfig:
             fail("k", f"k must be positive and finite, got {self.k!r}")
         if self.eta is not None and not 0.0 < self.eta < 1.0:
             fail("eta", f"eta must lie in (0, 1), got {self.eta!r}")
-        if (self.eps not in _EPS_POLICIES if isinstance(self.eps, str)
+        if (self.eps not in EPS_POLICIES if isinstance(self.eps, str)
                 else not 0.0 <= self.eps < 1.0):
-            fail("eps", "eps must be 'derive', 'zero' or a number in [0, 1), "
+            fail("eps", f"eps must be {_EPS_WORDS} or a number in [0, 1), "
                  f"got {self.eps!r}")
         if not 1.0 < self.gamma1 < 4.0 / 3.0:
             fail("gamma1",
@@ -113,8 +113,10 @@ class SimConfig:
         return self
 
     def override(self, **kwargs) -> "SimConfig":
-        """Replace fields (CLI overrides) and re-validate."""
-        return replace(self, **kwargs).validated()
+        """Replace fields (CLI overrides) and re-validate; a replaced field
+        no longer names the config line it came from."""
+        line_of = {k: v for k, v in self._line_of.items() if k not in kwargs}
+        return replace(self, **kwargs, _line_of=line_of).validated()
 
 
 _KNOWN = _FLOAT_KEYS | _STR_KEYS | _INT_KEYS | _LIST_KEYS
@@ -126,9 +128,22 @@ def _parse_float(key: str, raw: str, lineno: int) -> float:
     try:
         return float(raw)
     except ValueError:
-        what = "'derive', 'zero' or a number" if key == "eps" else "a number"
+        what = f"{_EPS_WORDS} or a number" if key == "eps" else "a number"
         raise ConfigError(
             f"line {lineno}: {key} expects {what}, got {raw!r}") from None
+
+
+def parse_floats(raw: str, what: str) -> tuple[float, ...]:
+    """The numbers of a non-empty comma-separated list (empty items are
+    skipped), for list keys and CLI flags; ``what`` opens each message."""
+    try:
+        vals = tuple(float(p) for p in raw.split(",") if p.strip())
+    except ValueError:
+        raise ConfigError(f"{what} expects comma-separated numbers, "
+                          f"got {raw!r}") from None
+    if not vals:
+        raise ConfigError(f"{what} must not be empty, got {raw!r}")
+    return vals
 
 
 def parse_config(text: str) -> SimConfig:
@@ -147,7 +162,7 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "eps" and raw in _EPS_POLICIES:
+        if key == "eps" and raw in EPS_POLICIES:
             values[key] = raw
         elif key in _FLOAT_KEYS:
             values[key] = _parse_float(key, raw, lineno)
@@ -159,12 +174,7 @@ def parse_config(text: str) -> SimConfig:
                     f"line {lineno}: {key} expects an integer, got {raw!r}"
                 ) from None
         elif key in _LIST_KEYS:
-            try:
-                values[key] = tuple(float(p) for p in raw.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: {key} expects comma-separated numbers, "
-                    f"got {raw!r}") from None
+            values[key] = parse_floats(raw, f"line {lineno}: {key}")
         else:
             values[key] = raw
         line_of[key] = lineno

@@ -3,11 +3,8 @@
 ``simulate_full`` chains the three phases of a physical run: the face-1
 closed form up to the crossing time t0, the adaptive corner passage in
 scaled variables, and (once the exit angle is reached) the face-2 closed
-form.  Handoffs use the exact matching formulas.  At t0 position and
-velocity are continuous to round-off.  The exit state is located at the
-root of Theta = theta_bar on the exact single-step map, so it lies on
-face 2 and the exit handoff is continuous to round-off as well.  Both
-residuals are recorded in the metadata.
+form.  Both handoffs are continuous to round-off, and their residuals
+are recorded in the metadata.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
 trajectory over a uniform grid, ``asymptotic_report`` measures the corner
@@ -117,7 +114,9 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     the mapped ``t_eval`` points, and ``scaled_to_cartesian`` maps the
     samples to physical time.  Samples that do not advance in physical
     time are dropped, and the corner rows stop before the exit time,
-    where the face-2 rows start.
+    where the face-2 rows start.  Face 2 starts from the (n2, d2)
+    components of the exit state, ``scaled_to_cartesian`` at the angle
+    Theta - theta_bar; the exit residual is |u . d2|, ``handoff_pos_exit``.
     """
     config = config.validated()
     if config.mode != "physical":
@@ -165,8 +164,12 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         st = res.exit_state
         t_bar = math.inf
         if st is not None:
-            t_bar, u_cbar, v_cbar = scaled_to_cartesian(
-                params, st.tau, st.R, st.dR, st.Theta)
+            # The map at the angle Theta - theta_bar gives the exit state's
+            # components along (n2, d2); u . d2 is the exit residual.
+            t_bar, u_bar, v_bar = scaled_to_cartesian(
+                params, st.tau, st.R, st.dR, st.Theta - cone.theta_bar)
+            y1_0, slide = u_bar.tolist()
+            dy1_0, dy2_0 = v_bar.tolist()
         t2, u2, v2 = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
                                          res.eval_dR, res.eval_Theta)
         # Corner rows are the distinct sample times in (t0, t_bar): at
@@ -185,27 +188,18 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         _, u_c0, v_c0 = scaled_to_cartesian(params, 0.0, params.R0,
                                             params.dR0, 0.0)
         r_l, rdot_l, s_l, sdot_l = r1_phase_state(init, damping, k, t0)
-        u_l = np.array([r_l, s_l])
-        v_l = np.array([rdot_l, sdot_l])
-        meta["handoff_pos_t0"] = float(np.linalg.norm(u_c0 - u_l))
-        meta["handoff_vel_t0"] = float(np.linalg.norm(v_c0 - v_l))
+        meta["handoff_pos_t0"] = float(np.linalg.norm(u_c0 - (r_l, s_l)))
+        meta["handoff_vel_t0"] = float(np.linalg.norm(v_c0 - (rdot_l, sdot_l)))
 
         if st is not None:
-            y1_0 = params.eta * st.R / sk
-            dy1_0 = params.eta * st.dR
-            dy2_0 = params.eta * params.momentum / st.R
             meta.update(tau_exit=st.tau, t_exit=t_bar,
                         exit_R=st.R, exit_dR=st.dR, exit_Theta=st.Theta,
-                        y1_0=y1_0, dy1_0=dy1_0, dy2_0=dy2_0)
-
-            n2 = cone.face2_normal
-            d2 = cone.face2_direction
-            meta["handoff_pos_exit"] = float(
-                np.linalg.norm(u_cbar - y1_0 * n2))
-            meta["handoff_vel_exit"] = float(
-                np.linalg.norm(v_cbar - (dy1_0 * n2 + dy2_0 * d2)))
+                        y1_0=y1_0, dy1_0=dy1_0, dy2_0=dy2_0,
+                        handoff_pos_exit=abs(slide))
 
             if t_bar < T:
+                n2 = cone.face2_normal
+                d2 = cone.face2_direction
                 g3 = _merged_grid(t_bar, T, t_eval, N_PHASE_SAMPLES)
                 g3 = g3[g3 > t0]        # t_bar rounds onto t0 at large k
                 y1, y1d, y2, y2d = face_phase_state(
@@ -227,10 +221,9 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     )
     if not np.all(np.diff(traj.t) > 0.0):
         raise NumericFailure("internal error: trajectory times not increasing")
-    counts = {}
-    for label in (PHASE_FACE1, PHASE_CORNER, PHASE_FACE2):
-        counts[label] = int(np.sum(traj.phase == label))
-    meta["phase_counts"] = counts
+    meta["phase_counts"] = {label: int(np.sum(traj.phase == label))
+                            for label in (PHASE_FACE1, PHASE_CORNER,
+                                          PHASE_FACE2)}
     return traj
 
 
@@ -289,10 +282,7 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     config = config.override(mode="scaled", eta=float(etas[0]))
     damping, init, cone = _context(config)
 
-    err_R1 = np.empty(etas.size)
-    err_dR1 = np.empty(etas.size)
-    err_R2 = np.empty(etas.size)
-    exit_ratio = np.empty(etas.size)
+    err_R1, err_dR1, err_R2, exit_ratio = np.empty((4, etas.size))
 
     for i, eta in enumerate(etas):
         params = scaled_params_direct(eta, config.eps, init, damping)
@@ -331,8 +321,7 @@ def asymptotic_report(config: SimConfig, eta_list=None):
         R2_ref, _ = second_asymptotic_R2(match, damping, tau1, ev[m2])
         err_R2[i] = float(np.max(np.abs(R_num[m2] - R2_ref) / R2_ref))
 
-        est_tau, est_R, _, _ = exit_equivalents(params, cone,
-                                                zeta=times.zeta)
+        est_tau, est_R, _, _ = exit_equivalents(params, cone, times)
         if cone.is_acute:
             if res.exit_tau is None:
                 exit_ratio[i] = math.nan
@@ -362,27 +351,37 @@ def phase_portrait(params: ScaledParams, R_range=(0.1, 2.0),
     """
     if grid_n < 0:
         raise InvalidInput(f"grid_n must be non-negative, got {grid_n!r}")
-    if not (0.0 < R_range[0] < R_range[1]):
-        raise InvalidInput(f"R_range must be positive increasing, got {R_range!r}")
-    if not dR_range[0] < dR_range[1]:
-        raise InvalidInput(f"dR_range must be increasing, got {dR_range!r}")
+    if not 0.0 < R_range[0] < R_range[1] < math.inf:
+        raise InvalidInput("R_range must be positive, increasing and "
+                           f"finite, got {R_range!r}")
+    if not -math.inf < dR_range[0] < dR_range[1] < math.inf:
+        raise InvalidInput(
+            f"dR_range must be increasing and finite, got {dR_range!r}")
     names = ("R", "dR", "dR_dtau", "ddR_dtau", "at_critical")
     if grid_n == 0:
         return {name: np.empty(0) for name in names}
-    Rs = np.linspace(R_range[0], R_range[1], grid_n)
-    dRs = np.linspace(dR_range[0], dR_range[1], grid_n)
-    Rc = critical_point(params.E, params.eps)
-    # One call per radius, vectorised over dR (rows R-major).  R stays a
-    # scalar, so R**3 rounds as in a per-point evaluation.
-    rhs = [radial_rhs(ScaledState(0.0, R, dRs, 0.0), params) for R in Rs]
+    Rc = critical_point(params)
+    # Overflow is caught on the finished table, not warned about per op.
+    with np.errstate(all="ignore"):
+        Rs = np.linspace(R_range[0], R_range[1], grid_n)
+        dRs = np.linspace(dR_range[0], dR_range[1], grid_n)
+        # One call per radius, vectorised over dR (rows R-major).  R stays
+        # a scalar, so R**3 rounds as in a per-point evaluation.
+        rhs = [radial_rhs(ScaledState(0.0, R, dRs, 0.0), params)
+               for R in Rs]
     rhs.append(radial_rhs(ScaledState(0.0, Rc, np.zeros(1), 0.0), params))
-    return dict(zip(names, (
+    table = dict(zip(names, (
         np.append(np.repeat(Rs, grid_n), Rc),
         np.append(np.tile(dRs, grid_n), 0.0),
         np.concatenate([f[0] for f in rhs]),
         np.concatenate([f[1] for f in rhs]),
         np.append(np.zeros(grid_n * grid_n), 1.0),
     )))
+    if not all(np.isfinite(col).all() for col in table.values()):
+        raise InvalidInput(
+            f"the field is not finite on R_range {R_range!r} x dR_range "
+            f"{dR_range!r}; choose ranges nearer the unit scale")
+    return table
 
 
 def write_csv(data, path) -> None:

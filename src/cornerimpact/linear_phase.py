@@ -88,11 +88,14 @@ class InitialData:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.s0) and self.s0 < 0.0):
-            raise InvalidInput(f"s0 must be negative, got {self.s0!r}")
+            raise InvalidInput(
+                f"s0 must be negative and finite, got {self.s0!r}")
         if not (math.isfinite(self.dr0) and self.dr0 > 0.0):
-            raise InvalidInput(f"dr0 must be positive, got {self.dr0!r}")
+            raise InvalidInput(
+                f"dr0 must be positive and finite, got {self.dr0!r}")
         if not (math.isfinite(self.ds0) and self.ds0 > 0.0):
-            raise InvalidInput(f"ds0 must be positive, got {self.ds0!r}")
+            raise InvalidInput(
+                f"ds0 must be positive and finite, got {self.ds0!r}")
 
 
 def first_crossing_time(init) -> float:
@@ -103,40 +106,29 @@ def first_crossing_time(init) -> float:
 
 
 def _envelope(damping: DampingParams, tau):
-    """(e^{xi1 tau}, q) with q = -expm1(-2 sqrt(D) tau) / (2 sqrt(D))."""
+    """(K2, H2, K2') in the cancellation-free form above, which the corner
+    kernel propagates with, from one e^{xi1 tau} and q; zero for tau < 0."""
+    tau = np.asarray(tau, dtype=float)
     sd2 = 2.0 * damping.sqrt_delta
-    return np.exp(damping.xi1 * tau), -np.expm1(-sd2 * tau) / sd2
+    grow = np.exp(damping.xi1 * tau)
+    q = -np.expm1(-sd2 * tau) / sd2
+    out = (grow * q, grow * (1.0 - damping.xi1 * q),
+           grow * (1.0 + damping.xi2 * q))
+    neg = tau < 0.0
+    if np.any(neg):
+        out = tuple(np.where(neg, 0.0, x) for x in out)
+    return tuple(map(float, out)) if tau.ndim == 0 else out
 
 
 def kernels_K2_H2(damping: DampingParams, tau):
-    """Fundamental solutions (K2, H2) at fast time tau (scalar or array).
-
-    K2 = e^{xi1 tau} q and H2 = e^{xi1 tau} (1 - xi1 q), the form the corner
-    kernel propagates with.  Extended by zero for tau < 0.
-    """
-    tau = np.asarray(tau, dtype=float)
-    grow, q = _envelope(damping, tau)     # grow <= 1 for tau >= 0
-    K2 = grow * q
-    H2 = grow * (1.0 - damping.xi1 * q)
-    neg = tau < 0.0
-    if np.any(neg):
-        K2 = np.where(neg, 0.0, K2)
-        H2 = np.where(neg, 0.0, H2)
-    if K2.ndim == 0:
-        return float(K2), float(H2)
-    return K2, H2
+    """Fundamental solutions (K2, H2) at fast time tau (scalar or array);
+    zero for tau < 0."""
+    return _envelope(damping, tau)[:2]
 
 
 def kernel_K2_dot(damping: DampingParams, tau):
-    """d K2 / d tau = e^{xi1 tau} (1 + xi2 q), used for velocity
-    reconstruction; K2'(0) = 1."""
-    tau = np.asarray(tau, dtype=float)
-    grow, q = _envelope(damping, tau)
-    out = grow * (1.0 + damping.xi2 * q)
-    out = np.where(tau < 0.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """d K2 / d tau, used for velocity reconstruction; K2'(0) = 1."""
+    return _envelope(damping, tau)[2]
 
 
 def r1_phase_state(init: InitialData, damping: DampingParams, k: float, t):
@@ -178,13 +170,10 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
         raise OutOfPhase("tp must be non-negative: the closed form starts "
                          "at its initial state")
     sk = math.sqrt(k)
-    tau = tp_arr * sk
-    K2, H2 = kernels_K2_H2(damping, tau)
-    K2 = np.asarray(K2)
-    H2 = np.asarray(H2)
+    K2, H2, dK2 = _envelope(damping, tp_arr * sk)
     y1 = dy1_0 * K2 / sk + y1_0 * H2
     # H2' = -K2, so y1dot = dy1_0 K2' + y1_0 sqrt(k) H2'
-    y1dot = dy1_0 * np.asarray(kernel_K2_dot(damping, tau)) - y1_0 * sk * K2
+    y1dot = dy1_0 * dK2 - y1_0 * sk * K2
     y2 = tp_arr * dy2_0
     y2dot = np.full_like(tp_arr, dy2_0)
     if tp_arr.ndim == 0:

@@ -49,6 +49,9 @@ __all__ = [
     "scaled_to_cartesian",
 ]
 
+# Words ``eps`` takes besides a number (see ``scaled_params_direct``).
+EPS_POLICIES = ("derive", "zero")
+
 # Beyond this exponent, tau0 ~ eta^4 goes subnormal and W^2 ~ eta^-4
 # overflows, so derived quantities stop being representable.
 _UNDERFLOW_EXPONENT = -350.0
@@ -170,7 +173,9 @@ def scaled_to_cartesian(params: ScaledParams, tau, R, dR, Theta):
     t = t0 + tau / sqrt(k), u = (eta R / sqrt(k)) e_r and
     v = eta R' e_r + (eta sqrt(E)(1-eps) / R) e_Theta, with
     e_r = (cos Theta, sin Theta) and e_Theta = (-sin Theta, cos Theta).
-    u and v hold the Cartesian pair on their last axis.
+    u and v hold the Cartesian pair on their last axis.  Passing
+    Theta - phi gives the components in the frame turned by phi, e.g. the
+    face-2 frame (n2, d2) at phi = theta_bar.
     """
     if params.k is None:
         raise ScaleFreeRun(

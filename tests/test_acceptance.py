@@ -186,8 +186,8 @@ def test_criterion_06_attractor():
     eta = 1e-2
     P = scaled_params_direct(eta, "derive", UNIT, DAMP2)
     lyap = lyapunov_Q(DAMP2)
-    Rc = critical_point(P.E, P.eps)
-    Rbar = trapping_threshold(P.E, P.eps, DAMP2, margin=1.01)
+    Rc = critical_point(P)
+    Rbar = trapping_threshold(P, margin=1.01)
     tau3 = asymptotic_times(eta, DAMP2).tau3
     deadline = tau3 + 20.0 * (2.0 * lyap.lambda2)
 

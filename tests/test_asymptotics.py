@@ -41,6 +41,8 @@ from cornerimpact import (
 UNIT = InitialData(-1.0, 1.0, 1.0)
 DAMP2 = characteristic_roots(2.0)
 P2 = scaled_params_direct(1e-2, "derive", UNIT, DAMP2)
+T2 = asymptotic_times(1e-2, DAMP2)
+P_ZERO = scaled_params_direct(1e-2, 0.0, UNIT, DAMP2)
 
 
 def d5(vals, h):
@@ -243,7 +245,6 @@ def test_asymptotic_times():
     assert t.tau1 == pytest.approx(1e-2 ** 1.2, rel=1e-15)
     assert t.zeta == pytest.approx(0.5 / abs(DAMP2.xi1), rel=1e-15)
     assert t.tau3 == pytest.approx(t.zeta * math.log(100.0), rel=1e-15)
-    assert t.tau4 is None
     # tau2 oracle at alpha = 1.25: 2 ln(xi2/xi1)/(xi1 - xi2).
     t125 = asymptotic_times(0.5, characteristic_roots(1.25))
     assert t125.tau2 == pytest.approx(1.8483924814931874, rel=1e-13)
@@ -258,30 +259,29 @@ def test_asymptotic_times():
 
 
 def test_critical_point_values():
-    assert critical_point(1.0 / 12.0, 0.0) == pytest.approx(
+    # E = dr0^2 ds0^2 / (4 D) = 1/12 for unit data at alpha = 2.
+    assert critical_point(P_ZERO) == pytest.approx(
         0.537284965911771, rel=1e-14)
-    assert critical_point(1.0 / 12.0, 0.5) == pytest.approx(
-        0.37991784282579627, rel=1e-14)
-    with pytest.raises(InvalidInput):
-        critical_point(0.0, 0.0)
-    with pytest.raises(InvalidInput):
-        critical_point(1.0, 1.0)
+    assert critical_point(scaled_params_direct(1e-2, 0.5, UNIT, DAMP2)) \
+        == pytest.approx(0.37991784282579627, rel=1e-14)
 
 
 def test_critical_point_is_equilibrium():
     from cornerimpact import ScaledState, radial_rhs
 
-    Rc = critical_point(P2.E, P2.eps)
+    Rc = critical_point(P2)
     _, ddR, _ = radial_rhs(ScaledState(0.0, Rc, 0.0, 0.0), P2)
     assert abs(ddR) < 1e-14
 
 
 def test_lyapunov_F_values_and_monotonicity():
-    assert lyapunov_F(1.0, 0.0, 1.0, 0.0) == pytest.approx(2.0, rel=1e-15)
+    # c3 = 1/12 here, so F(1, 0) = 1 + 1/12.
+    assert lyapunov_F(P_ZERO, 1.0, 0.0) == pytest.approx(13.0 / 12.0,
+                                                         rel=1e-15)
     # F is minimal (over R at fixed dR) exactly at the critical radius.
-    Rc = critical_point(P2.E, P2.eps)
+    Rc = critical_point(P2)
     R = np.linspace(0.2, 2.0, 500)
-    F = lyapunov_F(R, 0.0, P2.E, P2.eps)
+    F = lyapunov_F(P2, R, 0.0)
     assert abs(R[np.argmin(F)] - Rc) < 5e-3
 
 
@@ -307,12 +307,12 @@ def test_lyapunov_Q_frozen_alpha2():
 
 def test_trapping_threshold_frozen():
     # (4 lambda2^{3/2} E (1-eps)^2 / sqrt(lambda1))^{1/4}, margin 1.01.
-    val = trapping_threshold(1.0 / 12.0, 0.0, DAMP2, margin=1.01)
+    val = trapping_threshold(P_ZERO, margin=1.01)
     assert val == pytest.approx(1.3657737871418527, rel=1e-13)
-    assert trapping_threshold(1.0 / 12.0, 0.0, DAMP2, margin=1.0) == \
+    assert trapping_threshold(P_ZERO, margin=1.0) == \
         pytest.approx(1.3522512743978741, rel=1e-13)
     with pytest.raises(InvalidInput):
-        trapping_threshold(1.0 / 12.0, 0.0, DAMP2, margin=0.5)
+        trapping_threshold(P_ZERO, margin=0.5)
 
 
 def test_obtuse_exponents():
@@ -331,7 +331,7 @@ def test_obtuse_exponents():
 
 def test_exit_equivalents_acute():
     cone = ConeGeometry(math.pi / 3.0)
-    tau_bar, R_est, dR_est, dTh_est = exit_equivalents(P2, cone)
+    tau_bar, R_est, dR_est, dTh_est = exit_equivalents(P2, cone, T2)
     assert tau_bar == pytest.approx(
         P2.tau0 + math.sqrt(P2.E) * math.tan(cone.theta_bar) / P2.W,
         rel=1e-15)
@@ -347,7 +347,7 @@ def test_exit_equivalents_acute():
 def test_exit_equivalents_obtuse_reference():
     cone = ConeGeometry(2.0 * math.pi / 3.0)
     zeta = 0.5 / abs(DAMP2.xi1)
-    tau_bar, R_est, dR_est, _ = exit_equivalents(P2, cone)
+    tau_bar, R_est, dR_est, _ = exit_equivalents(P2, cone, T2)
     assert tau_bar == pytest.approx(zeta * math.log(1.0 / P2.eta),
                                     rel=1e-14)
     assert R_est == pytest.approx(

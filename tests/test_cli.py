@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, overrides and CSV output."""
+import argparse
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cornerimpact import IntegrationFailure
-from cornerimpact.cli import main
+from cornerimpact import IntegrationFailure, SimConfig
+from cornerimpact.cli import build_parser, main
 
 
 def test_simulate_exit_zero(tmp_path, capsys):
@@ -123,6 +125,47 @@ def test_phase_portrait_bad_range(capsys):
 
     code = main(["phase-portrait", "--eta", "0.01", "--r-range", "1.0,0.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--r-range=0.1,inf", "--dr-range=-inf,1",
+                                  "--r-range=1e-300,1"])
+def test_phase_portrait_non_finite_exits_two(flag, capsys):
+    # A range end at infinity, or a field that overflows on the grid.
+    code = main(["phase-portrait", "--eta", "0.01", flag])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s0 = -inf\n")
+    code = main(["simulate", "--config", str(cfg), "--k", "100"])
+    assert code == 2
+    assert "line 1: s0 must be negative and finite" in capsys.readouterr().err
+
+
+def test_bad_override_does_not_blame_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 100\n")
+    code = main(["simulate", "--config", str(cfg), "--k", "-5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "k must be positive" in err and "line 1" not in err
+
+
+def test_every_flag_is_mapped():
+    # Flags reach the run through SimConfig fields of the same name; the
+    # rest are read by the subcommands themselves.
+    own = {"command", "config", "r_range", "dr_range", "grid_n"}
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    parser = build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subs.choices.items():
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert action.dest in fields | own, (name, action.dest)
 
 
 def test_help_exits_zero():

@@ -52,6 +52,9 @@ def test_defaults_validate():
     ("eta = 1.5", "eta must lie in (0, 1)"),
     ("n_grid = 1", "n_grid must be at least 2"),
     ("s0 = 0.0", "s0 must be negative"),
+    ("s0 = -inf", "s0 must be negative and finite"),
+    ("dr0 = inf", "dr0 must be positive and finite"),
+    ("ds0 = inf", "ds0 must be positive and finite"),
     ("zeta = 9.0", "zeta must lie in"),
 ])
 def test_constraint_messages(text, fragment):

@@ -1,4 +1,5 @@
 """Three-phase trajectory assembly, study tables and CSV round-trips."""
+import dataclasses
 import math
 
 import numpy as np
@@ -20,9 +21,12 @@ from cornerimpact import (
     r1_phase_state,
     radial_rhs,
     scaled_params_direct,
+    scaled_params_from_physical,
+    scaled_to_cartesian,
     simulate_full,
     write_csv,
 )
+from cornerimpact import harness
 from cornerimpact.harness import (
     PHASE_CORNER,
     PHASE_FACE1,
@@ -75,7 +79,50 @@ def test_handoff_residuals(acute_traj):
     assert meta["handoff_pos_t0"] < 1e-12
     assert meta["handoff_vel_t0"] < 1e-12
     assert meta["handoff_pos_exit"] < 1e-12
-    assert meta["handoff_vel_exit"] < 1e-13
+
+
+@pytest.mark.parametrize("cfg", [ACUTE_CFG, OBTUSE_CFG],
+                         ids=["acute", "obtuse"])
+def test_face2_starts_from_the_mapped_exit_state(cfg):
+    meta = simulate_full(cfg).metadata
+    cone = ConeGeometry(cfg.theta_bar)
+    params = scaled_params_from_physical(
+        InitialData(cfg.s0, cfg.dr0, cfg.ds0),
+        characteristic_roots(cfg.alpha), cfg.k)
+    exit_state = (meta["tau_exit"], meta["exit_R"], meta["exit_dR"])
+    # The start state is the map in the face-2 frame, bit for bit ...
+    t_bar, u, v = scaled_to_cartesian(params, *exit_state,
+                                      meta["exit_Theta"] - cone.theta_bar)
+    assert t_bar == meta["t_exit"]
+    assert [meta["y1_0"], meta["dy1_0"], meta["dy2_0"]] == [u[0], v[0], v[1]]
+    assert meta["handoff_pos_exit"] == abs(u[1])
+    # ... and the (n2, d2) projections of the Cartesian exit state up to
+    # the rounding of the projection.
+    _, uc, vc = scaled_to_cartesian(params, *exit_state, meta["exit_Theta"])
+    n2, d2 = cone.face2_normal, cone.face2_direction
+    ulp = np.finfo(float).eps
+    assert abs(uc @ n2 - meta["y1_0"]) <= 4 * ulp * np.linalg.norm(uc)
+    assert abs(uc @ d2) <= 4 * ulp * np.linalg.norm(uc)
+    for got, want in ((vc @ n2, meta["dy1_0"]), (vc @ d2, meta["dy2_0"])):
+        assert abs(got - want) <= 4 * ulp * np.linalg.norm(vc)
+
+
+def test_exit_handoff_residual_sees_an_exit_off_face2(monkeypatch):
+    # Shift the located exit angle; the residual must report the distance
+    # R sin(shift) of the exit from face 2's starting line.
+    radius = simulate_full(ACUTE_CFG).metadata["y1_0"]
+    real = harness.integrate_corner
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.exit_state = dataclasses.replace(
+            res.exit_state, Theta=res.exit_state.Theta + shift)
+        return res
+
+    monkeypatch.setattr(harness, "integrate_corner", shifted)
+    for shift in (1e-8, 1e-6, 1e-4):
+        residual = simulate_full(ACUTE_CFG).metadata["handoff_pos_exit"]
+        assert residual == pytest.approx(radius * math.sin(shift), rel=1e-6)
 
 
 def test_metadata_contents(acute_traj):
@@ -280,7 +327,7 @@ def test_phase_portrait_matches_pointwise_rhs():
     table = phase_portrait(params, R_range=(0.25, 2.0), grid_n=7)
     points = [(R, dR) for R in np.linspace(0.25, 2.0, 7)
               for dR in np.linspace(-1.0, 1.0, 7)]
-    points.append((critical_point(params.E, params.eps), 0.0))
+    points.append((critical_point(params), 0.0))
     ref = np.array([(R, dR) + radial_rhs(ScaledState(0.0, R, dR, 0.0),
                                          params)[:2] for R, dR in points])
     for j, name in enumerate(("R", "dR", "dR_dtau", "ddR_dtau")):
