@@ -16,7 +16,7 @@ J = E/W + W (sigma - tau0)(tau - tau0).  The contraction constant
 
     I(tau) = (1/R1) \int_0^tau K / R1^3 dsigma  <=  delta = 4 / E
 
-is evaluated here by adaptive quadrature in the substituted angle
+is evaluated here in closed form in the substituted angle
 x = (sigma - tau0)/kappa = tan(phi) and compared with its analytic
 ceiling.
 
@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidInput
 from .linear_phase import DampingParams, face_phase_state
@@ -131,8 +130,7 @@ def kernel_solutions_z(params, tau):
     return z1, z2
 
 
-def delta_bound(params, *, n_grid: int = 401, tau_max: float = 1.0,
-                quad_tol: float = 1e-10):
+def delta_bound(params, *, n_grid: int = 401, tau_max: float = 1.0):
     r"""Grid maximum of the contraction integral I(tau) vs its ceiling 4/E.
 
     In the substituted variable x = (sigma - tau0)/kappa the integrand is
@@ -141,29 +139,27 @@ def delta_bound(params, *, n_grid: int = 401, tau_max: float = 1.0,
         I = (1 / (E (1 + y^2))) * \int_a^y (y-x)(1+xy)/(1+x^2)^2 dx,
 
     a = -tau0/kappa, y = (tau - tau0)/kappa.  Since y grows like 1/kappa,
-    the quadrature runs in the angle x = tan(phi), where the same
-    integrand becomes the bounded smooth form
-    (y cos(phi) - sin(phi)) (cos(phi) + y sin(phi)) over an O(1) interval.
+    I is evaluated by closed form in the angle x = tan(phi), where the
+    integrand is the bounded form (y cos(phi) - sin(phi)) (cos(phi) +
+    y sin(phi)) with antiderivative
+
+        G(phi) = (y/2) sin(2 phi) - ((y^2 - 1)/4) cos(2 phi),
+
+    taken between atan(a) and atan(y) on the whole tau grid at once.
     Returns (delta_numeric, delta_analytic).
     """
     if n_grid < 2:
         raise InvalidInput(f"n_grid must be at least 2, got {n_grid!r}")
     a = -params.tau0 / params.kappa
-    phi_a = math.atan(a)
-    best = 0.0
-    for tau in np.linspace(0.0, tau_max, n_grid):
-        y = (tau - params.tau0) / params.kappa
-        if y <= a:
-            continue
-        scale = params.E * (1.0 + y * y)
-        val, _ = quad(lambda p: (y * math.cos(p) - math.sin(p))
-                      * (math.cos(p) + y * math.sin(p)),
-                      phi_a, math.atan(y),
-                      epsabs=quad_tol * scale, epsrel=quad_tol, limit=200)
-        I = val / scale
-        if I > best:
-            best = I
-    return best, 4.0 / params.E
+    y = (np.linspace(0.0, tau_max, n_grid) - params.tau0) / params.kappa
+    y = y[y > a]
+
+    def G(phi):
+        return (0.5 * y * np.sin(2.0 * phi)
+                - 0.25 * (y * y - 1.0) * np.cos(2.0 * phi))
+
+    I = (G(np.arctan(y)) - G(math.atan(a))) / (params.E * (1.0 + y * y))
+    return max(0.0, float(I.max(initial=0.0))), 4.0 / params.E
 
 
 def second_asymptotic_R2(match_state, damping: DampingParams,

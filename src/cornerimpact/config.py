@@ -183,9 +183,12 @@ def parse_config(text: str) -> SimConfig:
 
 
 def load_config(path) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not valid UTF-8: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot read config {path}: {exc.strerror or exc}") from None
     return parse_config(text)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import asymptotics
 from ._backend import BACKEND
@@ -224,6 +223,10 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     ``ORACLE_MAX_RHS`` right-hand-side evaluations, or when DOP853 fails
     or its states are not finite.
     """
+    # scipy.integrate costs ~0.6 s and ~350 modules on import, which no
+    # CLI subcommand needs, so only the oracle loads it.
+    from scipy.integrate import solve_ivp
+
     if not (k > 0.0 and math.isfinite(k)):
         raise InvalidInput(f"stiffness k must be positive, got {k!r}")
     if not (horizon > 0.0 and math.isfinite(horizon)):

@@ -410,6 +410,10 @@ def write_csv(data, path) -> None:
         "%.17g" if columns[name].dtype.kind == "f" else "%s"
         for name in names) + "\n"
     rows = zip(*(columns[name].tolist() for name in names))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.writelines(row_format % row for row in rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(names) + "\n")
+            fh.writelines(row_format % row for row in rows)
+    except OSError as exc:
+        raise InvalidInput(
+            f"cannot write {path}: {exc.strerror or exc}") from None

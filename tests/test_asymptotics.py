@@ -4,9 +4,9 @@ Independent reference routes used here:
 
 * derivatives of the fundamental pair (z1, z2) by hand-derived closed
   forms (the implementation only exposes the values);
-* the contraction integral by its explicit antiderivative
-  F(x) = y x/(1+x^2) - (y^2-1)/(2(1+x^2)), against the adaptive-quadrature
-  route inside delta_bound.
+* the contraction integral by its x-form antiderivative
+  F(x) = y x/(1+x^2) - (y^2-1)/(2(1+x^2)), checked against the antiderivative
+  in the angle phi = atan(x) that delta_bound evaluates.
 """
 import math
 

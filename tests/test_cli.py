@@ -45,6 +45,23 @@ def test_bad_config_file_exits_two(tmp_path, capsys):
     assert "line 1" in err and "alpha" in err
 
 
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "missing" / "run.cfg"
+    code = main(["simulate", "--config", str(cfg)])
+    assert code == 2
+    assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+def test_unwritable_out_exits_two(target, tmp_path, capsys):
+    # A parent directory that does not exist, and a directory itself.
+    out = tmp_path / target
+    code = main(["phase-portrait", "--eta", "0.01", "--grid-n", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("k = 100\nwavelength = 3\n")
@@ -189,6 +206,35 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "exit at t" in proc.stdout
     assert out.exists()
+
+
+IMPORT_PATH_SCRIPT = """
+import contextlib, io, math, sys
+import cornerimpact, cornerimpact.cli
+from cornerimpact import (ConeGeometry, InitialData, characteristic_roots,
+                          oracle_fast_time_integration)
+
+runs = (["simulate", "--k", "100", "--T", "2.0"],
+        ["converge", "--k", "100", "--n-grid", "100", "--T", "2.0"],
+        ["asym-report", "--eta", "0.01"],
+        ["phase-portrait", "--eta", "0.01", "--grid-n", "3"])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cornerimpact.cli.main(argv) for argv in runs]
+assert codes == [0, 0, 0, 0], codes
+assert "scipy.integrate" not in sys.modules
+oracle_fast_time_integration(InitialData(-1.0, 1.0, 1.0),
+                             characteristic_roots(2.0),
+                             ConeGeometry(math.pi / 3.0), 100.0, 0.5)
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_cli_runs_without_importing_scipy_integrate():
+    # scipy.integrate is loaded by the oracle alone; the CLI's cold start
+    # must not pay for it.
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
