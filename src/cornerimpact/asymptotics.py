@@ -159,7 +159,7 @@ def delta_bound(params, *, n_grid: int = 401, tau_max: float = 1.0):
                 - 0.25 * (y * y - 1.0) * np.cos(2.0 * phi))
 
     I = (G(np.arctan(y)) - G(math.atan(a))) / (params.E * (1.0 + y * y))
-    return max(0.0, float(I.max(initial=0.0))), 4.0 / params.E
+    return float(I.max(initial=0.0)), 4.0 / params.E
 
 
 def second_asymptotic_R2(match_state, damping: DampingParams,
