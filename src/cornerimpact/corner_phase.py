@@ -6,13 +6,14 @@ angle theta_bar (the exit onto face 2), stopping there unless the run
 continues to its horizon.  Its states map back to physical coordinates through
 ``scaling.scaled_to_cartesian``, which needs the physical stiffness.
 ``oracle_fast_time_integration`` is a deliberately independent route: it
-integrates the full penalty vector field in Cartesian fast time with
-scipy's DOP853 and shares no stepping code with the pipeline.
+integrates the full penalty vector field in Cartesian fast time with the
+scalar DOP853 of ``_dop853`` and shares no stepping code with the pipeline.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .geometry import ConeGeometry, penalty_field
 from .linear_phase import DampingParams, InitialData
 from .scaling import ScaledParams, ScaledState
 
+if TYPE_CHECKING:
+    from ._dop853 import Solution
+
 __all__ = [
     "CornerResult",
     "radial_rhs",
@@ -39,9 +43,10 @@ __all__ = [
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
-# Right-hand-side evaluations the oracle may spend (DOP853 nfev).  Validation
-# windows need a few thousand; the documented step collapse (alpha = 2,
-# theta_bar = 1, k = 1e4) needs 72k to fast time 150 and 8M to 200.
+# Right-hand-side evaluations the oracle's stepping loop may spend (12 per
+# DOP853 step attempt).  Validation windows need a few thousand; the
+# documented step collapse (alpha = 2, theta_bar = 1, k = 1e4, rtol 1e-11)
+# needs 59k to fast time 150 and 6.7M to 200.
 ORACLE_MAX_RHS = 300_000
 
 
@@ -183,19 +188,31 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
 
 @dataclass
 class OracleRun:
-    """Direct fast-time integration of the penalty field (oracle route)."""
+    """Direct fast-time integration of the penalty field (oracle route).
+
+    ``t`` holds the physical times of the accepted DOP853 steps, ``u`` and
+    ``v`` the positions and physical-time velocities there.
+    """
 
     t: np.ndarray
     u: np.ndarray          # (n, 2) positions
     v: np.ndarray          # (n, 2) physical-time velocities
-    dense: object = field(repr=False, default=None)
-    k: float = 0.0
+    k: float
+    horizon: float
+    solution: Solution = field(repr=False)
 
     def sample(self, t_grid) -> np.ndarray:
-        """Positions at arbitrary physical times via the dense output."""
+        """Positions at physical times in [0, horizon] via the dense output."""
         t_grid = np.asarray(t_grid, dtype=float)
-        Y = self.dense(t_grid * math.sqrt(self.k))
-        return Y[:2].T
+        if not np.all(np.isfinite(t_grid)):
+            raise InvalidInput("oracle sample times must be finite")
+        if t_grid.size and not (t_grid.min() >= 0.0
+                                and t_grid.max() <= self.horizon):
+            raise InvalidInput(
+                f"oracle sample times must lie in [0, {self.horizon:g}], "
+                f"got [{t_grid.min():g}, {t_grid.max():g}]")
+        Y = self.solution.dense(t_grid.ravel() * math.sqrt(self.k))
+        return Y[:, :2].reshape(t_grid.shape + (2,))
 
 
 def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
@@ -211,7 +228,8 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     its form).  No phase decomposition, no polar variables: this is the
     independent check for the pipeline.
 
-    The field is evaluated on Python floats by ``geometry.penalty_field``.
+    The field is evaluated on Python floats by ``geometry.penalty_field``
+    and stepped by the scalar DOP853 of ``_dop853``.
 
     Intended for validation windows around the impact (a few crossing
     times).  On much longer horizons at large k the overshoot distance to
@@ -219,44 +237,39 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     state, the penalty force becomes cancellation noise, and the adaptive
     steps collapse; the piecewise pipeline does not suffer from this
     because each phase is integrated in its own well-scaled variables.
-    The run raises ``IntegrationFailure`` once it has spent
-    ``ORACLE_MAX_RHS`` right-hand-side evaluations, or when DOP853 fails
-    or its states are not finite.
+    The run raises ``IntegrationFailure`` once the next step would take it
+    past ``ORACLE_MAX_RHS`` right-hand-side evaluations, or when DOP853
+    fails: its step falls below float resolution, a state is not finite,
+    or float arithmetic overflows.
     """
-    # scipy.integrate costs ~0.6 s and ~350 modules on import, which no
-    # CLI subcommand needs, so only the oracle loads it.
-    from scipy.integrate import solve_ivp
+    # Only the oracle steps with DOP853, so ``import cornerimpact`` (and every
+    # CLI cold start) does not load its tableau.
+    from . import _dop853
 
     if not (k > 0.0 and math.isfinite(k)):
         raise InvalidInput(f"stiffness k must be positive, got {k!r}")
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidInput(f"horizon must be positive, got {horizon!r}")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise InvalidInput(
+            f"rtol and atol must be positive and finite, got {rtol!r}, "
+            f"{atol!r}")
     sk = math.sqrt(k)
     two_alpha = 2.0 * damping.alpha
-    calls = 0
 
-    def rhs(tau, y):
-        nonlocal calls
-        calls += 1
-        if calls > ORACLE_MAX_RHS:
-            raise IntegrationFailure(
-                f"oracle budget of {ORACLE_MAX_RHS} right-hand-side "
-                f"evaluations exhausted at fast time tau ~ {tau:.6g} "
-                f"(t ~ {tau / sk:.6g} of {horizon:g})")
-        x1, x2, v1, v2 = y.tolist()
+    def rhs(x1, x2, v1, v2):
         w1, w2, g1, g2 = penalty_field(x1, x2, v1, v2, cone)
         return v1, v2, -two_alpha * g1 - w1, -two_alpha * g2 - w2
 
-    y0 = np.array([0.0, init.s0, init.dr0 / sk, init.ds0 / sk])
-    # An overflowing state ends below as a failed or non-finite run.
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(rhs, (0.0, horizon * sk), y0, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
-    if not sol.success:
-        raise IntegrationFailure(f"oracle integration failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise IntegrationFailure("oracle states are not finite")
-    t = sol.t / sk
-    u = sol.y[:2].T.copy()
-    v = (sol.y[2:] * sk).T.copy()
-    return OracleRun(t=t, u=u, v=v, dense=sol.sol, k=k)
+    y0 = (0.0, float(init.s0), init.dr0 / sk, init.ds0 / sk)
+    sol = _dop853.solve(rhs, y0, horizon * sk, float(rtol), float(atol),
+                        ORACLE_MAX_RHS)
+    if sol.failure is not None:
+        tau = sol.t[-1]
+        raise IntegrationFailure(
+            f"oracle {sol.failure} at fast time tau ~ {tau:.6g} "
+            f"(t ~ {tau / sk:.6g} of {horizon:g})")
+    t = np.array(sol.t) / sk
+    y = np.array(sol.y).reshape(-1, 4)
+    return OracleRun(t=t, u=y[:, :2], v=y[:, 2:] * sk, k=k,
+                     horizon=horizon, solution=sol)

@@ -352,6 +352,33 @@ def test_oracle_validation():
         oracle_fast_time_integration(UNIT, DAMP2, ACUTE, 100.0, horizon=0.0)
 
 
+@pytest.mark.parametrize("tol", [dict(atol=-1.0), dict(rtol=0.0),
+                                 dict(rtol=math.nan), dict(atol=math.inf)],
+                         ids=["atol<0", "rtol=0", "rtol=nan", "atol=inf"])
+def test_oracle_rejects_bad_tolerances(tol):
+    # Each used to be a bare ValueError, a warning with a silent clamp, a
+    # run through the whole budget, or a 9-step "success".
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput, match="rtol and atol"):
+        oracle_fast_time_integration(UNIT, DAMP2, ACUTE, 100.0, horizon=1.0,
+                                     **tol)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_sample_stays_inside_the_run():
+    run = oracle_fast_time_integration(UNIT, DAMP2, ACUTE, 100.0, horizon=0.5)
+    for bad in ([-0.5], [3.0], [0.0, 0.5 + 1e-9], [math.nan], [math.inf]):
+        with pytest.raises(InvalidInput, match="oracle sample times"):
+            run.sample(bad)
+    u = run.sample([0.0, 0.25, 0.5])
+    assert u.shape == (3, 2)
+    np.testing.assert_array_equal(u[0], [0.0, UNIT.s0])
+    np.testing.assert_allclose(u[2], run.u[-1], rtol=0.0, atol=1e-15)
+    assert run.sample(0.25).shape == (2,)
+    np.testing.assert_array_equal(run.sample(0.25), u[1])
+    assert run.sample([]).shape == (0, 2)
+
+
 # The documented step collapse: alpha = 2, theta_bar = 1, k = 1e4.
 COLLAPSE = dict(damping=DAMP2, cone=ConeGeometry(1.0), k=1e4, rtol=1e-11,
                 atol=1e-13)
