@@ -43,16 +43,16 @@ R >> 1 (the paper's second asymptotic R2 = K2 R' + H2 R), N is negligible
 and y follows the exact linear flow; the step is then limited by the Theta
 quadrature only, and the cost hardly grows as eta shrinks.
 
-Everything is scalar arithmetic on purpose (``math.exp``/``math.expm1``,
-not their numpy twins, which are slow on Python floats): the identical
-source compiles under numba (CORNERIMPACT_BACKEND=numba/auto) and runs
-unmodified as plain Python.  No allocation happens inside the step loop
-except for array growth.
+The step loop is scalar arithmetic on purpose (``math.exp``/
+``math.expm1``, not their numpy twins, which are slow on Python floats).
 
-Storage: each accepted step appends its end time and its state, one row of
-an (n, 3) array with columns R, V, Theta.  Sampling: the state at an
-offset s into an accepted step is the single-step map ``_substep`` of
-length s from that step's start, the same map the exit search solves on.
+Storage: each accepted step appends its end time to one Python list and
+its state R, V, Theta to another, flat, so that the lists hold floats
+only and no object the garbage collector tracks.  They become numpy
+arrays when the run ends.
+Sampling: the state at an offset s into an accepted step is the
+single-step map ``_substep`` of length s from that step's start, the
+same map the exit search solves on.
 ``substep_many`` evaluates it at many (start, offset) pairs at once in
 numpy; it is exact at both step ends and as accurate as the step itself
 in between.
@@ -69,12 +69,10 @@ moving, or when the bracket reaches floating-point resolution, so the
 exit angle misses theta_target by round-off only, even at acute exits
 where Theta' ~ W is huge.  It takes about three single-step re-runs.
 
-Status codes returned by ``integrate_radial``:
-    0  horizon reached
-    1  stopped at the theta event
-    2  step-size underflow (failure)
-    3  step budget of MAX_STEPS attempts exhausted (failure)
-    4  step-size underflow driven by a singular radius (failure)
+Failures: ``integrate_radial`` raises ``SingularRadius`` when the step
+size falls below float resolution and the last rejected step had a stage
+radius outside (0, inf), and ``IntegrationFailure`` when it falls there
+after an error-test rejection or when MAX_STEPS attempts are spent.
 """
 from __future__ import annotations
 
@@ -82,7 +80,7 @@ import math
 
 import numpy as np
 
-from ._backend import jit
+from .errors import IntegrationFailure, SingularRadius
 
 # Dormand-Prince 5(4) tableau.
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -115,14 +113,12 @@ _ROWS = tuple(np.array(row) for row in (
     (A61, A62, A63, A64, A65), (B1, 0.0, B3, B4, B5, B6)))
 
 
-@jit
 def _rhs(R, c3, cth):
     """Perturbation c3 / R^3 of R'' and the angle slope cth / R^2."""
     R2 = R * R
     return c3 / (R2 * R), cth / R2
 
 
-@jit
 def _prop(s, xi1, xi2, sd2):
     """(H2, K2, K2') of the linear propagator Phi(s), s >= 0."""
     e = math.exp(xi1 * s)
@@ -130,7 +126,6 @@ def _prop(s, xi1, xi2, sd2):
     return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
 
 
-@jit
 def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     """One trial Lawson step of size h from (R, V, T).
 
@@ -216,7 +211,6 @@ def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     return True, Rn, Vn, Tn, n7, g7, eR, eV, eT
 
 
-@jit
 def _substep(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     """5th-order state at offset h from a step start (no error control)."""
     ok, Rn, Vn, Tn, _, _, _, _, _ = _attempt(
@@ -227,9 +221,9 @@ def _substep(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
 def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
     """``_substep`` at many starts (R, V, T) and offsets s >= 0 at once.
 
-    Plain numpy over the sample axis (not compiled), with the stage sums
-    in tableau order; agrees with ``_substep`` to round-off.  Stage radii
-    are not checked: the offsets lie inside accepted steps.  Returns the
+    Plain numpy over the sample axis, with the stage sums in tableau
+    order; agrees with ``_substep`` to round-off.  Stage radii are not
+    checked: the offsets lie inside accepted steps.  Returns the
     end states as an array with columns R, V, Theta.
     """
     n1 = c3 / (R * R * R)
@@ -254,7 +248,6 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
     return np.column_stack([Ri, Vi, Ti])
 
 
-@jit
 def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
     sR = atol + rtol * max(abs(R), abs(Rn))
     sV = atol + rtol * max(abs(V), abs(Vn))
@@ -265,7 +258,6 @@ def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
     return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
-@jit
 def _locate_exit(R, V, T, n1, g1, h, Rn, Vn, Tn, theta_target,
                  c3, cth, xi1, xi2, sd2):
     """Crossing of theta_target inside an accepted step of length h from
@@ -302,63 +294,43 @@ def _locate_exit(R, V, T, n1, g1, h, Rn, Vn, Tn, theta_target,
     return se, Re, Ve, Te
 
 
-@jit
 def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
                      rtol, atol, h0, stop_at_event):
     """Adaptive Lawson DP45 integration of the scaled corner flow from
     tau = 0, with the roots (xi1, xi2) and sd2 = 2 sqrt(D) of
     ``linear_phase.characteristic_roots``.
 
-    Returns (status, n, ts, ys, exit_found, exit_tau, exR, exV, exT, nacc,
-    nrej): the n samples (times ts, states ys with columns R, R', Theta),
-    the exit, and the step counts.  Step i starts at sample i; when the
-    run stops at the event, the last step is the full accepted step that
-    holds the crossing.  The arrays are growth buffers: only their first n
-    rows are filled.
+    Returns (ts, ys, exit, nacc, nrej): the sample times and states (an
+    (n, 3) array with columns R, R', Theta), the exit (tau, R, R', Theta)
+    or None when the run did not cross theta_target, and the step counts.
+    Step i starts at sample i; when the run stops at the event, the last
+    step is the full accepted step that holds the crossing.  Raises
+    ``SingularRadius`` or ``IntegrationFailure`` as under "Failures".
     """
-    cap = 4096
-    ts = np.empty(cap)
-    ys = np.empty((cap, 3))
-    ts[0] = 0.0
-    ys[0, 0] = R0
-    ys[0, 1] = V0
-    ys[0, 2] = 0.0
-    n = 1
-
-    exit_found = False
-    exit_tau = np.nan
-    exR = np.nan
-    exV = np.nan
-    exT = np.nan
-
-    status = 0
+    tau, R, V, Th = 0.0, R0, V0, 0.0
+    ts = [tau]
+    ys = [R, V, Th]
+    exit = None
     nacc = 0
     nrej = 0
-    last_reject_bad = False
-
-    tau = 0.0
-    R = R0
-    V = V0
-    Th = 0.0
-
     if tau_end <= 0.0:
-        return (status, n, ts, ys, exit_found, exit_tau,
-                exR, exV, exT, nacc, nrej)
+        return np.array(ts), np.array(ys).reshape(-1, 3), exit, nacc, nrej
 
+    last_reject_bad = False
     n1, g1 = _rhs(R, c3, cth)
-    h = h0
-    if h > tau_end:
-        h = tau_end
+    h = min(h0, tau_end)
 
     while tau < tau_end:
         if nacc + nrej >= MAX_STEPS:
-            status = 3
-            break
+            raise IntegrationFailure(f"step budget {MAX_STEPS} exhausted")
         if tau + h > tau_end:
             h = tau_end - tau
         if tau + h == tau:
-            status = 2
-            break
+            if last_reject_bad:
+                raise SingularRadius(
+                    f"radius collapsed toward zero near tau ~ {tau:.6g}")
+            raise IntegrationFailure(
+                f"step size underflow at tau ~ {tau:.6g}")
 
         ok, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
             R, V, Th, n1, g1, h, c3, cth, xi1, xi2, sd2)
@@ -374,10 +346,7 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
             last_reject_bad = True
             continue
         if err > 1.0:
-            fac = 0.9 * err ** -0.2
-            if fac < 0.1:
-                fac = 0.1
-            h *= fac
+            h *= max(0.9 * err ** -0.2, 0.1)
             nrej += 1
             last_reject_bad = False
             continue
@@ -386,40 +355,23 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
         nacc += 1
         last_reject_bad = False
 
-        if (not exit_found) and Tn >= theta_target:
-            s, exR, exV, exT = _locate_exit(
+        if exit is None and Tn >= theta_target:
+            s, Re, Ve, Te = _locate_exit(
                 R, V, Th, n1, g1, h, Rn, Vn, Tn, theta_target,
                 c3, cth, xi1, xi2, sd2)
-            exit_found = True
-            exit_tau = tau + s
+            exit = (tau + s, Re, Ve, Te)
             if stop_at_event:
-                ts[n] = exit_tau
-                ys[n, 0] = exR
-                ys[n, 1] = exV
-                ys[n, 2] = exT
-                n += 1
-                status = 1
+                ts.append(exit[0])
+                ys += exit[1:]
                 break
 
         tau += h
-        R = Rn
-        V = Vn
-        Th = Tn
+        R, V, Th = Rn, Vn, Tn
         n1, g1 = n7, g7  # FSAL
+        ts.append(tau)
+        ys += (R, V, Th)
 
-        ts[n] = tau
-        ys[n, 0] = R
-        ys[n, 1] = V
-        ys[n, 2] = Th
-        n += 1
-        if n == cap:
-            cap *= 2
-            ts2 = np.empty(cap)
-            ys2 = np.empty((cap, 3))
-            ts2[:n] = ts[:n]
-            ys2[:n] = ys[:n]
-            ts, ys = ts2, ys2
-
+        # Plain comparisons: builtin min/max calls cost more per step.
         if err < 1e-30:
             fac = 5.0
         else:
@@ -430,8 +382,4 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
                 fac = 0.2
         h *= fac
 
-    if status == 2 and last_reject_bad:
-        status = 4  # underflow driven by a singular radius
-
-    return (status, n, ts, ys, exit_found, exit_tau,
-            exR, exV, exT, nacc, nrej)
+    return np.array(ts), np.array(ys).reshape(-1, 3), exit, nacc, nrej

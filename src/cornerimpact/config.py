@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from .corner_phase import MIN_RTOL
 from .errors import ConfigError
 from .linear_phase import characteristic_roots
 from .scaling import EPS_POLICIES
@@ -102,6 +103,9 @@ class SimConfig:
             val = getattr(self, key)
             if not 0.0 < val < math.inf:
                 fail(key, f"{key} must be positive and finite, got {val!r}")
+        if self.rtol < MIN_RTOL:
+            fail("rtol", f"rtol must be at least {MIN_RTOL:.3g} (100 eps), "
+                 f"got {self.rtol!r}")
         if self.T is not None and not 0.0 < self.T < math.inf:
             fail("T", f"T must be positive and finite, got {self.T!r}")
         if self.n_grid < 2:

@@ -12,19 +12,15 @@ scalar DOP853 of ``_dop853`` and shares no stepping code with the pipeline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import asymptotics
-from ._backend import BACKEND
-from ._kernels import MAX_STEPS, integrate_radial, substep_many
-from .errors import (
-    IntegrationFailure,
-    InvalidInput,
-    SingularRadius,
-)
+from ._kernels import integrate_radial, substep_many
+from .errors import IntegrationFailure, InvalidInput, SingularRadius
 from .geometry import ConeGeometry, penalty_field
 from .linear_phase import DampingParams, InitialData
 from .scaling import ScaledParams, ScaledState
@@ -39,10 +35,15 @@ __all__ = [
     "oracle_fast_time_integration",
     "OracleRun",
     "ORACLE_MAX_RHS",
+    "MIN_RTOL",
 ]
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+# Tightest rtol the corner integrator accepts.  Below float resolution the
+# error test cannot pass and a run spends millions of steps before it gives
+# up; at 100 eps every tested run took at most ~5k steps.
+MIN_RTOL = 100.0 * sys.float_info.epsilon
 # Right-hand-side evaluations the oracle's stepping loop may spend (12 per
 # DOP853 step attempt).  Validation windows need a few thousand; the
 # documented step collapse (alpha = 2, theta_bar = 1, k = 1e4, rtol 1e-11)
@@ -84,7 +85,6 @@ class CornerResult:
     reached_horizon: bool
     n_accepted: int
     n_rejected: int
-    backend: str = BACKEND
     eval_tau: np.ndarray | None = None
     eval_R: np.ndarray | None = None
     eval_dR: np.ndarray | None = None
@@ -111,12 +111,15 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     horizon (``default_horizon`` when None), whichever comes first.  With
     ``stop_at_event=False`` the crossing is still located and reported,
     but integration continues to the horizon.  The first trial step is
-    1e-3 kappa.
+    1e-3 kappa.  rtol must be at least ``MIN_RTOL``.
     """
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise InvalidInput(
             f"rtol and atol must be positive and finite, got {rtol!r}, "
             f"{atol!r}")
+    if rtol < MIN_RTOL:
+        raise InvalidInput(
+            f"rtol must be at least {MIN_RTOL:.3g} (100 eps), got {rtol!r}")
     if horizon is None:
         horizon = default_horizon(params)
     if not 0.0 <= horizon < math.inf:
@@ -137,47 +140,28 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     d = params.damping
     lin = (d.xi1, d.xi2, 2.0 * d.sqrt_delta)  # roots of the linear part
 
-    (status, n, ts, ys, exit_found, exit_tau,
-     exR, exV, exT, nacc, nrej) = integrate_radial(
-        params.R0, params.dR0, c3, cth, *lin, cone.theta_bar,
-        float(horizon), float(rtol), float(atol),
-        1e-3 * params.kappa, bool(stop_at_event))
+    ts, ys, exit, nacc, nrej = integrate_radial(
+        params.R0, params.dR0, c3, cth, *lin, cone.theta_bar, horizon, rtol,
+        atol, 1e-3 * params.kappa, stop_at_event)
 
-    if status == 2:
-        raise IntegrationFailure(
-            f"step size underflow at tau ~ {ts[n - 1]:.6g}")
-    if status == 3:
-        raise IntegrationFailure(f"step budget {MAX_STEPS} exhausted")
-    if status == 4:
-        raise SingularRadius(
-            f"radius collapsed toward zero near tau ~ {ts[n - 1]:.6g}")
-
-    tau_s = ts[:n].copy()
-    R_s, dR_s, Th_s = ys[:n].T.copy()
-
-    exit_state = None
-    et = None
-    if exit_found:
-        et = float(exit_tau)
-        exit_state = ScaledState(et, float(exR), float(exV), float(exT))
-
+    R, dR, Theta = ys.T.copy()
+    exit_state = None if exit is None else ScaledState(*exit)
     result = CornerResult(
-        tau=tau_s, R=R_s, dR=dR_s, Theta=Th_s,
-        exit_tau=et, exit_state=exit_state,
-        reached_horizon=not (exit_found and stop_at_event),
-        n_accepted=int(nacc), n_rejected=int(nrej),
-        horizon=float(horizon),
+        tau=ts, R=R, dR=dR, Theta=Theta,
+        exit_tau=None if exit is None else exit[0], exit_state=exit_state,
+        reached_horizon=exit is None or not stop_at_event,
+        n_accepted=nacc, n_rejected=nrej, horizon=horizon,
     )
     if ev.size:
         # The run covers the grid up to the exit, or up to the horizon
         # within a final-step rounding.
-        if exit_found and stop_at_event:
-            end = exit_tau
+        if not result.reached_horizon:
+            end = exit[0]
         else:
             end = horizon * (1.0 + 1e-12)
         ev = ev[:np.searchsorted(ev, end, side="right")]
         # Sample j lies in the step that starts at sample i[j].
-        i = np.searchsorted(ts[:n - 1], ev, side="right") - 1
+        i = np.searchsorted(ts[:-1], ev, side="right") - 1
         eval_y = substep_many(*ys[i].T, ev - ts[i], c3, cth, *lin)
         result.eval_tau = ev.copy()
         result.eval_R = eval_y[:, 0]

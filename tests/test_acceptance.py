@@ -2,8 +2,7 @@
 
 Ten quantitative criteria, one test each; every test prints a single
 PASS/FAIL line with its measured numbers (visible with ``pytest -s``).
-Runtime budgets are asserted where a criterion states one; the kernels
-are warmed once so compilation is not charged to any budget.
+Runtime budgets are asserted where a criterion states one.
 """
 import math
 import time
@@ -40,15 +39,6 @@ UNIT = InitialData(-1.0, 1.0, 1.0)
 DAMP2 = characteristic_roots(2.0)
 ACUTE = ConeGeometry(math.pi / 3.0)
 OBTUSE = ConeGeometry(2.0 * math.pi / 3.0)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # One tiny corner integration triggers any backend compilation before
-    # the timed criteria run.
-    integrate_corner(scaled_params_direct(1e-2, "derive", UNIT, DAMP2),
-                     ACUTE, rtol=1e-8, atol=1e-10, horizon=1e-6,
-                     stop_at_event=False)
 
 
 def report(n: int, ok: bool, detail: str) -> None:

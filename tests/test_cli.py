@@ -3,6 +3,7 @@ import argparse
 import dataclasses
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,19 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfg)])
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_rtol_below_float_resolution_exits_two_at_once(tmp_path, capsys):
+    # Such a run used to spend its whole step budget (about a minute)
+    # before it exited 3.
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text("k = 1e4\nrtol = 1e-24\natol = 1e-26\n")
+    start = time.perf_counter()
+    code = main(["simulate", "--config", str(cfg)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "rtol must be at least" in err
 
 
 def test_config_file_plus_overrides(tmp_path, capsys):

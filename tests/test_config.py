@@ -56,6 +56,7 @@ def test_defaults_validate():
     ("dr0 = inf", "dr0 must be positive and finite"),
     ("ds0 = inf", "ds0 must be positive and finite"),
     ("zeta = 9.0", "zeta must lie in"),
+    ("rtol = 1e-24", "rtol must be at least 2.22e-14"),
 ])
 def test_constraint_messages(text, fragment):
     with pytest.raises(ConfigError, match=r".*" + fragment.replace(

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import cornerimpact
 from cornerimpact import (
     ConeGeometry,
     InitialData,
@@ -23,6 +24,7 @@ from cornerimpact import (
     scaled_params_from_physical,
     scaled_to_cartesian,
 )
+from cornerimpact import _kernels
 from cornerimpact._kernels import _rhs, _substep, integrate_radial
 from cornerimpact.corner_phase import ORACLE_MAX_RHS, default_horizon
 
@@ -55,7 +57,7 @@ def test_radial_rhs_values():
 
 
 def test_acute_exit_regression():
-    # Deterministic pin; identical under both backends.
+    # Deterministic pin.
     res = integrate_corner(params_at(1e-2), ACUTE)
     assert res.exit_tau == pytest.approx(4.9997617401402155e-05, rel=1e-12,
                                          abs=0.0)
@@ -180,17 +182,16 @@ def test_linear_part_is_exact():
     # itself; Lawson steps carry it exactly, so the step size is free to
     # grow to the horizon.
     R0, V0 = 1.0, -0.3
-    (status, n, ts, ys, _, _, _, _, _, nacc, _) = integrate_radial(
+    ts, ys, exit, nacc, _ = integrate_radial(
         R0, V0, 0.0, 0.0, *lin_roots(DAMP2), 1.0, 50.0, 1e-10, 1e-12,
         1e-3, True)
-    assert status == 0 and nacc <= 10
-    tau = ts[:n]
-    assert tau[-1] == 50.0
-    K2, H2 = kernels_K2_H2(DAMP2, tau)
-    dK2 = kernel_K2_dot(DAMP2, tau)
-    np.testing.assert_allclose(ys[:n, 0], H2 * R0 + K2 * V0, rtol=1e-13,
+    assert exit is None and nacc <= 10
+    assert ts[-1] == 50.0
+    K2, H2 = kernels_K2_H2(DAMP2, ts)
+    dK2 = kernel_K2_dot(DAMP2, ts)
+    np.testing.assert_allclose(ys[:, 0], H2 * R0 + K2 * V0, rtol=1e-13,
                                atol=0.0)
-    np.testing.assert_allclose(ys[:n, 1], -K2 * R0 + dK2 * V0, rtol=1e-13,
+    np.testing.assert_allclose(ys[:, 1], -K2 * R0 + dK2 * V0, rtol=1e-13,
                                atol=0.0)
 
 
@@ -201,14 +202,84 @@ def test_rest_point_is_exact():
     # the horizon, as in the settle phase of a run past the exit.
     c3, cth = 0.3, 0.5
     Rc = c3 ** 0.25
-    (status, n, ts, ys, _, _, _, _, _, nacc, _) = integrate_radial(
+    ts, ys, exit, nacc, _ = integrate_radial(
         Rc, 0.0, c3, cth, *lin_roots(characteristic_roots(8.0)), math.inf,
         50.0, 1e-10, 1e-12, 1e-3, True)
-    assert status == 0 and nacc <= 10
-    np.testing.assert_allclose(ys[:n, 0], Rc, rtol=1e-14, atol=0.0)
-    assert np.max(np.abs(ys[:n, 1])) <= 1e-14 * Rc
-    np.testing.assert_allclose(ys[:n, 2], cth / Rc ** 2 * ts[:n],
-                               rtol=1e-13, atol=0.0)
+    assert exit is None and nacc <= 10 and ts[-1] == 50.0
+    np.testing.assert_allclose(ys[:, 0], Rc, rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(ys[:, 1])) <= 1e-14 * Rc
+    np.testing.assert_allclose(ys[:, 2], cth / Rc ** 2 * ts, rtol=1e-13,
+                               atol=0.0)
+
+
+@pytest.mark.parametrize("cth,error,message", [
+    (0.0, SingularRadius, "radius collapsed"),
+    (0.5, IntegrationFailure, "step size underflow"),
+])
+def test_kernel_step_underflow(cth, error, message):
+    # With c3 = 0 nothing stops the radius, which reaches zero near
+    # tau = 0.127.  Without an angle the last rejected steps have stage
+    # radii outside (0, inf); with cth = 0.5 the error test of the angle
+    # quadrature rejects them first.
+    with pytest.raises(error, match=message):
+        integrate_radial(1.0, -10.0, 0.0, cth, *lin_roots(DAMP2), math.inf,
+                         50.0, 1e-10, 1e-12, 1e-3, True)
+
+
+def test_step_budget_names_the_kernel_budget(monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_STEPS", 10)
+    with pytest.raises(IntegrationFailure, match="step budget 10 exhausted"):
+        integrate_corner(params_at(1e-2), OBTUSE)
+
+
+# Exit (tau, R, R', Theta), the last sample, the eval_* arrays and the
+# step counts of three runs, pinned bit for bit (rtol 1e-10, atol 1e-12).
+# At eta = 1e-20 the obtuse run takes Lawson steps tens of tau long and
+# the samples fall inside them.
+BITWISE_PINS = {
+    "acute": dict(
+        eta=1e-2, cone=ACUTE, tau_eval=[1e-4, 1e-2, 0.5],
+        exit=(4.9997617401402155e-05, 0.005773081589641302,
+              86.59130465777689, 1.0471975511965976),
+        eval_R=[], eval_dR=[], eval_Theta=[], steps=(53, 0)),
+    "obtuse": dict(
+        eta=1e-2, cone=OBTUSE, tau_eval=[1e-4, 1e-2, 0.5],
+        exit=(12.516784287211966, 1.0254348268261178, -0.2575705735704632,
+              2.0943951023931953),
+        eval_R=[0.010407197559978392, 0.9804259663192579,
+                20.784766543427956],
+        eval_dR=[96.0498928421035, 96.09103743542535, 9.907297643268851],
+        eval_Theta=[1.289813359528239, 1.5684222301103354,
+                    1.571828767599425],
+        steps=(252, 0)),
+    "obtuse_far": dict(
+        eta=1e-20, cone=OBTUSE, tau_eval=[1.0, 20.0, 60.0, 120.0, 160.0],
+        exit=(167.19758058098014, 1.0252001001012556, -0.25749571991447,
+              2.0943951023931953),
+        eval_R=[2.139091302813837e+19, 1.3584143569910666e+17,
+                3008001405344.153, 313434.42400606157, 6.940578532657352],
+        eval_dR=[-3.337309714260046e+18, -3.639860299425991e+16,
+                 -805991547393.6481, -83984.5007925383,
+                 -1.8596674625207796],
+        eval_Theta=[1.5707963279009665, 1.5707963279009665,
+                    1.5707963279009665, 1.5707963279064505,
+                    1.5819788524165923],
+        steps=(340, 22)),
+}
+
+
+@pytest.mark.parametrize("case", BITWISE_PINS)
+def test_bitwise_pin(case):
+    pin = BITWISE_PINS[case]
+    res = integrate_corner(params_at(pin["eta"]), pin["cone"], rtol=1e-10,
+                           atol=1e-12, tau_eval=pin["tau_eval"])
+    st = res.exit_state
+    assert (res.exit_tau, st.R, st.dR, st.Theta) == pin["exit"]
+    last = (res.tau[-1], res.R[-1], res.dR[-1], res.Theta[-1])
+    assert tuple(map(float, last)) == pin["exit"]
+    for name in ("eval_R", "eval_dR", "eval_Theta"):
+        assert list(map(float, getattr(res, name))) == pin[name], name
+    assert (res.n_accepted, res.n_rejected) == pin["steps"]
 
 
 def test_obtuse_cost_is_flat_in_k():
@@ -284,6 +355,8 @@ def test_input_validation():
     p = params_at(1e-2)
     with pytest.raises(InvalidInput):
         integrate_corner(p, ACUTE, rtol=0.0)
+    with pytest.raises(InvalidInput, match="rtol must be at least"):
+        integrate_corner(p, ACUTE, rtol=1e-24, atol=1e-26)
     with pytest.raises(InvalidInput):
         integrate_corner(p, ACUTE, horizon=-1.0)
     with pytest.raises(InvalidInput):
@@ -408,5 +481,5 @@ def test_oracle_overflow_is_integration_failure():
 
 
 def test_backend_report():
-    res = integrate_corner(params_at(1e-2), ACUTE)
-    assert res.backend in ("numba", "numpy")
+    # The benchmark records this name and compares only equal values.
+    assert cornerimpact.BACKEND == "numpy"

@@ -32,7 +32,7 @@ from cornerimpact.harness import (
     PHASE_FACE1,
     PHASE_FACE2,
 )
-from cornerimpact import BACKEND, asymptotic_report
+from cornerimpact import asymptotic_report
 
 ACUTE_CFG = SimConfig().override(mode="physical", k=100.0, T=2.0)
 OBTUSE_CFG = SimConfig().override(mode="physical", k=400.0, T=2.0,
@@ -182,8 +182,6 @@ def test_unordered_trajectory_is_numeric_failure(monkeypatch, capsys):
     assert "not increasing" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(BACKEND == "numba",
-                    reason="compiled kernels do not call a patched _rhs")
 def test_corner_rhs_calls_are_stepping_only(monkeypatch):
     # The ~1200 corner samples come from the vectorised single-step map,
     # which does not call _rhs: its calls are the steps' stages plus a few
