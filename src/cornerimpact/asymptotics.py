@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linear_phase import DampingParams, face_phase_state
+from .scaling import check_eta
 
 __all__ = [
     "AsymptoticTimes",
@@ -60,6 +61,8 @@ __all__ = [
     "delta_bound",
     "second_asymptotic_R2",
     "asymptotic_times",
+    "check_gamma1",
+    "check_zeta",
     "critical_point",
     "lyapunov_F",
     "lyapunov_Q",
@@ -67,8 +70,6 @@ __all__ = [
     "obtuse_exponents",
     "exit_equivalents",
 ]
-
-GAMMA1_LO, GAMMA1_HI = 1.0, 4.0 / 3.0
 
 
 def first_asymptotic_R1(params, tau):
@@ -187,20 +188,30 @@ class AsymptoticTimes:
     tau3: float
 
 
+def check_gamma1(gamma1: float) -> float:
+    """The matching-exponent rule: gamma1 lies in (1, 4/3)."""
+    if not 1.0 < gamma1 < 4.0 / 3.0:
+        raise InvalidInput(f"gamma1 must lie in (1, 4/3), got {gamma1!r}")
+    return gamma1
+
+
+def check_zeta(zeta: float, damping: DampingParams) -> float:
+    """The reference-time rule: zeta lies in (0, 1/|xi1|)."""
+    if not 0.0 < zeta < 1.0 / abs(damping.xi1):
+        raise InvalidInput(f"zeta must lie in (0, 1/|xi1|="
+                           f"{1.0 / abs(damping.xi1):g}), got {zeta!r}")
+    return zeta
+
+
 def asymptotic_times(eta: float, damping: DampingParams,
                      gamma1: float = 1.2,
                      zeta: float | None = None) -> AsymptoticTimes:
-    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
-        raise InvalidInput(f"eta must lie in (0, 1), got {eta!r}")
-    if not GAMMA1_LO < gamma1 < GAMMA1_HI:
-        raise InvalidInput(
-            f"gamma1 must lie in (1, 4/3), got {gamma1!r}")
-    xi1_abs = abs(damping.xi1)
-    if zeta is None:
-        zeta = 0.5 / xi1_abs
-    if not 0.0 < zeta < 1.0 / xi1_abs:
-        raise InvalidInput(
-            f"zeta must lie in (0, 1/|xi1|={1.0 / xi1_abs:g}), got {zeta!r}")
+    """tau1 = eta^gamma1, tau2 and tau3 = zeta ln(1/eta); zeta defaults to
+    1/(2 |xi1|)."""
+    eta = check_eta(eta)
+    gamma1 = check_gamma1(gamma1)
+    zeta = (0.5 / abs(damping.xi1) if zeta is None
+            else check_zeta(zeta, damping))
     tau1 = eta ** gamma1
     tau2 = (2.0 * math.log(damping.xi2 / damping.xi1)
             / (damping.xi1 - damping.xi2))
@@ -229,8 +240,6 @@ class LyapunovData:
     Q: np.ndarray
     lambda1: float
     lambda2: float
-    Rc: float | None = None
-    Rbar: float | None = None
 
 
 def lyapunov_Q(damping: DampingParams) -> LyapunovData:
@@ -260,8 +269,7 @@ def obtuse_exponents(gamma1: float, damping: DampingParams):
     and for the right-angle wedge the exit time is bounded below by a
     constant times eta^{max(2 - r, gamma1)}.
     """
-    if not GAMMA1_LO < gamma1 < GAMMA1_HI:
-        raise InvalidInput(f"gamma1 must lie in (1, 4/3), got {gamma1!r}")
+    gamma1 = check_gamma1(gamma1)
     r = min(gamma1, 4.0 * damping.sqrt_delta / abs(damping.xi1))
     return r, max(2.0 - r, gamma1)
 

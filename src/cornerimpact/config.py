@@ -3,6 +3,10 @@
 The format is deliberately flat UTF-8 text, one assignment per line;
 blank lines and `#` comments are ignored.  Unknown and duplicate keys are
 rejected, and every parse or validation error names the offending line.
+A key that a library function takes is checked by that function's own
+rule (``characteristic_roots`` for alpha, ``scaled_params_from_physical``
+for k, ``check_rtol`` for rtol, ...); only the rules of ``mode``, ``T``,
+``n_grid`` and the non-empty lists are stated here.
 
 Example::
 
@@ -17,20 +21,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .corner_phase import MIN_RTOL
-from .errors import ConfigError
-from .linear_phase import characteristic_roots
-from .scaling import EPS_POLICIES
+from .asymptotics import check_gamma1, check_zeta
+from .corner_phase import check_atol, check_rtol
+from .errors import ConfigError, InvalidInput
+from .geometry import ConeGeometry
+from .linear_phase import InitialData, characteristic_roots
+from .scaling import (
+    check_eps,
+    check_eta,
+    check_k,
+    scaled_params_direct,
+    scaled_params_from_physical,
+)
 
 __all__ = ["SimConfig", "parse_config", "load_config"]
 
 _FLOAT_KEYS = {
-    "alpha", "theta_bar", "s0", "dr0", "ds0", "k", "eta", "eps", "gamma1",
-    "zeta", "rtol", "atol", "T",
+    "alpha", "theta_bar", "s0", "dr0", "ds0", "k", "eta", "gamma1", "zeta",
+    "rtol", "atol", "T",
 }
-_STR_KEYS = {"mode", "out"}
-_EPS_WORDS = ", ".join(map(repr, EPS_POLICIES))     # 'derive', 'zero'
-_INT_KEYS = {"n_grid"}
 _LIST_KEYS = {"k_list", "eta_list"}
 
 
@@ -59,61 +68,57 @@ class SimConfig:
     _line_of: dict = field(default_factory=dict, repr=False, compare=False)
 
     def validated(self) -> "SimConfig":
-        """Check all cross-field invariants; raise ConfigError otherwise."""
+        """Check every key; raise ConfigError naming its line otherwise.
 
-        def fail(key: str, message: str):
+        A key is checked by the rule of the function that consumes it, and
+        that rule's ``InvalidInput`` becomes a ``ConfigError`` on the key's
+        line.  k and eta are checked by building their scaled parameters,
+        so the e^-175 floor and the corner constants fail here too.
+        """
+
+        def fail(key: str, message) -> None:
             line = self._line_of.get(key)
             where = f"line {line}: " if line else ""
-            raise ConfigError(f"{where}{message}")
+            raise ConfigError(f"{where}{message}") from None
 
-        if not (math.isfinite(self.alpha) and self.alpha > 1.0):
-            fail("alpha", f"alpha must exceed 1, got {self.alpha!r}")
-        if not (0.0 < self.theta_bar < math.pi):
-            fail("theta_bar",
-                 f"theta_bar must lie in (0, pi), got {self.theta_bar!r}")
-        if not -math.inf < self.s0 < 0.0:
-            fail("s0", f"s0 must be negative and finite, got {self.s0!r}")
-        for key in ("dr0", "ds0"):
-            val = getattr(self, key)
-            if not 0.0 < val < math.inf:
-                fail(key, f"{key} must be positive and finite, got {val!r}")
+        def check(key: str, rule, *args, **kwargs):
+            try:
+                return rule(*args, **kwargs)
+            except InvalidInput as exc:
+                fail(key, f"{key}: {exc}" if key in _LIST_KEYS else exc)
+
+        damping = check("alpha", characteristic_roots, self.alpha)
+        check("theta_bar", ConeGeometry, self.theta_bar)
+        # One InitialData per key, so that a failure names the right line.
+        check("s0", InitialData, s0=self.s0)
+        check("dr0", InitialData, dr0=self.dr0)
+        init = check("ds0", InitialData, self.s0, self.dr0, self.ds0)
         if self.mode not in ("physical", "scaled"):
             fail("mode",
                  f"mode must be 'physical' or 'scaled', got {self.mode!r}")
+        check("eps", check_eps, self.eps)
         # k/eta may stay unset here: sweep commands supply them per run and
         # single-run consumers check completeness for their mode.
-        if self.k is not None and not 0.0 < self.k < math.inf:
-            fail("k", f"k must be positive and finite, got {self.k!r}")
-        if self.eta is not None and not 0.0 < self.eta < 1.0:
-            fail("eta", f"eta must lie in (0, 1), got {self.eta!r}")
-        if (self.eps not in EPS_POLICIES if isinstance(self.eps, str)
-                else not 0.0 <= self.eps < 1.0):
-            fail("eps", f"eps must be {_EPS_WORDS} or a number in [0, 1), "
-                 f"got {self.eps!r}")
-        if not 1.0 < self.gamma1 < 4.0 / 3.0:
-            fail("gamma1",
-                 f"gamma1 must lie in (1, 4/3), got {self.gamma1!r}")
+        if self.k is not None:
+            check("k", scaled_params_from_physical, init, damping, self.k)
+        if self.eta is not None:
+            check("eta", scaled_params_direct, self.eta, self.eps, init,
+                  damping)
+        check("gamma1", check_gamma1, self.gamma1)
         if self.zeta is not None:
-            xi1 = characteristic_roots(self.alpha).xi1
-            if not 0.0 < self.zeta < 1.0 / abs(xi1):
-                fail("zeta",
-                     f"zeta must lie in (0, 1/|xi1|={1.0 / abs(xi1):g}), "
-                     f"got {self.zeta!r}")
-        for key in ("rtol", "atol"):
-            val = getattr(self, key)
-            if not 0.0 < val < math.inf:
-                fail(key, f"{key} must be positive and finite, got {val!r}")
-        if self.rtol < MIN_RTOL:
-            fail("rtol", f"rtol must be at least {MIN_RTOL:.3g} (100 eps), "
-                 f"got {self.rtol!r}")
+            check("zeta", check_zeta, self.zeta, damping)
+        check("rtol", check_rtol, self.rtol)
+        check("atol", check_atol, self.atol)
         if self.T is not None and not 0.0 < self.T < math.inf:
             fail("T", f"T must be positive and finite, got {self.T!r}")
         if self.n_grid < 2:
             fail("n_grid", f"n_grid must be at least 2, got {self.n_grid!r}")
-        for key in ("k_list", "eta_list"):
+        for key, rule in (("k_list", check_k), ("eta_list", check_eta)):
             vals = getattr(self, key)
             if not vals:
                 fail(key, f"{key} must not be empty")
+            for val in vals:
+                check(key, rule, val)
         return self
 
     def override(self, **kwargs) -> "SimConfig":
@@ -123,18 +128,19 @@ class SimConfig:
         return replace(self, **kwargs, _line_of=line_of).validated()
 
 
-_KNOWN = _FLOAT_KEYS | _STR_KEYS | _INT_KEYS | _LIST_KEYS
-_FIELD_NAMES = {f.name for f in fields(SimConfig)}
-assert _KNOWN <= _FIELD_NAMES
-
-
-def _parse_float(key: str, raw: str, lineno: int) -> float:
+def _number_or_word(raw: str):
+    """eps is a number or a word; ``check_eps`` decides which words."""
     try:
         return float(raw)
     except ValueError:
-        what = f"{_EPS_WORDS} or a number" if key == "eps" else "a number"
-        raise ConfigError(
-            f"line {lineno}: {key} expects {what}, got {raw!r}") from None
+        return raw
+
+
+# The value of each scalar key from its text; ValueError is a wrong type.
+_PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "n_grid": int,
+            "eps": _number_or_word, "mode": str, "out": str}
+_KNOWN = set(_PARSERS) | _LIST_KEYS
+assert _KNOWN <= {f.name for f in fields(SimConfig)}
 
 
 def parse_floats(raw: str, what: str) -> tuple[float, ...]:
@@ -166,21 +172,15 @@ def parse_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key == "eps" and raw in EPS_POLICIES:
-            values[key] = raw
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_float(key, raw, lineno)
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: {key} expects an integer, got {raw!r}"
-                ) from None
-        elif key in _LIST_KEYS:
+        if key in _LIST_KEYS:
             values[key] = parse_floats(raw, f"line {lineno}: {key}")
         else:
-            values[key] = raw
+            try:
+                values[key] = _PARSERS[key](raw)
+            except ValueError:
+                what = "an integer" if key == "n_grid" else "a number"
+                raise ConfigError(f"line {lineno}: {key} expects {what}, "
+                                  f"got {raw!r}") from None
         line_of[key] = lineno
     cfg = SimConfig(**values, _line_of=line_of)
     return cfg.validated()

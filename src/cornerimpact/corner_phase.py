@@ -23,7 +23,7 @@ from ._kernels import integrate_radial, substep_many
 from .errors import IntegrationFailure, InvalidInput, SingularRadius
 from .geometry import ConeGeometry, penalty_field
 from .linear_phase import DampingParams, InitialData
-from .scaling import ScaledParams, ScaledState
+from .scaling import ScaledParams, ScaledState, check_k
 
 if TYPE_CHECKING:
     from ._dop853 import Solution
@@ -36,6 +36,8 @@ __all__ = [
     "OracleRun",
     "ORACLE_MAX_RHS",
     "MIN_RTOL",
+    "check_rtol",
+    "check_atol",
 ]
 
 DEFAULT_RTOL = 1e-10
@@ -49,6 +51,21 @@ MIN_RTOL = 100.0 * sys.float_info.epsilon
 # documented step collapse (alpha = 2, theta_bar = 1, k = 1e4, rtol 1e-11)
 # needs 59k to fast time 150 and 6.7M to 200.
 ORACLE_MAX_RHS = 300_000
+
+
+def check_rtol(rtol: float) -> float:
+    """The relative-tolerance rule: MIN_RTOL <= rtol < inf."""
+    if not MIN_RTOL <= rtol < math.inf:
+        raise InvalidInput(f"rtol must be at least {MIN_RTOL:.3g} (100 eps) "
+                           f"and finite, got {rtol!r}")
+    return float(rtol)
+
+
+def check_atol(atol: float) -> float:
+    """The absolute-tolerance rule: 0 < atol < inf."""
+    if not 0.0 < atol < math.inf:
+        raise InvalidInput(f"atol must be positive and finite, got {atol!r}")
+    return float(atol)
 
 
 def radial_rhs(state: ScaledState, params: ScaledParams):
@@ -113,13 +130,8 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     but integration continues to the horizon.  The first trial step is
     1e-3 kappa.  rtol must be at least ``MIN_RTOL``.
     """
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise InvalidInput(
-            f"rtol and atol must be positive and finite, got {rtol!r}, "
-            f"{atol!r}")
-    if rtol < MIN_RTOL:
-        raise InvalidInput(
-            f"rtol must be at least {MIN_RTOL:.3g} (100 eps), got {rtol!r}")
+    rtol = check_rtol(rtol)
+    atol = check_atol(atol)
     if horizon is None:
         horizon = default_horizon(params)
     if not 0.0 <= horizon < math.inf:
@@ -230,14 +242,11 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     # CLI cold start) does not load its tableau.
     from . import _dop853
 
-    if not (k > 0.0 and math.isfinite(k)):
-        raise InvalidInput(f"stiffness k must be positive, got {k!r}")
+    k = check_k(k)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidInput(f"horizon must be positive, got {horizon!r}")
-    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
-        raise InvalidInput(
-            f"rtol and atol must be positive and finite, got {rtol!r}, "
-            f"{atol!r}")
+    rtol = check_rtol(rtol)
+    atol = check_atol(atol)
     sk = math.sqrt(k)
     two_alpha = 2.0 * damping.alpha
 
@@ -246,8 +255,7 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
         return v1, v2, -two_alpha * g1 - w1, -two_alpha * g2 - w2
 
     y0 = (0.0, float(init.s0), init.dr0 / sk, init.ds0 / sk)
-    sol = _dop853.solve(rhs, y0, horizon * sk, float(rtol), float(atol),
-                        ORACLE_MAX_RHS)
+    sol = _dop853.solve(rhs, y0, horizon * sk, rtol, atol, ORACLE_MAX_RHS)
     if sol.failure is not None:
         tau = sol.t[-1]
         raise IntegrationFailure(

@@ -15,7 +15,8 @@ class InvalidInput(CornerImpactError, ValueError):
 
 
 class NotOverDamped(InvalidInput):
-    """Damping ratio alpha must exceed 1 for real characteristic roots."""
+    """Damping ratio alpha must exceed 1 for real characteristic roots, and
+    keep alpha^2 - 1 finite for finite ones."""
 
 
 class OutOfPhase(InvalidInput):
@@ -23,13 +24,15 @@ class OutOfPhase(InvalidInput):
 
 
 class NoCrossing(InvalidInput):
-    """The sliding motion never reaches the vertex (needs ds0 > 0)."""
+    """The slide has no crossing time t0 = -s0/ds0 (needs 0 < ds0 < inf)."""
 
 
 class ScaleUnderflow(InvalidInput):
-    """The stiffness is so large that the corner scale factor eta (or a
-    quantity derived from it, tau0 ~ eta^4, W^2 ~ eta^-4) leaves the range
-    of double precision.  Use the scale-free parameterisation instead."""
+    """The corner scale factor eta, or a corner constant derived from it
+    (R0, R0^3, W, tau0, kappa), leaves the range of double precision: the
+    stiffness is too large (eta < e^-175; use the scale-free
+    parameterisation) or too small (1 - eps rounds to 0), or alpha is too
+    large."""
 
 
 class ConfigError(InvalidInput):

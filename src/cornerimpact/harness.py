@@ -233,13 +233,9 @@ def convergence_study(config: SimConfig, k_list=None, T: float | None = None):
     order is the log-log slope of sup_error against 1/sqrt(k) (None for a
     single k).
     """
-    if k_list is None:
-        k_list = config.k_list
-    k_arr = np.asarray(sorted(float(k) for k in k_list))
-    if k_arr.size == 0 or not np.all((k_arr > 0.0) & (k_arr < np.inf)):
-        raise InvalidInput("k_list values must be positive and finite")
-    # Mode/k completeness is supplied per run below; validate the rest now.
-    config = config.override(mode="physical", k=float(k_arr[0]))
+    if k_list is not None:
+        config = config.override(k_list=tuple(map(float, k_list)))
+    k_arr = np.asarray(sorted(config.k_list))
     damping, init, cone = _context(config)
     t0 = first_crossing_time(init)
     if T is None:
@@ -272,28 +268,24 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     otherwise).  Second return value: log-log fitted orders in eta of the
     two defect columns (NaN with fewer than two etas).
     """
-    if eta_list is None:
-        eta_list = config.eta_list
-    etas = np.asarray(sorted((float(e) for e in eta_list), reverse=True))
-    if etas.size == 0 or not np.all((etas > 0.0) & (etas < 1.0)):
-        raise InvalidInput("eta_list values must lie in (0, 1)")
-    # The report is scale-free; validate with the mode completed.
-    config = config.override(mode="scaled", eta=float(etas[0]))
+    if eta_list is not None:
+        config = config.override(eta_list=tuple(map(float, eta_list)))
+    etas = np.asarray(sorted(config.eta_list, reverse=True))
     damping, init, cone = _context(config)
 
     err_R1, err_dR1, err_R2, exit_ratio = np.empty((4, etas.size))
 
-    # Python floats: the corner kernel runs about twice as slow on numpy
-    # scalars.
-    for i, eta in enumerate(etas.tolist()):
+    for i, eta in enumerate(etas):
         params = scaled_params_direct(eta, config.eps, init, damping)
         times = asymptotic_times(eta, damping, gamma1=config.gamma1,
                                  zeta=config.zeta)
         tau1, tau3 = times.tau1, times.tau3
         if not tau1 < tau3:
             raise InvalidInput(
-                f"eta = {eta!r} is too close to 1: the matching time "
-                f"tau1 = {tau1:.3g} does not precede tau3 = {tau3:.3g}")
+                f"the matching time tau1 = eta^gamma1 = {tau1:.3g} does not "
+                f"precede tau3 = zeta ln(1/eta) = {tau3:.3g} (eta = "
+                f"{times.eta!r}, gamma1 = {times.gamma1!r}, zeta = "
+                f"{times.zeta!r})")
         lo = max(params.kappa * 1e-3, tau1 * 1e-15)
         ev = np.unique(np.concatenate([
             np.geomspace(lo, tau1, 700),

@@ -69,9 +69,10 @@ def characteristic_roots(alpha: float) -> DampingParams:
     of alpha^2 - 1 near alpha = 1 and of -alpha + sqrt(D) at large alpha.
     """
     a = float(alpha)
-    if not math.isfinite(a) or a <= 1.0:
-        raise NotOverDamped(f"alpha must exceed 1, got {alpha!r}")
     delta = (a - 1.0) * (a + 1.0)
+    if not (a > 1.0 and delta < math.inf):
+        raise NotOverDamped(
+            f"alpha must exceed 1, with alpha^2 - 1 finite, got {alpha!r}")
     sd = math.sqrt(delta)
     xi2 = -a - sd
     return DampingParams(alpha=a, delta=delta, sqrt_delta=sd,
@@ -87,21 +88,20 @@ class InitialData:
     ds0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s0) and self.s0 < 0.0):
+        if not -math.inf < self.s0 < 0.0:
             raise InvalidInput(
                 f"s0 must be negative and finite, got {self.s0!r}")
-        if not (math.isfinite(self.dr0) and self.dr0 > 0.0):
+        if not 0.0 < self.dr0 < math.inf:
             raise InvalidInput(
                 f"dr0 must be positive and finite, got {self.dr0!r}")
-        if not (math.isfinite(self.ds0) and self.ds0 > 0.0):
-            raise InvalidInput(
-                f"ds0 must be positive and finite, got {self.ds0!r}")
+        first_crossing_time(self)       # the ds0 rule
 
 
 def first_crossing_time(init) -> float:
     """Time t0 = -s0/ds0 at which the slide coordinate reaches the vertex."""
-    if init.ds0 <= 0.0:
-        raise NoCrossing(f"ds0 must be positive to reach the vertex, got {init.ds0!r}")
+    if not 0.0 < init.ds0 < math.inf:
+        raise NoCrossing(f"ds0 must be positive and finite to reach the "
+                         f"vertex, got {init.ds0!r}")
     return -init.s0 / init.ds0
 
 
@@ -161,8 +161,9 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
     face-1 approach (``r1_phase_state``) and the second asymptotic (k = 1)
     are this closed form too.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidInput(f"stiffness k must be positive, got {k!r}")
+    from .scaling import check_k    # scaling imports this module
+
+    k = check_k(k)
     if y1_0 < 0.0:
         raise InvalidInput(f"y1_0 must be non-negative, got {y1_0!r}")
     tp_arr = np.asarray(tp, dtype=float)

@@ -24,7 +24,11 @@ sqrt(E)(1-eps) conserved exactly.  Initial values at tau = 0:
 Derived reference quantities: W = R'(0)^2 + E/R(0)^2 (first integral of the
 undamped comparison flow), the turning time tau0 = -R'(0) R(0) / W and the
 corner timescale kappa = sqrt(E)/W.  Both constructors refuse eta below
-exp(-175), where these quantities leave double range.
+exp(-175), where these quantities leave double range, and raise
+``ScaleUnderflow`` naming R0, R0^3, W, tau0 or kappa when it is zero or not
+finite (1 - eps rounds to 0 at tiny k; R0^3 underflows at alpha above
+~1e105).  ``check_k``, ``check_eta`` and ``check_eps`` state the rules of
+the three inputs this module takes; every other consumer calls them.
 
 The same system can be posed scale-free by prescribing eta (and an eps
 policy) directly; then no physical stiffness exists and Gamma/k-dependent
@@ -44,13 +48,13 @@ from .linear_phase import DampingParams, InitialData, first_crossing_time
 __all__ = [
     "ScaledParams",
     "ScaledState",
+    "check_k",
+    "check_eta",
+    "check_eps",
     "scaled_params_from_physical",
     "scaled_params_direct",
     "scaled_to_cartesian",
 ]
-
-# Words ``eps`` takes besides a number (see ``scaled_params_direct``).
-EPS_POLICIES = ("derive", "zero")
 
 # Beyond this exponent, tau0 ~ eta^4 goes subnormal and W^2 ~ eta^-4
 # overflows, so derived quantities stop being representable.
@@ -100,6 +104,30 @@ class ScaledParams:
         return self.E * one * one
 
 
+def check_k(k) -> float:
+    """The stiffness rule: k is positive and finite; returns float(k)."""
+    if not 0.0 < k < math.inf:
+        raise InvalidInput(f"k must be positive and finite, got {k!r}")
+    return float(k)
+
+
+def check_eta(eta) -> float:
+    """The corner-scale rule: eta lies in (0, 1); returns float(eta)."""
+    if not 0.0 < eta < 1.0:
+        raise InvalidInput(f"eta must lie in (0, 1), got {eta!r}")
+    return float(eta)
+
+
+def check_eps(eps):
+    """The fast-root weight rule: 'derive', 'zero' or a number in [0, 1)."""
+    if not (eps in ("derive", "zero") if isinstance(eps, str)
+            else 0.0 <= eps < 1.0):
+        raise InvalidInput(
+            f"eps must be 'derive', 'zero' or a number in [0, 1), "
+            f"got {eps!r}")
+    return eps
+
+
 def _check_scale(log_eta: float, hint: str) -> None:
     if 2.0 * log_eta < _UNDERFLOW_EXPONENT:
         raise ScaleUnderflow(
@@ -109,13 +137,22 @@ def _check_scale(log_eta: float, hint: str) -> None:
 
 def _finish(eta: float, eps: float, damping: DampingParams, init: InitialData,
             k: float | None) -> ScaledParams:
+    def representable(name: str, value: float) -> float:
+        if not (value != 0.0 and math.isfinite(value)):
+            raise ScaleUnderflow(
+                f"the corner constant {name} = {value!r} is zero or not "
+                f"finite at eta = {eta!r}, eps = {eps!r}, alpha = "
+                f"{damping.alpha!r}: it leaves double range")
+        return value
+
     sd = damping.sqrt_delta
     E = (init.dr0 * init.ds0) ** 2 / (4.0 * damping.delta)
-    R0 = eta * init.dr0 * (1.0 - eps) / (2.0 * sd)
+    R0 = representable("R0", eta * init.dr0 * (1.0 - eps) / (2.0 * sd))
+    representable("R0^3", R0 * R0 * R0)
     dR0 = eta * init.dr0 * (damping.xi1 - eps * damping.xi2) / (2.0 * sd)
-    W = dR0 * dR0 + E / (R0 * R0)
-    tau0 = -dR0 * R0 / W
-    kappa = math.sqrt(E) / W
+    W = representable("W", dR0 * dR0 + E / (R0 * R0))
+    tau0 = representable("tau0", -dR0 * R0 / W)
+    kappa = representable("kappa", math.sqrt(E) / W)
     Gamma = None
     if k is not None:
         Gamma = eta * eta * (1.0 - eps) * math.sqrt(E) / math.sqrt(k)
@@ -127,8 +164,7 @@ def _finish(eta: float, eps: float, damping: DampingParams, init: InitialData,
 def scaled_params_from_physical(init: InitialData, damping: DampingParams,
                                 k: float) -> ScaledParams:
     """Derive the corner-layer parameters from a physical stiffness."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidInput(f"stiffness k must be positive, got {k!r}")
+    k = check_k(k)
     t0 = first_crossing_time(init)
     sk = math.sqrt(k)
     exponent = damping.xi1 * t0 * sk
@@ -147,24 +183,14 @@ def scaled_params_direct(eta: float, eps: float | str, init: InitialData,
     consistency relation eps = eta^{2 (xi2 - xi1)/xi1} implied by a shared
     physical origin, or ``"zero"`` for the idealised limit.
     """
-    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
-        raise InvalidInput(f"eta must lie in (0, 1), got {eta!r}")
+    eta = check_eta(eta)
     _check_scale(math.log(eta), "choose a larger eta")
-    if isinstance(eps, str):
-        policy = eps.strip().lower()
-        if policy == "derive":
-            eps_val = eta ** (2.0 * (damping.xi2 - damping.xi1) / damping.xi1)
-        elif policy == "zero":
-            eps_val = 0.0
-        else:
-            raise InvalidInput(
-                f"eps policy must be 'derive' or 'zero', got {eps!r}"
-            )
-    else:
-        eps_val = float(eps)
-        if not (math.isfinite(eps_val) and 0.0 <= eps_val < 1.0):
-            raise InvalidInput(f"eps must lie in [0, 1), got {eps!r}")
-    return _finish(eta, eps_val, damping, init, None)
+    eps = check_eps(eps)
+    if eps == "derive":
+        eps = eta ** (2.0 * (damping.xi2 - damping.xi1) / damping.xi1)
+    elif eps == "zero":
+        eps = 0.0
+    return _finish(eta, float(eps), damping, init, None)
 
 
 def scaled_to_cartesian(params: ScaledParams, tau, R, dR, Theta):

@@ -82,6 +82,24 @@ def test_errors_name_the_line():
         parse_config("theta_bar = 1.0\nalpha = 0.9\n")
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("alpha = 2.0\nk_list = 100, nan\n",
+     "line 2: k_list: k must be positive and finite, got nan"),
+    ("eta_list = 1e-2, 0\n",
+     "line 1: eta_list: eta must lie in (0, 1), got 0.0"),
+    # k and eta are checked by building their scaled parameters.
+    ("alpha = 2.0\n\nk = 1e7\n", "line 3: eta = exp(-423.66) leaves double"),
+    ("k = 1e-40\n", "line 1: the corner constant R0 = 0.0 is zero"),
+    ("eta = 1e-100\n", "line 1: eta = exp(-230.26) leaves double"),
+], ids=["k_list", "eta_list", "k_large", "k_tiny", "eta_tiny"])
+def test_owner_rules_name_the_line(text, fragment):
+    # The list entries and k = 1e7 used to fail with no line, or only
+    # once a run reached them.
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert fragment in str(info.value)
+
+
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config("\n# header\nalpha = 3.0   # trailing\n\n")
     assert cfg.alpha == 3.0
@@ -97,8 +115,9 @@ def test_scaled_mode_round_trip():
 
 
 def test_eps_errors_name_the_line():
-    with pytest.raises(ConfigError, match="line 2: eps expects 'derive', "
-                                          "'zero' or a number, got 'maybe'"):
+    with pytest.raises(ConfigError, match=r"line 2: eps must be 'derive', "
+                                          r"'zero' or a number in \[0, 1\), "
+                                          r"got 'maybe'"):
         parse_config("eta = 0.01\neps = maybe\n")
     with pytest.raises(ConfigError, match="line 3: eps must be"):
         parse_config("eta = 0.01\nmode = scaled\neps = 1.0\n")

@@ -25,11 +25,26 @@ LOG_ETA_MIN = -175.0
 # floor, for the default data (t0 = 1, alpha = 2).
 K_EDGE = (2.0 * LOG_ETA_MIN / DAMP2.xi1) ** 2
 
+# Each input's rule, as its one owner states it.
+RULE = {
+    "rtol": "rtol must be at least 2.22e-14 (100 eps) and finite",
+    "atol": "atol must be positive and finite",
+    "k_list": "k must be positive and finite",
+    "eta_list": "eta must lie in (0, 1)",
+}
+
 
 def _run(argv, capsys):
     code = main(argv)
     capsys.readouterr()
     return code
+
+
+def _fails_fast(call):
+    start = time.perf_counter()
+    result = call()
+    assert time.perf_counter() - start < 1.0
+    return result
 
 
 def test_eta_draws_fail_only_with_named_errors(capsys):
@@ -51,9 +66,24 @@ def test_eta_draws_fail_only_with_named_errors(capsys):
 
 
 def test_k_draws_fail_only_with_named_errors(capsys):
+    # Down to the smallest double: 1 - eps rounds to 0 below k ~ 1e-33.
     rng = np.random.default_rng(2025)
-    for k in np.exp(rng.uniform(0.0, math.log(1.5 * K_EDGE), 8)):
-        assert _run(["simulate", "--k", repr(float(k))], capsys) in {0, 2, 3}
+    draws = np.exp(rng.uniform(math.log(5e-324), math.log(1.5 * K_EDGE), 8))
+    for k in [5e-324, *draws.tolist()]:
+        argv = ["simulate", "--k", repr(k)]
+        assert _fails_fast(lambda: _run(argv, capsys)) in {0, 2, 3}
+
+
+def test_alpha_draws_fail_only_with_named_errors(capsys):
+    # Above ~1e105, R0^3 or tau0 underflows; above 1.34e154, alpha^2 - 1
+    # overflows.
+    rng = np.random.default_rng(2026)
+    draws = 10.0 ** rng.uniform(0.0, 308.0, 8)
+    for alpha in [1e140, 1e154, 1e308, *draws.tolist()]:
+        for cmd in (["simulate", "--k", "100"],
+                    ["phase-portrait", "--eta", "0.01"]):
+            argv = cmd + ["--alpha", repr(alpha)]
+            assert _fails_fast(lambda: _run(argv, capsys)) in {0, 2, 3}
 
 
 @pytest.mark.parametrize("cmd", ["asym-report", "phase-portrait"])
@@ -67,13 +97,10 @@ def test_eta_near_one_is_invalid_for_the_report(capsys):
     # tau1 = eta^gamma1 would not precede tau3 = zeta ln(1/eta).
     assert main(["asym-report", "--eta", "0.9"]) == 2
     assert "tau1" in capsys.readouterr().err
-
-
-def _fails_fast(call):
-    start = time.perf_counter()
-    result = call()
-    assert time.perf_counter() - start < 1.0
-    return result
+    # Here zeta, not eta, is the cause, and the message says so.
+    assert main(["asym-report", "--eta", "0.5", "--zeta", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "tau1" in err and "zeta = 1e-300" in err
 
 
 @pytest.mark.parametrize("T", ["inf", "nan"])
@@ -89,8 +116,7 @@ def test_non_finite_tolerance_in_config_is_invalid(key, tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(f"k = 100\n{key} = inf\n", encoding="utf-8")
     assert _fails_fast(lambda: main(["simulate", "--config", str(path)])) == 2
-    assert f"line 2: {key} must be positive and finite" \
-        in capsys.readouterr().err
+    assert f"line 2: {RULE[key]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan])
@@ -108,7 +134,8 @@ def test_non_finite_corner_horizon_is_invalid(horizon):
 @pytest.mark.parametrize("tol", [{"rtol": math.inf}, {"atol": math.nan}])
 def test_non_finite_corner_tolerance_is_invalid(tol):
     p = scaled_params_direct(1e-2, "derive", UNIT, DAMP2)
-    with pytest.raises(InvalidInput, match="rtol and atol"):
+    (name,) = tol
+    with pytest.raises(InvalidInput, match=f"{name} must be"):
         integrate_corner(p, ConeGeometry(2.0), **tol)
 
 
@@ -129,4 +156,4 @@ def test_non_finite_study_list_entry_is_invalid(cmd, flag, values, capsys):
     # message that named a single value, not the list.
     assert _fails_fast(lambda: main([cmd, flag, values])) == 2
     name = flag[2:].replace("-", "_")
-    assert f"{name} values must" in capsys.readouterr().err
+    assert f"{name}: {RULE[name]}" in capsys.readouterr().err

@@ -1,14 +1,17 @@
 """Corner-layer scaling: derived quantities and the two construction routes."""
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cornerimpact import (
+    ConeGeometry,
     InitialData,
     InvalidInput,
     ScaleUnderflow,
     characteristic_roots,
+    integrate_corner,
     scaled_params_direct,
     scaled_params_from_physical,
 )
@@ -81,6 +84,37 @@ def test_eps_policies():
         scaled_params_direct(eta, "smallest", UNIT, DAMP2)
     with pytest.raises(InvalidInput):
         scaled_params_direct(eta, 1.0, UNIT, DAMP2)
+    # The words are exact, as in a config file: " Zero " is not 'zero'.
+    with pytest.raises(InvalidInput, match="eps must be 'derive', 'zero'"):
+        scaled_params_direct(eta, " Zero ", UNIT, DAMP2)
+
+
+@pytest.mark.parametrize("alpha,k,name", [
+    (2.0, 1e-40, "R0"),         # 1 - eps rounds to 0
+    (2.0, 5e-324, "R0"),
+    (1e140, 100.0, "R0^3"),     # R0 ~ 1/alpha, R0^3 underflows
+])
+def test_unrepresentable_corner_constant_is_named(alpha, k, name):
+    # Each used to be a bare ZeroDivisionError.
+    damping = characteristic_roots(alpha)
+    with pytest.raises(ScaleUnderflow,
+                       match=re.escape(f"constant {name} = 0.0 is zero")):
+        scaled_params_from_physical(UNIT, damping, k)
+
+
+def test_direct_kappa_underflow_is_named():
+    # E = dr0^2 ds0^2 / (4 D) underflows to 0 once 4 D overflows.
+    damping = characteristic_roots(1e154)
+    with pytest.raises(ScaleUnderflow, match="constant"):
+        scaled_params_direct(0.01, "derive", UNIT, damping)
+
+
+def test_numpy_scalar_eta_is_stored_as_float():
+    # The corner kernel runs about twice as slow on numpy scalars.
+    p = scaled_params_direct(np.float64(1e-3), "derive", UNIT, DAMP2)
+    assert type(p.eta) is float and type(p.eps) is float
+    res = integrate_corner(p, ConeGeometry(math.pi / 3.0))
+    assert type(res.exit_tau) is float
 
 
 def test_derive_policy_consistency_with_physical():
