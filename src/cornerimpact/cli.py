@@ -23,20 +23,18 @@ from dataclasses import fields
 from .config import SimConfig, load_config, parse_floats
 from .errors import InvalidInput, NumericFailure
 from .harness import (
-    _context,
     asymptotic_report,
     convergence_study,
     phase_portrait,
     simulate_full,
     write_csv,
 )
-from .scaling import scaled_params_direct, scaled_params_from_physical
 
 __all__ = ["main", "build_parser"]
 
 
 # Flags whose dest is one of these override the config field of that name.
-_CONFIG_FIELDS = {f.name for f in fields(SimConfig)}
+_CONFIG_FIELDS = {f.name for f in fields(SimConfig) if f.init}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -116,11 +114,13 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
         if name in over:
             over[name] = parse_floats(over[name],
                                       "--" + name.replace("_", "-"))
+    # Flags win over the file: --k (--eta) also replaces its k_list
+    # (eta_list), unless --k-list (--eta-list) is given.
     if args.k is not None:
-        over["mode"] = "physical"
+        over = {"mode": "physical", "k_list": None, **over}
     if args.eta is not None:
-        over["mode"] = "scaled"
-    return config.override(**over) if over else config.validated()
+        over = {"mode": "scaled", "eta_list": None, **over}
+    return config.override(**over) if over else config
 
 
 def _write_table(table: dict, out: str | None) -> int:
@@ -135,7 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     traj = simulate_full(config)
     meta = traj.metadata
     counts = meta.get("phase_counts", {})
-    print(f"k = {meta['k']:g}  eta = {meta.get('eta', float('nan')):.6g}  "
+    print(f"k = {meta['k']:g}  eta = {config.params.eta:.6g}  "
           f"t0 = {meta['t0']:.6g}  T = {meta['T']:.6g}")
     print("samples per phase: " + ", ".join(
         f"{label}: {counts.get(label, 0)}" for label in counts))
@@ -153,10 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    k_list = None
-    if args.k is not None and args.k_list is None:
-        k_list = (args.k,)          # single-stiffness sweep
-    table, order = convergence_study(config, k_list=k_list)
+    table, order = convergence_study(config)
     for k, err in zip(table["k"], table["sup_error"]):
         print(f"k = {k:>12g}   sup_error = {err:.8e}")
     if order is not None:
@@ -166,28 +163,22 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 def _cmd_asym_report(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    eta_list = None
-    if args.eta is not None and args.eta_list is None:
-        eta_list = (args.eta,)      # single-scale report
-    table, fits = asymptotic_report(config, eta_list=eta_list)
+    table, fits = asymptotic_report(config)
     header = ("eta", "err_R1", "err_dR1", "err_R2", "exit_ratio")
     print(("{:>12} " * len(header)).format(*header).rstrip())
     for i in range(len(table["eta"])):
         print(("{:>12.4e} " * len(header)).format(
             *(table[name][i] for name in header)).rstrip())
-    print(f"fitted order err_R1 ~ eta^{fits['order_R1']:.3f},  "
-          f"err_R2 ~ eta^{fits['order_R2']:.3f}")
+    orders = [f"err_{col} ~ eta^{fits['order_' + col]:.3f}"
+              for col in ("R1", "R2") if fits["order_" + col] is not None]
+    if orders:
+        print("fitted order " + ",  ".join(orders))
     return _write_table(table, config.out)
 
 
 def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    damping, init, _ = _context(config)
-    if config.mode == "physical" and config.k is not None:
-        params = scaled_params_from_physical(init, damping, config.k)
-    elif config.eta is not None:
-        params = scaled_params_direct(config.eta, config.eps, init, damping)
-    else:
+    if config.params is None:
         raise InvalidInput(
             "phase-portrait needs either --k (physical) or --eta (scaled)")
     r_range = parse_floats(args.r_range, "--r-range")
@@ -195,7 +186,7 @@ def _cmd_phase_portrait(args: argparse.Namespace) -> int:
     if len(r_range) != 2 or len(dr_range) != 2:
         raise InvalidInput("--r-range and --dr-range expect exactly two "
                            "comma-separated numbers")
-    table = phase_portrait(params, r_range, dr_range, args.grid_n)
+    table = phase_portrait(config.params, r_range, dr_range, args.grid_n)
     n_rows = len(table["R"])
     print(f"{n_rows} rows (grid {args.grid_n} x {args.grid_n} plus rest "
           f"point)" if args.grid_n else "0 rows (empty grid)")

@@ -3,9 +3,11 @@
 The format is deliberately flat UTF-8 text, one assignment per line;
 blank lines and `#` comments are ignored.  Unknown and duplicate keys are
 rejected, and every parse or validation error names the offending line.
-A key that a library function takes is checked by that function's own
-rule (``characteristic_roots`` for alpha, ``scaled_params_from_physical``
-for k, ``check_rtol`` for rtol, ...); only the rules of ``mode``, ``T``,
+A ``SimConfig`` is checked when it is built.  A key that a library
+function takes is checked by that function's own rule
+(``characteristic_roots`` for alpha, ``scaled_params_from_physical`` for
+k, ``check_rtol`` for rtol, ...), and the objects those rules build are
+kept on the config for the run; only the rules of ``mode``, ``T``,
 ``n_grid`` and the non-empty lists are stated here.
 
 Example::
@@ -25,8 +27,9 @@ from .asymptotics import check_gamma1, check_zeta
 from .corner_phase import check_atol, check_rtol
 from .errors import ConfigError, InvalidInput
 from .geometry import ConeGeometry
-from .linear_phase import InitialData, characteristic_roots
+from .linear_phase import DampingParams, InitialData, characteristic_roots
 from .scaling import (
+    ScaledParams,
     check_eps,
     check_eta,
     check_k,
@@ -41,11 +44,18 @@ _FLOAT_KEYS = {
     "rtol", "atol", "T",
 }
 _LIST_KEYS = {"k_list", "eta_list"}
+# What a sweep runs when neither its list nor its single value is set.
+_DEFAULT_SWEEPS = {"k": (100.0, 1000.0, 10000.0), "eta": (1e-2, 1e-3)}
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Validated run parameters shared by all subcommands."""
+    """Run parameters shared by all subcommands, checked when built.
+
+    The check keeps what it builds: ``damping``, ``init``, ``cone`` and
+    ``params``, the scaled parameters of the one run the config names (k
+    in physical mode, else eta; None if it names none).
+    """
 
     alpha: float = 2.0
     theta_bar: float = math.pi / 3.0
@@ -63,12 +73,29 @@ class SimConfig:
     T: float | None = None          # physical horizon, default 2 t0
     n_grid: int = 2000
     out: str | None = None
-    k_list: tuple[float, ...] = (100.0, 1000.0, 10000.0)
-    eta_list: tuple[float, ...] = (1e-2, 1e-3)
+    # A sweep runs k_list, else (k,), else _DEFAULT_SWEEPS["k"]; eta
+    # likewise (``sweep``).
+    k_list: tuple[float, ...] | None = None
+    eta_list: tuple[float, ...] | None = None
     _line_of: dict = field(default_factory=dict, repr=False, compare=False)
+    damping: DampingParams = field(init=False, repr=False, compare=False)
+    init: InitialData = field(init=False, repr=False, compare=False)
+    cone: ConeGeometry = field(init=False, repr=False, compare=False)
+    params: ScaledParams | None = field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self) -> None:
+        self.validated()
+
+    def sweep(self, key: str) -> tuple[float, ...]:
+        """The values a sweep over ``key`` ("k" or "eta") runs."""
+        single = getattr(self, key)
+        return getattr(self, f"{key}_list") or (
+            (single,) if single is not None else _DEFAULT_SWEEPS[key])
 
     def validated(self) -> "SimConfig":
-        """Check every key; raise ConfigError naming its line otherwise.
+        """Check every key and keep what the checks build; raise
+        ConfigError naming the key's line otherwise.
 
         A key is checked by the rule of the function that consumes it, and
         that rule's ``InvalidInput`` becomes a ``ConfigError`` on the key's
@@ -88,7 +115,7 @@ class SimConfig:
                 fail(key, f"{key}: {exc}" if key in _LIST_KEYS else exc)
 
         damping = check("alpha", characteristic_roots, self.alpha)
-        check("theta_bar", ConeGeometry, self.theta_bar)
+        cone = check("theta_bar", ConeGeometry, self.theta_bar)
         # One InitialData per key, so that a failure names the right line.
         check("s0", InitialData, s0=self.s0)
         check("dr0", InitialData, dr0=self.dr0)
@@ -99,11 +126,15 @@ class SimConfig:
         check("eps", check_eps, self.eps)
         # k/eta may stay unset here: sweep commands supply them per run and
         # single-run consumers check completeness for their mode.
+        params = k_params = None
         if self.k is not None:
-            check("k", scaled_params_from_physical, init, damping, self.k)
+            k_params = check("k", scaled_params_from_physical, init, damping,
+                             self.k)
         if self.eta is not None:
-            check("eta", scaled_params_direct, self.eta, self.eps, init,
-                  damping)
+            params = check("eta", scaled_params_direct, self.eta, self.eps,
+                           init, damping)
+        if self.mode == "physical" and k_params is not None:
+            params = k_params
         check("gamma1", check_gamma1, self.gamma1)
         if self.zeta is not None:
             check("zeta", check_zeta, self.zeta, damping)
@@ -115,17 +146,20 @@ class SimConfig:
             fail("n_grid", f"n_grid must be at least 2, got {self.n_grid!r}")
         for key, rule in (("k_list", check_k), ("eta_list", check_eta)):
             vals = getattr(self, key)
-            if not vals:
+            if vals is not None and not vals:
                 fail(key, f"{key} must not be empty")
-            for val in vals:
+            for val in vals or ():
                 check(key, rule, val)
+        for name, value in (("damping", damping), ("init", init),
+                            ("cone", cone), ("params", params)):
+            object.__setattr__(self, name, value)
         return self
 
     def override(self, **kwargs) -> "SimConfig":
-        """Replace fields (CLI overrides) and re-validate; a replaced field
-        no longer names the config line it came from."""
+        """Replace fields (CLI overrides); the new config is checked when
+        built, and a replaced field no longer names its config line."""
         line_of = {k: v for k, v in self._line_of.items() if k not in kwargs}
-        return replace(self, **kwargs, _line_of=line_of).validated()
+        return replace(self, **kwargs, _line_of=line_of)
 
 
 def _number_or_word(raw: str):
@@ -157,7 +191,7 @@ def parse_floats(raw: str, what: str) -> tuple[float, ...]:
 
 
 def parse_config(text: str) -> SimConfig:
-    """Parse and validate configuration text."""
+    """Parse configuration text into a (checked) SimConfig."""
     values: dict = {}
     line_of: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -182,8 +216,7 @@ def parse_config(text: str) -> SimConfig:
                 raise ConfigError(f"line {lineno}: {key} expects {what}, "
                                   f"got {raw!r}") from None
         line_of[key] = lineno
-    cfg = SimConfig(**values, _line_of=line_of)
-    return cfg.validated()
+    return SimConfig(**values, _line_of=line_of)
 
 
 def load_config(path) -> SimConfig:

@@ -30,20 +30,12 @@ from .asymptotics import (
 from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
 from .errors import InvalidInput, NumericFailure
-from .geometry import ConeGeometry
-from .linear_phase import (
-    InitialData,
-    characteristic_roots,
-    face_phase_state,
-    first_crossing_time,
-    r1_phase_state,
-)
+from .linear_phase import face_phase_state, first_crossing_time, r1_phase_state
 from .moreau import limit_trajectory
 from .scaling import (
     ScaledParams,
     ScaledState,
     scaled_params_direct,
-    scaled_params_from_physical,
     scaled_to_cartesian,
 )
 
@@ -87,13 +79,6 @@ class Trajectory:
         return out
 
 
-def _context(config: SimConfig):
-    damping = characteristic_roots(config.alpha)
-    init = InitialData(s0=config.s0, dr0=config.dr0, ds0=config.ds0)
-    cone = ConeGeometry(config.theta_bar)
-    return damping, init, cone
-
-
 def _merged_grid(lo: float, hi: float, extra, n: int) -> np.ndarray:
     base = np.linspace(lo, hi, n)
     if extra is not None and len(extra):
@@ -117,14 +102,12 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     components of the exit state, ``scaled_to_cartesian`` at the angle
     Theta - theta_bar; the exit residual is |u . d2|, ``handoff_pos_exit``.
     """
-    config = config.validated()
-    if config.mode != "physical":
+    if config.mode != "physical" or config.k is None:
         raise InvalidInput(
-            "simulate_full requires mode 'physical' (a stiffness k); "
+            "simulate_full requires mode 'physical' and a stiffness k; "
             "scaled runs drive the corner flow through integrate_corner")
-    if config.k is None:
-        raise InvalidInput("physical mode requires a stiffness k")
-    damping, init, cone = _context(config)
+    damping, init, cone, params = (config.damping, config.init, config.cone,
+                                   config.params)
     k = float(config.k)
     sk = math.sqrt(k)
     t0 = first_crossing_time(init)
@@ -133,7 +116,8 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         t_eval = np.asarray(t_eval, dtype=float)
 
     parts_t, parts_u, parts_v, parts_phase = [], [], [], []
-    meta: dict = {"k": k, "t0": t0, "T": T}
+    meta: dict = {"k": k, "eta": params.eta, "eps": params.eps,
+                  "E": params.E, "t0": t0, "T": T}
 
     # Phase 1: face-1 approach on [0, min(t0, T)].
     end1 = min(t0, T)
@@ -145,8 +129,6 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     parts_phase.append(np.full(g1.size, PHASE_FACE1, dtype="<U8"))
 
     if T > t0:
-        params = scaled_params_from_physical(init, damping, k)
-        meta.update(eta=params.eta, eps=params.eps, E=params.E)
         tau_end = (T - t0) * sk
 
         lo = max(params.kappa * 1e-3, tau_end * 1e-18)
@@ -226,35 +208,38 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     return traj
 
 
-def convergence_study(config: SimConfig, k_list=None, T: float | None = None):
+def _loglog_order(x, y) -> float | None:
+    """Slope of log y against log x; None with fewer than two points or a
+    y that is not positive, where the slope does not exist."""
+    if len(x) < 2 or not np.all(y > 0.0):
+        return None
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+def convergence_study(config: SimConfig, k_list=None):
     """Sup distance to the limit trajectory per stiffness.
 
-    Returns (table, fitted_order): table has columns k / sup_error, and the
-    order is the log-log slope of sup_error against 1/sqrt(k) (None for a
-    single k).
+    The stiffnesses are ``k_list``, else ``config.sweep("k")``; the horizon
+    is ``config.T``.  Returns (table, fitted_order): table has columns k /
+    sup_error, and the order is the log-log slope of sup_error against
+    1/sqrt(k) (None for a single k or a zero error).
     """
     if k_list is not None:
         config = config.override(k_list=tuple(map(float, k_list)))
-    k_arr = np.asarray(sorted(config.k_list))
-    damping, init, cone = _context(config)
-    t0 = first_crossing_time(init)
-    if T is None:
-        T = config.T if config.T is not None else 2.0 * t0
+    k_arr = np.asarray(sorted(config.sweep("k")))
+    t0 = first_crossing_time(config.init)
+    T = config.T if config.T is not None else 2.0 * t0
     grid = np.linspace(0.0, T, config.n_grid)
-    u_inf = limit_trajectory(init, cone, grid)
+    u_inf = limit_trajectory(config.init, config.cone, grid)
 
     errors = np.empty(k_arr.size)
     for i, k in enumerate(k_arr):
-        traj = simulate_full(config.override(mode="physical", k=float(k),
-                                             T=float(T)), t_eval=grid)
+        traj = simulate_full(config.override(mode="physical", k=float(k)),
+                             t_eval=grid)
         uk = traj.positions_at(grid)
         errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
     table = {"k": k_arr, "sup_error": errors}
-    fitted_order = None
-    if k_arr.size >= 2:
-        fitted_order = float(np.polyfit(
-            np.log(1.0 / np.sqrt(k_arr)), np.log(errors), 1)[0])
-    return table, fitted_order
+    return table, _loglog_order(1.0 / np.sqrt(k_arr), errors)
 
 
 def asymptotic_report(config: SimConfig, eta_list=None):
@@ -265,13 +250,14 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     [eta^3, tau1]; max relative defect against the damped-linear
     continuation on [tau1, tau3]; and the exit ratio (measured/estimated
     exit time for an acute wedge, measured/estimated radius at tau3
-    otherwise).  Second return value: log-log fitted orders in eta of the
-    two defect columns (NaN with fewer than two etas).
+    otherwise).  The etas are ``eta_list``, else ``config.sweep("eta")``.
+    Second return value: log-log fitted orders in eta of the two defect
+    columns (None with fewer than two etas or a zero defect).
     """
     if eta_list is not None:
         config = config.override(eta_list=tuple(map(float, eta_list)))
-    etas = np.asarray(sorted(config.eta_list, reverse=True))
-    damping, init, cone = _context(config)
+    etas = np.asarray(sorted(config.sweep("eta"), reverse=True))
+    damping, init, cone = config.damping, config.init, config.cone
 
     err_R1, err_dR1, err_R2, exit_ratio = np.empty((4, etas.size))
 
@@ -325,12 +311,8 @@ def asymptotic_report(config: SimConfig, eta_list=None):
 
     table = {"eta": etas, "err_R1": err_R1, "err_dR1": err_dR1,
              "err_R2": err_R2, "exit_ratio": exit_ratio}
-    fits = {"order_R1": math.nan, "order_R2": math.nan}
-    if etas.size >= 2:
-        fits["order_R1"] = float(np.polyfit(
-            np.log(etas), np.log(err_R1), 1)[0])
-        fits["order_R2"] = float(np.polyfit(
-            np.log(etas), np.log(err_R2), 1)[0])
+    fits = {"order_R1": _loglog_order(etas, err_R1),
+            "order_R2": _loglog_order(etas, err_R2)}
     return table, fits
 
 

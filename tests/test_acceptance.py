@@ -206,8 +206,8 @@ def test_criterion_06_attractor():
 
 def test_criterion_07_moreau_acute():
     table, _ = convergence_study(
-        SimConfig().override(mode="physical", k=100.0),
-        k_list=(1e2, 1e3, 1e4), T=2.0)
+        SimConfig().override(mode="physical", k=100.0, T=2.0),
+        k_list=(1e2, 1e3, 1e4))
     errs = table["sup_error"]          # ascending k
     ratios = errs[:-1] / errs[1:]
     mono = bool(np.all(np.diff(errs) < 0.0))

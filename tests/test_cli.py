@@ -110,6 +110,47 @@ def test_converge_single_k(capsys):
     assert "fitted order" not in text      # single k: no fit
 
 
+def test_converge_zero_errors_print_no_fit(capsys):
+    # At T = 1e-300 every position is still the initial one, so both errors
+    # are 0; log(0) used to warn and the fit line read "nan".
+    code = main(["converge", "--k-list", "100,1000", "--T", "1e-300"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert text.count("sup_error = 0.00000000e+00") == 2
+    assert "fitted order" not in text
+
+
+def test_simulate_before_crossing_prints_eta(capsys):
+    assert main(["simulate", "--k", "100", "--T", "0.5"]) == 0
+    assert "eta = 0.261912" in capsys.readouterr().out
+
+
+# (config file text, command line, values swept).  A flag wins over the
+# file, and a list wins over the single value it sits beside.
+SWEEPS = [
+    ("k = 5000\n", ["converge"], [5000.0]),
+    ("eta = 0.05\nmode = scaled\n", ["asym-report"], [0.05]),
+    ("k = 5000\nk_list = 100, 1000\n", ["converge"], [100.0, 1000.0]),
+    ("k = 5000\nk_list = 100, 1000\n", ["converge", "--k", "7000"],
+     [7000.0]),
+    (None, ["converge", "--k", "7000", "--k-list", "100"], [100.0]),
+    ("eta = 0.05\neta_list = 0.02\n", ["asym-report"], [0.02]),
+]
+
+
+@pytest.mark.parametrize("text,argv,expected", SWEEPS)
+def test_sweep_rule(text, argv, expected, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = argv + ["--out", str(out)]
+    if text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert sorted(float(row.split(",")[0]) for row in rows) == expected
+
+
 def test_converge_bad_k_list(capsys):
     code = main(["converge", "--k-list", "100,abc"])
     assert code == 2
@@ -122,7 +163,7 @@ def test_asym_report_single_eta(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "exit_ratio" in text
-    assert "eta^nan" in text               # single eta: no fitted order
+    assert "fitted order" not in text      # single eta: no fit
     header = out.read_text().splitlines()[0]
     assert header == "eta,err_R1,err_dR1,err_R2,exit_ratio"
 

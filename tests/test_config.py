@@ -1,5 +1,6 @@
 """Configuration parsing, validation messages and overrides."""
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,7 @@ from cornerimpact import (
     load_config,
     parse_config,
 )
-from cornerimpact import cli, harness
+from cornerimpact import cli, config, harness
 
 VALID = """\
 # corner passage, physical parameterisation
@@ -141,16 +142,39 @@ def test_eps_reaches_scaled_params(monkeypatch, tmp_path):
 
         monkeypatch.setattr(module, "scaled_params_direct", recording)
 
-    spy(cli)
-    spy(harness)
     text = "eps = 0.5\neta = 0.01\nmode = scaled\n"
     cfg = parse_config(text)
     path = tmp_path / "scaled.cfg"
     path.write_text(text, encoding="utf-8")
+    # The config builds the params of its own run; the report builds one
+    # per eta of its sweep.
+    spy(config)
+    spy(harness)
     assert cli.main(["phase-portrait", "--config", str(path),
                      "--grid-n", "2"]) == 0
+    assert seen == [0.5]
     asymptotic_report(cfg, eta_list=(0.01,))
-    assert seen == [0.5, 0.5]
+    assert seen == [0.5, 0.5, 0.5]
+
+
+def test_checked_when_built():
+    cfg = SimConfig(mode="physical", k=100.0, theta_bar=1.0)
+    assert cfg.damping.alpha == 2.0 and cfg.init.s0 == -1.0
+    assert cfg.cone.theta_bar == 1.0
+    assert cfg.params.eta == pytest.approx(0.26191219573938435, rel=1e-15)
+    # The run a config names: k in physical mode, else eta, else none.
+    assert SimConfig(mode="scaled", k=100.0, eta=0.01).params.eta == 0.01
+    assert SimConfig(mode="scaled", k=100.0).params is None
+    assert SimConfig().params is None
+    with pytest.raises(ConfigError, match="alpha must exceed 1"):
+        SimConfig(alpha=0.5)
+
+
+def test_sweep_defaults():
+    # With neither a list nor a single value (the other cases run through
+    # the CLI in test_cli.test_sweep_rule).
+    assert SimConfig().sweep("k") == (100.0, 1000.0, 10000.0)
+    assert SimConfig().sweep("eta") == (1e-2, 1e-3)
 
 
 def test_override_revalidates():
@@ -177,3 +201,15 @@ def test_load_config(tmp_path):
 
 def test_identical_text_gives_identical_config():
     assert parse_config(VALID) == parse_config(VALID)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_parses():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert (cfg.alpha, cfg.theta_bar, cfg.mode, cfg.k) == (
+        2.0, 1.0471975511965976, "physical", 1e4)
+    assert (cfg.rtol, cfg.atol) == (1e-10, 1e-12)

@@ -1,6 +1,7 @@
 """Three-phase trajectory assembly, study tables and CSV round-trips."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cornerimpact import (
     simulate_full,
     write_csv,
 )
-from cornerimpact import harness
+from cornerimpact import harness, scaling
 from cornerimpact.harness import (
     PHASE_CORNER,
     PHASE_FACE1,
@@ -236,7 +237,10 @@ def test_horizon_before_crossing():
     traj = simulate_full(ACUTE_CFG.override(T=0.5))
     assert set(traj.phase) == {PHASE_FACE1}
     assert traj.t[0] == 0.0 and traj.t[-1] == 0.5
-    assert "eta" not in traj.metadata
+    # The run has a k, so its scales are known before the corner.
+    params = ACUTE_CFG.params
+    assert (traj.metadata["eta"], traj.metadata["eps"], traj.metadata["E"]) \
+        == (params.eta, params.eps, params.E)
 
 
 def test_default_horizon_is_twice_t0():
@@ -286,13 +290,32 @@ def test_convergence_study_rejects_bad_k():
         convergence_study(ACUTE_CFG, k_list=[100.0, -4.0])
 
 
+def test_three_stiffness_sweep_builds_each_run_once(monkeypatch):
+    # Each stiffness's scaled parameters are built once, when its config
+    # is checked, and the run reads them from there.
+    cfg = SimConfig(T=2.0, n_grid=50)
+    real = scaling.scaled_params_from_physical
+    calls = []
+
+    def spy(init, damping, k):
+        calls.append(k)
+        return real(init, damping, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cornerimpact") and \
+                vars(module).get("scaled_params_from_physical") is real:
+            monkeypatch.setattr(module, "scaled_params_from_physical", spy)
+    convergence_study(cfg, k_list=(100.0, 1000.0, 10000.0))
+    assert calls == [100.0, 1000.0, 10000.0]
+
+
 def test_asymptotic_report_single_eta():
     table, fits = asymptotic_report(SimConfig(), eta_list=[1e-2])
     assert table["eta"].shape == (1,)
     assert table["err_R1"][0] < 0.05
     assert table["err_R2"][0] < 0.05
     assert table["exit_ratio"][0] == pytest.approx(1.0, abs=5e-3)
-    assert math.isnan(fits["order_R1"]) and math.isnan(fits["order_R2"])
+    assert fits == {"order_R1": None, "order_R2": None}
 
 
 def test_asymptotic_report_rejects_bad_eta():
