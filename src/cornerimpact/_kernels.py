@@ -44,7 +44,15 @@ and y follows the exact linear flow; the step is then limited by the Theta
 quadrature only, and the cost hardly grows as eta shrinks.
 
 The step loop is scalar arithmetic on purpose (``math.exp``/
-``math.expm1``, not their numpy twins, which are slow on Python floats).
+``math.expm1``, not their numpy twins, which are slow on Python floats),
+and a trial step ``_attempt`` is one flat body: it evaluates Phi inline at
+its 13 offsets (only K2 where a stage needs no more) and the perturbation
+inline at its stages, and the error norm sits in the step loop.  A Python
+call costs about as much as a stage's arithmetic: on the runs of 64 seeded
+corner_long and corner_dense benchmark ops, this body takes 0.65 of the
+time of one that calls a helper per Phi offset (13), per perturbation (6)
+and for the norm (1), with the same floating-point operations in the same
+order and bit-identical results.
 
 Storage: each accepted step appends its end time to one Python list and
 its state R, V, Theta to another, flat, so that the lists hold floats
@@ -77,6 +85,7 @@ after an error-test rejection or when MAX_STEPS attempts are spent.
 from __future__ import annotations
 
 import math
+from math import exp, expm1
 
 import numpy as np
 
@@ -114,16 +123,13 @@ _ROWS = tuple(np.array(row) for row in (
 
 
 def _rhs(R, c3, cth):
-    """Perturbation c3 / R^3 of R'' and the angle slope cth / R^2."""
+    """Perturbation c3 / R^3 of R'' and the angle slope cth / R^2 at R.
+
+    The step evaluates both inline; this serves the run start and the
+    tests.
+    """
     R2 = R * R
     return c3 / (R2 * R), cth / R2
-
-
-def _prop(s, xi1, xi2, sd2):
-    """(H2, K2, K2') of the linear propagator Phi(s), s >= 0."""
-    e = math.exp(xi1 * s)
-    q = -math.expm1(-sd2 * s) / sd2
-    return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
 
 
 def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
@@ -133,6 +139,10 @@ def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     Tn, n7, g7, eR, eV, eT): ok is False when a stage radius left
     (0, inf); (n7, g7) = _rhs(Rn) is the next step's first stage; e* are
     the raw embedded error components.
+
+    Phi(s) is evaluated inline at the 13 offsets s = c h: e = e^{xi1 s},
+    q = -expm1(-sd2 s) / sd2, then H2 = e (1 - xi1 q), K2 = e q and
+    K2' = e (1 + xi2 q), each only where a stage reads it.
     """
     bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     INF = math.inf
@@ -142,54 +152,92 @@ def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     u = R - w
     m1 = n1 - w
 
-    H, K, dK2 = _prop(C2 * h, xi1, xi2, sd2)
-    K64 = K  # c6 - c4 = c2
-    R2 = w + H * u + K * (V + h * A21 * m1)
+    s = C2 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    K64 = e * q  # c6 - c4 = c2
+    dK2 = e * (1.0 + xi2 * q)
+    R2 = w + e * (1.0 - xi1 * q) * u + K64 * (V + h * A21 * m1)
     if not (0.0 < R2 < INF):
         return bad
-    n2, g2 = _rhs(R2, c3, cth)
+    Q = R2 * R2
+    n2 = c3 / (Q * R2)
+    g2 = cth / Q
     m2 = n2 - w
 
-    H, K, _ = _prop(C3 * h, xi1, xi2, sd2)
-    _, K32, _ = _prop(D32 * h, xi1, xi2, sd2)
-    R3 = w + H * u + K * (V + h * A31 * m1) + h * (A32 * K32 * m2)
+    s = C3 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    s = D32 * h
+    K32 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    R3 = (w + e * (1.0 - xi1 * q) * u + e * q * (V + h * A31 * m1)
+          + h * (A32 * K32 * m2))
     if not (0.0 < R3 < INF):
         return bad
-    n3, g3 = _rhs(R3, c3, cth)
+    Q = R3 * R3
+    n3 = c3 / (Q * R3)
+    g3 = cth / Q
     m3 = n3 - w
 
-    H, K, _ = _prop(C4 * h, xi1, xi2, sd2)
-    K62 = K  # c6 - c2 = c4
-    _, K42, _ = _prop(D42 * h, xi1, xi2, sd2)
-    _, K43, _ = _prop(D43 * h, xi1, xi2, sd2)
-    R4 = (w + H * u + K * (V + h * A41 * m1)
+    s = C4 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    K62 = e * q  # c6 - c2 = c4
+    s = D42 * h
+    K42 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    s = D43 * h
+    K43 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    R4 = (w + e * (1.0 - xi1 * q) * u + K62 * (V + h * A41 * m1)
           + h * (A42 * K42 * m2 + A43 * K43 * m3))
     if not (0.0 < R4 < INF):
         return bad
-    n4, g4 = _rhs(R4, c3, cth)
+    Q = R4 * R4
+    n4 = c3 / (Q * R4)
+    g4 = cth / Q
     m4 = n4 - w
 
-    H, K, _ = _prop(C5 * h, xi1, xi2, sd2)
-    _, K52, _ = _prop(D52 * h, xi1, xi2, sd2)
-    _, K53, _ = _prop(D53 * h, xi1, xi2, sd2)
-    _, K54, _ = _prop(D54 * h, xi1, xi2, sd2)
-    R5 = (w + H * u + K * (V + h * A51 * m1)
+    s = C5 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    s = D52 * h
+    K52 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    s = D53 * h
+    K53 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    s = D54 * h
+    K54 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
+    R5 = (w + e * (1.0 - xi1 * q) * u + e * q * (V + h * A51 * m1)
           + h * (A52 * K52 * m2 + A53 * K53 * m3 + A54 * K54 * m4))
     if not (0.0 < R5 < INF):
         return bad
-    n5, g5 = _rhs(R5, c3, cth)
+    Q = R5 * R5
+    n5 = c3 / (Q * R5)
+    g5 = cth / Q
     m5 = n5 - w
 
     # Offsets 1 - c_l of the last stage and of the step end.
-    H1, K1, dK1 = _prop(h, xi1, xi2, sd2)
-    _, K63, dK63 = _prop(D63 * h, xi1, xi2, sd2)
-    _, K65, dK65 = _prop(D65 * h, xi1, xi2, sd2)
+    e = exp(xi1 * h)
+    q = -expm1(-sd2 * h) / sd2
+    H1 = e * (1.0 - xi1 * q)
+    K1 = e * q
+    dK1 = e * (1.0 + xi2 * q)
+    s = D63 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    K63 = e * q
+    dK63 = e * (1.0 + xi2 * q)
+    s = D65 * h
+    e = exp(xi1 * s)
+    q = -expm1(-sd2 * s) / sd2
+    K65 = e * q
+    dK65 = e * (1.0 + xi2 * q)
     R6 = (w + H1 * u + K1 * (V + h * A61 * m1)
           + h * (A62 * K62 * m2 + A63 * K63 * m3 + A64 * K64 * m4
                  + A65 * K65 * m5))
     if not (0.0 < R6 < INF):
         return bad
-    n6, g6 = _rhs(R6, c3, cth)
+    Q = R6 * R6
+    n6 = c3 / (Q * R6)
+    g6 = cth / Q
     m6 = n6 - w
 
     # 5th-order solution (b row equals the 7th stage row: FSAL); the R
@@ -202,7 +250,9 @@ def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
     Vn = -K1 * u + dK1 * Vb + h * (B3 * dK63 * m3 + B4 * dK2 * m4
                                    + B5 * dK65 * m5 + B6 * m6)
     Tn = T + h * (B1 * g1 + B3 * g3 + B4 * g4 + B5 * g5 + B6 * g6)
-    n7, g7 = _rhs(Rn, c3, cth)
+    Q = Rn * Rn
+    n7 = c3 / (Q * Rn)
+    g7 = cth / Q
 
     eR = h * (E1 * K1 * m1 + E3 * K63 * m3 + E4 * K64 * m4 + E5 * K65 * m5)
     eV = h * (E1 * dK1 * m1 + E3 * dK63 * m3 + E4 * dK2 * m4
@@ -246,16 +296,6 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
     Vi = -K[:, 0] * u + D[:, 0] * V + s * ((D * M) @ row)
     Ti = T + s * (np.column_stack(g) @ row)
     return np.column_stack([Ri, Vi, Ti])
-
-
-def _err_norm(eR, eV, eT, R, V, T, Rn, Vn, Tn, atol, rtol):
-    sR = atol + rtol * max(abs(R), abs(Rn))
-    sV = atol + rtol * max(abs(V), abs(Vn))
-    sT = atol + rtol * max(abs(T), abs(Tn))
-    a = eR / sR
-    b = eV / sV
-    c = eT / sT
-    return math.sqrt((a * a + b * b + c * c) / 3.0)
 
 
 def _locate_exit(R, V, T, n1, g1, h, Rn, Vn, Tn, theta_target,
@@ -339,7 +379,18 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
             nrej += 1
             last_reject_bad = True
             continue
-        err = _err_norm(eR, eV, eT, R, V, Th, Rn, Vn, Tn, atol, rtol)
+        # Error norm; each scale takes the larger of |start| and |end| as
+        # max() does (b if b > a else a), without the call.
+        a = abs(R)
+        b = abs(Rn)
+        eR /= atol + rtol * (b if b > a else a)
+        a = abs(V)
+        b = abs(Vn)
+        eV /= atol + rtol * (b if b > a else a)
+        a = abs(Th)
+        b = abs(Tn)
+        eT /= atol + rtol * (b if b > a else a)
+        err = math.sqrt((eR * eR + eV * eV + eT * eT) / 3.0)
         if not math.isfinite(err):
             h *= 0.25
             nrej += 1

@@ -46,6 +46,8 @@ _FLOAT_KEYS = {
 _LIST_KEYS = {"k_list", "eta_list"}
 # What a sweep runs when neither its list nor its single value is set.
 _DEFAULT_SWEEPS = {"k": (100.0, 1000.0, 10000.0), "eta": (1e-2, 1e-3)}
+# The rule each value of a sweep is checked by.
+_SWEEP_RULES = {"k": check_k, "eta": check_eta}
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         self.validated()
 
-    def sweep(self, key: str) -> tuple[float, ...]:
-        """The values a sweep over ``key`` ("k" or "eta") runs."""
+    def sweep(self, key: str, values=None) -> tuple[float, ...]:
+        """The values a sweep over ``key`` ("k" or "eta") runs: ``values``
+        when given, each checked by the key's rule alone (the config's own
+        k or eta is not rebuilt), else the config's list or value."""
+        if values is not None:
+            values = tuple(map(_SWEEP_RULES[key], values))
+            if not values:
+                raise InvalidInput(f"{key}_list must not be empty")
+            return values
         single = getattr(self, key)
         return getattr(self, f"{key}_list") or (
             (single,) if single is not None else _DEFAULT_SWEEPS[key])
@@ -144,7 +153,8 @@ class SimConfig:
             fail("T", f"T must be positive and finite, got {self.T!r}")
         if self.n_grid < 2:
             fail("n_grid", f"n_grid must be at least 2, got {self.n_grid!r}")
-        for key, rule in (("k_list", check_k), ("eta_list", check_eta)):
+        for name, rule in _SWEEP_RULES.items():
+            key = f"{name}_list"
             vals = getattr(self, key)
             if vals is not None and not vals:
                 fail(key, f"{key} must not be empty")

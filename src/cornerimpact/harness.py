@@ -219,14 +219,12 @@ def _loglog_order(x, y) -> float | None:
 def convergence_study(config: SimConfig, k_list=None):
     """Sup distance to the limit trajectory per stiffness.
 
-    The stiffnesses are ``k_list``, else ``config.sweep("k")``; the horizon
+    The stiffnesses are ``config.sweep("k", k_list)``; the horizon
     is ``config.T``.  Returns (table, fitted_order): table has columns k /
     sup_error, and the order is the log-log slope of sup_error against
     1/sqrt(k) (None for a single k or a zero error).
     """
-    if k_list is not None:
-        config = config.override(k_list=tuple(map(float, k_list)))
-    k_arr = np.asarray(sorted(config.sweep("k")))
+    k_arr = np.asarray(sorted(config.sweep("k", k_list)))
     t0 = first_crossing_time(config.init)
     T = config.T if config.T is not None else 2.0 * t0
     grid = np.linspace(0.0, T, config.n_grid)
@@ -250,13 +248,11 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     [eta^3, tau1]; max relative defect against the damped-linear
     continuation on [tau1, tau3]; and the exit ratio (measured/estimated
     exit time for an acute wedge, measured/estimated radius at tau3
-    otherwise).  The etas are ``eta_list``, else ``config.sweep("eta")``.
+    otherwise).  The etas are ``config.sweep("eta", eta_list)``.
     Second return value: log-log fitted orders in eta of the two defect
     columns (None with fewer than two etas or a zero defect).
     """
-    if eta_list is not None:
-        config = config.override(eta_list=tuple(map(float, eta_list)))
-    etas = np.asarray(sorted(config.sweep("eta"), reverse=True))
+    etas = np.asarray(sorted(config.sweep("eta", eta_list), reverse=True))
     damping, init, cone = config.damping, config.init, config.cone
 
     err_R1, err_dR1, err_R2, exit_ratio = np.empty((4, etas.size))

@@ -147,14 +147,14 @@ def test_eps_reaches_scaled_params(monkeypatch, tmp_path):
     path = tmp_path / "scaled.cfg"
     path.write_text(text, encoding="utf-8")
     # The config builds the params of its own run; the report builds one
-    # per eta of its sweep.
+    # per eta of its sweep and none for the config's own eta.
     spy(config)
     spy(harness)
     assert cli.main(["phase-portrait", "--config", str(path),
                      "--grid-n", "2"]) == 0
     assert seen == [0.5]
     asymptotic_report(cfg, eta_list=(0.01,))
-    assert seen == [0.5, 0.5, 0.5]
+    assert seen == [0.5, 0.5]
 
 
 def test_checked_when_built():

@@ -233,9 +233,11 @@ def test_step_budget_names_the_kernel_budget(monkeypatch):
 
 
 # Exit (tau, R, R', Theta), the last sample, the eval_* arrays and the
-# step counts of three runs, pinned bit for bit (rtol 1e-10, atol 1e-12).
+# step counts of four runs, pinned bit for bit (rtol 1e-10, atol 1e-12).
 # At eta = 1e-20 the obtuse run takes Lawson steps tens of tau long and
-# the samples fall inside them.
+# the samples fall inside them.  "past_exit" is the asym-report run: it
+# continues past the exit to tau3 = zeta ln(1/eta) at alpha = 8 and
+# settles toward the rest point Rc, where the step is taken about w = n1.
 BITWISE_PINS = {
     "acute": dict(
         eta=1e-2, cone=ACUTE, tau_eval=[1e-4, 1e-2, 0.5],
@@ -265,18 +267,37 @@ BITWISE_PINS = {
                     1.5707963279009665, 1.5707963279064505,
                     1.5819788524165923],
         steps=(340, 22)),
+    "past_exit": dict(
+        eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
+        tau_eval=[1e-4, 1e-2, 0.5, 5.0, 30.0],
+        exit=(1.0910560790904328e-05, 0.0012598152342222133,
+              86.59305062095987, 1.0471975511965976),
+        last=(36.69688332983271, 0.6339250781694045, -0.03881004528695248,
+              2.818272770251655),
+        eval_R=[0.010013064117653932, 0.9242316605941496, 6.103630775045192,
+                4.603814640724943, 0.9602011418210945],
+        eval_dR=[99.65692801898618, 85.22335691995758, -0.34835685288262896,
+                 -0.28886873907796323, -0.059970859032666295],
+        eval_Theta=[1.5080309297704406, 1.5707652763164472,
+                    1.5723445561926834, 1.5825635891965761,
+                    2.104170583394649],
+        steps=(813, 0)),
 }
 
 
 @pytest.mark.parametrize("case", BITWISE_PINS)
 def test_bitwise_pin(case):
     pin = BITWISE_PINS[case]
-    res = integrate_corner(params_at(pin["eta"]), pin["cone"], rtol=1e-10,
-                           atol=1e-12, tau_eval=pin["tau_eval"])
+    params = scaled_params_direct(pin["eta"], "derive", UNIT,
+                                  characteristic_roots(pin.get("alpha", 2.0)))
+    res = integrate_corner(params, pin["cone"], rtol=1e-10, atol=1e-12,
+                           horizon=pin.get("horizon"),
+                           stop_at_event="horizon" not in pin,
+                           tau_eval=pin["tau_eval"])
     st = res.exit_state
     assert (res.exit_tau, st.R, st.dR, st.Theta) == pin["exit"]
     last = (res.tau[-1], res.R[-1], res.dR[-1], res.Theta[-1])
-    assert tuple(map(float, last)) == pin["exit"]
+    assert tuple(map(float, last)) == pin.get("last", pin["exit"])
     for name in ("eval_R", "eval_dR", "eval_Theta"):
         assert list(map(float, getattr(res, name))) == pin[name], name
     assert (res.n_accepted, res.n_rejected) == pin["steps"]

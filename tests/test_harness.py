@@ -183,16 +183,16 @@ def test_unordered_trajectory_is_numeric_failure(monkeypatch, capsys):
     assert "not increasing" in capsys.readouterr().err
 
 
-def test_corner_rhs_calls_are_stepping_only(monkeypatch):
+def test_corner_attempts_are_stepping_only(monkeypatch):
     # The ~1200 corner samples come from the vectorised single-step map,
-    # which does not call _rhs: its calls are the steps' stages plus a few
-    # for the exit search.
+    # which takes no trial step: the trial steps are the run's accepted and
+    # rejected steps plus a few single-step re-runs of the exit search.
     from cornerimpact import _kernels, harness
 
     calls = []
-    rhs = _kernels._rhs
-    monkeypatch.setattr(_kernels, "_rhs",
-                        lambda *a: calls.append(1) or rhs(*a))
+    attempt = _kernels._attempt
+    monkeypatch.setattr(_kernels, "_attempt",
+                        lambda *a: calls.append(1) or attempt(*a))
     runs = []
     corner = harness.integrate_corner
     monkeypatch.setattr(harness, "integrate_corner",
@@ -202,7 +202,7 @@ def test_corner_rhs_calls_are_stepping_only(monkeypatch):
     (res,) = runs
     assert res.exit_tau is not None
     assert traj.metadata["phase_counts"][PHASE_CORNER] > 0
-    assert len(calls) <= 7 * (res.n_accepted + res.n_rejected) + 64
+    assert len(calls) <= res.n_accepted + res.n_rejected + 16
 
 
 @pytest.mark.parametrize("cfg", [ACUTE_CFG, ACUTE_CFG.override(k=1e4),
@@ -292,8 +292,9 @@ def test_convergence_study_rejects_bad_k():
 
 def test_three_stiffness_sweep_builds_each_run_once(monkeypatch):
     # Each stiffness's scaled parameters are built once, when its config
-    # is checked, and the run reads them from there.
-    cfg = SimConfig(T=2.0, n_grid=50)
+    # is checked, and the run reads them from there.  The sweep does not
+    # rebuild those of the config's own k, which it never runs.
+    cfg = SimConfig(T=2.0, n_grid=50, k=100.0)
     real = scaling.scaled_params_from_physical
     calls = []
 
