@@ -48,10 +48,7 @@ from .errors import (
 )
 from .geometry import (
     ConeGeometry,
-    Region,
-    classify_region,
     damping_force_G,
-    penalty_direction,
     penalty_field,
     pi1,
     pi2,
@@ -81,7 +78,6 @@ from .moreau import (
     LimitTrajectory,
     build_limit,
     limit_trajectory,
-    moreau_velocity_jump,
 )
 from .scaling import (
     ScaledParams,

@@ -291,7 +291,7 @@ def exit_equivalents(params, cone, times: AsymptoticTimes):
     damping = params.damping
     init = params.init
     sd = damping.sqrt_delta
-    if cone.theta_bar < math.pi / 2.0:
+    if cone.is_acute:
         tau_bar = (params.tau0
                    + math.sqrt(params.E) * math.tan(cone.theta_bar)
                    / params.W)

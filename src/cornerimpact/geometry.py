@@ -1,4 +1,4 @@
-"""Planar wedge geometry: region tests, projections and the damping force.
+"""Planar wedge geometry: the penalty field, projections and the damping force.
 
 The admissible set K is the closed convex wedge with vertex at the origin,
 opening angle ``pi - theta_bar``, bounded by
@@ -14,19 +14,20 @@ three regions according to which part of K is closest:
 * R2 = polar wedge {x2 >= 0, x.d <= 0} -> nearest point is the vertex,
 * R3 = {x.n2 >= 0, x.d >= 0}        -> nearest point (x.d) d on face 2.
 
-The four regions cover the plane; on overlaps (boundaries) classification
-uses the priority K > R1 > R2 > R3 so labels are deterministic.
-
-The spring force of the penalty model is k(x - P_K x) and the damping force
-acts along the same direction:
+These regions are the branches of ``penalty_field``, the one place that
+decides which region a point is in; on overlaps (boundaries) it takes the
+first of K > R1 > R2 > R3.  The spring force of the penalty model is
+k(x - P_K x) and the damping force acts along the same direction:
 
     G(x, v) = (v . w) w / |w|^2,   w = x - P_K x,   zero inside K.
+
+``project_onto_cone`` and ``damping_force_G`` are that field's w and G on
+validated numpy 2-vectors.
 
 All functions are pure; ConeGeometry is immutable and safe to share.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -35,11 +36,8 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = [
-    "Region",
     "ConeGeometry",
-    "classify_region",
     "project_onto_cone",
-    "penalty_direction",
     "damping_force_G",
     "penalty_field",
     "pi1",
@@ -51,13 +49,6 @@ __all__ = [
 # that distinct regions never blur, loose enough to absorb round-off from
 # rotations.
 BOUNDARY_RTOL = 1e-12
-
-
-class Region(enum.Enum):
-    K = "K"
-    R1 = "R1"
-    R2 = "R2"
-    R3 = "R3"
 
 
 @dataclass(frozen=True)
@@ -102,69 +93,14 @@ def _as_point(p, name: str = "point") -> np.ndarray:
     return q
 
 
-def classify_region(point, cone: ConeGeometry) -> Region:
-    """Label the region containing ``point`` (priority K > R1 > R2 > R3)."""
-    x = _as_point(point)
-    x1, x2 = x
-    n_dot = x1 * cone.cos_theta + x2 * cone.sin_theta
-    d_dot = -x1 * cone.sin_theta + x2 * cone.cos_theta
-    if x1 <= 0.0 and n_dot <= 0.0:
-        return Region.K
-    if x1 >= 0.0 and x2 <= 0.0:
-        return Region.R1
-    if x2 >= 0.0 and d_dot <= 0.0:
-        return Region.R2
-    if n_dot >= 0.0 and d_dot >= 0.0:
-        return Region.R3
-    # Unreachable: the four sectors cover the plane.
-    raise InvalidInput(f"point {x} escaped the region decomposition")
-
-
-def project_onto_cone(point, cone: ConeGeometry) -> np.ndarray:
-    """Euclidean projection P_K onto the wedge."""
-    x = _as_point(point)
-    region = classify_region(x, cone)
-    if region is Region.K:
-        return x.copy()
-    if region is Region.R1:
-        return np.array([0.0, x[1]])
-    if region is Region.R2:
-        return np.zeros(2)
-    d_dot = -x[0] * cone.sin_theta + x[1] * cone.cos_theta
-    return d_dot * cone.face2_direction
-
-
-def penalty_direction(point, cone: ConeGeometry) -> np.ndarray:
-    """Spring displacement w = x - P_K x (zero inside K)."""
-    x = _as_point(point)
-    return x - project_onto_cone(x, cone)
-
-
-def damping_force_G(point, velocity, cone: ConeGeometry) -> np.ndarray:
-    """Normal damping direction G(x, v); zero inside K.
-
-    Outside K this is the component of v along the unit penalty direction,
-    times that direction.  It is discontinuous across the boundary of K:
-    the damping switches on only once the constraint is violated.
-    """
-    v = _as_point(velocity, "velocity")
-    w = penalty_direction(point, cone)
-    w2 = float(w @ w)
-    if w2 == 0.0:
-        return np.zeros(2)
-    return (float(v @ w) / w2) * w
-
-
 def penalty_field(x1: float, x2: float, v1: float, v2: float,
                   cone: ConeGeometry) -> tuple[float, float, float, float]:
     """Spring displacement w and damping direction G at a state, as floats.
 
     Returns (w1, w2, G1, G2) with w = x - P_K x and G = (v . w / |w|^2) w,
-    the values ``penalty_direction`` and ``damping_force_G`` give, in scalar
-    arithmetic and without validation: the inner loop of the oracle.  The
-    regions follow ``classify_region`` (priority K > R1 > R2 > R3).  The
-    dot products round as ``a*b + c*d``, so they may differ from numpy's
-    in the last bits.  Non-finite input propagates as NaN or inf.
+    in scalar arithmetic and without validation: the inner loop of the
+    oracle.  Its branches are the regions K, R1, R2, R3, tested in that
+    order.  Non-finite input propagates as NaN or inf.
     """
     c = cone.cos_theta
     s = cone.sin_theta
@@ -182,6 +118,26 @@ def penalty_field(x1: float, x2: float, v1: float, v2: float,
         return w1, w2, 0.0, 0.0
     f = (v1 * w1 + v2 * w2) / ww
     return w1, w2, f * w1, f * w2
+
+
+def project_onto_cone(point, cone: ConeGeometry) -> np.ndarray:
+    """Euclidean projection P_K x = x - w, w from ``penalty_field``."""
+    x1, x2 = _as_point(point).tolist()
+    w1, w2, _, _ = penalty_field(x1, x2, 0.0, 0.0, cone)
+    return np.array([x1 - w1, x2 - w2])
+
+
+def damping_force_G(point, velocity, cone: ConeGeometry) -> np.ndarray:
+    """Normal damping direction G(x, v) of ``penalty_field``; zero inside K.
+
+    Outside K this is the component of v along the unit penalty direction,
+    times that direction.  It is discontinuous across the boundary of K:
+    the damping switches on only once the constraint is violated.
+    """
+    v1, v2 = _as_point(velocity, "velocity").tolist()
+    x1, x2 = _as_point(point).tolist()
+    _, _, g1, g2 = penalty_field(x1, x2, v1, v2, cone)
+    return np.array([g1, g2])
 
 
 def pi1(velocity) -> np.ndarray:

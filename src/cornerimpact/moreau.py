@@ -14,7 +14,6 @@ This is the impact law the simulations are validated against.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,7 @@ from .errors import InvalidInput
 from .geometry import ConeGeometry, pi1, tangent_cone_project
 from .linear_phase import InitialData, first_crossing_time
 
-__all__ = ["LimitTrajectory", "build_limit", "limit_trajectory",
-           "moreau_velocity_jump"]
+__all__ = ["LimitTrajectory", "build_limit", "limit_trajectory"]
 
 
 @dataclass(frozen=True)
@@ -37,15 +35,10 @@ class LimitTrajectory:
     v_post: np.ndarray          # velocity after the vertex
 
 
-def moreau_velocity_jump(velocity, point, cone: ConeGeometry) -> np.ndarray:
-    """Post-impact velocity: projection onto the tangent cone at ``point``."""
-    return tangent_cone_project(point, velocity, cone)
-
-
 def build_limit(init: InitialData, cone: ConeGeometry) -> LimitTrajectory:
     t0 = first_crossing_time(init)
     v_pre = pi1(np.array([init.dr0, init.ds0]))
-    v_post = moreau_velocity_jump(v_pre, np.zeros(2), cone)
+    v_post = tangent_cone_project(np.zeros(2), v_pre, cone)
     branch = "acute" if cone.is_acute else "obtuse"
     return LimitTrajectory(t0=t0, branch=branch, v_pre=v_pre, v_post=v_post)
 

@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-import cornerimpact
 from cornerimpact import (
     ConeGeometry,
     InitialData,
@@ -500,8 +499,3 @@ def test_oracle_overflow_is_integration_failure():
     with pytest.raises(IntegrationFailure):
         oracle_fast_time_integration(InitialData(-1.0, 1e300, 1e300),
                                      horizon=1.0, **COLLAPSE)
-
-
-def test_backend_report():
-    # The benchmark records this name and compares only equal values.
-    assert cornerimpact.BACKEND == "numpy"

@@ -1,4 +1,9 @@
-"""Region decomposition, cone projection and damping-direction tests."""
+"""The penalty field's region split, cone projection and damping direction.
+
+Membership of each region and the expected w = x - P_K x, G and tangent-cone
+projections are computed here from cos/sin of the wedge angle, not taken
+from the implementation.
+"""
 import math
 
 import numpy as np
@@ -7,10 +12,7 @@ import pytest
 from cornerimpact import (
     ConeGeometry,
     InvalidInput,
-    Region,
-    classify_region,
     damping_force_G,
-    penalty_direction,
     penalty_field,
     pi1,
     pi2,
@@ -44,27 +46,65 @@ def test_cone_frames():
     assert ACUTE.is_acute and not OBTUSE.is_acute and not RIGHT.is_acute
 
 
+def _cos_sin(cone):
+    return math.cos(cone.theta_bar), math.sin(cone.theta_bar)
+
+
+def _in_K(x, cone):
+    c, s = _cos_sin(cone)
+    return x[0] <= 0.0 and x[0] * c + x[1] * s <= 0.0
+
+
+def _region(x, cone):
+    """The region of x by the wedge's lines, first of K > R1 > R2 > R3."""
+    c, s = _cos_sin(cone)
+    if _in_K(x, cone):
+        return "K"
+    if x[0] >= 0.0 and x[1] <= 0.0:
+        return "R1"
+    if x[1] >= 0.0 and -x[0] * s + x[1] * c <= 0.0:
+        return "R2"
+    return "R3"
+
+
+def _expected_w(x, cone, region):
+    """w = x - P_K x in closed form: 0, (x1, 0), x, or x's n2-component."""
+    if region == "K":
+        return np.zeros(2)
+    if region == "R1":
+        return np.array([x[0], 0.0])
+    if region == "R2":
+        return np.array(x, dtype=float)
+    c, s = _cos_sin(cone)
+    n_dot = x[0] * c + x[1] * s
+    return np.array([n_dot * c, n_dot * s])
+
+
 @pytest.mark.parametrize("point,region", [
-    ((-1.0, -1.0), Region.K),
-    ((-1e-3, -5.0), Region.K),
-    ((1.0, -1.0), Region.R1),
-    ((2.0, -1e-9), Region.R1),
-    ((1.0, 0.2), Region.R2),
-    ((0.9, 0.9), Region.R2),
-    ((-0.366, 1.366), Region.R3),      # n2 + d, clearly past face 2
+    ((-1.0, -1.0), "K"),
+    ((-1e-3, -5.0), "K"),
+    ((1.0, -1.0), "R1"),
+    ((2.0, -1e-9), "R1"),
+    ((1.0, 0.2), "R2"),
+    ((0.9, 0.9), "R2"),
+    ((-0.366, 1.366), "R3"),      # n2 + d, clearly past face 2
 ])
 def test_classify_acute_examples(point, region):
-    assert classify_region(point, ACUTE) is region
+    w = penalty_field(*point, 0.0, 0.0, ACUTE)[:2]
+    np.testing.assert_allclose(w, _expected_w(point, ACUTE, region),
+                               rtol=0.0, atol=1e-15)
 
 
 def test_classify_priority_on_boundaries():
-    # Overlap points resolve toward K first, then R1, R2, R3.
-    assert classify_region((0.0, -1.0), ACUTE) is Region.K
-    assert classify_region((0.0, 0.0), ACUTE) is Region.K
-    assert classify_region((1.0, 0.0), ACUTE) is Region.R1
+    # Overlap points take the first branch's exact values: K's zeros on
+    # both faces and at the vertex, then R1's (x1, 0) on the R1/R2 edge and
+    # where face 2 continues past the vertex.
+    v = (1.0, -2.0)
     d = ACUTE.face2_direction
-    assert classify_region(2.0 * d, ACUTE) is Region.K
-    assert classify_region(-2.0 * d, ACUTE) is Region.R1
+    for x in ((0.0, -1.0), (0.0, 0.0), tuple(2.0 * d)):
+        assert penalty_field(*x, *v, ACUTE) == (0.0, 0.0, 0.0, 0.0)
+    for x in ((1.0, 0.0), tuple(-2.0 * d)):
+        assert penalty_field(*x, *v, ACUTE) == (x[0], 0.0, v[0], 0.0)
 
 
 @pytest.mark.parametrize("point,expected", [
@@ -82,12 +122,6 @@ def test_projection_onto_face2():
     x = ACUTE.face2_normal + ACUTE.face2_direction
     np.testing.assert_allclose(project_onto_cone(x, ACUTE),
                                ACUTE.face2_direction, atol=1e-15)
-
-
-@pytest.mark.parametrize("cone", CONES)
-def test_every_point_is_classified(cone):
-    for x in random_points(400, seed=11):
-        assert classify_region(x, cone) in Region
 
 
 @pytest.mark.parametrize("cone", CONES)
@@ -123,7 +157,7 @@ def test_projection_variational_inequality(cone):
     zs = []
     while len(zs) < 40:
         z = rng.uniform(-3.0, 3.0, size=2)
-        if classify_region(z, cone) is Region.K:
+        if _in_K(z, cone):
             zs.append(z)
     for x in random_points(100, seed=16):
         px = project_onto_cone(x, cone)
@@ -140,7 +174,7 @@ def test_projection_is_nearest_point(cone):
         dx = np.hypot(*(x - px))
         for _ in range(20):
             z = rng.uniform(-3.0, 3.0, size=2)
-            if classify_region(z, cone) is Region.K:
+            if _in_K(z, cone):
                 assert dx <= np.hypot(*(x - z)) + 1e-12
 
 
@@ -152,18 +186,11 @@ def test_moreau_decomposition_at_vertex(cone):
         assert abs((v - pv) @ pv) <= 1e-12 * (1.0 + v @ v)
 
 
-def test_penalty_direction_matches_projection():
-    for x in random_points(100, seed=20):
-        w = penalty_direction(x, ACUTE)
-        np.testing.assert_allclose(w, x - project_onto_cone(x, ACUTE),
-                                   atol=0.0)
-
-
 @pytest.mark.parametrize("cone", CONES)
 def test_damping_zero_inside_cone(cone):
     count = 0
     for x in random_points(400, seed=21):
-        if classify_region(x, cone) is Region.K:
+        if _in_K(x, cone):
             count += 1
             np.testing.assert_array_equal(
                 damping_force_G(x, np.array([1.0, -2.0]), cone), 0.0)
@@ -173,10 +200,11 @@ def test_damping_zero_inside_cone(cone):
 def test_damping_is_normal_component():
     # Outside K, G is the component of v along the unit penalty direction.
     for i, x in enumerate(random_points(200, seed=22)):
-        if classify_region(x, ACUTE) is Region.K:
+        region = _region(x, ACUTE)
+        if region == "K":
             continue
         v = random_points(1, seed=100 + i)[0]
-        w = penalty_direction(x, ACUTE)
+        w = _expected_w(x, ACUTE, region)
         g = damping_force_G(x, v, ACUTE)
         expected = (v @ w) / (w @ w) * w
         np.testing.assert_allclose(g, expected, atol=1e-14)
@@ -202,10 +230,10 @@ def _boundary_points(cone):
                      (0.0, 0.0), (2.0, 0.0), tuple(1.5 * cone.face2_normal)])
 
 
-@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
-def test_penalty_field_matches_vector_route(cone):
-    # The oracle's scalar field against P_K and G composed from the
-    # validated vector functions, in every region and on the boundaries.
+@pytest.mark.parametrize("cone", CONES)
+def test_every_point_is_classified(cone):
+    # Every point, random or on a region line, takes the closed-form w of
+    # its region, and G is v's component along w; all four branches occur.
     rng = np.random.default_rng(31)
     points = np.vstack([rng.uniform(-3.0, 3.0, (400, 2)),
                         _boundary_points(cone)])
@@ -213,19 +241,29 @@ def test_penalty_field_matches_vector_route(cone):
     velocities[::7] = 0.0
     velocities[-5:] = [(1.0, -0.5), (0.0, 0.0), (-0.7, 1.2), (0.3, 0.3),
                        (2.0, 1.0)]
+    c, s = _cos_sin(cone)
     regions = set()
     for x, v in zip(points, velocities):
-        regions.add(classify_region(x, cone))
+        region = _region(x, cone)
+        regions.add(region)
         out = penalty_field(*x.tolist(), *v.tolist(), cone)
-        assert all(type(c) is float for c in out)
-        w = x - project_onto_cone(x, cone)
-        g = damping_force_G(x, v, cone)
+        assert all(type(q) is float for q in out)
+        w, g = np.array(out[:2]), np.array(out[2:])
+        expected = _expected_w(x, cone, region)
         scale = np.hypot(*x) + np.hypot(*v)
-        np.testing.assert_allclose(out[:2], w, rtol=0.0, atol=1e-12 * scale)
-        np.testing.assert_allclose(out[2:], g, rtol=0.0, atol=1e-12 * scale)
+        if region == "R3":
+            assert abs(w @ (-s, c)) <= 1e-15 * scale
+            np.testing.assert_allclose(w, expected, rtol=0.0,
+                                       atol=1e-15 * scale)
+        else:
+            np.testing.assert_array_equal(w, expected)
+        ww = expected @ expected
+        g_expected = (v @ expected) / ww * expected if ww else np.zeros(2)
+        np.testing.assert_allclose(g, g_expected, rtol=0.0,
+                                   atol=1e-12 * scale)
         if not v.any():
             assert out[2:] == (0.0, 0.0)
-    assert regions == set(Region)
+    assert regions == {"K", "R1", "R2", "R3"}
 
 
 def test_penalty_field_at_boundary_points():
@@ -265,15 +303,28 @@ def test_tangent_cone_projection_cases():
     x2 = 1.5 * ACUTE.face2_direction
     np.testing.assert_allclose(
         tangent_cone_project(x2, v, ACUTE), pi2(v, ACUTE), atol=1e-15)
-    np.testing.assert_allclose(
-        tangent_cone_project((0.0, 0.0), v, ACUTE),
-        project_onto_cone(v, ACUTE), atol=0.0)
     with pytest.raises(InvalidInput):
         tangent_cone_project((1.0, 1.0), v, ACUTE)
+    # At the vertex the tangent cone is K itself.  Each u below has u2 > 0
+    # and lies outside K: past face 2 it keeps (u . d) d, in the polar wedge
+    # of K it stops.
+    for cone in CONES:
+        c, s = _cos_sin(cone)
+        d = np.array([-s, c])
+        for u in [(0.0, 1.0), (0.0, 2.5), (2.0, 1.0),
+                  (c - 0.5 * s, s + 0.5 * c)]:
+            u = np.array(u)
+            assert not _in_K(u, cone)
+            expected = (u @ d) * d if u @ d > 0.0 else np.zeros(2)
+            np.testing.assert_allclose(
+                tangent_cone_project((0.0, 0.0), u, cone), expected,
+                rtol=0.0, atol=1e-15)
 
 
 def test_shape_validation():
     with pytest.raises(InvalidInput):
-        classify_region((1.0, 2.0, 3.0), ACUTE)
+        project_onto_cone((1.0, 2.0, 3.0), ACUTE)
     with pytest.raises(InvalidInput):
         project_onto_cone((math.inf, 0.0), ACUTE)
+    with pytest.raises(InvalidInput):
+        damping_force_G((1.0, 0.0), (0.0, math.nan), ACUTE)
