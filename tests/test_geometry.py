@@ -266,6 +266,50 @@ def test_every_point_is_classified(cone):
     assert regions == {"K", "R1", "R2", "R3"}
 
 
+def _nearest_point_in_K(x, cone):
+    """P_K x as the nearest point of K: x itself, or the nearer boundary ray."""
+    if _in_K(x, cone):
+        return np.array(x, dtype=float)
+    c, s = _cos_sin(cone)
+    d = np.array([-s, c])
+    on_face1 = np.array([0.0, min(x[1], 0.0)])
+    on_face2 = max(x @ d, 0.0) * d
+    return min((on_face1, on_face2), key=lambda p: np.hypot(*(x - p)))
+
+
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
+def test_penalty_field_matches_vector_route(cone):
+    # The scalar field and its vector wrappers against P_K found as the
+    # nearest point of the two boundary rays, with no region split, and G
+    # as v's component along w, in every region and on the boundaries.
+    rng = np.random.default_rng(31)
+    points = np.vstack([rng.uniform(-3.0, 3.0, (400, 2)),
+                        _boundary_points(cone)])
+    velocities = rng.uniform(-3.0, 3.0, points.shape)
+    velocities[::7] = 0.0
+    velocities[-5:] = [(1.0, -0.5), (0.0, 0.0), (-0.7, 1.2), (0.3, 0.3),
+                       (2.0, 1.0)]
+    regions = set()
+    for x, v in zip(points, velocities):
+        regions.add(_region(x, cone))
+        out = penalty_field(*x.tolist(), *v.tolist(), cone)
+        assert all(type(q) is float for q in out)
+        p = _nearest_point_in_K(x, cone)
+        w = x - p
+        ww = w @ w
+        g = (v @ w) / ww * w if ww else np.zeros(2)
+        scale = np.hypot(*x) + np.hypot(*v)
+        np.testing.assert_allclose(out[:2], w, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(out[2:], g, rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(project_onto_cone(x, cone), p, rtol=0.0,
+                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(damping_force_G(x, v, cone), g, rtol=0.0,
+                                   atol=1e-12 * scale)
+        if not v.any():
+            assert out[2:] == (0.0, 0.0)
+    assert regions == {"K", "R1", "R2", "R3"}
+
+
 def test_penalty_field_at_boundary_points():
     # Exact boundary states: no spring on the faces and the vertex, the
     # full displacement on both R2 edges.
