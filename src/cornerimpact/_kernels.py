@@ -60,10 +60,10 @@ only and no object the garbage collector tracks.  They become numpy
 arrays when the run ends.
 Sampling: the state at an offset s into an accepted step is the
 single-step map ``_substep`` of length s from that step's start, the
-same map the exit search solves on.
-``substep_many`` evaluates it at many (start, offset) pairs at once in
-numpy; it is exact at both step ends and as accurate as the step itself
-in between.
+same map the exit search solves on.  ``substep_many`` evaluates it at
+many (start, offset) pairs at once in numpy, for ``CornerResult.sample``
+after a run; it is exact at both step ends and as accurate as the step
+itself in between.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
 theta_target.  The exit is the root of Theta = theta_target on the exact

@@ -3,7 +3,8 @@
 ``integrate_corner`` drives the Lawson Dormand-Prince cores in ``_kernels``
 on the reduced radial system and locates the first crossing of the target
 angle theta_bar (the exit onto face 2), stopping there unless the run
-continues to its horizon.  Its states map back to physical coordinates through
+continues to its horizon; ``CornerResult.sample`` then gives its state at any
+tau it covered.  Its states map back to physical coordinates through
 ``scaling.scaled_to_cartesian``, which needs the physical stiffness.
 ``oracle_fast_time_integration`` is a deliberately independent route: it
 integrates the full penalty vector field in Cartesian fast time with the
@@ -79,15 +80,19 @@ def radial_rhs(state: ScaledState, params: ScaledParams):
     return dR, ddR, dTheta
 
 
+def _flow_constants(params: ScaledParams):
+    """(c3, cth, xi1, xi2, 2 sqrt(D)): the kernel's view of the flow."""
+    d = params.damping
+    return params.c3, params.momentum, d.xi1, d.xi2, 2.0 * d.sqrt_delta
+
+
 @dataclass
 class CornerResult:
     """Outcome of a corner integration.
 
     ``tau``/``R``/``dR``/``Theta`` are the accepted-step samples (always
-    starting at tau = 0; the columns of the kernel's state array).  When a
-    ``tau_eval`` grid was supplied, the states there are in ``eval_*``
-    (clipped to the part of the grid the run actually covered), taken from
-    the single-step map from the start of the covering step.  ``exit_state``
+    starting at tau = 0; the columns of the kernel's state array), and
+    ``sample`` gives the state at any tau the run covered.  ``exit_state``
     is set when the run crossed theta_bar, whether it stopped there or
     continued past the exit (``stop_at_event=False``).  ``horizon`` is the
     scaled end time the run was given.
@@ -99,14 +104,32 @@ class CornerResult:
     Theta: np.ndarray
     exit_tau: float | None
     exit_state: ScaledState | None
-    reached_horizon: bool
     n_accepted: int
     n_rejected: int
-    eval_tau: np.ndarray | None = None
-    eval_R: np.ndarray | None = None
-    eval_dR: np.ndarray | None = None
-    eval_Theta: np.ndarray | None = None
-    horizon: float = 0.0
+    horizon: float
+    params: ScaledParams = field(repr=False)
+    # Read only by the benchmark's tracer; no run keeps a sample grid.
+    eval_tau = None
+
+    def sample(self, tau) -> ScaledState:
+        """States at scaled times in [0, tau[-1]] (the exit, or at least
+        the horizon): the single-step map ``substep_many`` from the start
+        of the accepted step that holds each time, one array per field.
+        Other times, and times not finite or not 1-D, raise InvalidInput."""
+        tau = np.asarray(tau, dtype=float)
+        if tau.ndim != 1 or not np.all(np.isfinite(tau)):
+            raise InvalidInput(
+                "corner sample times must be a finite 1-D array")
+        end = self.tau[-1]
+        if tau.size and not (tau.min() >= 0.0 and tau.max() <= end):
+            raise InvalidInput(
+                f"corner sample times must lie in [0, {end:g}], "
+                f"got [{tau.min():g}, {tau.max():g}]")
+        # Sample j lies in the step that starts at sample i[j].
+        i = np.searchsorted(self.tau[:-1], tau, side="right") - 1
+        y = substep_many(self.R[i], self.dR[i], self.Theta[i],
+                         tau - self.tau[i], *_flow_constants(self.params))
+        return ScaledState(tau, y[:, 0], y[:, 1], y[:, 2])
 
 
 def default_horizon(params: ScaledParams) -> float:
@@ -120,8 +143,7 @@ def default_horizon(params: ScaledParams) -> float:
 def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
                      horizon: float | None = None,
-                     stop_at_event: bool = True,
-                     tau_eval=None) -> CornerResult:
+                     stop_at_event: bool = True) -> CornerResult:
     """Integrate the scaled corner flow from tau = 0.
 
     The run ends at the first crossing of Theta = theta_bar or at the
@@ -138,48 +160,16 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         raise InvalidInput(
             f"horizon must be non-negative and finite, got {horizon!r}")
 
-    if tau_eval is None:
-        ev = np.empty(0)
-    else:
-        ev = np.asarray(tau_eval, dtype=float)
-        if ev.ndim != 1 or (ev.size and (np.any(np.diff(ev) <= 0.0)
-                                         or ev[0] <= 0.0)):
-            raise InvalidInput(
-                "tau_eval must be strictly increasing and positive")
-
-    c3 = params.c3
-    cth = params.momentum
-    d = params.damping
-    lin = (d.xi1, d.xi2, 2.0 * d.sqrt_delta)  # roots of the linear part
-
     ts, ys, exit, nacc, nrej = integrate_radial(
-        params.R0, params.dR0, c3, cth, *lin, cone.theta_bar, horizon, rtol,
-        atol, 1e-3 * params.kappa, stop_at_event)
+        params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
+        horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event)
 
     R, dR, Theta = ys.T.copy()
-    exit_state = None if exit is None else ScaledState(*exit)
-    result = CornerResult(
+    return CornerResult(
         tau=ts, R=R, dR=dR, Theta=Theta,
-        exit_tau=None if exit is None else exit[0], exit_state=exit_state,
-        reached_horizon=exit is None or not stop_at_event,
-        n_accepted=nacc, n_rejected=nrej, horizon=horizon,
-    )
-    if ev.size:
-        # The run covers the grid up to the exit, or up to the horizon
-        # within a final-step rounding.
-        if not result.reached_horizon:
-            end = exit[0]
-        else:
-            end = horizon * (1.0 + 1e-12)
-        ev = ev[:np.searchsorted(ev, end, side="right")]
-        # Sample j lies in the step that starts at sample i[j].
-        i = np.searchsorted(ts[:-1], ev, side="right") - 1
-        eval_y = substep_many(*ys[i].T, ev - ts[i], c3, cth, *lin)
-        result.eval_tau = ev.copy()
-        result.eval_R = eval_y[:, 0]
-        result.eval_dR = eval_y[:, 1]
-        result.eval_Theta = eval_y[:, 2]
-    return result
+        exit_tau=None if exit is None else exit[0],
+        exit_state=None if exit is None else ScaledState(*exit),
+        n_accepted=nacc, n_rejected=nrej, horizon=horizon, params=params)
 
 
 @dataclass

@@ -156,9 +156,11 @@ def pi2(velocity, cone: ConeGeometry) -> np.ndarray:
 def tangent_cone_project(point, velocity, cone: ConeGeometry) -> np.ndarray:
     """Project ``velocity`` onto the tangent cone of K at a boundary point.
 
-    At a face interior this is the tangential projection onto that face; at
-    the vertex the tangent cone is K itself, so the projection coincides
-    with P_K applied to the velocity (anelastic impact law).
+    At a face interior the tangent cone is the half-plane v . n <= 0 of
+    the face's outward normal n ((1, 0) on face 1, n2 on face 2), so only
+    an outward normal component is removed: v - max(v . n, 0) n.  At the
+    vertex the tangent cone is K itself, so the projection coincides with
+    P_K applied to the velocity (anelastic impact law).
     """
     x = _as_point(point)
     v = _as_point(velocity, "velocity")
@@ -167,11 +169,12 @@ def tangent_cone_project(point, velocity, cone: ConeGeometry) -> np.ndarray:
     if scale <= tol:
         return project_onto_cone(v, cone)
     n_dot = x[0] * cone.cos_theta + x[1] * cone.sin_theta
-    if abs(x[0]) <= tol and x[1] < 0.0:
-        return pi1(v)
     d_dot = -x[0] * cone.sin_theta + x[1] * cone.cos_theta
-    if abs(n_dot) <= tol and d_dot > 0.0:
-        return pi2(v, cone)
-    raise InvalidInput(
-        f"point {x} is not on the wedge boundary (within {tol:g})"
-    )
+    if abs(x[0]) <= tol and x[1] < 0.0:
+        n = np.array([1.0, 0.0])
+    elif abs(n_dot) <= tol and d_dot > 0.0:
+        n = cone.face2_normal
+    else:
+        raise InvalidInput(
+            f"point {x} is not on the wedge boundary (within {tol:g})")
+    return v - max(float(v @ n), 0.0) * n

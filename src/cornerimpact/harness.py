@@ -91,14 +91,14 @@ def _merged_grid(lo: float, hi: float, extra, n: int) -> np.ndarray:
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
-    ``t_eval`` times are folded into the sample set exactly.  The corner
-    window is sampled only through the single-step map of the corner
-    integration, on a geometric grid of scaled offsets (so every
-    timescale between the layer width and the horizon is resolved) plus
-    the mapped ``t_eval`` points, and ``scaled_to_cartesian`` maps the
-    samples to physical time.  Samples that do not advance in physical
-    time are dropped, and the corner rows stop before the exit time,
-    where the face-2 rows start.  Face 2 starts from the (n2, d2)
+    ``t_eval`` times are folded into the sample set exactly.  The finished
+    corner run is sampled on a geometric grid of scaled offsets up to the
+    horizon, from 1e-18 of the window the run covered (the exit, else the
+    horizon) but no lower than 1e-3 kappa, so every timescale between the
+    layer width and the exit is resolved; the mapped ``t_eval`` points
+    join it.  Only samples whose time t0 + tau / sqrt(k) advances and
+    precedes the exit, where the face-2 rows start, are evaluated and
+    mapped by ``scaled_to_cartesian``.  Face 2 starts from the (n2, d2)
     components of the exit state, ``scaled_to_cartesian`` at the angle
     Theta - theta_bar; the exit residual is |u . d2|, ``handoff_pos_exit``.
     """
@@ -130,18 +130,9 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
 
     if T > t0:
         tau_end = (T - t0) * sk
-
-        lo = max(params.kappa * 1e-3, tau_end * 1e-18)
-        ev = np.geomspace(lo, tau_end, N_CORNER_EVAL)
-        if t_eval is not None:
-            mapped = (t_eval[(t_eval > t0) & (t_eval <= T)] - t0) * sk
-            mapped = mapped[(mapped > 0.0) & (mapped <= tau_end)]
-            ev = np.concatenate([ev, mapped])
-        ev = np.unique(ev)
-
         res = integrate_corner(params, cone, rtol=config.rtol,
                                atol=config.atol, horizon=tau_end,
-                               tau_eval=ev, stop_at_event=True)
+                               stop_at_event=True)
         st = res.exit_state
         t_bar = math.inf
         if st is not None:
@@ -151,13 +142,23 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                 params, st.tau, st.R, st.dR, st.Theta - cone.theta_bar)
             y1_0, slide = u_bar.tolist()
             dy1_0, dy2_0 = v_bar.tolist()
-        t2, u2, v2 = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
-                                         res.eval_dR, res.eval_Theta)
+
+        end = tau_end if st is None else st.tau
+        lo = max(params.kappa * 1e-3, end * 1e-18)
+        ev = np.geomspace(lo, tau_end, N_CORNER_EVAL)
+        if t_eval is not None:
+            mapped = (t_eval[(t_eval > t0) & (t_eval <= T)] - t0) * sk
+            mapped = mapped[(mapped > 0.0) & (mapped <= tau_end)]
+            ev = np.concatenate([ev, mapped])
+        ev = np.unique(ev)
         # Corner rows are the distinct sample times in (t0, t_bar): at
         # large k sub-ulp samples collapse onto t0 or onto each other, and
-        # the exit row at t_bar opens face 2.
+        # the exit row at t_bar opens face 2.  Only those are evaluated.
+        t2 = t0 + ev / sk
         keep = (np.diff(t2, prepend=t0) > 0.0) & (t2 < t_bar)
-        t2, u2, v2 = t2[keep], u2[keep], v2[keep]
+        corner = res.sample(ev[keep])
+        t2, u2, v2 = scaled_to_cartesian(params, corner.tau, corner.R,
+                                         corner.dR, corner.Theta)
         parts_t.append(t2)
         parts_u.append(u2)
         parts_v.append(v2)
@@ -275,11 +276,10 @@ def asymptotic_report(config: SimConfig, eta_list=None):
             [eta ** 3],
         ]))
         res = integrate_corner(params, cone, rtol=config.rtol,
-                               atol=config.atol, horizon=tau3, tau_eval=ev,
+                               atol=config.atol, horizon=tau3,
                                stop_at_event=False)
-        ev = res.eval_tau
-        R_num = res.eval_R
-        dR_num = res.eval_dR
+        num = res.sample(ev)
+        R_num, dR_num = num.R, num.dR
 
         m1 = ev <= tau1
         R1_ref = first_asymptotic_R1(params, ev[m1])

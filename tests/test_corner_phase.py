@@ -64,7 +64,6 @@ def test_acute_exit_regression():
     assert st.R == pytest.approx(0.005773081589641302, rel=1e-12, abs=0.0)
     assert st.dR == pytest.approx(86.59130465777689, rel=1e-12)
     assert abs(st.Theta - ACUTE.theta_bar) <= 1e-14
-    assert not res.reached_horizon
     assert res.tau[-1] == res.exit_tau
 
 
@@ -134,29 +133,30 @@ def test_samples_start_at_zero_and_increase():
 def test_eval_grid_states():
     p = params_at(1e-2)
     ev = np.array([1e-4, 1e-2, 1.0, 5.0])
-    res = integrate_corner(p, OBTUSE, tau_eval=ev, stop_at_event=False,
-                           horizon=6.0)
-    np.testing.assert_array_equal(res.eval_tau, ev)
-    # Eval states interleave consistently with the accepted samples.
+    res = integrate_corner(p, OBTUSE, stop_at_event=False, horizon=6.0)
+    st = res.sample(ev)
+    np.testing.assert_array_equal(st.tau, ev)
+    # Sampled states interleave consistently with the accepted samples.
     interp_R = np.interp(ev, res.tau, res.R)
-    np.testing.assert_allclose(res.eval_R, interp_R, rtol=5e-3)
-    # Momentum holds on the eval grid too.
-    mom = res.eval_R ** 2 * (math.sqrt(p.E) * (1 - p.eps) / res.eval_R ** 2)
+    np.testing.assert_allclose(st.R, interp_R, rtol=5e-3)
+    # Momentum holds at the samples too.
+    mom = st.R ** 2 * (math.sqrt(p.E) * (1 - p.eps) / st.R ** 2)
     np.testing.assert_allclose(mom, p.momentum, rtol=1e-15)
 
 
 @pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
 def test_dense_output_matches_single_step(cone):
-    # eval_* come from the single-step map from the covering step's start,
-    # evaluated for all samples at once; the scalar map is the reference.
+    # Samples come from the single-step map from the covering step's
+    # start, evaluated for all of them at once; the scalar map is the
+    # reference.
     p = params_at(1e-3)
-    run = integrate_corner(p, cone)
+    res = integrate_corner(p, cone)
     rng = np.random.default_rng(20)
-    step = rng.integers(0, run.tau.size - 1, 50)
+    step = rng.integers(0, res.tau.size - 1, 50)
     x = rng.uniform(0.0, 1.0, 50)
-    ev = np.unique(run.tau[step] + x * (run.tau[step + 1] - run.tau[step]))
-    res = integrate_corner(p, cone, tau_eval=ev)
-    np.testing.assert_array_equal(res.eval_tau, ev)
+    ev = np.unique(res.tau[step] + x * (res.tau[step + 1] - res.tau[step]))
+    st = res.sample(ev)
+    np.testing.assert_array_equal(st.tau, ev)
 
     one = 1.0 - p.eps
     c3, cth = p.E * one * one, math.sqrt(p.E) * one
@@ -168,12 +168,11 @@ def test_dense_output_matches_single_step(cone):
         ok, *ref[j] = _substep(R, V, T, *_rhs(R, c3, cth), tau - res.tau[i],
                                c3, cth, *lin)
         assert ok
-    np.testing.assert_allclose(res.eval_R, ref[:, 0], rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(res.eval_Theta, ref[:, 2], rtol=1e-13,
-                               atol=0.0)
+    np.testing.assert_allclose(st.R, ref[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(st.Theta, ref[:, 2], rtol=1e-13, atol=0.0)
     # dR changes sign at the turning point: relative to its scale.
     dR_scale = np.max(np.abs(res.dR))
-    assert np.max(np.abs(res.eval_dR - ref[:, 1])) <= 1e-13 * dR_scale
+    assert np.max(np.abs(st.dR - ref[:, 1])) <= 1e-13 * dR_scale
 
 
 def test_linear_part_is_exact():
@@ -231,55 +230,52 @@ def test_step_budget_names_the_kernel_budget(monkeypatch):
         integrate_corner(params_at(1e-2), OBTUSE)
 
 
-# Exit (tau, R, R', Theta), the last sample, the eval_* arrays and the
-# step counts of four runs, pinned bit for bit (rtol 1e-10, atol 1e-12).
+# Exit (tau, R, R', Theta), the last sample, the states ``sample`` gives
+# at the times in ``samples`` that the run covered, and the step counts of
+# four runs, pinned bit for bit (rtol 1e-10, atol 1e-12).  The acute run
+# stops at its exit near 5e-5, before every sample time.
 # At eta = 1e-20 the obtuse run takes Lawson steps tens of tau long and
 # the samples fall inside them.  "past_exit" is the asym-report run: it
 # continues past the exit to tau3 = zeta ln(1/eta) at alpha = 8 and
 # settles toward the rest point Rc, where the step is taken about w = n1.
 BITWISE_PINS = {
     "acute": dict(
-        eta=1e-2, cone=ACUTE, tau_eval=[1e-4, 1e-2, 0.5],
+        eta=1e-2, cone=ACUTE, samples=[1e-4, 1e-2, 0.5],
         exit=(4.9997617401402155e-05, 0.005773081589641302,
               86.59130465777689, 1.0471975511965976),
-        eval_R=[], eval_dR=[], eval_Theta=[], steps=(53, 0)),
+        R=[], dR=[], Theta=[], steps=(53, 0)),
     "obtuse": dict(
-        eta=1e-2, cone=OBTUSE, tau_eval=[1e-4, 1e-2, 0.5],
+        eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
         exit=(12.516784287211966, 1.0254348268261178, -0.2575705735704632,
               2.0943951023931953),
-        eval_R=[0.010407197559978392, 0.9804259663192579,
-                20.784766543427956],
-        eval_dR=[96.0498928421035, 96.09103743542535, 9.907297643268851],
-        eval_Theta=[1.289813359528239, 1.5684222301103354,
-                    1.571828767599425],
+        R=[0.010407197559978392, 0.9804259663192579, 20.784766543427956],
+        dR=[96.0498928421035, 96.09103743542535, 9.907297643268851],
+        Theta=[1.289813359528239, 1.5684222301103354, 1.571828767599425],
         steps=(252, 0)),
     "obtuse_far": dict(
-        eta=1e-20, cone=OBTUSE, tau_eval=[1.0, 20.0, 60.0, 120.0, 160.0],
+        eta=1e-20, cone=OBTUSE, samples=[1.0, 20.0, 60.0, 120.0, 160.0],
         exit=(167.19758058098014, 1.0252001001012556, -0.25749571991447,
               2.0943951023931953),
-        eval_R=[2.139091302813837e+19, 1.3584143569910666e+17,
-                3008001405344.153, 313434.42400606157, 6.940578532657352],
-        eval_dR=[-3.337309714260046e+18, -3.639860299425991e+16,
-                 -805991547393.6481, -83984.5007925383,
-                 -1.8596674625207796],
-        eval_Theta=[1.5707963279009665, 1.5707963279009665,
-                    1.5707963279009665, 1.5707963279064505,
-                    1.5819788524165923],
+        R=[2.139091302813837e+19, 1.3584143569910666e+17,
+           3008001405344.153, 313434.42400606157, 6.940578532657352],
+        dR=[-3.337309714260046e+18, -3.639860299425991e+16,
+            -805991547393.6481, -83984.5007925383, -1.8596674625207796],
+        Theta=[1.5707963279009665, 1.5707963279009665, 1.5707963279009665,
+               1.5707963279064505, 1.5819788524165923],
         steps=(340, 22)),
     "past_exit": dict(
         eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
-        tau_eval=[1e-4, 1e-2, 0.5, 5.0, 30.0],
+        samples=[1e-4, 1e-2, 0.5, 5.0, 30.0],
         exit=(1.0910560790904328e-05, 0.0012598152342222133,
               86.59305062095987, 1.0471975511965976),
         last=(36.69688332983271, 0.6339250781694045, -0.03881004528695248,
               2.818272770251655),
-        eval_R=[0.010013064117653932, 0.9242316605941496, 6.103630775045192,
-                4.603814640724943, 0.9602011418210945],
-        eval_dR=[99.65692801898618, 85.22335691995758, -0.34835685288262896,
-                 -0.28886873907796323, -0.059970859032666295],
-        eval_Theta=[1.5080309297704406, 1.5707652763164472,
-                    1.5723445561926834, 1.5825635891965761,
-                    2.104170583394649],
+        R=[0.010013064117653932, 0.9242316605941496, 6.103630775045192,
+           4.603814640724943, 0.9602011418210945],
+        dR=[99.65692801898618, 85.22335691995758, -0.34835685288262896,
+            -0.28886873907796323, -0.059970859032666295],
+        Theta=[1.5080309297704406, 1.5707652763164472, 1.5723445561926834,
+               1.5825635891965761, 2.104170583394649],
         steps=(813, 0)),
 }
 
@@ -291,14 +287,14 @@ def test_bitwise_pin(case):
                                   characteristic_roots(pin.get("alpha", 2.0)))
     res = integrate_corner(params, pin["cone"], rtol=1e-10, atol=1e-12,
                            horizon=pin.get("horizon"),
-                           stop_at_event="horizon" not in pin,
-                           tau_eval=pin["tau_eval"])
+                           stop_at_event="horizon" not in pin)
     st = res.exit_state
     assert (res.exit_tau, st.R, st.dR, st.Theta) == pin["exit"]
     last = (res.tau[-1], res.R[-1], res.dR[-1], res.Theta[-1])
     assert tuple(map(float, last)) == pin.get("last", pin["exit"])
-    for name in ("eval_R", "eval_dR", "eval_Theta"):
-        assert list(map(float, getattr(res, name))) == pin[name], name
+    sampled = res.sample([t for t in pin["samples"] if t <= res.tau[-1]])
+    for name in ("R", "dR", "Theta"):
+        assert list(map(float, getattr(sampled, name))) == pin[name], name
     assert (res.n_accepted, res.n_rejected) == pin["steps"]
 
 
@@ -319,41 +315,49 @@ def test_samples_across_long_steps():
     run = integrate_corner(p, OBTUSE)
     assert np.max(np.diff(run.tau)) > 10.0
     ev = np.linspace(0.1, 0.99, 300) * run.exit_tau
-    res = integrate_corner(p, OBTUSE, tau_eval=ev)
-    ref = integrate_corner(p, OBTUSE, tau_eval=ev, rtol=1e-13, atol=1e-15)
-    for name in ("eval_R", "eval_dR", "eval_Theta"):
+    res = run.sample(ev)
+    ref = integrate_corner(p, OBTUSE, rtol=1e-13, atol=1e-15).sample(ev)
+    for name in ("R", "dR", "Theta"):
         got, want = getattr(res, name), getattr(ref, name)
         assert got.size == 300 and np.all(np.isfinite(got)), name
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0,
                                    err_msg=name)
 
 
-def test_eval_points_clipped_at_event_stop():
+def test_sample_outside_the_run_is_invalid():
+    # The run stops at its exit near 5e-5: its window is [0, exit], in
+    # any order, and every time outside it, or not finite, or not in a
+    # 1-D array, is refused.
     p = params_at(1e-2)
-    res = integrate_corner(p, ACUTE, tau_eval=[1e-2, 1.0])
-    # Exit fires near 5e-5, so no eval point is covered.
-    assert res.eval_tau.size == 0
+    res = integrate_corner(p, ACUTE)
+    st = res.sample([res.exit_tau, 0.0])
+    assert st.R[1] == p.R0 and st.dR[1] == p.dR0 and st.Theta[1] == 0.0
+    assert st.Theta[0] == pytest.approx(ACUTE.theta_bar, rel=1e-14)
+    assert res.sample([]).R.size == 0
+    for bad in ([1e-2], [-1e-9], [math.nan], [math.inf], [[1e-5]], 1e-5):
+        with pytest.raises(InvalidInput, match="corner sample times"):
+            res.sample(bad)
+    # A run to its horizon covers it, past the exit.
+    run = integrate_corner(p, OBTUSE, horizon=20.0, stop_at_event=False)
+    assert run.tau[-1] >= 20.0 > run.exit_tau
+    assert np.all(np.isfinite(run.sample([run.exit_tau, 20.0]).R))
 
 
 def test_eval_point_at_accepted_time_matches_state():
-    # Re-evaluating at an accepted time reproduces the stored state up to
-    # one rounding of the step-offset subtraction.
+    # Sampling at an accepted time reproduces the stored state up to one
+    # rounding of the step-offset subtraction.
     p = params_at(1e-2)
-    first = integrate_corner(p, OBTUSE, horizon=2.0)
-    pick = first.tau[5]
-    again = integrate_corner(p, OBTUSE, horizon=2.0, tau_eval=[pick])
-    i = np.searchsorted(again.tau, pick)
-    assert again.tau[i] == pick
-    assert again.eval_R[0] == pytest.approx(again.R[i], rel=1e-14)
-    assert again.eval_dR[0] == pytest.approx(again.dR[i], rel=1e-13,
-                                             abs=1e-14)
+    res = integrate_corner(p, OBTUSE, horizon=2.0)
+    st = res.sample([res.tau[5]])
+    assert st.R[0] == pytest.approx(res.R[5], rel=1e-14)
+    assert st.dR[0] == pytest.approx(res.dR[5], rel=1e-13, abs=1e-14)
 
 
 def test_continue_after_event():
     p = params_at(1e-2)
     res = integrate_corner(p, OBTUSE, stop_at_event=False)
     assert res.exit_tau is not None
-    assert res.reached_horizon
+    assert res.tau[-1] >= res.horizon
     assert res.tau[-1] == pytest.approx(res.horizon, rel=1e-12)
     assert res.tau[-1] > res.exit_tau
 
@@ -379,10 +383,6 @@ def test_input_validation():
         integrate_corner(p, ACUTE, rtol=1e-24, atol=1e-26)
     with pytest.raises(InvalidInput):
         integrate_corner(p, ACUTE, horizon=-1.0)
-    with pytest.raises(InvalidInput):
-        integrate_corner(p, ACUTE, tau_eval=[0.0, 1.0])     # not positive
-    with pytest.raises(InvalidInput):
-        integrate_corner(p, ACUTE, tau_eval=[2.0, 1.0])     # not increasing
 
 
 def test_tolerance_consistency():

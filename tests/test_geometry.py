@@ -365,6 +365,26 @@ def test_tangent_cone_projection_cases():
                 rtol=0.0, atol=1e-15)
 
 
+def test_tangent_cone_keeps_inward_velocities_at_faces():
+    # At a face interior the tangent cone is the half-plane v . n <= 0:
+    # a velocity into K, or along the face, is its own projection, and an
+    # outward one loses only its normal component.
+    np.testing.assert_array_equal(
+        tangent_cone_project((0.0, -1.0), (-1.0, 0.5), ACUTE), [-1.0, 0.5])
+    for cone in CONES:
+        n2 = cone.face2_normal
+        x2 = 1.5 * cone.face2_direction
+        for x, n in (((0.0, -1.0), np.array([1.0, 0.0])), (x2, n2)):
+            t = np.array([-n[1], n[0]])
+            for v in (-n, -2.0 * n + 0.3 * t, 0.7 * t, -0.7 * t):
+                np.testing.assert_allclose(
+                    tangent_cone_project(x, v, cone), v, rtol=0.0,
+                    atol=1e-15)
+            np.testing.assert_allclose(
+                tangent_cone_project(x, 2.0 * n - 0.3 * t, cone), -0.3 * t,
+                rtol=0.0, atol=1e-15)
+
+
 def test_shape_validation():
     with pytest.raises(InvalidInput):
         project_onto_cone((1.0, 2.0, 3.0), ACUTE)

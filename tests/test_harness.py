@@ -208,29 +208,53 @@ def test_corner_attempts_are_stepping_only(monkeypatch):
 @pytest.mark.parametrize("cfg", [ACUTE_CFG, ACUTE_CFG.override(k=1e4),
                                  OBTUSE_CFG])
 def test_corner_rows_are_mapped_dense_samples(monkeypatch, cfg):
-    from cornerimpact import harness, scaled_to_cartesian
+    from cornerimpact.corner_phase import CornerResult
 
-    runs = []
-    corner = harness.integrate_corner
-    monkeypatch.setattr(harness, "integrate_corner",
-                        lambda *a, **kw: runs.append((a, corner(*a, **kw)))
-                        or runs[-1][1])
+    samples = []
+    sample = CornerResult.sample
+    monkeypatch.setattr(CornerResult, "sample",
+                        lambda self, tau: samples.append(
+                            (self, sample(self, tau))) or samples[-1][1])
     grid = np.linspace(0.0, 2.0, 400)
     traj = simulate_full(cfg, t_eval=grid)
-    ((params, _), res), = runs
-    t, u, v = scaled_to_cartesian(params, res.eval_tau, res.eval_R,
-                                  res.eval_dR, res.eval_Theta)
-    # One corner row per distinct sample time between t0 = 1 and the
-    # exit, holding the first corner sample mapped to that time; the exit
-    # itself is the first face-2 row.
+    ((res, st),) = samples
+    t, u, v = scaled_to_cartesian(res.params, st.tau, st.R, st.dR, st.Theta)
+    # One corner row per sample, at distinct times between t0 = 1 and the
+    # exit, holding the sample mapped to that time; the exit itself is the
+    # first face-2 row.
     t_exit = traj.metadata["t_exit"]
     corner = traj.phase == PHASE_CORNER
-    np.testing.assert_array_equal(traj.t[corner],
-                                  np.unique(t[(t > 1.0) & (t < t_exit)]))
-    first = np.searchsorted(t, traj.t[corner])
-    np.testing.assert_array_equal(traj.u[corner], u[first])
-    np.testing.assert_array_equal(traj.v[corner], v[first])
+    np.testing.assert_array_equal(traj.t[corner], t)
+    assert np.all(np.diff(t, prepend=1.0) > 0.0) and t[-1] < t_exit
+    np.testing.assert_array_equal(traj.u[corner], u)
+    np.testing.assert_array_equal(traj.v[corner], v)
     assert traj.t[traj.phase == PHASE_FACE2][0] == t_exit
+
+
+@pytest.mark.parametrize("cfg", [ACUTE_CFG, ACUTE_CFG.override(k=1e4),
+                                 OBTUSE_CFG])
+def test_every_evaluated_corner_sample_is_a_row(monkeypatch, cfg):
+    # The corner grid is sampled once the run has ended, and only at the
+    # times that become rows: none is evaluated and then dropped.
+    from cornerimpact import corner_phase
+
+    evaluated = []
+    many = corner_phase.substep_many
+    monkeypatch.setattr(corner_phase, "substep_many",
+                        lambda *a: evaluated.append(a[3].size) or many(*a))
+    traj = simulate_full(cfg)
+    rows = traj.metadata["phase_counts"][PHASE_CORNER]
+    assert rows > 0 and sum(evaluated) == rows
+
+
+def test_long_horizon_keeps_corner_rows():
+    # At k = 1e4 the acute exit comes at tau ~ 1.2e-12.  A horizon of
+    # T = 1e6 (tau_end = 1e8) must not lift the corner grid's floor past
+    # the exit, which would leave the corner with no rows.
+    short = simulate_full(ACUTE_CFG.override(k=1e4))
+    far = simulate_full(ACUTE_CFG.override(k=1e4, T=1e6))
+    assert far.metadata["tau_exit"] == short.metadata["tau_exit"] < 2e-12
+    assert far.metadata["phase_counts"][PHASE_CORNER] >= 30
 
 
 def test_horizon_before_crossing():
