@@ -4,7 +4,8 @@
 closed form up to the crossing time t0, the adaptive corner passage in
 scaled variables, and (once the exit angle is reached) the face-2 closed
 form.  Both handoffs are continuous to round-off, and their residuals
-are recorded in the metadata.
+are recorded in the metadata.  The ``Trajectory`` keeps the run's phase
+map, so ``positions_at`` gives the exact state at any time, as the rows do.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
 trajectory over a uniform grid, ``asymptotic_report`` measures the corner
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .asymptotics import (
 )
 from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
-from .errors import InvalidInput, NumericFailure
+from .errors import InvalidInput
 from .linear_phase import face_phase_state, first_crossing_time, r1_phase_state
 from .moreau import limit_trajectory
 from .scaling import (
@@ -58,49 +60,57 @@ N_CORNER_EVAL = 1200        # geometric refinement across the corner scales
 
 @dataclass
 class Trajectory:
-    """Sampled physical trajectory with per-sample phase labels."""
+    """Rows of a physical run with per-row phase labels, and its phase map.
+
+    The rows are the run's phase map evaluated at the row times;
+    ``positions_at`` evaluates the same map at any other times, so it is
+    exact everywhere in [0, T], not only at rows.  A container built
+    without a map holds rows only and cannot be sampled.
+    """
 
     t: np.ndarray               # strictly increasing times
     u: np.ndarray               # (n, 2) positions
     v: np.ndarray               # (n, 2) velocities
     phase: np.ndarray           # labels from {R1-phase, corner, R3-phase}
     metadata: dict = field(default_factory=dict)
+    # states(t) -> (u, v, phase) at sorted times t in [0, T].
+    _states: Callable | None = field(default=None, repr=False, compare=False)
 
     def positions_at(self, t_grid) -> np.ndarray:
-        """Linear interpolation of positions; the sample set contains any
-        grid the caller passed as ``t_eval``, so this is exact there."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        out = np.column_stack([
-            np.interp(t_grid, self.t, self.u[:, 0]),
-            np.interp(t_grid, self.t, self.u[:, 1]),
-        ])
-        if t_grid.ndim == 0:
-            return out[0]
-        return out
-
-
-def _merged_grid(lo: float, hi: float, extra, n: int) -> np.ndarray:
-    base = np.linspace(lo, hi, n)
-    if extra is not None and len(extra):
-        extra = np.asarray(extra, dtype=float)
-        extra = extra[(extra >= lo) & (extra <= hi)]
-        base = np.unique(np.concatenate([base, extra]))
-    return base
+        """Positions at times in [0, T] (any shape and order); the result
+        has the shape of ``t_grid`` plus a last axis of 2.  Times that are
+        not finite or lie outside [0, T] raise InvalidInput."""
+        if self._states is None:
+            raise InvalidInput("this trajectory has no phase map to sample")
+        t = np.asarray(t_grid, dtype=float)
+        T = self.metadata["T"]
+        if not np.all((t >= 0.0) & (t <= T)):
+            raise InvalidInput(
+                f"trajectory times must be finite and lie in [0, {T:g}]")
+        flat = t.ravel()
+        order = np.argsort(flat, kind="stable")
+        u = np.empty((flat.size, 2))
+        u[order] = self._states(flat[order])[0]
+        return u.reshape(t.shape + (2,))
 
 
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
-    ``t_eval`` times are folded into the sample set exactly.  The finished
-    corner run is sampled on a geometric grid of scaled offsets up to the
-    horizon, from 1e-18 of the window the run covered (the exit, else the
-    horizon) but no lower than 1e-3 kappa, so every timescale between the
-    layer width and the exit is resolved; the mapped ``t_eval`` points
-    join it.  Only samples whose time t0 + tau / sqrt(k) advances and
-    precedes the exit, where the face-2 rows start, are evaluated and
-    mapped by ``scaled_to_cartesian``.  Face 2 starts from the (n2, d2)
-    components of the exit state, ``scaled_to_cartesian`` at the angle
-    Theta - theta_bar; the exit residual is |u . d2|, ``handoff_pos_exit``.
+    The run's phase map takes sorted times in [0, T] to (u, v, phase):
+    times up to t0 go to the face-1 closed form, times in (t0, t_bar) to
+    the corner run, sampled at tau = (t - t0) sqrt(k) and mapped by
+    ``scaled_to_cartesian``, and times from the exit t_bar on to the
+    face-2 closed form.  Face 2 starts from the (n2, d2) components of the
+    exit state, ``scaled_to_cartesian`` at the angle Theta - theta_bar;
+    the exit residual is |u . d2|, ``handoff_pos_exit``.
+
+    The rows are the map at a uniform grid on each face phase, at the
+    corner times t0 + tau / sqrt(k) for a geometric grid of tau from
+    1e-18 of the window the run covered (the exit, else the horizon), but
+    no lower than 1e-3 kappa, so every timescale between the layer width
+    and the exit is resolved, and at the ``t_eval`` times in [0, T].
+    ``Trajectory.positions_at`` evaluates the same map at any time.
     """
     if config.mode != "physical" or config.k is None:
         raise InvalidInput(
@@ -112,21 +122,12 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     sk = math.sqrt(k)
     t0 = first_crossing_time(init)
     T = config.T if config.T is not None else 2.0 * t0
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-
-    parts_t, parts_u, parts_v, parts_phase = [], [], [], []
     meta: dict = {"k": k, "eta": params.eta, "eps": params.eps,
                   "E": params.E, "t0": t0, "T": T}
-
-    # Phase 1: face-1 approach on [0, min(t0, T)].
-    end1 = min(t0, T)
-    g1 = _merged_grid(0.0, end1, t_eval, N_PHASE_SAMPLES)
-    r, rdot, s, sdot = r1_phase_state(init, damping, k, g1)
-    parts_t.append(g1)
-    parts_u.append(np.column_stack([r, s]))
-    parts_v.append(np.column_stack([rdot, sdot]))
-    parts_phase.append(np.full(g1.size, PHASE_FACE1, dtype="<U8"))
+    grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
+    if t_eval is not None:
+        grids.append(np.asarray(t_eval, dtype=float).ravel())
+    t_bar = math.inf
 
     if T > t0:
         tau_end = (T - t0) * sk
@@ -134,7 +135,6 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                                atol=config.atol, horizon=tau_end,
                                stop_at_event=True)
         st = res.exit_state
-        t_bar = math.inf
         if st is not None:
             # The map at the angle Theta - theta_bar gives the exit state's
             # components along (n2, d2); u . d2 is the exit residual.
@@ -145,24 +145,10 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
 
         end = tau_end if st is None else st.tau
         lo = max(params.kappa * 1e-3, end * 1e-18)
-        ev = np.geomspace(lo, tau_end, N_CORNER_EVAL)
-        if t_eval is not None:
-            mapped = (t_eval[(t_eval > t0) & (t_eval <= T)] - t0) * sk
-            mapped = mapped[(mapped > 0.0) & (mapped <= tau_end)]
-            ev = np.concatenate([ev, mapped])
-        ev = np.unique(ev)
-        # Corner rows are the distinct sample times in (t0, t_bar): at
-        # large k sub-ulp samples collapse onto t0 or onto each other, and
-        # the exit row at t_bar opens face 2.  Only those are evaluated.
-        t2 = t0 + ev / sk
-        keep = (np.diff(t2, prepend=t0) > 0.0) & (t2 < t_bar)
-        corner = res.sample(ev[keep])
-        t2, u2, v2 = scaled_to_cartesian(params, corner.tau, corner.R,
-                                         corner.dR, corner.Theta)
-        parts_t.append(t2)
-        parts_u.append(u2)
-        parts_v.append(v2)
-        parts_phase.append(np.full(t2.size, PHASE_CORNER, dtype="<U8"))
+        t_corner = t0 + np.geomspace(lo, tau_end, N_CORNER_EVAL) / sk
+        grids.append(t_corner[t_corner < t_bar])
+        if t_bar < T:
+            grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
 
         meta["corner_steps"] = res.n_accepted
         # Handoff residuals at t0 (both are exact formulas; record the
@@ -179,34 +165,37 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                         y1_0=y1_0, dy1_0=dy1_0, dy2_0=dy2_0,
                         handoff_pos_exit=abs(slide))
 
-            if t_bar < T:
-                n2 = cone.face2_normal
-                d2 = cone.face2_direction
-                g3 = _merged_grid(t_bar, T, t_eval, N_PHASE_SAMPLES)
-                g3 = g3[g3 > t0]        # t_bar rounds onto t0 at large k
-                y1, y1d, y2, y2d = face_phase_state(
-                    y1_0, dy1_0, dy2_0, damping, k, g3 - t_bar)
-                u3 = np.outer(y1, n2) + np.outer(y2, d2)
-                v3 = np.outer(y1d, n2) + np.outer(y2d, d2)
-                parts_t.append(g3)
-                parts_u.append(u3)
-                parts_v.append(v3)
-                parts_phase.append(np.full(g3.size, PHASE_FACE2, dtype="<U8"))
+    def states(t):
+        # Face 1 holds t <= t0.  At large k, t_bar rounds onto t0, so face 2
+        # starts no earlier than face 1 ends.
+        i1 = int(np.searchsorted(t, t0, side="right"))
+        i2 = max(i1, int(np.searchsorted(t, t_bar)))
+        r, rdot, s, sdot = r1_phase_state(init, damping, k, t[:i1])
+        u, v = [np.column_stack([r, s])], [np.column_stack([rdot, sdot])]
+        if i2 > i1:
+            c = res.sample((t[i1:i2] - t0) * sk)
+            _, uc, vc = scaled_to_cartesian(params, c.tau, c.R, c.dR,
+                                            c.Theta)
+            u.append(uc)
+            v.append(vc)
+        if t.size > i2:
+            y1, y1d, y2, y2d = face_phase_state(
+                y1_0, dy1_0, dy2_0, damping, k, t[i2:] - t_bar)
+            n2, d2 = cone.face2_normal, cone.face2_direction
+            u.append(np.outer(y1, n2) + np.outer(y2, d2))
+            v.append(np.outer(y1d, n2) + np.outer(y2d, d2))
+        phase = np.repeat([PHASE_FACE1, PHASE_CORNER, PHASE_FACE2],
+                          [i1, i2 - i1, t.size - i2])
+        return np.concatenate(u), np.concatenate(v), phase
 
-    t_all = np.concatenate(parts_t)
-    traj = Trajectory(
-        t=t_all,
-        u=np.concatenate(parts_u, axis=0),
-        v=np.concatenate(parts_v, axis=0),
-        phase=np.concatenate(parts_phase),
-        metadata=meta,
-    )
-    if not np.all(np.diff(traj.t) > 0.0):
-        raise NumericFailure("internal error: trajectory times not increasing")
-    meta["phase_counts"] = {label: int(np.sum(traj.phase == label))
+    t = np.unique(np.concatenate(grids))
+    t = t[(t >= 0.0) & (t <= T)]
+    u, v, phase = states(t)
+    meta["phase_counts"] = {label: int(np.sum(phase == label))
                             for label in (PHASE_FACE1, PHASE_CORNER,
                                           PHASE_FACE2)}
-    return traj
+    return Trajectory(t=t, u=u, v=v, phase=phase, metadata=meta,
+                      _states=states)
 
 
 def _loglog_order(x, y) -> float | None:
@@ -221,7 +210,8 @@ def convergence_study(config: SimConfig, k_list=None):
     """Sup distance to the limit trajectory per stiffness.
 
     The stiffnesses are ``config.sweep("k", k_list)``; the horizon
-    is ``config.T``.  Returns (table, fitted_order): table has columns k /
+    is ``config.T``.  Each run is sampled after it ends, by ``positions_at``
+    on a uniform grid of ``config.n_grid`` times.  Returns (table, fitted_order): table has columns k /
     sup_error, and the order is the log-log slope of sup_error against
     1/sqrt(k) (None for a single k or a zero error).
     """
@@ -233,8 +223,7 @@ def convergence_study(config: SimConfig, k_list=None):
 
     errors = np.empty(k_arr.size)
     for i, k in enumerate(k_arr):
-        traj = simulate_full(config.override(mode="physical", k=float(k)),
-                             t_eval=grid)
+        traj = simulate_full(config.override(mode="physical", k=float(k)))
         uk = traj.positions_at(grid)
         errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
     table = {"k": k_arr, "sup_error": errors}

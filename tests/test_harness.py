@@ -10,13 +10,13 @@ from cornerimpact import (
     ConeGeometry,
     InitialData,
     InvalidInput,
-    NumericFailure,
     ScaledState,
     SimConfig,
     Trajectory,
     characteristic_roots,
     convergence_study,
     critical_point,
+    face_phase_state,
     limit_trajectory,
     phase_portrait,
     r1_phase_state,
@@ -163,24 +163,87 @@ def test_t_eval_in_corner_window(acute_traj):
     t_exit = acute_traj.metadata["t_exit"]
     mid = 0.5 * (1.0 + t_exit)
     traj = simulate_full(ACUTE_CFG, t_eval=[mid])
-    j = np.argmin(np.abs(traj.t - mid))
-    # The mapped corner sample lands within one round-off of the request.
-    assert abs(traj.t[j] - mid) <= 4.0 * np.spacing(mid)
+    # The requested time is a corner row, at exactly that time.
+    (j,) = np.nonzero(traj.t == mid)[0]
+    assert traj.phase[j] == PHASE_CORNER
 
 
-def test_unordered_trajectory_is_numeric_failure(monkeypatch, capsys):
-    # Trajectory assembly that breaks the time order is an internal
-    # breakdown, not bad input: NumericFailure, and the CLI exits 3.
-    from cornerimpact import harness
-    from cornerimpact.cli import main
+def test_positions_at_rejects_times_outside_the_run(acute_traj):
+    # T = 2: neither a clamp to the ends nor a NaN comes back.
+    for t in (5.0, -1.0, math.nan, [0.5, math.inf]):
+        with pytest.raises(InvalidInput, match=r"in \[0, 2\]"):
+            acute_traj.positions_at(t)
 
-    grid = harness._merged_grid
-    monkeypatch.setattr(harness, "_merged_grid", lambda *a: grid(*a)[::-1])
-    with pytest.raises(NumericFailure, match="not increasing") as info:
-        simulate_full(ACUTE_CFG)
-    assert not isinstance(info.value, InvalidInput)
-    assert main(["simulate", "--k", "100", "--T", "2.0"]) == 3
-    assert "not increasing" in capsys.readouterr().err
+
+def _run_and_corner(monkeypatch, cfg):
+    """simulate_full(cfg) and the corner run it made."""
+    runs = []
+    corner = harness.integrate_corner
+    monkeypatch.setattr(harness, "integrate_corner",
+                        lambda *a, **kw: runs.append(corner(*a, **kw))
+                        or runs[-1])
+    traj = simulate_full(cfg)
+    (res,) = runs
+    return traj, res
+
+
+def _midpoints(traj, label):
+    t = traj.t[traj.phase == label]
+    return 0.5 * (t[1:] + t[:-1])
+
+
+@pytest.mark.parametrize("cfg", [ACUTE_CFG, OBTUSE_CFG],
+                         ids=["acute", "obtuse"])
+def test_positions_at_is_the_phase_map_between_rows(monkeypatch, cfg):
+    # Between rows, positions_at is the formula of the phase that holds t,
+    # for the same run, bit for bit: no interpolation.
+    traj, res = _run_and_corner(monkeypatch, cfg)
+    meta = traj.metadata
+    t1 = _midpoints(traj, PHASE_FACE1)
+    r, _, s, _ = r1_phase_state(cfg.init, cfg.damping, cfg.k, t1)
+    np.testing.assert_array_equal(traj.positions_at(t1),
+                                  np.column_stack([r, s]))
+    tc = _midpoints(traj, PHASE_CORNER)
+    st = res.sample((tc - meta["t0"]) * math.sqrt(cfg.k))
+    _, u, _ = scaled_to_cartesian(res.params, st.tau, st.R, st.dR, st.Theta)
+    np.testing.assert_array_equal(traj.positions_at(tc), u)
+    t2 = _midpoints(traj, PHASE_FACE2)
+    y1, _, y2, _ = face_phase_state(meta["y1_0"], meta["dy1_0"],
+                                    meta["dy2_0"], cfg.damping, cfg.k,
+                                    t2 - meta["t_exit"])
+    np.testing.assert_array_equal(
+        traj.positions_at(t2),
+        np.outer(y1, cfg.cone.face2_normal)
+        + np.outer(y2, cfg.cone.face2_direction))
+    assert min(t1.size, tc.size, t2.size) > 100
+
+
+@pytest.mark.parametrize("cfg", [
+    ACUTE_CFG, OBTUSE_CFG, ACUTE_CFG.override(k=1e5, theta_bar=2.2)],
+    ids=["acute", "obtuse", "rebound"])
+def test_positions_between_corner_rows_match_a_tight_run(cfg):
+    traj = simulate_full(cfg)
+    ref = simulate_full(cfg.override(rtol=1e-13, atol=1e-15))
+    tc = _midpoints(traj, PHASE_CORNER)
+    got, want = traj.positions_at(tc), ref.positions_at(tc)
+    rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(rel) <= 1e-8
+
+
+def test_positions_at_keeps_shape_and_order(acute_traj):
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 2.0, 60)
+    t[:3] = (1.0, 0.5 * (1.0 + acute_traj.metadata["t_exit"]), 2.0)
+    flat = acute_traj.positions_at(t)
+    order = np.argsort(t)
+    assert flat.shape == (60, 2)
+    np.testing.assert_array_equal(acute_traj.positions_at(t[order]),
+                                  flat[order])
+    np.testing.assert_array_equal(acute_traj.positions_at(t.reshape(6, 10)),
+                                  flat.reshape(6, 10, 2))
+    assert acute_traj.positions_at(t[1]).shape == (2,)
+    np.testing.assert_array_equal(acute_traj.positions_at(t[1]), flat[1])
+    assert acute_traj.positions_at([]).shape == (0, 2)
 
 
 def test_corner_attempts_are_stepping_only(monkeypatch):
@@ -305,6 +368,25 @@ def test_convergence_study_pair():
     assert np.all(np.diff(table["k"]) > 0.0)          # sorted ascending
     assert table["sup_error"][1] < table["sup_error"][0]
     assert 0.7 <= order <= 1.3
+
+
+# Refactor guard: repr of the sup errors for k = 100, 1e3, 1e4.  A change
+# that moves them on purpose re-records them and lists old and new values.
+CONVERGENCE_PINS = {
+    "acute": (math.pi / 3.0, ["0.02236557659066846", "0.0069114891860723735",
+                              "0.0021839429150603074"]),
+    "obtuse": (2.0 * math.pi / 3.0, ["0.07620498762407196",
+                                     "0.00691337300208606",
+                                     "0.0021854958220332244"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGENCE_PINS))
+def test_convergence_study_pin(case):
+    theta_bar, pin = CONVERGENCE_PINS[case]
+    table, _ = convergence_study(SimConfig().override(theta_bar=theta_bar),
+                                 k_list=(100.0, 1e3, 1e4))
+    assert [repr(float(e)) for e in table["sup_error"]] == pin
 
 
 def test_convergence_study_rejects_bad_k():
@@ -440,12 +522,19 @@ def test_write_csv_errors(tmp_path):
         write_csv({"a": [1.0], "b": [1.0, 2.0]}, tmp_path / "ragged.csv")
 
 
-def test_trajectory_container_roundtrip():
-    traj = Trajectory(t=np.array([0.0, 1.0]),
-                      u=np.zeros((2, 2)), v=np.ones((2, 2)),
-                      phase=np.array([PHASE_FACE1, PHASE_FACE1]))
-    np.testing.assert_allclose(traj.positions_at(0.5), [0.0, 0.0], atol=0)
-    assert traj.metadata == {}
+def test_trajectory_container_roundtrip(acute_traj):
+    # The rows are the phase map at the row times, a copy keeps the map,
+    # and a container built from rows alone cannot be sampled.
+    np.testing.assert_array_equal(acute_traj.positions_at(acute_traj.t),
+                                  acute_traj.u)
+    copy = dataclasses.replace(acute_traj)
+    np.testing.assert_array_equal(copy.positions_at(acute_traj.t),
+                                  acute_traj.u)
+    bare = Trajectory(t=acute_traj.t, u=acute_traj.u, v=acute_traj.v,
+                      phase=acute_traj.phase)
+    assert bare.metadata == {}
+    with pytest.raises(InvalidInput, match="no phase map"):
+        bare.positions_at(0.5)
 
 
 def test_converges_toward_limit(acute_traj):
