@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linear_phase import DampingParams, face_phase_state
+from .linear_phase import DampingParams, check_times, face_phase_state
 from .scaling import check_eta
 
 __all__ = [
@@ -169,11 +169,11 @@ def second_asymptotic_R2(match_state, damping: DampingParams,
 
     The face closed form of ``linear_phase`` in the scaled time (k = 1)
     started from (R, R') at tau1.  Returns (R2, R2') at ``tau``; times
-    before tau1 raise ``OutOfPhase``.
+    that are not finite or lie before tau1 raise ``OutOfPhase``.
     """
     R_m, dR_m = match_state
-    s = np.asarray(tau, dtype=float) - tau1
-    return face_phase_state(R_m, dR_m, 0.0, damping, 1.0, s)[:2]
+    tau = check_times(tau, tau1, math.inf, "second asymptotic times")
+    return face_phase_state(R_m, dR_m, 0.0, damping, 1.0, tau - tau1)[:2]
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,9 @@ def trapping_threshold(params, margin: float = 1.01) -> float:
 
     R_bar = margin (4 lambda2^{3/2} c3 / lambda1^{1/2})^{1/4}.
     """
-    if margin < 1.0:
-        raise InvalidInput(f"margin must be at least 1, got {margin!r}")
+    if not 1.0 <= margin < math.inf:
+        raise InvalidInput(
+            f"margin must be at least 1 and finite, got {margin!r}")
     lyap = lyapunov_Q(params.damping)
     val = 4.0 * lyap.lambda2 ** 1.5 * params.c3 / math.sqrt(lyap.lambda1)
     return margin * val ** 0.25

@@ -23,7 +23,7 @@ from . import asymptotics
 from ._kernels import integrate_radial, substep_many
 from .errors import IntegrationFailure, InvalidInput, SingularRadius
 from .geometry import ConeGeometry, penalty_field
-from .linear_phase import DampingParams, InitialData
+from .linear_phase import DampingParams, InitialData, check_times
 from .scaling import ScaledParams, ScaledState, check_k
 
 if TYPE_CHECKING:
@@ -115,16 +115,11 @@ class CornerResult:
         """States at scaled times in [0, tau[-1]] (the exit, or at least
         the horizon): the single-step map ``substep_many`` from the start
         of the accepted step that holds each time, one array per field.
-        Other times, and times not finite or not 1-D, raise InvalidInput."""
-        tau = np.asarray(tau, dtype=float)
-        if tau.ndim != 1 or not np.all(np.isfinite(tau)):
-            raise InvalidInput(
-                "corner sample times must be a finite 1-D array")
-        end = self.tau[-1]
-        if tau.size and not (tau.min() >= 0.0 and tau.max() <= end):
-            raise InvalidInput(
-                f"corner sample times must lie in [0, {end:g}], "
-                f"got [{tau.min():g}, {tau.max():g}]")
+        Other times raise OutOfPhase; times not in a 1-D array raise
+        InvalidInput."""
+        tau = check_times(tau, 0.0, self.tau[-1], "corner sample times")
+        if tau.ndim != 1:
+            raise InvalidInput("corner sample times must be a 1-D array")
         # Sample j lies in the step that starts at sample i[j].
         i = np.searchsorted(self.tau[:-1], tau, side="right") - 1
         y = substep_many(self.R[i], self.dR[i], self.Theta[i],
@@ -188,15 +183,9 @@ class OracleRun:
     solution: Solution = field(repr=False)
 
     def sample(self, t_grid) -> np.ndarray:
-        """Positions at physical times in [0, horizon] via the dense output."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        if not np.all(np.isfinite(t_grid)):
-            raise InvalidInput("oracle sample times must be finite")
-        if t_grid.size and not (t_grid.min() >= 0.0
-                                and t_grid.max() <= self.horizon):
-            raise InvalidInput(
-                f"oracle sample times must lie in [0, {self.horizon:g}], "
-                f"got [{t_grid.min():g}, {t_grid.max():g}]")
+        """Positions at physical times in [0, horizon] via the dense output;
+        other times raise OutOfPhase."""
+        t_grid = check_times(t_grid, 0.0, self.horizon, "oracle sample times")
         Y = self.solution.dense(t_grid.ravel() * math.sqrt(self.k))
         return Y[:, :2].reshape(t_grid.shape + (2,))
 

@@ -20,7 +20,8 @@ class NotOverDamped(InvalidInput):
 
 
 class OutOfPhase(InvalidInput):
-    """A time argument lies outside the phase the closed form is valid on."""
+    """A time argument is not finite or lies outside its window (the
+    phase a closed form holds on, or the span a run covers)."""
 
 
 class NoCrossing(InvalidInput):

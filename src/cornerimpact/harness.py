@@ -32,7 +32,8 @@ from .asymptotics import (
 from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
 from .errors import InvalidInput
-from .linear_phase import face_phase_state, first_crossing_time, r1_phase_state
+from .linear_phase import (check_times, face_phase_state, first_crossing_time,
+                           r1_phase_state)
 from .moreau import limit_trajectory
 from .scaling import (
     ScaledParams,
@@ -79,14 +80,10 @@ class Trajectory:
     def positions_at(self, t_grid) -> np.ndarray:
         """Positions at times in [0, T] (any shape and order); the result
         has the shape of ``t_grid`` plus a last axis of 2.  Times that are
-        not finite or lie outside [0, T] raise InvalidInput."""
+        not finite or lie outside [0, T] raise OutOfPhase."""
         if self._states is None:
             raise InvalidInput("this trajectory has no phase map to sample")
-        t = np.asarray(t_grid, dtype=float)
-        T = self.metadata["T"]
-        if not np.all((t >= 0.0) & (t <= T)):
-            raise InvalidInput(
-                f"trajectory times must be finite and lie in [0, {T:g}]")
+        t = check_times(t_grid, 0.0, self.metadata["T"], "trajectory times")
         flat = t.ravel()
         order = np.argsort(flat, kind="stable")
         u = np.empty((flat.size, 2))
@@ -109,7 +106,8 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     corner times t0 + tau / sqrt(k) for a geometric grid of tau from
     1e-18 of the window the run covered (the exit, else the horizon), but
     no lower than 1e-3 kappa, so every timescale between the layer width
-    and the exit is resolved, and at the ``t_eval`` times in [0, T].
+    and the exit is resolved, and at the ``t_eval`` times, which must be
+    finite and lie in [0, T].
     ``Trajectory.positions_at`` evaluates the same map at any time.
     """
     if config.mode != "physical" or config.k is None:
@@ -126,7 +124,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                   "E": params.E, "t0": t0, "T": T}
     grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
     if t_eval is not None:
-        grids.append(np.asarray(t_eval, dtype=float).ravel())
+        grids.append(check_times(t_eval, 0.0, T, "t_eval times").ravel())
     t_bar = math.inf
 
     if T > t0:
@@ -146,7 +144,7 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         end = tau_end if st is None else st.tau
         lo = max(params.kappa * 1e-3, end * 1e-18)
         t_corner = t0 + np.geomspace(lo, tau_end, N_CORNER_EVAL) / sk
-        grids.append(t_corner[t_corner < t_bar])
+        grids.append(t_corner[(t_corner < t_bar) & (t_corner <= T)])
         if t_bar < T:
             grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
 
@@ -189,7 +187,6 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         return np.concatenate(u), np.concatenate(v), phase
 
     t = np.unique(np.concatenate(grids))
-    t = t[(t >= 0.0) & (t <= T)]
     u, v, phase = states(t)
     meta["phase_counts"] = {label: int(np.sum(phase == label))
                             for label in (PHASE_FACE1, PHASE_CORNER,

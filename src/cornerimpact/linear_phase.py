@@ -24,6 +24,10 @@ overflow-free for large tau.  ``face_phase_state`` applies them to a
 state (q, q'); the face-1 approach and the second asymptotic are that
 closed form with their own initial data.
 
+``check_times`` is the one rule for time arguments (finite, in a window
+[lo, hi]); every phase formula and sampler of the package checks its
+times through it.
+
 Initial data: the particle starts on face 1 at (0, s0), s0 < 0, with
 velocity (dr0, ds0), dr0 > 0 (into the wall), ds0 > 0 (sliding toward the
 vertex), so the normal coordinate is r = x1 and the slide s = x2 reaches
@@ -43,6 +47,7 @@ __all__ = [
     "InitialData",
     "characteristic_roots",
     "first_crossing_time",
+    "check_times",
     "kernels_K2_H2",
     "kernel_K2_dot",
     "r1_phase_state",
@@ -105,6 +110,20 @@ def first_crossing_time(init) -> float:
     return -init.s0 / init.ds0
 
 
+def check_times(t, lo: float, hi: float, what: str) -> np.ndarray:
+    """The time rule: every time in ``t`` is finite and lies in [lo, hi]
+    (hi = inf leaves it open).  Returns ``t`` as a float array of its own
+    shape; other times raise OutOfPhase, naming ``what`` and the window."""
+    t = np.asarray(t, dtype=float)
+    ok = np.isfinite(t) & (t >= lo) & (t <= hi)
+    if not ok.all():
+        window = (f"satisfy t >= {lo:g}" if hi == math.inf
+                  else f"lie in [{lo:g}, {hi:g}]")
+        raise OutOfPhase(f"{what} must be finite and {window}, got "
+                         f"{float(t[~ok].flat[0])!r}")
+    return t
+
+
 def _envelope(damping: DampingParams, tau):
     """(K2, H2, K2') in the cancellation-free form above, which the corner
     kernel propagates with, from one e^{xi1 tau} and q; zero for tau < 0."""
@@ -138,10 +157,7 @@ def r1_phase_state(init: InitialData, damping: DampingParams, k: float, t):
     and shifted by s0: r(t) = dr0 K2(t sqrt k)/sqrt k decays after one
     fast oscillation-free rebound; the slide is free: s(t) = s0 + t ds0.
     """
-    t0 = first_crossing_time(init)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > t0 * (1.0 + 1e-12)):
-        raise OutOfPhase(f"t must lie in [0, t0={t0:g}] for the face-1 phase")
+    t = check_times(t, 0.0, first_crossing_time(init), "face-1 times")
     r, rdot, y2, sdot = face_phase_state(0.0, init.dr0, init.ds0, damping,
                                          k, t)
     return r, rdot, init.s0 + y2, sdot
@@ -157,19 +173,17 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
         y1(tp) = dy1_0 K2(tau)/sqrt k + y1_0 H2(tau),  tau = tp sqrt k,
         y2(tp) = tp dy2_0.
 
-    Requires y1_0 >= 0 (the particle exits the corner outside K).  The
-    face-1 approach (``r1_phase_state``) and the second asymptotic (k = 1)
-    are this closed form too.
+    Requires a finite y1_0 >= 0 (the particle exits the corner outside K).
+    The face-1 approach (``r1_phase_state``) and the second asymptotic
+    (k = 1) are this closed form too.
     """
     from .scaling import check_k    # scaling imports this module
 
     k = check_k(k)
-    if y1_0 < 0.0:
-        raise InvalidInput(f"y1_0 must be non-negative, got {y1_0!r}")
-    tp_arr = np.asarray(tp, dtype=float)
-    if np.any(tp_arr < 0.0):
-        raise OutOfPhase("tp must be non-negative: the closed form starts "
-                         "at its initial state")
+    if not 0.0 <= y1_0 < math.inf:
+        raise InvalidInput(
+            f"y1_0 must be non-negative and finite, got {y1_0!r}")
+    tp_arr = check_times(tp, 0.0, math.inf, "face times")
     sk = math.sqrt(k)
     K2, H2, dK2 = _envelope(damping, tp_arr * sk)
     y1 = dy1_0 * K2 / sk + y1_0 * H2

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
 from .geometry import ConeGeometry, pi1, tangent_cone_project
-from .linear_phase import InitialData, first_crossing_time
+from .linear_phase import InitialData, check_times, first_crossing_time
 
 __all__ = ["LimitTrajectory", "build_limit", "limit_trajectory"]
 
@@ -44,22 +43,18 @@ def build_limit(init: InitialData, cone: ConeGeometry) -> LimitTrajectory:
 
 
 def limit_trajectory(init: InitialData, cone: ConeGeometry, t):
-    """Limit position(s) at time(s) t >= 0.
+    """Limit position(s) at finite time(s) t >= 0; the result has the shape
+    of ``t`` plus a last axis of 2.
 
     Before t0 the path is (0, s0 + t ds0); afterwards it leaves the vertex
     with the projected velocity (acute) or stays put (obtuse).
     """
     lim = build_limit(init, cone)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    if np.any(t_arr < 0.0):
-        raise InvalidInput("limit trajectory is defined for t >= 0")
-    out = np.zeros((t_arr.size, 2))
-    before = t_arr <= lim.t0
-    out[before, 1] = init.s0 + t_arr[before] * init.ds0
+    t_arr = check_times(t, 0.0, np.inf, "limit trajectory times")
+    flat = t_arr.ravel()
+    out = np.zeros((flat.size, 2))
+    before = flat <= lim.t0
+    out[before, 1] = init.s0 + flat[before] * init.ds0
     after = ~before
-    out[after] = (t_arr[after] - lim.t0)[:, None] * lim.v_post[None, :]
-    if scalar:
-        return out[0]
-    return out
+    out[after] = (flat[after] - lim.t0)[:, None] * lim.v_post[None, :]
+    return out.reshape(t_arr.shape + (2,))

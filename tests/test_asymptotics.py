@@ -313,6 +313,8 @@ def test_trapping_threshold_frozen():
         pytest.approx(1.3522512743978741, rel=1e-13)
     with pytest.raises(InvalidInput):
         trapping_threshold(P_ZERO, margin=0.5)
+    with pytest.raises(InvalidInput, match="margin"):
+        trapping_threshold(P_ZERO, margin=math.nan)
 
 
 def test_obtuse_exponents():

@@ -1,5 +1,6 @@
 """Seeded property tests: inputs across the domain fail only with named errors."""
 import math
+import re
 import time
 
 import numpy as np
@@ -10,10 +11,18 @@ from cornerimpact import (
     CornerImpactError,
     InitialData,
     InvalidInput,
+    OutOfPhase,
     ScaleUnderflow,
+    SimConfig,
     characteristic_roots,
+    face_phase_state,
     integrate_corner,
+    limit_trajectory,
+    oracle_fast_time_integration,
+    r1_phase_state,
     scaled_params_direct,
+    second_asymptotic_R2,
+    simulate_full,
 )
 from cornerimpact.cli import main
 
@@ -157,3 +166,66 @@ def test_non_finite_study_list_entry_is_invalid(cmd, flag, values, capsys):
     assert _fails_fast(lambda: main([cmd, flag, values])) == 2
     name = flag[2:].replace("-", "_")
     assert f"{name}: {RULE[name]}" in capsys.readouterr().err
+
+
+# Each function that takes times, with its window [lo, hi] (hi = inf for an
+# open window).  Face 1 ends at t0 = 0.7/0.3; the continuation starts at
+# tau1 = 1.5.
+SLOW = InitialData(-0.7, 1.0, 0.3)
+OPEN_WINDOWS = ("limit_trajectory", "face_phase_state", "second_asymptotic_R2")
+TIME_TAKERS = ("positions_at", "simulate_full", "CornerResult.sample",
+               "OracleRun.sample", "r1_phase_state") + OPEN_WINDOWS
+
+
+@pytest.fixture(scope="module")
+def windows():
+    """name -> (call at a 1-D array of times, lo, hi)."""
+    cfg = SimConfig(k=100.0, T=2.0)
+    traj = simulate_full(cfg)
+    corner = integrate_corner(scaled_params_direct(1e-2, "derive", UNIT,
+                                                   DAMP2), cfg.cone)
+    oracle = oracle_fast_time_integration(UNIT, DAMP2, cfg.cone, 100.0,
+                                          horizon=0.5)
+    return {
+        "positions_at": (traj.positions_at, 0.0, 2.0),
+        "simulate_full": (lambda t: simulate_full(cfg, t_eval=t), 0.0, 2.0),
+        "CornerResult.sample": (corner.sample, 0.0, corner.tau[-1]),
+        "OracleRun.sample": (oracle.sample, 0.0, 0.5),
+        "r1_phase_state": (lambda t: r1_phase_state(SLOW, DAMP2, 100.0, t),
+                           0.0, 0.7 / 0.3),
+        "limit_trajectory": (lambda t: limit_trajectory(UNIT, cfg.cone, t),
+                             0.0, math.inf),
+        "face_phase_state": (
+            lambda t: face_phase_state(0.1, -0.2, 0.5, DAMP2, 100.0, t),
+            0.0, math.inf),
+        "second_asymptotic_R2": (
+            lambda t: second_asymptotic_R2((0.7, -0.3), DAMP2, 1.5, t),
+            1.5, math.inf),
+    }
+
+
+@pytest.mark.parametrize("name,case", [
+    (name, case) for name in TIME_TAKERS
+    for case in ("nan", "inf", "below lo")
+    + (() if name in OPEN_WINDOWS else ("above hi",))])
+def test_times_outside_the_window_are_out_of_phase(windows, name, case):
+    # A bad time anywhere in the array is refused, also where a formula
+    # would return a NaN or inf state or a run would drop the time.
+    call, lo, hi = windows[name]
+    t = {"nan": math.nan, "inf": math.inf,
+         "below lo": np.nextafter(lo, -math.inf),
+         "above hi": np.nextafter(hi, math.inf)}[case]
+    window = (f"t >= {lo:g}" if hi == math.inf
+              else f"lie in [{lo:g}, {hi:g}]")
+    with pytest.raises(OutOfPhase, match=re.escape(window)):
+        call(np.array([0.5 * (lo + min(hi, lo + 1.0)), t]))
+
+
+@pytest.mark.parametrize("name", TIME_TAKERS)
+def test_time_windows_hold_their_ends(windows, name):
+    call, lo, hi = windows[name]
+    call(np.array([lo] if hi == math.inf else [lo, hi]))
+    if name == "r1_phase_state":
+        # No slack past t0: the phase map splits at t <= t0 exactly.
+        with pytest.raises(OutOfPhase):
+            call(np.array([hi * (1.0 + 1e-13)]))

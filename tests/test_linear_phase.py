@@ -281,6 +281,8 @@ def test_face_phase_validation():
     d = characteristic_roots(2.0)
     with pytest.raises(InvalidInput):
         face_phase_state(-0.1, 0.0, 0.5, d, 100.0, 0.1)
+    with pytest.raises(InvalidInput, match="y1_0"):
+        face_phase_state(math.nan, 0.0, 0.5, d, 100.0, 0.1)
     with pytest.raises(OutOfPhase):
         face_phase_state(0.1, 0.0, 0.5, d, 100.0, -0.1)
     with pytest.raises(InvalidInput):

@@ -108,6 +108,18 @@ def test_limit_trajectory_scalar_vs_array():
     assert arr.shape == (2, 2)
 
 
+def test_limit_trajectory_keeps_the_shape_of_t():
+    # A scalar gives (2,) and an (m, n) array (m, n, 2), as positions_at
+    # does.
+    t = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 7.0]])
+    for cone in (ACUTE, OBTUSE):
+        grid = limit_trajectory(UNIT, cone, t)
+        assert grid.shape == (2, 3, 2)
+        np.testing.assert_array_equal(
+            grid.reshape(6, 2), limit_trajectory(UNIT, cone, t.ravel()))
+        assert limit_trajectory(UNIT, cone, 0.5).shape == (2,)
+
+
 def test_limit_trajectory_rejects_negative_time():
     with pytest.raises(InvalidInput, match="t >= 0"):
         limit_trajectory(UNIT, ACUTE, -0.1)
