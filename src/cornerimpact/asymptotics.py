@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linear_phase import DampingParams, check_times, face_phase_state
+from .linear_phase import DampingParams, _face_state, check_times
 from .scaling import check_eta
 
 __all__ = [
@@ -173,7 +173,7 @@ def second_asymptotic_R2(match_state, damping: DampingParams,
     """
     R_m, dR_m = match_state
     tau = check_times(tau, tau1, math.inf, "second asymptotic times")
-    return face_phase_state(R_m, dR_m, 0.0, damping, 1.0, tau - tau1)[:2]
+    return _face_state(R_m, dR_m, 0.0, 0.0, damping, 1.0, tau - tau1)[:2]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Trajectory assembly, validation studies and CSV output.
 
-``simulate_full`` chains the three phases of a physical run: the face-1
-closed form up to the crossing time t0, the adaptive corner passage in
-scaled variables, and (once the exit angle is reached) the face-2 closed
-form.  Both handoffs are continuous to round-off, and their residuals
-are recorded in the metadata.  The ``Trajectory`` keeps the run's phase
-map, so ``positions_at`` gives the exact state at any time, as the rows do.
+A physical run chains three phases: the face-1 closed form up to the
+crossing time t0, the adaptive corner passage in scaled variables, and
+(once the exit angle is reached) the face-2 closed form.  Both handoffs
+are continuous to round-off, and their residuals are recorded in the
+metadata.  ``simulate_full`` is the run plus its rows.  The
+``Trajectory`` keeps the run's phase map, so ``positions_at`` gives the
+exact state at any time, as the rows do.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
-trajectory over a uniform grid, ``asymptotic_report`` measures the corner
+trajectory over a uniform grid, on the phase map of each run without
+building its rows; ``asymptotic_report`` measures the corner
 flow against its matched asymptotics, and ``phase_portrait`` tabulates the
 radial vector field.  All tables go through ``write_csv`` which prints
 floats with 17 significant digits so values round-trip bit for bit.
@@ -32,8 +34,8 @@ from .asymptotics import (
 from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
 from .errors import InvalidInput
-from .linear_phase import (check_times, face_phase_state, first_crossing_time,
-                           r1_phase_state)
+from .linear_phase import (_check_face_start, _face_state, check_times,
+                           first_crossing_time, r1_phase_state)
 from .moreau import limit_trajectory
 from .scaling import (
     ScaledParams,
@@ -91,24 +93,24 @@ class Trajectory:
         return u.reshape(t.shape + (2,))
 
 
-def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
-    """Full three-phase trajectory for a physical run on [0, T].
+def _horizon(config: SimConfig):
+    """(t0, T): the crossing time and the run's horizon, 2 t0 by default."""
+    t0 = first_crossing_time(config.init)
+    return t0, (config.T if config.T is not None else 2.0 * t0)
 
-    The run's phase map takes sorted times in [0, T] to (u, v, phase):
+
+def _run(config: SimConfig):
+    """One physical run on [0, T]: its metadata and its phase map.
+
+    The map ``states(t)`` takes sorted times t in [0, T] to (u, v, phase):
     times up to t0 go to the face-1 closed form, times in (t0, t_bar) to
     the corner run, sampled at tau = (t - t0) sqrt(k) and mapped by
     ``scaled_to_cartesian``, and times from the exit t_bar on to the
     face-2 closed form.  Face 2 starts from the (n2, d2) components of the
     exit state, ``scaled_to_cartesian`` at the angle Theta - theta_bar;
-    the exit residual is |u . d2|, ``handoff_pos_exit``.
-
-    The rows are the map at a uniform grid on each face phase, at the
-    corner times t0 + tau / sqrt(k) for a geometric grid of tau from
-    1e-18 of the window the run covered (the exit, else the horizon), but
-    no lower than 1e-3 kappa, so every timescale between the layer width
-    and the exit is resolved, and at the ``t_eval`` times, which must be
-    finite and lie in [0, T].
-    ``Trajectory.positions_at`` evaluates the same map at any time.
+    the exit residual is |u . d2|, ``handoff_pos_exit``.  The map checks
+    no times: its callers pass times they have checked or built in
+    [0, T].
     """
     if config.mode != "physical" or config.k is None:
         raise InvalidInput(
@@ -118,36 +120,16 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
                                    config.params)
     k = float(config.k)
     sk = math.sqrt(k)
-    t0 = first_crossing_time(init)
-    T = config.T if config.T is not None else 2.0 * t0
+    t0, T = _horizon(config)
     meta: dict = {"k": k, "eta": params.eta, "eps": params.eps,
                   "E": params.E, "t0": t0, "T": T}
-    grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
-    if t_eval is not None:
-        grids.append(check_times(t_eval, 0.0, T, "t_eval times").ravel())
     t_bar = math.inf
 
     if T > t0:
-        tau_end = (T - t0) * sk
         res = integrate_corner(params, cone, rtol=config.rtol,
-                               atol=config.atol, horizon=tau_end,
+                               atol=config.atol, horizon=(T - t0) * sk,
                                stop_at_event=True)
         st = res.exit_state
-        if st is not None:
-            # The map at the angle Theta - theta_bar gives the exit state's
-            # components along (n2, d2); u . d2 is the exit residual.
-            t_bar, u_bar, v_bar = scaled_to_cartesian(
-                params, st.tau, st.R, st.dR, st.Theta - cone.theta_bar)
-            y1_0, slide = u_bar.tolist()
-            dy1_0, dy2_0 = v_bar.tolist()
-
-        end = tau_end if st is None else st.tau
-        lo = max(params.kappa * 1e-3, end * 1e-18)
-        t_corner = t0 + np.geomspace(lo, tau_end, N_CORNER_EVAL) / sk
-        grids.append(t_corner[(t_corner < t_bar) & (t_corner <= T)])
-        if t_bar < T:
-            grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
-
         meta["corner_steps"] = res.n_accepted
         # Handoff residuals at t0 (both are exact formulas; record the
         # floating-point mismatch).
@@ -158,6 +140,12 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         meta["handoff_vel_t0"] = float(np.linalg.norm(v_c0 - (rdot_l, sdot_l)))
 
         if st is not None:
+            # The map at the angle Theta - theta_bar gives the exit state's
+            # components along (n2, d2); u . d2 is the exit residual.
+            t_bar, u_bar, v_bar = scaled_to_cartesian(
+                params, st.tau, st.R, st.dR, st.Theta - cone.theta_bar)
+            (y1_0, slide), (dy1_0, dy2_0) = u_bar.tolist(), v_bar.tolist()
+            _check_face_start(y1_0)
             meta.update(tau_exit=st.tau, t_exit=t_bar,
                         exit_R=st.R, exit_dR=st.dR, exit_Theta=st.Theta,
                         y1_0=y1_0, dy1_0=dy1_0, dy2_0=dy2_0,
@@ -168,7 +156,8 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         # starts no earlier than face 1 ends.
         i1 = int(np.searchsorted(t, t0, side="right"))
         i2 = max(i1, int(np.searchsorted(t, t_bar)))
-        r, rdot, s, sdot = r1_phase_state(init, damping, k, t[:i1])
+        r, rdot, s, sdot = _face_state(0.0, init.dr0, init.s0, init.ds0,
+                                       damping, k, t[:i1])
         u, v = [np.column_stack([r, s])], [np.column_stack([rdot, sdot])]
         if i2 > i1:
             c = res.sample((t[i1:i2] - t0) * sk)
@@ -177,14 +166,45 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
             u.append(uc)
             v.append(vc)
         if t.size > i2:
-            y1, y1d, y2, y2d = face_phase_state(
-                y1_0, dy1_0, dy2_0, damping, k, t[i2:] - t_bar)
+            y1, y1d, y2, y2d = _face_state(y1_0, dy1_0, 0.0, dy2_0, damping,
+                                           k, t[i2:] - t_bar)
             n2, d2 = cone.face2_normal, cone.face2_direction
             u.append(np.outer(y1, n2) + np.outer(y2, d2))
             v.append(np.outer(y1d, n2) + np.outer(y2d, d2))
         phase = np.repeat([PHASE_FACE1, PHASE_CORNER, PHASE_FACE2],
                           [i1, i2 - i1, t.size - i2])
         return np.concatenate(u), np.concatenate(v), phase
+
+    return meta, states
+
+
+def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
+    """Full three-phase trajectory for a physical run on [0, T].
+
+    The rows are the run plus its row grid: the run's phase map (see
+    ``_run``) evaluated at a uniform grid on each face phase, at the
+    corner times t0 + tau / sqrt(k) for a geometric grid of tau from
+    1e-18 of the window the run covered (the exit, else the horizon), but
+    no lower than 1e-3 kappa, so every timescale between the layer width
+    and the exit is resolved, and at the ``t_eval`` times, which must be
+    finite and lie in [0, T].
+    ``Trajectory.positions_at`` evaluates the same map at any time.
+    """
+    t0, T = _horizon(config)
+    grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
+    if t_eval is not None:
+        grids.append(check_times(t_eval, 0.0, T, "t_eval times").ravel())
+    meta, states = _run(config)
+    if T > t0:
+        sk = math.sqrt(meta["k"])
+        tau_end = (T - t0) * sk
+        t_bar = meta.get("t_exit", math.inf)
+        lo = max(config.params.kappa * 1e-3,
+                 meta.get("tau_exit", tau_end) * 1e-18)
+        t_corner = t0 + np.geomspace(lo, tau_end, N_CORNER_EVAL) / sk
+        grids.append(t_corner[(t_corner < t_bar) & (t_corner <= T)])
+        if t_bar < T:
+            grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
 
     t = np.unique(np.concatenate(grids))
     u, v, phase = states(t)
@@ -206,22 +226,21 @@ def _loglog_order(x, y) -> float | None:
 def convergence_study(config: SimConfig, k_list=None):
     """Sup distance to the limit trajectory per stiffness.
 
-    The stiffnesses are ``config.sweep("k", k_list)``; the horizon
-    is ``config.T``.  Each run is sampled after it ends, by ``positions_at``
-    on a uniform grid of ``config.n_grid`` times.  Returns (table, fitted_order): table has columns k /
-    sup_error, and the order is the log-log slope of sup_error against
-    1/sqrt(k) (None for a single k or a zero error).
+    The stiffnesses are ``config.sweep("k", k_list)``; the horizon is
+    ``config.T``.  Each run's phase map is sampled after the run ends, on
+    a uniform grid of ``config.n_grid`` times in [0, T]; the run builds no
+    rows.  Returns (table, fitted_order): table has columns k / sup_error,
+    and the order is the log-log slope of sup_error against 1/sqrt(k)
+    (None for a single k or a zero error).
     """
     k_arr = np.asarray(sorted(config.sweep("k", k_list)))
-    t0 = first_crossing_time(config.init)
-    T = config.T if config.T is not None else 2.0 * t0
-    grid = np.linspace(0.0, T, config.n_grid)
+    grid = np.linspace(0.0, _horizon(config)[1], config.n_grid)
     u_inf = limit_trajectory(config.init, config.cone, grid)
 
     errors = np.empty(k_arr.size)
     for i, k in enumerate(k_arr):
-        traj = simulate_full(config.override(mode="physical", k=float(k)))
-        uk = traj.positions_at(grid)
+        _, states = _run(config.override(mode="physical", k=float(k)))
+        uk = states(grid)[0]
         errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
     table = {"k": k_arr, "sup_error": errors}
     return table, _loglog_order(1.0 / np.sqrt(k_arr), errors)

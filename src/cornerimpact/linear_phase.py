@@ -26,7 +26,9 @@ closed form with their own initial data.
 
 ``check_times`` is the one rule for time arguments (finite, in a window
 [lo, hi]); every phase formula and sampler of the package checks its
-times through it.
+times through it, once per public call.  The formulas share one
+unchecked body, which the trajectory's phase map also calls on the
+times it has already checked.
 
 Initial data: the particle starts on face 1 at (0, s0), s0 < 0, with
 velocity (dr0, ds0), dr0 > 0 (into the wall), ds0 > 0 (sliding toward the
@@ -150,6 +152,31 @@ def kernel_K2_dot(damping: DampingParams, tau):
     return _envelope(damping, tau)[2]
 
 
+def _check_face_start(y1_0: float) -> None:
+    """The face-2 start rule: a finite y1_0 >= 0 (the particle exits the
+    corner outside K)."""
+    if not 0.0 <= y1_0 < math.inf:
+        raise InvalidInput(
+            f"y1_0 must be non-negative and finite, got {y1_0!r}")
+
+
+def _face_state(y1_0: float, dy1_0: float, y2_0: float, dy2_0: float,
+                damping: DampingParams, k: float, tp: np.ndarray):
+    """The face closed form from (y1_0, y2_0) with velocity (dy1_0, dy2_0),
+    on a float array of elapsed times, with no checks: callers have
+    checked k, y1_0 and the times."""
+    sk = math.sqrt(k)
+    K2, H2, dK2 = _envelope(damping, tp * sk)
+    y1 = dy1_0 * K2 / sk + y1_0 * H2
+    # H2' = -K2, so y1dot = dy1_0 K2' + y1_0 sqrt(k) H2'
+    y1dot = dy1_0 * dK2 - y1_0 * sk * K2
+    y2 = y2_0 + tp * dy2_0
+    y2dot = np.full_like(tp, dy2_0)
+    if tp.ndim == 0:
+        return float(y1), float(y1dot), float(y2), float(y2dot)
+    return y1, y1dot, y2, y2dot
+
+
 def r1_phase_state(init: InitialData, damping: DampingParams, k: float, t):
     """State (r, rdot, s, sdot) during the face-1 phase, 0 <= t <= t0.
 
@@ -157,10 +184,11 @@ def r1_phase_state(init: InitialData, damping: DampingParams, k: float, t):
     and shifted by s0: r(t) = dr0 K2(t sqrt k)/sqrt k decays after one
     fast oscillation-free rebound; the slide is free: s(t) = s0 + t ds0.
     """
+    from .scaling import check_k    # scaling imports this module
+
     t = check_times(t, 0.0, first_crossing_time(init), "face-1 times")
-    r, rdot, y2, sdot = face_phase_state(0.0, init.dr0, init.ds0, damping,
-                                         k, t)
-    return r, rdot, init.s0 + y2, sdot
+    return _face_state(0.0, init.dr0, init.s0, init.ds0, damping,
+                       check_k(k), t)
 
 
 def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
@@ -179,18 +207,6 @@ def face_phase_state(y1_0: float, dy1_0: float, dy2_0: float,
     """
     from .scaling import check_k    # scaling imports this module
 
-    k = check_k(k)
-    if not 0.0 <= y1_0 < math.inf:
-        raise InvalidInput(
-            f"y1_0 must be non-negative and finite, got {y1_0!r}")
-    tp_arr = check_times(tp, 0.0, math.inf, "face times")
-    sk = math.sqrt(k)
-    K2, H2, dK2 = _envelope(damping, tp_arr * sk)
-    y1 = dy1_0 * K2 / sk + y1_0 * H2
-    # H2' = -K2, so y1dot = dy1_0 K2' + y1_0 sqrt(k) H2'
-    y1dot = dy1_0 * dK2 - y1_0 * sk * K2
-    y2 = tp_arr * dy2_0
-    y2dot = np.full_like(tp_arr, dy2_0)
-    if tp_arr.ndim == 0:
-        return float(y1), float(y1dot), float(y2), float(y2dot)
-    return y1, y1dot, y2, y2dot
+    _check_face_start(y1_0)
+    tp = check_times(tp, 0.0, math.inf, "face times")
+    return _face_state(y1_0, dy1_0, 0.0, dy2_0, damping, check_k(k), tp)

@@ -126,6 +126,24 @@ def test_exit_handoff_residual_sees_an_exit_off_face2(monkeypatch):
         assert residual == pytest.approx(radius * math.sin(shift), rel=1e-6)
 
 
+def test_exit_inside_the_cone_is_refused(monkeypatch):
+    # Turn the located exit angle by 2 rad: the exit state's y1_0 < 0 breaks
+    # face 2's start rule, for the rows and for the study alike.
+    real = harness.integrate_corner
+
+    def turned(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.exit_state = dataclasses.replace(
+            res.exit_state, Theta=res.exit_state.Theta + 2.0)
+        return res
+
+    monkeypatch.setattr(harness, "integrate_corner", turned)
+    for run in (simulate_full,
+                lambda cfg: convergence_study(cfg, k_list=[100.0])):
+        with pytest.raises(InvalidInput, match="y1_0 must be non-negative"):
+            run(ACUTE_CFG)
+
+
 def test_metadata_contents(acute_traj):
     meta = acute_traj.metadata
     assert meta["k"] == 100.0
@@ -147,6 +165,13 @@ def test_sample_continuity(acute_traj):
     speed = np.linalg.norm(acute_traj.v, axis=1)
     vmax = np.maximum(speed[1:], speed[:-1])
     assert np.all(du <= vmax * dt * 1.2 + 1e-9)
+
+
+def test_bad_t_eval_is_refused_before_the_run(monkeypatch):
+    monkeypatch.setattr(harness, "integrate_corner",
+                        lambda *a, **kw: pytest.fail("the corner ran"))
+    with pytest.raises(InvalidInput, match="t_eval times"):
+        simulate_full(ACUTE_CFG, t_eval=[0.5, math.nan])
 
 
 def test_t_eval_exact_inclusion():
@@ -414,6 +439,58 @@ def test_three_stiffness_sweep_builds_each_run_once(monkeypatch):
             monkeypatch.setattr(module, "scaled_params_from_physical", spy)
     convergence_study(cfg, k_list=(100.0, 1000.0, 10000.0))
     assert calls == [100.0, 1000.0, 10000.0]
+
+
+def test_convergence_study_samples_only_its_grid(monkeypatch):
+    # One corner run per stiffness, sampled at no more than the study's
+    # own grid times: the study builds no rows it would not read.
+    from cornerimpact.corner_phase import CornerResult
+
+    runs, samples = [], []
+    corner, sample = harness.integrate_corner, CornerResult.sample
+    monkeypatch.setattr(harness, "integrate_corner",
+                        lambda *a, **kw: runs.append(corner(*a, **kw))
+                        or runs[-1])
+    monkeypatch.setattr(CornerResult, "sample",
+                        lambda self, tau: samples.append((self, np.size(tau)))
+                        or sample(self, tau))
+    convergence_study(OBTUSE_CFG.override(n_grid=50),
+                      k_list=(100.0, 1e3, 1e4))
+    assert len(runs) == 3
+    per_run = [sum(n for res, n in samples if res is run) for run in runs]
+    assert sum(per_run) == sum(n for _, n in samples)
+    assert 0 < max(per_run) <= 50
+
+
+def _study_cases():
+    """Seeded acute and obtuse studies, and one at 0.9 of the ScaleUnderflow
+    edge k = (350 / |xi1|)^2 (t0 = 1) with alpha = 1.5."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for lo, hi in ((0.3, 1.4), (1.7, 2.8)):
+        for _ in range(3):
+            cfg = SimConfig(theta_bar=float(rng.uniform(lo, hi)),
+                            alpha=float(rng.uniform(1.2, 4.0)),
+                            T=float(rng.uniform(1.1, 3.0)),
+                            n_grid=int(rng.integers(50, 600)))
+            cases.append((cfg, sorted(10.0 ** rng.uniform(2.0, 5.0, 2))))
+    edge = (350.0 / characteristic_roots(1.5).xi1) ** 2
+    cases.append((SimConfig(theta_bar=2.2, alpha=1.5, T=2.0, n_grid=300),
+                   [100.0, 0.9 * edge]))
+    return cases
+
+
+@pytest.mark.parametrize("cfg,k_list", _study_cases())
+def test_convergence_study_is_the_trajectory_map(cfg, k_list):
+    # The study reads the same phase map as simulate_full's positions_at,
+    # bit for bit: one map, no second path.
+    table, _ = convergence_study(cfg, k_list=k_list)
+    grid = np.linspace(0.0, cfg.T, cfg.n_grid)
+    u_inf = limit_trajectory(cfg.init, cfg.cone, grid)
+    for k, err in zip(k_list, table["sup_error"]):
+        traj = simulate_full(cfg.override(mode="physical", k=k))
+        want = np.max(np.linalg.norm(traj.positions_at(grid) - u_inf, axis=1))
+        assert err == want
 
 
 def test_asymptotic_report_single_eta():

@@ -1,6 +1,7 @@
 """Seeded property tests: inputs across the domain fail only with named errors."""
 import math
 import re
+import sys
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from cornerimpact import (
     second_asymptotic_R2,
     simulate_full,
 )
+from cornerimpact import linear_phase
 from cornerimpact.cli import main
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
@@ -229,3 +231,31 @@ def test_time_windows_hold_their_ends(windows, name):
         # No slack past t0: the phase map splits at t <= t0 exactly.
         with pytest.raises(OutOfPhase):
             call(np.array([hi * (1.0 + 1e-13)]))
+
+
+@pytest.mark.parametrize("name,t,checks", [
+    ("r1_phase_state", [0.5], ["face-1 times"]),
+    ("face_phase_state", [0.5], ["face times"]),
+    ("second_asymptotic_R2", [2.0], ["second asymptotic times"]),
+    # Face 1 and face 2: the phase map checks none of its times again.
+    ("positions_at", [0.5, 1.9], ["trajectory times"]),
+    # A corner time (the exit is at t = 1.0033) adds the corner run's own
+    # check.
+    ("positions_at", [0.5, 1.002, 1.9],
+     ["trajectory times", "corner sample times"]),
+], ids=["r1", "face", "second", "positions-faces", "positions-corner"])
+def test_each_public_call_checks_its_times_once(windows, monkeypatch, name,
+                                                t, checks):
+    real = linear_phase.check_times
+    seen = []
+
+    def spy(times, lo, hi, what):
+        seen.append(what)
+        return real(times, lo, hi, what)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cornerimpact") and \
+                vars(module).get("check_times") is real:
+            monkeypatch.setattr(module, "check_times", spy)
+    windows[name][0](np.asarray(t))
+    assert seen == checks
