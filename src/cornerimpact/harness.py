@@ -4,16 +4,19 @@ A physical run chains three phases: the face-1 closed form up to the
 crossing time t0, the adaptive corner passage in scaled variables, and
 (once the exit angle is reached) the face-2 closed form.  Both handoffs
 are continuous to round-off, and their residuals are recorded in the
-metadata.  ``simulate_full`` is the run plus its rows.  The
-``Trajectory`` keeps the run's phase map, so ``positions_at`` gives the
-exact state at any time, as the rows do.
+metadata.  ``simulate_full`` is the run plus its rows; the corner rows
+follow the run's accepted steps, which the step control has already
+placed on the passage's scales.  The ``Trajectory`` keeps the run's
+phase map, so ``positions_at`` gives the exact state at any time, as the
+rows do.
 
 ``convergence_study`` measures the sup distance to the anelastic limit
 trajectory over a uniform grid, on the phase map of each run without
-building its rows; ``asymptotic_report`` measures the corner
-flow against its matched asymptotics, and ``phase_portrait`` tabulates the
-radial vector field.  All tables go through ``write_csv`` which prints
-floats with 17 significant digits so values round-trip bit for bit.
+building its rows; ``asymptotic_report`` measures the corner flow
+against its matched asymptotics on the run's accepted steps, and
+``phase_portrait`` tabulates the radial vector field.  All tables go
+through ``write_csv`` which prints floats with 17 significant digits so
+values round-trip bit for bit.
 """
 from __future__ import annotations
 
@@ -57,8 +60,9 @@ PHASE_FACE1 = "R1-phase"
 PHASE_CORNER = "corner"
 PHASE_FACE2 = "R3-phase"
 
-N_PHASE_SAMPLES = 601       # target per closed-form phase
-N_CORNER_EVAL = 1200        # geometric refinement across the corner scales
+# Row times per phase: uniform on each face, and spread evenly over the
+# accepted steps on the corner.
+N_PHASE_SAMPLES = 601
 
 
 @dataclass
@@ -100,7 +104,8 @@ def _horizon(config: SimConfig):
 
 
 def _run(config: SimConfig):
-    """One physical run on [0, T]: its metadata and its phase map.
+    """One physical run on [0, T]: its metadata, its phase map and its
+    ``CornerResult`` (None when T <= t0, where the run has no corner).
 
     The map ``states(t)`` takes sorted times t in [0, T] to (u, v, phase):
     times up to t0 go to the face-1 closed form, times in (t0, t_bar) to
@@ -124,6 +129,7 @@ def _run(config: SimConfig):
     meta: dict = {"k": k, "eta": params.eta, "eps": params.eps,
                   "E": params.E, "t0": t0, "T": T}
     t_bar = math.inf
+    res = None
 
     if T > t0:
         res = integrate_corner(params, cone, rtol=config.rtol,
@@ -175,34 +181,38 @@ def _run(config: SimConfig):
                           [i1, i2 - i1, t.size - i2])
         return np.concatenate(u), np.concatenate(v), phase
 
-    return meta, states
+    return meta, states, res
 
 
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """Full three-phase trajectory for a physical run on [0, T].
 
-    The rows are the run plus its row grid: the run's phase map (see
-    ``_run``) evaluated at a uniform grid on each face phase, at the
-    corner times t0 + tau / sqrt(k) for a geometric grid of tau from
-    1e-18 of the window the run covered (the exit, else the horizon), but
-    no lower than 1e-3 kappa, so every timescale between the layer width
-    and the exit is resolved, and at the ``t_eval`` times, which must be
-    finite and lie in [0, T].
-    ``Trajectory.positions_at`` evaluates the same map at any time.
+    The rows are the run's phase map (see ``_run``) at ``N_PHASE_SAMPLES``
+    uniform times on each face phase, at the ``t_eval`` times, which must
+    be finite and lie in [0, T], and at the corner times t0 + tau / sqrt(k)
+    for ``N_PHASE_SAMPLES`` values of tau spread evenly over the accepted
+    steps of the corner run, about as many between any two adjacent
+    steps, so the rows follow the scales the step control resolved, from
+    the layer width to the exit.  Only steps whose times differ from t0
+    count; at large k an acute passage may have none, and the corner then
+    has no rows.  ``Trajectory.positions_at`` evaluates the same map at
+    any time.
     """
     t0, T = _horizon(config)
     grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
     if t_eval is not None:
         grids.append(check_times(t_eval, 0.0, T, "t_eval times").ravel())
-    meta, states = _run(config)
-    if T > t0:
+    meta, states, res = _run(config)
+    if res is not None:
         sk = math.sqrt(meta["k"])
-        tau_end = (T - t0) * sk
+        # Steps that t cannot tell from t0 would only give rows at t0.
+        tau = res.tau[t0 + res.tau / sk > t0]
+        if tau.size:
+            n = tau.size - 1
+            t_corner = t0 + np.interp(np.linspace(0, n, N_PHASE_SAMPLES),
+                                      np.arange(n + 1), tau) / sk
+            grids.append(t_corner[t_corner <= T])
         t_bar = meta.get("t_exit", math.inf)
-        lo = max(config.params.kappa * 1e-3,
-                 meta.get("tau_exit", tau_end) * 1e-18)
-        t_corner = t0 + np.geomspace(lo, tau_end, N_CORNER_EVAL) / sk
-        grids.append(t_corner[(t_corner < t_bar) & (t_corner <= T)])
         if t_bar < T:
             grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
 
@@ -239,7 +249,7 @@ def convergence_study(config: SimConfig, k_list=None):
 
     errors = np.empty(k_arr.size)
     for i, k in enumerate(k_arr):
-        _, states = _run(config.override(mode="physical", k=float(k)))
+        states = _run(config.override(mode="physical", k=float(k)))[1]
         uk = states(grid)[0]
         errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
     table = {"k": k_arr, "sup_error": errors}
@@ -254,7 +264,9 @@ def asymptotic_report(config: SimConfig, eta_list=None):
     [eta^3, tau1]; max relative defect against the damped-linear
     continuation on [tau1, tau3]; and the exit ratio (measured/estimated
     exit time for an acute wedge, measured/estimated radius at tau3
-    otherwise).  The etas are ``config.sweep("eta", eta_list)``.
+    otherwise).  The etas are ``config.sweep("eta", eta_list)``.  The
+    defects are maxima over the accepted steps of the corner run to tau3
+    and its one sample at tau1, which gives the matching state.
     Second return value: log-log fitted orders in eta of the two defect
     columns (None with fewer than two etas or a zero defect).
     """
@@ -274,17 +286,15 @@ def asymptotic_report(config: SimConfig, eta_list=None):
                 f"precede tau3 = zeta ln(1/eta) = {tau3:.3g} (eta = "
                 f"{times.eta!r}, gamma1 = {times.gamma1!r}, zeta = "
                 f"{times.zeta!r})")
-        lo = max(params.kappa * 1e-3, tau1 * 1e-15)
-        ev = np.unique(np.concatenate([
-            np.geomspace(lo, tau1, 700),
-            np.geomspace(tau1, tau3, 700),
-            [eta ** 3],
-        ]))
         res = integrate_corner(params, cone, rtol=config.rtol,
                                atol=config.atol, horizon=tau3,
                                stop_at_event=False)
-        num = res.sample(ev)
-        R_num, dR_num = num.R, num.dR
+        # The accepted steps, with the state at tau1 inserted in order.
+        at_tau1 = res.sample([tau1])
+        i1 = int(np.searchsorted(res.tau, tau1))
+        ev = np.insert(res.tau, i1, tau1)
+        R_num = np.insert(res.R, i1, at_tau1.R)
+        dR_num = np.insert(res.dR, i1, at_tau1.dR)
 
         m1 = ev <= tau1
         R1_ref = first_asymptotic_R1(params, ev[m1])
@@ -295,7 +305,6 @@ def asymptotic_report(config: SimConfig, eta_list=None):
         err_dR1[i] = float(np.max(
             np.abs(dR_num[md] - dR1_ref) / np.abs(dR1_ref)))
 
-        i1 = int(np.searchsorted(ev, tau1))
         match = (float(R_num[i1]), float(dR_num[i1]))
         m2 = ev >= tau1
         R2_ref, _ = second_asymptotic_R2(match, damping, tau1, ev[m2])

@@ -312,7 +312,8 @@ def readme_examples() -> dict:
 
 
 @pytest.mark.parametrize("command", ["simulate --k 400 --T 2.0",
-                                     "converge --k-list 100,1000,10000"])
+                                     "converge --k-list 100,1000,10000",
+                                     "asym-report --eta-list 1e-2,1e-3,1e-4"])
 def test_readme_examples_print_what_readme_shows(command, capsys):
     expected = readme_examples()[command]
     assert expected

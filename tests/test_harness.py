@@ -13,10 +13,13 @@ from cornerimpact import (
     ScaledState,
     SimConfig,
     Trajectory,
+    asymptotic_times,
     characteristic_roots,
     convergence_study,
     critical_point,
     face_phase_state,
+    first_asymptotic_dR1,
+    first_asymptotic_R1,
     limit_trajectory,
     phase_portrait,
     r1_phase_state,
@@ -24,6 +27,7 @@ from cornerimpact import (
     scaled_params_direct,
     scaled_params_from_physical,
     scaled_to_cartesian,
+    second_asymptotic_R2,
     simulate_full,
     write_csv,
 )
@@ -200,13 +204,19 @@ def test_positions_at_rejects_times_outside_the_run(acute_traj):
             acute_traj.positions_at(t)
 
 
-def _run_and_corner(monkeypatch, cfg):
-    """simulate_full(cfg) and the corner run it made."""
+def _record_corner_runs(monkeypatch):
+    """The list that collects each corner run the harness makes."""
     runs = []
     corner = harness.integrate_corner
     monkeypatch.setattr(harness, "integrate_corner",
                         lambda *a, **kw: runs.append(corner(*a, **kw))
                         or runs[-1])
+    return runs
+
+
+def _run_and_corner(monkeypatch, cfg):
+    """simulate_full(cfg) and the corner run it made."""
+    runs = _record_corner_runs(monkeypatch)
     traj = simulate_full(cfg)
     (res,) = runs
     return traj, res
@@ -272,7 +282,7 @@ def test_positions_at_keeps_shape_and_order(acute_traj):
 
 
 def test_corner_attempts_are_stepping_only(monkeypatch):
-    # The ~1200 corner samples come from the vectorised single-step map,
+    # The corner samples come from the vectorised single-step map,
     # which takes no trial step: the trial steps are the run's accepted and
     # rejected steps plus a few single-step re-runs of the exit search.
     from cornerimpact import _kernels, harness
@@ -343,6 +353,41 @@ def test_long_horizon_keeps_corner_rows():
     far = simulate_full(ACUTE_CFG.override(k=1e4, T=1e6))
     assert far.metadata["tau_exit"] == short.metadata["tau_exit"] < 2e-12
     assert far.metadata["phase_counts"][PHASE_CORNER] >= 30
+
+
+def test_corner_rows_follow_the_steps():
+    # The corner rows are spread over the run's accepted steps, so a
+    # horizon far past the exit leaves every one of them as it was.
+    short = simulate_full(ACUTE_CFG.override(k=1e4))
+    far = simulate_full(ACUTE_CFG.override(k=1e4, T=1e6))
+    a, b = short.phase == PHASE_CORNER, far.phase == PHASE_CORNER
+    assert a.sum() > 30
+    np.testing.assert_array_equal(short.t[a], far.t[b])
+    np.testing.assert_array_equal(short.u[a], far.u[b])
+    np.testing.assert_array_equal(short.v[a], far.v[b])
+
+
+def test_corner_rows_stop_at_the_horizon():
+    # The run ends before its exit, and its last step time,
+    # t0 + ((T - t0) sqrt(k)) / sqrt(k), rounds past T: that time is no row.
+    T = 0.18175
+    traj = simulate_full(SimConfig().override(
+        mode="physical", theta_bar=2.9, s0=-0.1, k=150.0, T=T))
+    assert "t_exit" not in traj.metadata
+    assert traj.phase[-1] == PHASE_CORNER and traj.t[-1] <= T
+    assert traj.metadata["phase_counts"][PHASE_CORNER] == \
+        harness.N_PHASE_SAMPLES - 1
+
+
+@pytest.mark.parametrize("k", [100.0, 400.0])
+@pytest.mark.parametrize("theta_bar", [ACUTE_CFG.theta_bar, 2.0 * math.pi / 3],
+                         ids=["acute", "obtuse"])
+def test_each_phase_has_its_samples(k, theta_bar):
+    # N_PHASE_SAMPLES times per phase; the corner loses only the time it
+    # shares with face 2, the exit.
+    traj = simulate_full(ACUTE_CFG.override(k=k, theta_bar=theta_bar))
+    counts = traj.metadata["phase_counts"]
+    assert min(counts.values()) >= harness.N_PHASE_SAMPLES - 2
 
 
 def test_horizon_before_crossing():
@@ -500,6 +545,57 @@ def test_asymptotic_report_single_eta():
     assert table["err_R2"][0] < 0.05
     assert table["exit_ratio"][0] == pytest.approx(1.0, abs=5e-3)
     assert fits == {"order_R1": None, "order_R2": None}
+
+
+def test_asymptotic_report_samples_each_run_once(monkeypatch):
+    # The defects are read off the accepted steps: each eta's run is
+    # sampled once, at the matching time tau1.
+    from cornerimpact import corner_phase
+
+    sizes = []
+    many = corner_phase.substep_many
+    monkeypatch.setattr(corner_phase, "substep_many",
+                        lambda *a: sizes.append(a[3].size) or many(*a))
+    asymptotic_report(SimConfig(), eta_list=[1e-2, 1e-3])
+    assert sizes == [1, 1]
+
+
+def _report_cases():
+    rng = np.random.default_rng(2207)
+    cases = []
+    for lo, hi in [(0.3, 1.5)] * 3 + [(1.7, 2.9)] * 3:
+        cfg = SimConfig().override(alpha=float(rng.uniform(1.2, 4.0)),
+                                   theta_bar=float(rng.uniform(lo, hi)))
+        cases.append((cfg, float(10.0 ** rng.uniform(-6.0, -2.0))))
+    return cases
+
+
+@pytest.mark.parametrize("cfg,eta", _report_cases())
+def test_asymptotic_report_agrees_with_a_fine_grid(monkeypatch, cfg, eta):
+    # The maxima over the accepted steps match those over a 20,001-point
+    # geometric grid in each window, sampled from the same run.
+    runs = _record_corner_runs(monkeypatch)
+    table, _ = asymptotic_report(cfg, eta_list=[eta])
+    (res,) = runs
+    params = res.params
+    times = asymptotic_times(eta, cfg.damping, gamma1=cfg.gamma1,
+                             zeta=cfg.zeta)
+    tau1, tau3 = times.tau1, times.tau3
+
+    def worst(got, ref):
+        return np.max(np.abs(got - ref) / np.abs(ref))
+
+    n = 20_001
+    early = res.sample(np.geomspace(1e-3 * params.kappa, tau1, n))
+    assert table["err_R1"][0] == worst(
+        early.R, first_asymptotic_R1(params, early.tau))
+    middle = res.sample(np.geomspace(eta ** 3, tau1, n))
+    assert table["err_dR1"][0] == worst(
+        middle.dR, first_asymptotic_dR1(params, middle.tau))
+    late = res.sample(np.geomspace(tau1, tau3, n))
+    R2, _ = second_asymptotic_R2((late.R[0], late.dR[0]), cfg.damping,
+                                 tau1, late.tau)
+    assert table["err_R2"][0] == pytest.approx(worst(late.R, R2), rel=1e-8)
 
 
 def test_asymptotic_report_rejects_bad_eta():
