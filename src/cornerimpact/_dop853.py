@@ -8,10 +8,27 @@ its initial-step rule, the E5/E3 error norm, safety factor 0.9 and step
 factors clamped to [0.2, 10].
 
 The right-hand side is autonomous and has four components, each a Python
-float, so a stage costs one call and four ``sum(map(mul, ...))``; numpy
-enters only when a finished run is sampled.  Each accepted step keeps its
-stages, and ``Solution.dense`` builds the interpolant (three more stages)
-for the steps that hold sample points only.
+float; numpy enters only when a finished run is sampled.  A trial step is
+one flat body, ``_trial``: its 12 stages, the new state and the E5 and E3
+sums of the error norm, each stage sum a ``+`` chain of literal products
+over the nonzero coefficients only.  ``_extra`` is the same for the three
+stages the interpolant adds.  Both bodies are expanded from ``A``, ``E5``
+and ``E3`` when the module loads (``_flat_source``), so the tuples stay
+the one copy of the coefficients.  The interpreter, not the arithmetic,
+sets the cost of a step: the chains call no ``sum`` or ``map`` and leave
+out the 30 zeros among the 104 coefficients of rows 1-12, E5 and E3, and
+they take about half the time of a loop of ``sum(map(mul, row, K))``
+over full rows.
+
+Each chain starts from 0.0 and adds the products in tableau order.  That
+is what CPython 3.11's ``sum`` computes for such a row: it starts from
+int 0 (0 + x is 0.0 + x) and adds floats left to right, and a term 0.0 * k
+left out changes no bit of a running sum that starts from 0.0, provided k
+is finite.  So the steps are bit-identical to that loop; unlike it, they
+do not depend on the interpreter (CPython 3.12 compensates float sums).
+
+Each accepted step keeps its stages, and ``Solution.dense`` builds the
+interpolant for the steps that hold sample points only.
 
 The coefficients are copied from ``scipy/integrate/_ivp/
 dop853_coefficients.py`` (scipy; Copyright (c) 2001-2002 Enthought,
@@ -24,7 +41,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from operator import mul
 
 import numpy as np
 
@@ -137,6 +153,57 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0     # -1 / (error estimator order + 1)
 
 
+def _chain(coefs, names) -> str:
+    """Source of the sum of c * x over ``coefs`` and ``names``: a ``+``
+    chain from 0.0 over the nonzero c, in order."""
+    return "0.0" + "".join(f" + {c!r} * {x}"
+                           for c, x in zip(coefs, names) if c)
+
+
+def _flat_source() -> str:
+    """Source of ``_trial`` and ``_extra``, expanded from the tableau.
+
+    k{c}_{s} is stage s of component c and z{c} the state a stage is
+    evaluated at.  ``_trial(fun, y1..y4, h, k1_0..k4_0)`` returns the new
+    state, the E5 and E3 sums per component and the 52 stages, component
+    by component (stage 12 is f at the new state).  ``_extra(fun, y1..y4,
+    h, K)`` takes such 52 stages and returns the 16 stages of each
+    component in turn, with the interpolant's three.
+    """
+    comps = (1, 2, 3, 4)
+
+    def stages(first, last):
+        lines = []
+        for s in range(first, last + 1):
+            for c in comps:
+                chain = _chain(A[s], [f"k{c}_{j}" for j in range(s)])
+                lines.append(f"    z{c} = y{c} + ({chain}) * h")
+            lines.append(f"    {', '.join(f'k{c}_{s}' for c in comps)}"
+                         f" = fun(z1, z2, z3, z4)")
+        return lines
+
+    def ks(c, n):
+        return ", ".join(f"k{c}_{j}" for j in range(n))
+
+    n = N_STAGES + 1
+    trial = ["def _trial(fun, y1, y2, y3, y4, h, k1_0, k2_0, k3_0, k4_0):",
+             *stages(1, N_STAGES),
+             "    return (z1, z2, z3, z4,",
+             *(f"            {_chain(E, [f'k{c}_{j}' for j in range(n)])},"
+               for E in (E5, E3) for c in comps),
+             f"            ({', '.join(ks(c, n) for c in comps)},))"]
+    extra = ["def _extra(fun, y1, y2, y3, y4, h, K):",
+             f"    {', '.join(ks(c, n) for c in comps)}, = K",
+             *stages(n, len(A) - 1),
+             f"    return {', '.join(f'({ks(c, len(A))})' for c in comps)}"]
+    return "\n".join(trial + extra) + "\n"
+
+
+_bodies: dict = {}
+exec(compile(_flat_source(), "<_dop853 flat bodies>", "exec"), _bodies)
+_trial, _extra = _bodies["_trial"], _bodies["_extra"]
+
+
 class Solution:
     """Accepted steps of one run, packed in flat float arrays.
 
@@ -194,31 +261,10 @@ class Solution:
 
     def _extended_stages(self, i):
         """The 16 stage derivatives of step i, per component."""
-        n = N_STAGES + 1
-        K1, K2, K3, K4 = (self.stages[j:j + n].tolist()
-                          for j in range(4 * n * i, 4 * n * (i + 1), n))
-        _add_stages(self.fun, *self.y[4 * i:4 * i + 4],
-                    self.t[i + 1] - self.t[i], A[n:], K1, K2, K3, K4)
-        return K1, K2, K3, K4
-
-
-def _add_stages(fun, y1, y2, y3, y4, h, rows, K1, K2, K3, K4):
-    """Append to K1..K4 the stage derivatives for ``rows`` of A.
-
-    Returns the state the last stage was evaluated at: for the rows up to
-    B = A[12], the new state y + h sum(b_j K_j).
-    """
-    for a in rows:
-        z1 = y1 + sum(map(mul, a, K1)) * h
-        z2 = y2 + sum(map(mul, a, K2)) * h
-        z3 = y3 + sum(map(mul, a, K3)) * h
-        z4 = y4 + sum(map(mul, a, K4)) * h
-        k1, k2, k3, k4 = fun(z1, z2, z3, z4)
-        K1.append(k1)
-        K2.append(k2)
-        K3.append(k3)
-        K4.append(k4)
-    return z1, z2, z3, z4
+        m = 4 * (N_STAGES + 1)
+        return _extra(self.fun, *self.y[4 * i:4 * i + 4],
+                      self.t[i + 1] - self.t[i],
+                      self.stages[m * i:m * (i + 1)])
 
 
 def _rms(a, b, c, d):
@@ -269,7 +315,6 @@ def _run(sol, t_end, rtol, atol, max_rhs):
     h_abs = _initial_step(fun, (y1, y2, y3, y4), (f1, f2, f3, f4), t_end,
                           rtol, atol)
     sol.nfev = 2
-    stage_rows = A[1:N_STAGES + 1]
     t = 0.0
     while t < t_end:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -285,25 +330,25 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                 return
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            K1, K2, K3, K4 = [f1], [f2], [f3], [f4]
-            # Stages 1-11, then f at the new state as stage 12 (B = A[12]).
-            n1, n2, n3, n4 = _add_stages(fun, y1, y2, y3, y4, h, stage_rows,
-                                         K1, K2, K3, K4)
+            # Stages 1-11, then f at the new state n as stage 12 (B = A[12]);
+            # p and q are the E5 and E3 sums of the stages.
+            (n1, n2, n3, n4, p1, p2, p3, p4, q1, q2, q3, q4,
+             K) = _trial(fun, y1, y2, y3, y4, h, f1, f2, f3, f4)
             sol.nfev += N_STAGES
             # The E5/E3 error norm of DOP853, weighted per component.
             s1 = atol + max(abs(y1), abs(n1)) * rtol
             s2 = atol + max(abs(y2), abs(n2)) * rtol
             s3 = atol + max(abs(y3), abs(n3)) * rtol
             s4 = atol + max(abs(y4), abs(n4)) * rtol
-            e1 = sum(map(mul, E5, K1)) / s1
-            e2 = sum(map(mul, E5, K2)) / s2
-            e3 = sum(map(mul, E5, K3)) / s3
-            e4 = sum(map(mul, E5, K4)) / s4
+            e1 = p1 / s1
+            e2 = p2 / s2
+            e3 = p3 / s3
+            e4 = p4 / s4
             err5 = e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
-            e1 = sum(map(mul, E3, K1)) / s1
-            e2 = sum(map(mul, E3, K2)) / s2
-            e3 = sum(map(mul, E3, K3)) / s3
-            e4 = sum(map(mul, E3, K4)) / s4
+            e1 = q1 / s1
+            e2 = q2 / s2
+            e3 = q3 / s3
+            e4 = q4 / s4
             err3 = e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
@@ -326,7 +371,7 @@ def _run(sol, t_end, rtol, atol, max_rhs):
             return
         t = t_new
         y1, y2, y3, y4 = n1, n2, n3, n4
-        f1, f2, f3, f4 = K1[N_STAGES], K2[N_STAGES], K3[N_STAGES], K4[N_STAGES]
+        f1, f2, f3, f4 = K[N_STAGES::N_STAGES + 1]
         sol.t.append(t)
         sol.y.extend((y1, y2, y3, y4))
-        sol.stages.extend(K1 + K2 + K3 + K4)
+        sol.stages.extend(K)

@@ -195,8 +195,9 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     steps, so the rows follow the scales the step control resolved, from
     the layer width to the exit.  Only steps whose times differ from t0
     count; at large k an acute passage may have none, and the corner then
-    has no rows.  ``Trajectory.positions_at`` evaluates the same map at
-    any time.
+    has no rows.  A corner run that ends without an exit has T as its
+    last row.  ``Trajectory.positions_at`` evaluates the same map at any
+    time.
     """
     t0, T = _horizon(config)
     grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
@@ -215,6 +216,10 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
         t_bar = meta.get("t_exit", math.inf)
         if t_bar < T:
             grids.append(np.linspace(t_bar, T, N_PHASE_SAMPLES))
+        elif res.exit_state is None:
+            # The run ends at tau = (T - t0) sqrt(k), its horizon, but its
+            # last step time may round past T: T is the last row.
+            grids.append([T])
 
     t = np.unique(np.concatenate(grids))
     u, v, phase = states(t)

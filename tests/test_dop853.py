@@ -1,5 +1,7 @@
 """The oracle's scalar DOP853: tableau, accuracy, failures, scipy parity."""
 import math
+import random
+from operator import mul
 
 import numpy as np
 import pytest
@@ -135,3 +137,101 @@ def test_oracle_matches_scipy_dop853(alpha, k, theta_bar):
     rel = (np.max(np.linalg.norm(u - u_ref, axis=1))
            / np.max(np.linalg.norm(u_ref, axis=1)))
     assert rel <= 1e-9
+
+
+# Recorded before the stage sums became flat chains (criterion-10 data,
+# alpha = 2, rtol 1e-11): nfev, accepted steps and OracleRun.sample at
+# t = 0.5, 1, 1.25, 2, flattened.
+PINS = {
+    ("acute", 100.0): ("2114", "125", [
+        "0.007560753609634942", "-0.49999999999999967",
+        "0.001980253638852095", "7.540736290094275e-16",
+        "-0.1049705001223922", "0.07671560972072103",
+        "-0.45137875696545365", "0.2627635041415036"]),
+    ("acute", 1e3): ("2942", "168", [
+        "0.00013196422563879347", "-0.4999999999999998",
+        "1.9076691232881414e-06", "2.247966050444932e-16",
+        "-0.10779285078174156", "0.06333210662887402",
+        "-0.43307644498599374", "0.2500387102883944"]),
+    ("obtuse", 100.0): ("2462", "145", [
+        "0.007560753609634942", "-0.49999999999999967",
+        "0.001980253638852095", "7.540736290094275e-16",
+        "-0.016047808454753", "0.010709777367723853",
+        "-0.06712491064827052", "-0.036075566683492946"]),
+    ("obtuse", 1e3): ("2978", "196", [
+        "0.00013196422563879347", "-0.4999999999999998",
+        "1.9076691232881414e-06", "2.247966050444932e-16",
+        "-0.00010276964128582115", "0.0010937353207934137",
+        "-0.0022833702834855136", "-0.0013160542810833815"]),
+}
+
+
+@pytest.mark.parametrize("corner, k", list(PINS))
+def test_oracle_bitwise_pin(corner, k):
+    theta_bar = math.pi / 3.0 if corner == "acute" else 2.0 * math.pi / 3.0
+    run = oracle_fast_time_integration(
+        UNIT, characteristic_roots(2.0), ConeGeometry(theta_bar), k, 2.0,
+        rtol=1e-11, atol=1e-13)
+    u = run.sample(np.array([0.5, 1.0, 1.25, 2.0]))
+    assert (repr(run.solution.nfev), repr(len(run.solution.t) - 1),
+            [repr(x) for x in u.ravel().tolist()]) == PINS[corner, k]
+
+
+def reference_stages(fun, y, h, K, rows):
+    """The loop the flat bodies replace: append the stages of ``rows`` of A
+    to the per-component lists K, each stage sum a ``sum(map(mul, ...))``
+    over the full row; returns the state of the last stage."""
+    for a in rows:
+        z = [yc + sum(map(mul, a, Kc)) * h for yc, Kc in zip(y, K)]
+        for Kc, kc in zip(K, fun(*z)):
+            Kc.append(kc)
+    return z
+
+
+def bits(xs):
+    return [float.hex(x) for x in xs]
+
+
+def step_cases():
+    """(fun, y, h): seeded penalty-field states, and free flight from
+    signed zeros, where every force stage is -0.0."""
+    rng = random.Random(2023)
+    cases = []
+    for _ in range(24):
+        cone = ConeGeometry(rng.uniform(0.3, 2.9))
+        two_alpha = rng.uniform(2.2, 6.0)
+
+        def fun(x1, x2, v1, v2, cone=cone, two_alpha=two_alpha):
+            w1, w2, g1, g2 = penalty_field(x1, x2, v1, v2, cone)
+            return v1, v2, -two_alpha * g1 - w1, -two_alpha * g2 - w2
+
+        y = [rng.uniform(-1.0, 1.0) for _ in range(2)] + \
+            [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3, 1)
+             for _ in range(2)]
+        cases.append(pytest.param(fun, y, 10.0 ** rng.uniform(-4.0, 0.0),
+                                  id=f"seeded-{len(cases)}"))
+    free = cases[0].values[0]
+    cases.append(pytest.param(free, [-0.0, -0.5, -0.0, -0.0], 0.25,
+                              id="free-flight-negative-zeros"))
+    cases.append(pytest.param(free, [-0.0, -0.5, 0.0, -0.0], 0.25,
+                              id="free-flight-mixed-zeros"))
+    return cases
+
+
+@pytest.mark.parametrize("fun, y, h", step_cases())
+def test_flat_step_matches_the_reference_loop(fun, y, h):
+    f = fun(*y)
+    n1, n2, n3, n4, *sums, K = _dop853._trial(fun, *y, h, *f)
+    ref = [[fc] for fc in f]
+    new = reference_stages(fun, y, h, ref,
+                           _dop853.A[1:_dop853.N_STAGES + 1])
+    assert bits((n1, n2, n3, n4)) == bits(new)
+    assert bits(sums) == bits([sum(map(mul, E, Kc))
+                               for E in (_dop853.E5, _dop853.E3)
+                               for Kc in ref])
+    assert bits(K) == bits(sum(ref, []))
+    # The interpolant's three stages.
+    extended = _dop853._extra(fun, *y, h, K)
+    reference_stages(fun, y, h, ref, _dop853.A[_dop853.N_STAGES + 1:])
+    assert [bits(Kc) for Kc in extended] == [bits(Kc) for Kc in ref]
+    assert all(len(Kc) == 16 for Kc in extended)

@@ -369,14 +369,17 @@ def test_corner_rows_follow_the_steps():
 
 def test_corner_rows_stop_at_the_horizon():
     # The run ends before its exit, and its last step time,
-    # t0 + ((T - t0) sqrt(k)) / sqrt(k), rounds past T: that time is no row.
+    # t0 + ((T - t0) sqrt(k)) / sqrt(k), rounds past T: that time is no
+    # row, and T itself is the last one.
     T = 0.18175
     traj = simulate_full(SimConfig().override(
         mode="physical", theta_bar=2.9, s0=-0.1, k=150.0, T=T))
     assert "t_exit" not in traj.metadata
-    assert traj.phase[-1] == PHASE_CORNER and traj.t[-1] <= T
+    assert traj.phase[-1] == PHASE_CORNER and traj.t[-1] == T
     assert traj.metadata["phase_counts"][PHASE_CORNER] == \
-        harness.N_PHASE_SAMPLES - 1
+        harness.N_PHASE_SAMPLES
+    np.testing.assert_array_equal(traj.positions_at(traj.t[-1:]),
+                                  traj.u[-1:])
 
 
 @pytest.mark.parametrize("k", [100.0, 400.0])
