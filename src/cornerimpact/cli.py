@@ -17,6 +17,7 @@ numeric failure (integration breakdown).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -102,6 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=21, metavar="N",
                    help="grid points per axis (0 gives an empty table)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to ``main``, not at import, and kept: parsing
+    # leaves no state on the parser, and building it costs about a
+    # millisecond per call.
+    return build_parser()
 
 
 def _config_from(args: argparse.Namespace) -> SimConfig:
@@ -202,8 +211,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except InvalidInput as exc:

@@ -16,7 +16,8 @@ building its rows; ``asymptotic_report`` measures the corner flow
 against its matched asymptotics on the run's accepted steps, and
 ``phase_portrait`` tabulates the radial vector field.  All tables go
 through ``write_csv`` which prints floats with 17 significant digits so
-values round-trip bit for bit.
+values round-trip bit for bit; it formats each distinct bit pattern of a
+column once, which gives the bytes of formatting every cell.
 """
 from __future__ import annotations
 
@@ -374,11 +375,27 @@ def phase_portrait(params: ScaledParams, R_range=(0.1, 2.0),
     return table
 
 
+def _column_text(col: np.ndarray) -> list[str]:
+    """A column's cells as text: a float column's as ``%.17g``, each
+    distinct bit pattern formatted once; any other column's as ``str``.
+
+    Bits, not float equality, pick the distinct values, so ``-0.0`` keeps
+    its sign.  The text is that of formatting every cell.
+    """
+    if col.dtype.kind != "f":
+        return list(map(str, col.tolist()))
+    bits, inverse = np.unique(col.astype(np.float64, copy=False)
+                              .view(np.int64), return_inverse=True)
+    text = ["%.17g" % x for x in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
 def write_csv(data, path) -> None:
     """Write a Trajectory or a column mapping as CSV.
 
-    Float columns are printed with 17 significant digits so reading them
-    back reproduces the exact double; other columns print as ``str``.
+    Every column must be 1-D.  Float columns are printed with 17
+    significant digits so reading them back reproduces the exact double;
+    other columns print as ``str``.
     """
     if isinstance(data, Trajectory):
         columns = {
@@ -391,19 +408,20 @@ def write_csv(data, path) -> None:
         columns = {name: np.asarray(col) for name, col in data.items()}
     if not columns:
         raise InvalidInput("no columns to write")
+    for name, col in columns.items():
+        if col.ndim != 1:
+            raise InvalidInput(
+                f"column {name!r} must be 1-D, got shape {col.shape}")
     lengths = {len(col) for col in columns.values()}
     if len(lengths) > 1:
         raise InvalidInput(f"column lengths differ: {lengths}")
 
     names = list(columns)
-    row_format = ",".join(
-        "%.17g" if columns[name].dtype.kind == "f" else "%s"
-        for name in names) + "\n"
-    rows = zip(*(columns[name].tolist() for name in names))
+    cells = [_column_text(columns[name]) for name in names]
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(names) + "\n")
-            fh.writelines(row_format % row for row in rows)
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     except OSError as exc:
         raise InvalidInput(
             f"cannot write {path}: {exc.strerror or exc}") from None

@@ -178,6 +178,18 @@ def test_phase_portrait_table(tmp_path, capsys):
     assert rows["at_critical"][-1] == 1.0
 
 
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    # main keeps one parser for the process: a flag given in one call must
+    # not become the default of the next.
+    five, default = tmp_path / "five.csv", tmp_path / "default.csv"
+    assert main(["phase-portrait", "--eta", "0.01", "--grid-n", "5",
+                 "--out", str(five)]) == 0
+    assert main(["phase-portrait", "--eta", "0.01",
+                 "--out", str(default)]) == 0
+    assert len(five.read_text().splitlines()) == 1 + 5 * 5 + 1
+    assert len(default.read_text().splitlines()) == 1 + 21 * 21 + 1
+
+
 def test_phase_portrait_empty_grid(capsys):
     code = main(["phase-portrait", "--eta", "0.01", "--grid-n", "0"])
     assert code == 0

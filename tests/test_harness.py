@@ -698,6 +698,60 @@ def test_write_csv_errors(tmp_path):
         write_csv({"a": [1.0], "b": [1.0, 2.0]}, tmp_path / "ragged.csv")
 
 
+@pytest.mark.parametrize("column", [np.zeros((3, 2)), np.float64(1.0)],
+                         ids=["2-d", "0-d"])
+def test_write_csv_refuses_columns_that_are_not_1d(tmp_path, column):
+    path = tmp_path / "table.csv"
+    with pytest.raises(InvalidInput, match="column 'a' must be 1-D"):
+        write_csv({"a": column}, path)
+    assert not path.exists()
+
+
+def _write_csv_per_cell(columns, path):
+    """The reference writer: every cell formatted on its own."""
+    names = list(columns)
+    row_format = ",".join(
+        "%.17g" if columns[name].dtype.kind == "f" else "%s"
+        for name in names) + "\n"
+    rows = zip(*(columns[name].tolist() for name in names))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row_format % row for row in rows)
+
+
+def _csv_tables(traj):
+    params = scaled_params_direct(1e-2, "derive", InitialData(-1.0, 1.0, 1.0),
+                                  characteristic_roots(2.0))
+    edge = np.array([0.0, -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                     2.0 ** -1074, -2.0 ** -1074, 1.0 / 3.0, 1.0 / 3.0, -0.0])
+    n = edge.size
+    return {
+        "portrait": phase_portrait(params, grid_n=40),
+        "trajectory": {"t": traj.t, "u1": traj.u[:, 0], "u2": traj.u[:, 1],
+                       "v1": traj.v[:, 0], "v2": traj.v[:, 1],
+                       "phase": traj.phase},
+        "edge-floats": {"x": edge, "y": edge[::-1]},
+        "int-bool-str": {"n": np.arange(n) - 3,
+                         "b": np.arange(n) % 3 == 0,
+                         "s": np.array(["corner", "", "R1-phase"] * (n // 3)),
+                         "f": edge},
+        "empty": phase_portrait(params, grid_n=0),
+    }
+
+
+def test_write_csv_matches_per_cell_formatting(acute_traj, tmp_path):
+    # Formatting each distinct bit pattern once gives the bytes of
+    # formatting every cell; -0.0 keeps its sign.
+    for name, table in _csv_tables(acute_traj).items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        write_csv(table, got)
+        _write_csv_per_cell(table, want)
+        assert got.read_bytes() == want.read_bytes(), name
+    empty = (tmp_path / "empty.csv").read_text()
+    assert empty == "R,dR,dR_dtau,ddR_dtau,at_critical\n"
+    assert "-0," in (tmp_path / "edge-floats.csv").read_text()
+
+
 def test_trajectory_container_roundtrip(acute_traj):
     # The rows are the phase map at the row times, a copy keeps the map,
     # and a container built from rows alone cannot be sampled.
