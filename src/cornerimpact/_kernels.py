@@ -62,8 +62,9 @@ Sampling: the state at an offset s into an accepted step is the
 single-step map ``_substep`` of length s from that step's start, the
 same map the exit search solves on.  ``substep_many`` evaluates it at
 many (start, offset) pairs at once in numpy, for ``CornerResult.sample``
-after a run; it is exact at both step ends and as accurate as the step
-itself in between.
+after a run; it is as accurate as the step itself.  At offset 0 it
+returns R' and Theta exactly and R as w + (R - w), within an ulp of R;
+at the step end it agrees with the accepted state to round-off.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
 theta_target.  The exit is the root of Theta = theta_target on the exact
@@ -79,8 +80,9 @@ where Theta' ~ W is huge.  It takes about three single-step re-runs.
 
 Failures: ``integrate_radial`` raises ``SingularRadius`` when the step
 size falls below float resolution and the last rejected step had a stage
-radius outside (0, inf), and ``IntegrationFailure`` when it falls there
-after an error-test rejection or when MAX_STEPS attempts are spent.
+radius outside (0, inf) or a non-finite error, and ``IntegrationFailure``
+when it falls there after an error-test rejection or when MAX_STEPS
+attempts are spent.
 """
 from __future__ import annotations
 
@@ -137,15 +139,17 @@ def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
 
     (n1, g1) = _rhs(R) is the cached first stage.  Returns (ok, Rn, Vn,
     Tn, n7, g7, eR, eV, eT): ok is False when a stage radius left
-    (0, inf); (n7, g7) = _rhs(Rn) is the next step's first stage; e* are
-    the raw embedded error components.
+    (0, inf), and its error components are then infinite, so the step
+    loop rejects it as it rejects any non-finite error; (n7, g7) =
+    _rhs(Rn) is the next step's first stage; e* are the raw embedded
+    error components.
 
     Phi(s) is evaluated inline at the 13 offsets s = c h: e = e^{xi1 s},
     q = -expm1(-sd2 s) / sd2, then H2 = e (1 - xi1 q), K2 = e q and
     K2' = e (1 + xi2 q), each only where a stage reads it.
     """
-    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     INF = math.inf
+    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)
     # Lawson in u = R - w about the rest point w of the frozen force n1,
     # capped at R so that w + H2 (R - w) rounds like R; m = n - w.
     w = n1 if n1 < R else R
@@ -372,13 +376,8 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
             raise IntegrationFailure(
                 f"step size underflow at tau ~ {tau:.6g}")
 
-        ok, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
+        _, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
             R, V, Th, n1, g1, h, c3, cth, xi1, xi2, sd2)
-        if not ok:
-            h *= 0.25
-            nrej += 1
-            last_reject_bad = True
-            continue
         # Error norm; each scale takes the larger of |start| and |end| as
         # max() does (b if b > a else a), without the call.
         a = abs(R)

@@ -8,8 +8,11 @@ Subcommands::
     cornerimpact phase-portrait  radial vector field table
 
 Every subcommand reads an optional ``--config`` key = value file and takes
-the common overrides ``--k`` (physical mode), ``--eta`` (scaled mode),
-``--theta-bar``, ``--alpha`` and ``--out``.
+the common overrides ``--theta-bar``, ``--alpha`` and ``--out``.  The scale
+flags go only where they are read: ``--k`` (physical mode) to ``simulate``,
+``converge`` and ``phase-portrait``, ``--eta`` (scaled mode) to
+``asym-report`` and ``phase-portrait``, which takes one of the two.  A flag
+that a subcommand does not take is a usage error.
 
 Exit codes: 0 on success, 2 for invalid input or configuration, 3 for a
 numeric failure (integration breakdown).
@@ -38,13 +41,19 @@ __all__ = ["main", "build_parser"]
 _CONFIG_FIELDS = {f.name for f in fields(SimConfig) if f.init}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, k=False, eta=False) -> None:
     sub.add_argument("--config", metavar="PATH",
                      help="key = value configuration file")
-    sub.add_argument("--k", type=float, metavar="K",
-                     help="stiffness override (switches to physical mode)")
-    sub.add_argument("--eta", type=float, metavar="ETA",
-                     help="corner-scale override (switches to scaled mode)")
+    # One scale per run: phase-portrait takes --k or --eta, not both.
+    scales = sub.add_mutually_exclusive_group()
+    if k:
+        scales.add_argument(
+            "--k", type=float, metavar="K",
+            help="stiffness override (switches to physical mode)")
+    if eta:
+        scales.add_argument(
+            "--eta", type=float, metavar="ETA",
+            help="corner-scale override (switches to scaled mode)")
     sub.add_argument("--theta-bar", type=float, metavar="RAD",
                      help="wedge opening angle in radians")
     sub.add_argument("--alpha", type=float, metavar="A",
@@ -63,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="full three-phase trajectory",
         description="Integrate approach, corner passage and (acute case) "
                     "the outgoing face phase over [0, T].")
-    _add_common(p)
+    _add_common(p, k=True)
     p.add_argument("--T", type=float, metavar="T",
                    help="physical horizon (default twice the impact time)")
 
@@ -71,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "converge", help="stiffness sweep against the limit motion",
         description="Measure sup |u_k - u_limit| on a uniform grid for "
                     "each stiffness and fit the convergence order.")
-    _add_common(p)
+    _add_common(p, k=True)
     p.add_argument("--k-list", metavar="K1,K2,...",
                    help="stiffnesses to sweep (overrides config k_list)")
     p.add_argument("--T", type=float, metavar="T", help="physical horizon")
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per eta: relative defects against the undamped "
                     "comparison orbit and the damped-linear continuation, "
                     "plus the exit-equivalent ratio and fitted orders.")
-    _add_common(p)
+    _add_common(p, eta=True)
     p.add_argument("--eta-list", metavar="E1,E2,...",
                    help="corner scales to sweep (overrides config eta_list)")
     p.add_argument("--gamma1", type=float, metavar="G",
@@ -95,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "phase-portrait", help="radial vector field table",
         description="Tabulate (R', R'') on a grid with the rest point "
                     "marked in the at_critical column.")
-    _add_common(p)
+    _add_common(p, k=True, eta=True)
     p.add_argument("--r-range", metavar="LO,HI", default="0.1,2.0",
                    help="radius window (default 0.1,2.0)")
     p.add_argument("--dr-range", metavar="LO,HI", default="-1.0,1.0",
@@ -115,8 +124,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace) -> SimConfig:
     config = load_config(args.config) if args.config else SimConfig()
-    if args.k is not None and args.eta is not None:
-        raise InvalidInput("--k and --eta are mutually exclusive")
     over = {name: value for name, value in vars(args).items()
             if name in _CONFIG_FIELDS and value is not None}
     for name in ("k_list", "eta_list"):
@@ -125,9 +132,9 @@ def _config_from(args: argparse.Namespace) -> SimConfig:
                                       "--" + name.replace("_", "-"))
     # Flags win over the file: --k (--eta) also replaces its k_list
     # (eta_list), unless --k-list (--eta-list) is given.
-    if args.k is not None:
+    if "k" in over:
         over = {"mode": "physical", "k_list": None, **over}
-    if args.eta is not None:
+    if "eta" in over:
         over = {"mode": "scaled", "eta_list": None, **over}
     return config.override(**over) if over else config
 

@@ -55,8 +55,9 @@ class SimConfig:
     """Run parameters shared by all subcommands, checked when built.
 
     The check keeps what it builds: ``damping``, ``init``, ``cone`` and
-    ``params``, the scaled parameters of the one run the config names (k
-    in physical mode, else eta; None if it names none).
+    ``params``, the scaled parameters of the one run the config names (of
+    k or eta, whichever is set; of the mode's when both are; None if
+    neither is).
     """
 
     alpha: float = 2.0
@@ -135,15 +136,16 @@ class SimConfig:
         check("eps", check_eps, self.eps)
         # k/eta may stay unset here: sweep commands supply them per run and
         # single-run consumers check completeness for their mode.
-        params = k_params = None
+        k_params = eta_params = None
         if self.k is not None:
             k_params = check("k", scaled_params_from_physical, init, damping,
                              self.k)
         if self.eta is not None:
-            params = check("eta", scaled_params_direct, self.eta, self.eps,
-                           init, damping)
-        if self.mode == "physical" and k_params is not None:
-            params = k_params
+            eta_params = check("eta", scaled_params_direct, self.eta,
+                               self.eps, init, damping)
+        # The mode picks between k and eta only when both are set.
+        params = (k_params or eta_params if self.mode == "physical"
+                  else eta_params or k_params)
         check("gamma1", check_gamma1, self.gamma1)
         if self.zeta is not None:
             check("zeta", check_zeta, self.zeta, damping)

@@ -45,6 +45,7 @@ from .scaling import (
     ScaledParams,
     ScaledState,
     scaled_params_direct,
+    scaled_params_from_physical,
     scaled_to_cartesian,
 )
 
@@ -72,24 +73,21 @@ class Trajectory:
 
     The rows are the run's phase map evaluated at the row times;
     ``positions_at`` evaluates the same map at any other times, so it is
-    exact everywhere in [0, T], not only at rows.  A container built
-    without a map holds rows only and cannot be sampled.
+    exact everywhere in [0, T], not only at rows.
     """
 
     t: np.ndarray               # strictly increasing times
     u: np.ndarray               # (n, 2) positions
     v: np.ndarray               # (n, 2) velocities
     phase: np.ndarray           # labels from {R1-phase, corner, R3-phase}
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
     # states(t) -> (u, v, phase) at sorted times t in [0, T].
-    _states: Callable | None = field(default=None, repr=False, compare=False)
+    _states: Callable = field(repr=False, compare=False)
 
     def positions_at(self, t_grid) -> np.ndarray:
         """Positions at times in [0, T] (any shape and order); the result
         has the shape of ``t_grid`` plus a last axis of 2.  Times that are
         not finite or lie outside [0, T] raise OutOfPhase."""
-        if self._states is None:
-            raise InvalidInput("this trajectory has no phase map to sample")
         t = check_times(t_grid, 0.0, self.metadata["T"], "trajectory times")
         flat = t.ravel()
         order = np.argsort(flat, kind="stable")
@@ -104,9 +102,12 @@ def _horizon(config: SimConfig):
     return t0, (config.T if config.T is not None else 2.0 * t0)
 
 
-def _run(config: SimConfig):
-    """One physical run on [0, T]: its metadata, its phase map and its
-    ``CornerResult`` (None when T <= t0, where the run has no corner).
+def _run(config: SimConfig, params: ScaledParams):
+    """One physical run on [0, T] at the stiffness of ``params``, the
+    scaled parameters of that stiffness; the damping, initial data, wedge,
+    tolerances and horizon are the config's.  Returns the run's metadata,
+    its phase map and its ``CornerResult`` (None when T <= t0, where the
+    run has no corner).
 
     The map ``states(t)`` takes sorted times t in [0, T] to (u, v, phase):
     times up to t0 go to the face-1 closed form, times in (t0, t_bar) to
@@ -118,13 +119,8 @@ def _run(config: SimConfig):
     no times: its callers pass times they have checked or built in
     [0, T].
     """
-    if config.mode != "physical" or config.k is None:
-        raise InvalidInput(
-            "simulate_full requires mode 'physical' and a stiffness k; "
-            "scaled runs drive the corner flow through integrate_corner")
-    damping, init, cone, params = (config.damping, config.init, config.cone,
-                                   config.params)
-    k = float(config.k)
+    damping, init, cone = config.damping, config.init, config.cone
+    k = params.k
     sk = math.sqrt(k)
     t0, T = _horizon(config)
     meta: dict = {"k": k, "eta": params.eta, "eps": params.eps,
@@ -186,7 +182,9 @@ def _run(config: SimConfig):
 
 
 def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
-    """Full three-phase trajectory for a physical run on [0, T].
+    """Full three-phase trajectory for a physical run on [0, T]: the
+    config must be in physical mode with a stiffness k, whose scaled
+    parameters ``config.params`` drive the run.
 
     The rows are the run's phase map (see ``_run``) at ``N_PHASE_SAMPLES``
     uniform times on each face phase, at the ``t_eval`` times, which must
@@ -200,11 +198,15 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     last row.  ``Trajectory.positions_at`` evaluates the same map at any
     time.
     """
+    if config.mode != "physical" or config.k is None:
+        raise InvalidInput(
+            "simulate_full requires mode 'physical' and a stiffness k; "
+            "scaled runs drive the corner flow through integrate_corner")
     t0, T = _horizon(config)
     grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
     if t_eval is not None:
         grids.append(check_times(t_eval, 0.0, T, "t_eval times").ravel())
-    meta, states, res = _run(config)
+    meta, states, res = _run(config, config.params)
     if res is not None:
         sk = math.sqrt(meta["k"])
         # Steps that t cannot tell from t0 would only give rows at t0.
@@ -242,12 +244,13 @@ def _loglog_order(x, y) -> float | None:
 def convergence_study(config: SimConfig, k_list=None):
     """Sup distance to the limit trajectory per stiffness.
 
-    The stiffnesses are ``config.sweep("k", k_list)``; the horizon is
-    ``config.T``.  Each run's phase map is sampled after the run ends, on
-    a uniform grid of ``config.n_grid`` times in [0, T]; the run builds no
-    rows.  Returns (table, fitted_order): table has columns k / sup_error,
-    and the order is the log-log slope of sup_error against 1/sqrt(k)
-    (None for a single k or a zero error).
+    The stiffnesses are ``config.sweep("k", k_list)``, each run from its
+    own scaled parameters; the horizon is ``config.T``.  Each run's phase
+    map is sampled after the run ends, on a uniform grid of
+    ``config.n_grid`` times in [0, T]; the run builds no rows.  Returns
+    (table, fitted_order): table has columns k / sup_error, and the order
+    is the log-log slope of sup_error against 1/sqrt(k) (None for a single
+    k or a zero error).
     """
     k_arr = np.asarray(sorted(config.sweep("k", k_list)))
     grid = np.linspace(0.0, _horizon(config)[1], config.n_grid)
@@ -255,7 +258,8 @@ def convergence_study(config: SimConfig, k_list=None):
 
     errors = np.empty(k_arr.size)
     for i, k in enumerate(k_arr):
-        states = _run(config.override(mode="physical", k=float(k)))[1]
+        params = scaled_params_from_physical(config.init, config.damping, k)
+        states = _run(config, params)[1]
         uk = states(grid)[0]
         errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
     table = {"k": k_arr, "sup_error": errors}

@@ -32,9 +32,47 @@ def test_simulate_missing_k_exits_two(capsys):
 
 
 def test_mutually_exclusive_k_eta(capsys):
-    code = main(["simulate", "--k", "100", "--eta", "0.01"])
-    assert code == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["phase-portrait", "--k", "100", "--eta", "0.01"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --k" in capsys.readouterr().err
+
+
+# The flags each subcommand takes: --k where a stiffness is read, --eta
+# where a corner scale is.
+FLAGS = {
+    "simulate": {"--config", "--k", "--theta-bar", "--alpha", "--out",
+                 "--T"},
+    "converge": {"--config", "--k", "--k-list", "--theta-bar", "--alpha",
+                 "--out", "--T", "--n-grid"},
+    "asym-report": {"--config", "--eta", "--eta-list", "--theta-bar",
+                    "--alpha", "--out", "--gamma1", "--zeta"},
+    "phase-portrait": {"--config", "--k", "--eta", "--theta-bar", "--alpha",
+                       "--out", "--r-range", "--dr-range", "--grid-n"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(FLAGS)
+    for name, sub in subs.choices.items():
+        flags = {flag for action in sub._actions
+                 if not isinstance(action, argparse._HelpAction)
+                 for flag in action.option_strings}
+        assert flags == FLAGS[name], name
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["asym-report", "--k", "1e4"], "--k"),
+    (["converge", "--eta", "1e-3"], "--eta"),
+    (["simulate", "--eta", "0.01"], "--eta"),
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, flag):
+    proc = subprocess.run([sys.executable, "-m", "cornerimpact", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: " + flag in proc.stderr
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys):
@@ -200,6 +238,19 @@ def test_phase_portrait_needs_a_mode(capsys):
     code = main(["phase-portrait"])
     assert code == 2
     assert "either --k" in capsys.readouterr().err
+
+
+def test_phase_portrait_reads_k_of_a_scaled_config(tmp_path, capsys):
+    # The mode picks between k and eta only when both are set: a scaled
+    # config with k alone names the run of that k.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = scaled\nk = 100\n", encoding="utf-8")
+    from_cfg, from_flag = tmp_path / "cfg.csv", tmp_path / "flag.csv"
+    assert main(["phase-portrait", "--config", str(cfg), "--grid-n", "2",
+                 "--out", str(from_cfg)]) == 0
+    assert main(["phase-portrait", "--k", "100", "--grid-n", "2",
+                 "--out", str(from_flag)]) == 0
+    assert from_cfg.read_bytes() == from_flag.read_bytes()
 
 
 def test_phase_portrait_bad_range(capsys):

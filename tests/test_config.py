@@ -162,9 +162,12 @@ def test_checked_when_built():
     assert cfg.damping.alpha == 2.0 and cfg.init.s0 == -1.0
     assert cfg.cone.theta_bar == 1.0
     assert cfg.params.eta == pytest.approx(0.26191219573938435, rel=1e-15)
-    # The run a config names: k in physical mode, else eta, else none.
+    # The run a config names: the one of k and eta that is set, the mode's
+    # when both are, else none.
     assert SimConfig(mode="scaled", k=100.0, eta=0.01).params.eta == 0.01
-    assert SimConfig(mode="scaled", k=100.0).params is None
+    assert SimConfig(mode="physical", k=100.0, eta=0.01).params.k == 100.0
+    assert SimConfig(mode="scaled", k=100.0).params.k == 100.0
+    assert SimConfig(mode="physical", eta=0.01).params.eta == 0.01
     assert SimConfig().params is None
     with pytest.raises(ConfigError, match="alpha must exceed 1"):
         SimConfig(alpha=0.5)

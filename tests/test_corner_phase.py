@@ -353,6 +353,19 @@ def test_eval_point_at_accepted_time_matches_state():
     assert st.dR[0] == pytest.approx(res.dR[5], rel=1e-13, abs=1e-14)
 
 
+def test_sample_at_step_starts():
+    # At offset 0 the single-step map gives R' and Theta exactly and R as
+    # w + (R - w), within an ulp; it is not exact in R.
+    res = integrate_corner(params_at(1e-2), ConeGeometry(2.0), horizon=20.0,
+                           stop_at_event=False)
+    starts = res.tau[:-1]
+    st = res.sample(starts)
+    assert starts.size > 400
+    assert np.all(np.abs(st.R - res.R[:-1]) <= np.spacing(res.R[:-1]))
+    np.testing.assert_array_equal(st.dR, res.dR[:-1])
+    np.testing.assert_array_equal(st.Theta, res.Theta[:-1])
+
+
 def test_continue_after_event():
     p = params_at(1e-2)
     res = integrate_corner(p, OBTUSE, stop_at_event=False)

@@ -10,9 +10,9 @@ from cornerimpact import (
     ConeGeometry,
     InitialData,
     InvalidInput,
+    ScaleUnderflow,
     ScaledState,
     SimConfig,
-    Trajectory,
     asymptotic_times,
     characteristic_roots,
     convergence_study,
@@ -469,13 +469,23 @@ def test_convergence_study_rejects_bad_k():
         convergence_study(ACUTE_CFG, k_list=[100.0, -4.0])
 
 
+def test_convergence_study_refuses_k_beyond_the_floor():
+    # The scaled parameters of each stiffness state the e^-175 floor.
+    with pytest.raises(ScaleUnderflow, match="leaves double range"):
+        convergence_study(ACUTE_CFG, k_list=[1e9])
+
+
 def test_three_stiffness_sweep_builds_each_run_once(monkeypatch):
-    # Each stiffness's scaled parameters are built once, when its config
-    # is checked, and the run reads them from there.  The sweep does not
-    # rebuild those of the config's own k, which it never runs.
+    # Each stiffness's scaled parameters are built once and handed to its
+    # run; no config is rebuilt or checked per stiffness.  The sweep does
+    # not rebuild those of the config's own k, which it never runs.
     cfg = SimConfig(T=2.0, n_grid=50, k=100.0)
     real = scaling.scaled_params_from_physical
     calls = []
+    checks = []
+    validated = SimConfig.validated
+    monkeypatch.setattr(SimConfig, "validated",
+                        lambda self: checks.append(self) or validated(self))
 
     def spy(init, damping, k):
         calls.append(k)
@@ -487,6 +497,7 @@ def test_three_stiffness_sweep_builds_each_run_once(monkeypatch):
             monkeypatch.setattr(module, "scaled_params_from_physical", spy)
     convergence_study(cfg, k_list=(100.0, 1000.0, 10000.0))
     assert calls == [100.0, 1000.0, 10000.0]
+    assert checks == []
 
 
 def test_convergence_study_samples_only_its_grid(monkeypatch):
@@ -753,18 +764,12 @@ def test_write_csv_matches_per_cell_formatting(acute_traj, tmp_path):
 
 
 def test_trajectory_container_roundtrip(acute_traj):
-    # The rows are the phase map at the row times, a copy keeps the map,
-    # and a container built from rows alone cannot be sampled.
+    # The rows are the phase map at the row times, and a copy keeps the map.
     np.testing.assert_array_equal(acute_traj.positions_at(acute_traj.t),
                                   acute_traj.u)
     copy = dataclasses.replace(acute_traj)
     np.testing.assert_array_equal(copy.positions_at(acute_traj.t),
                                   acute_traj.u)
-    bare = Trajectory(t=acute_traj.t, u=acute_traj.u, v=acute_traj.v,
-                      phase=acute_traj.phase)
-    assert bare.metadata == {}
-    with pytest.raises(InvalidInput, match="no phase map"):
-        bare.positions_at(0.5)
 
 
 def test_converges_toward_limit(acute_traj):
