@@ -45,8 +45,10 @@ quadrature only, and the cost hardly grows as eta shrinks.
 
 The step loop is scalar arithmetic on purpose (``math.exp``/
 ``math.expm1``, not their numpy twins, which are slow on Python floats),
-and a trial step ``_attempt`` is one flat body: it evaluates Phi inline at
-its 13 offsets (only K2 where a stage needs no more) and the perturbation
+and a trial step ``_attempt`` is one flat body, generated from the one
+statement of the tableau (``C``, ``A``, ``E``, exact integer ratios) when
+the module loads (``_step_source``): it evaluates Phi inline at its 13
+distinct offsets (only the forms a stage sum reads) and the perturbation
 inline at its stages, and the error norm sits in the step loop.  A Python
 call costs about as much as a stage's arithmetic: on the runs of 64 seeded
 corner_long and corner_dense benchmark ops, this body takes 0.65 of the
@@ -87,41 +89,39 @@ attempts are spent.
 from __future__ import annotations
 
 import math
-from math import exp, expm1
+from math import exp, expm1  # read by the generated _attempt
 
 import numpy as np
 
 from .errors import IntegrationFailure, SingularRadius
 
-# Dormand-Prince 5(4) tableau.
-C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-A21 = 1.0 / 5.0
-A31, A32 = 3.0 / 40.0, 9.0 / 40.0
-A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-A51, A52, A53, A54 = (19372.0 / 6561.0, -25360.0 / 2187.0,
-                      64448.0 / 6561.0, -212.0 / 729.0)
-A61, A62, A63, A64, A65 = (9017.0 / 3168.0, -355.0 / 33.0,
-                           46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0)
-B1, B3, B4, B5, B6 = (35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0,
-                      -2187.0 / 6784.0, 11.0 / 84.0)
-# b(5th) - b(4th), for the embedded error estimate.
-E1, E3, E4, E5, E6, E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                          -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
-# Node differences c_i - c_l that are not nodes themselves.
-D32 = 1.0 / 10.0
-D42, D43 = 3.0 / 5.0, 1.0 / 2.0
-D52, D53, D54 = 31.0 / 45.0, 53.0 / 90.0, 4.0 / 45.0
-D63, D65 = 7.0 / 10.0, 1.0 / 9.0
+# Dormand-Prince 5(4) tableau, exact, as (numerator, denominator) pairs:
+# the nodes C, the rows A of a_il for l < i, whose last row is b (so the
+# step end is the last stage: FSAL), and the error weights E = b - b^.
+C = ((0, 1), (1, 5), (3, 10), (4, 5), (8, 9), (1, 1), (1, 1))
+A = (
+    (),
+    ((1, 5),),
+    ((3, 40), (9, 40)),
+    ((44, 45), (-56, 15), (32, 9)),
+    ((19372, 6561), (-25360, 2187), (64448, 6561), (-212, 729)),
+    ((9017, 3168), (-355, 33), (46732, 5247), (49, 176), (-5103, 18656)),
+    ((35, 384), (0, 1), (500, 1113), (125, 192), (-2187, 6784), (11, 84)),
+)
+E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200),
+     (22, 525), (-1, 40))
 
 # Attempted steps (accepted + rejected) before a run gives up.
 MAX_STEPS = 4_000_000
 
 # Nodes and rows of the tableau for the vectorised map; the last row
 # (node 1, weights b) is the step end.
-_NODES = np.array([0.0, C2, C3, C4, C5, 1.0, 1.0])
-_ROWS = tuple(np.array(row) for row in (
-    (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54),
-    (A61, A62, A63, A64, A65), (B1, 0.0, B3, B4, B5, B6)))
+_NODES = np.array([n / d for n, d in C])
+_ROWS = tuple(np.array([n / d for n, d in row]) for row in A[1:])
+
+# The forms of Phi(s) = [[H, K], [-K, K']] from e = e^{xi1 s} and
+# q = -expm1(-sd2 s) / sd2.
+_PHI = {"H": "e * (1.0 - xi1 * q)", "K": "e * q", "dK": "e * (1.0 + xi2 * q)"}
 
 
 def _rhs(R, c3, cth):
@@ -134,135 +134,109 @@ def _rhs(R, c3, cth):
     return c3 / (R2 * R), cth / R2
 
 
-def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
-    """One trial Lawson step of size h from (R, V, T).
+def _minus(x, y):
+    """x - y of two (numerator, denominator) pairs, in lowest terms."""
+    n = x[0] * y[1] - y[0] * x[1]
+    d = x[1] * y[1]
+    g = math.gcd(n, d)
+    return n // g, d // g
 
-    (n1, g1) = _rhs(R) is the cached first stage.  Returns (ok, Rn, Vn,
-    Tn, n7, g7, eR, eV, eT): ok is False when a stage radius left
-    (0, inf), and its error components are then infinite, so the step
-    loop rejects it as it rejects any non-finite error; (n7, g7) =
-    _rhs(Rn) is the next step's first stage; e* are the raw embedded
-    error components.
 
-    Phi(s) is evaluated inline at the 13 offsets s = c h: e = e^{xi1 s},
-    q = -expm1(-sd2 s) / sd2, then H2 = e (1 - xi1 q), K2 = e q and
-    K2' = e (1 + xi2 q), each only where a stage reads it.
+def _step_source() -> str:
+    """Source of ``_attempt``, expanded from C, A and E.
+
+    ``_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2)`` is one trial
+    Lawson step of size h from (R, V, T), where (n1, g1) = _rhs(R) is the
+    cached first stage.  It returns (ok, Rn, Vn, Tn, n7, g7, eR, eV, eT):
+    ok is False when a stage radius left (0, inf), and its error
+    components are then infinite, so the step loop rejects it as it
+    rejects any non-finite error; (n7, g7) = _rhs(Rn) is the next step's
+    first stage; e* are the raw embedded error components.
+
+    Stage i (radius R{i}, force n{i}, angle slope g{i}, m{i} = n{i} - w)
+    is w + H u + K v + h (sum over l >= 2 of a_il K m_l), with H and K at
+    c_i h, the K at (c_i - c_l) h and v = V + h a_i1 m1.  The step end
+    is the last stage, its V the same sum with -K u and K'; the error
+    components weigh every m_l (g_l for Theta) with E.  Phi is evaluated
+    once per distinct exact offset, where a sum first reads it: s = c h,
+    e and q, then only the forms that some sum reads.  Each sum is a
+    ``+`` chain from its first term over the nonzero coefficients, in
+    tableau order; at offset 0, K = 0 drops a term and K' = 1 a factor.
     """
-    INF = math.inf
-    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)
-    # Lawson in u = R - w about the rest point w of the frozen force n1,
-    # capped at R so that w + H2 (R - w) rounds like R; m = n - w.
-    w = n1 if n1 < R else R
-    u = R - w
-    m1 = n1 - w
+    index = {}  # exact offset -> number of its Phi
+    forms = []  # per number, the forms of Phi that a sum reads
+    lines = ["def _attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):",
+             "    INF = math.inf",
+             "    bad = (False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
+             "    w = n1 if n1 < R else R",
+             "    u = R - w",
+             "    m1 = n1 - w"]
 
-    s = C2 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    K64 = e * q  # c6 - c4 = c2
-    dK2 = e * (1.0 + xi2 * q)
-    R2 = w + e * (1.0 - xi1 * q) * u + K64 * (V + h * A21 * m1)
-    if not (0.0 < R2 < INF):
-        return bad
-    Q = R2 * R2
-    n2 = c3 / (Q * R2)
-    g2 = cth / Q
-    m2 = n2 - w
+    def phi(form, i, l):
+        """Name of a form of Phi((c_i - c_l) h); a new offset leaves a
+        placeholder for its evaluation in ``lines``."""
+        x = _minus(C[i], C[l])
+        if x not in index:
+            index[x] = len(forms)
+            forms.append(set())
+            lines.append(x)
+        forms[index[x]].add(form)
+        return f"{form}{index[x]}"
 
-    s = C3 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    s = D32 * h
-    K32 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    R3 = (w + e * (1.0 - xi1 * q) * u + e * q * (V + h * A31 * m1)
-          + h * (A32 * K32 * m2))
-    if not (0.0 < R3 < INF):
-        return bad
-    Q = R3 * R3
-    n3 = c3 / (Q * R3)
-    g3 = cth / Q
-    m3 = n3 - w
+    def chain(i, coefs, first, form):
+        """Sum over l >= first of coefs[l] form((c_i - c_l) h) m_l, or of
+        coefs[l] g_l when form is None."""
+        terms = []
+        for l in range(first, len(coefs)):
+            n, d = coefs[l]
+            if not n:
+                continue
+            if form is None:
+                terms.append(f"{n / d!r} * g{l + 1}")
+            elif _minus(C[i], C[l])[0]:
+                terms.append(f"{n / d!r} * {phi(form, i, l)} * m{l + 1}")
+            elif form == "dK":
+                terms.append(f"{n / d!r} * m{l + 1}")
+        return " + ".join(terms)
 
-    s = C4 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    K62 = e * q  # c6 - c2 = c4
-    s = D42 * h
-    K42 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    s = D43 * h
-    K43 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    R4 = (w + e * (1.0 - xi1 * q) * u + K62 * (V + h * A41 * m1)
-          + h * (A42 * K42 * m2 + A43 * K43 * m3))
-    if not (0.0 < R4 < INF):
-        return bad
-    Q = R4 * R4
-    n4 = c3 / (Q * R4)
-    g4 = cth / Q
-    m4 = n4 - w
+    for i in range(1, len(A)):
+        H, K = phi("H", i, 0), phi("K", i, 0)
+        n, d = A[i][0]
+        rest = chain(i, A[i], 1, "K")
+        k = i + 1
+        lines += [f"    v = V + h * {n / d!r} * m1",
+                  f"    R{k} = w + {H} * u + {K} * v"
+                  + (f" + h * ({rest})" if rest else ""),
+                  f"    if not (0.0 < R{k} < INF):",
+                  "        return bad",
+                  f"    Q = R{k} * R{k}",
+                  f"    n{k} = c3 / (Q * R{k})",
+                  f"    g{k} = cth / Q",
+                  f"    m{k} = n{k} - w"]
+    i = len(A) - 1
+    lines += [f"    V{k} = -{K} * u + {phi('dK', i, 0)} * v"
+              f" + h * ({chain(i, A[i], 1, 'dK')})",
+              f"    T{k} = T + h * ({chain(i, A[i], 0, None)})",
+              f"    eR = h * ({chain(i, E, 0, 'K')})",
+              f"    eV = h * ({chain(i, E, 0, 'dK')})",
+              f"    eT = h * ({chain(i, E, 0, None)})",
+              f"    return True, R{k}, V{k}, T{k}, n{k}, g{k}, eR, eV, eT"]
+    out = []
+    for line in lines:
+        if isinstance(line, str):
+            out.append(line)
+            continue
+        j = index[line]
+        out += [f"    s = {line[0] / line[1]!r} * h",
+                "    e = exp(xi1 * s)",
+                "    q = -expm1(-sd2 * s) / sd2"]
+        out += [f"    {form}{j} = {expr}" for form, expr in _PHI.items()
+                if form in forms[j]]
+    return "\n".join(out) + "\n"
 
-    s = C5 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    s = D52 * h
-    K52 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    s = D53 * h
-    K53 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    s = D54 * h
-    K54 = exp(xi1 * s) * (-expm1(-sd2 * s) / sd2)
-    R5 = (w + e * (1.0 - xi1 * q) * u + e * q * (V + h * A51 * m1)
-          + h * (A52 * K52 * m2 + A53 * K53 * m3 + A54 * K54 * m4))
-    if not (0.0 < R5 < INF):
-        return bad
-    Q = R5 * R5
-    n5 = c3 / (Q * R5)
-    g5 = cth / Q
-    m5 = n5 - w
 
-    # Offsets 1 - c_l of the last stage and of the step end.
-    e = exp(xi1 * h)
-    q = -expm1(-sd2 * h) / sd2
-    H1 = e * (1.0 - xi1 * q)
-    K1 = e * q
-    dK1 = e * (1.0 + xi2 * q)
-    s = D63 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    K63 = e * q
-    dK63 = e * (1.0 + xi2 * q)
-    s = D65 * h
-    e = exp(xi1 * s)
-    q = -expm1(-sd2 * s) / sd2
-    K65 = e * q
-    dK65 = e * (1.0 + xi2 * q)
-    R6 = (w + H1 * u + K1 * (V + h * A61 * m1)
-          + h * (A62 * K62 * m2 + A63 * K63 * m3 + A64 * K64 * m4
-                 + A65 * K65 * m5))
-    if not (0.0 < R6 < INF):
-        return bad
-    Q = R6 * R6
-    n6 = c3 / (Q * R6)
-    g6 = cth / Q
-    m6 = n6 - w
-
-    # 5th-order solution (b row equals the 7th stage row: FSAL); the R
-    # component of Phi(0) N6 is zero.
-    Vb = V + h * B1 * m1
-    Rn = w + H1 * u + K1 * Vb + h * (B3 * K63 * m3 + B4 * K64 * m4
-                                     + B5 * K65 * m5)
-    if not (0.0 < Rn < INF):
-        return bad
-    Vn = -K1 * u + dK1 * Vb + h * (B3 * dK63 * m3 + B4 * dK2 * m4
-                                   + B5 * dK65 * m5 + B6 * m6)
-    Tn = T + h * (B1 * g1 + B3 * g3 + B4 * g4 + B5 * g5 + B6 * g6)
-    Q = Rn * Rn
-    n7 = c3 / (Q * Rn)
-    g7 = cth / Q
-
-    eR = h * (E1 * K1 * m1 + E3 * K63 * m3 + E4 * K64 * m4 + E5 * K65 * m5)
-    eV = h * (E1 * dK1 * m1 + E3 * dK63 * m3 + E4 * dK2 * m4
-              + E5 * dK65 * m5 + E6 * m6 + E7 * (n7 - w))
-    eT = h * (E1 * g1 + E3 * g3 + E4 * g4 + E5 * g5 + E6 * g6 + E7 * g7)
-    return True, Rn, Vn, Tn, n7, g7, eR, eV, eT
+# Defines ``_attempt`` in this module, so that callers look it up here.
+exec(compile(_step_source(), "<_kernels._attempt>", "exec"), globals())
 
 
 def _substep(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
@@ -276,7 +250,10 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
     """``_substep`` at many starts (R, V, T) and offsets s >= 0 at once.
 
     Plain numpy over the sample axis, with the stage sums in tableau
-    order; agrees with ``_substep`` to round-off.  Stage radii are not
+    order.  It steps on the float differences of ``_NODES``, not on the
+    exact offsets of ``_attempt``, so it agrees with ``_substep`` to
+    round-off and not bit for bit; it must stay so, as the samples of
+    ``test_bitwise_pin`` depend on those bits.  Stage radii are not
     checked: the offsets lie inside accepted steps.  Returns the
     end states as an array with columns R, V, Theta.
     """

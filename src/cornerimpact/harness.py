@@ -200,8 +200,8 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
     """
     if config.mode != "physical" or config.k is None:
         raise InvalidInput(
-            "simulate_full requires mode 'physical' and a stiffness k; "
-            "scaled runs drive the corner flow through integrate_corner")
+            "simulate needs mode 'physical' and a stiffness k: give --k, "
+            "or k in a physical-mode config")
     t0, T = _horizon(config)
     grids = [np.linspace(0.0, min(t0, T), N_PHASE_SAMPLES)]
     if t_eval is not None:

@@ -31,6 +31,14 @@ def test_simulate_missing_k_exits_two(capsys):
     assert "stiffness k" in capsys.readouterr().err
 
 
+def test_simulate_missing_k_names_the_flag(capsys):
+    # The message names the input to give, not the Python functions.
+    assert main(["simulate"]) == 2
+    err = capsys.readouterr().err
+    assert "--k" in err
+    assert "simulate_full" not in err and "integrate_corner" not in err
+
+
 def test_mutually_exclusive_k_eta(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phase-portrait", "--k", "100", "--eta", "0.01"])

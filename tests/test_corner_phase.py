@@ -1,6 +1,10 @@
 """Adaptive corner integration: events, sampling, conservation, oracle."""
 import math
+import random
 import time
+from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -296,6 +300,103 @@ def test_bitwise_pin(case):
     for name in ("R", "dR", "Theta"):
         assert list(map(float, getattr(sampled, name))) == pin[name], name
     assert (res.n_accepted, res.n_rejected) == pin["steps"]
+
+
+def reference_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
+    """The trial step as a plain loop over C, A and E, with the operations
+    of the generated ``_attempt`` in its order: each sum a ``+`` chain from
+    its first term over the nonzero coefficients, with the R terms at
+    offset 0 (K = 0) left out."""
+    c = [Fraction(*x) for x in _kernels.C]
+    A = [[Fraction(*x) for x in row] for row in _kernels.A]
+    E = [Fraction(*x) for x in _kernels.E]
+
+    def phi(i, l):  # (H, K, K') at (c_i - c_l) h
+        s = float(c[i] - c[l]) * h
+        e = math.exp(xi1 * s)
+        q = -math.expm1(-sd2 * s) / sd2
+        return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
+
+    def chain(i, a, first, form, y):  # form: 1 K, 2 K', None 1
+        return [float(a[l]) * (1.0 if form is None else phi(i, l)[form])
+                * y[l] for l in range(first, len(a))
+                if a[l] and not (form == 1 and c[i] == c[l])]
+
+    w = n1 if n1 < R else R
+    u, m, g = R - w, [n1 - w], [g1]
+    for i in range(1, len(A)):
+        H, K, dK = phi(i, 0)
+        v = V + h * float(A[i][0]) * m[0]
+        Ri = w + H * u + K * v
+        rest = chain(i, A[i], 1, 1, m)
+        if rest:
+            Ri = Ri + h * reduce(add, rest)
+        if not 0.0 < Ri < math.inf:
+            return (False, 0.0, 0.0, 0.0, 0.0, 0.0) + (math.inf,) * 3
+        Q = Ri * Ri
+        n, gi = c3 / (Q * Ri), cth / Q
+        m.append(n - w)
+        g.append(gi)
+    b = A[-1]
+    Vn = -K * u + dK * v + h * reduce(add, chain(i, b, 1, 2, m))
+    Tn = T + h * reduce(add, chain(i, b, 0, None, g))
+    return (True, Ri, Vn, Tn, n, gi,
+            *(h * reduce(add, chain(i, E, 0, form, y))
+              for form, y in ((1, m), (2, m), (None, g))))
+
+
+def test_generated_step_matches_the_reference_loop():
+    # Seeded states: h from 1e-14 to 1e3, so that many trial steps have a
+    # stage radius outside (0, inf), and V = +-0.0 now and then.
+    rng = random.Random(19)
+    rejected = 0
+    for _ in range(3000):
+        xi1, xi2, sd2 = lin_roots(
+            characteristic_roots(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
+        c3 = 10.0 ** rng.uniform(-6.0, 2.0)
+        cth = math.sqrt(c3) * rng.uniform(0.1, 1.0)
+        R = 10.0 ** rng.uniform(-3.0, 2.5)
+        V = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
+        if rng.random() < 0.05:
+            V = rng.choice((0.0, -0.0))
+        args = (R, V, rng.uniform(0.0, 3.0), *_rhs(R, c3, cth),
+                10.0 ** rng.uniform(-14.0, 3.0), c3, cth, xi1, xi2, sd2)
+        out = _kernels._attempt(*args)
+        ref = reference_attempt(*args)
+        assert out[0] is ref[0]
+        assert [x.hex() for x in out[1:]] == [x.hex() for x in ref[1:]], args
+        rejected += not out[0]
+    assert 100 < rejected < 2900
+
+
+def test_tableau_is_consistent():
+    # Exact: the rows sum to the nodes, b = A[-1] has order 5 and
+    # b^ = b - E order 4.
+    c = [Fraction(*x) for x in _kernels.C]
+    A = [[Fraction(*x) for x in row] for row in _kernels.A]
+    E = [Fraction(*x) for x in _kernels.E]
+    assert [sum(row) for row in A] == c
+    b = A[-1] + [Fraction(0)]
+    bhat = [bl - el for bl, el in zip(b, E)]
+    for q in range(1, 6):
+        assert sum(bl * cl ** (q - 1) for bl, cl in zip(b, c)) == \
+            Fraction(1, q)
+    for q in range(1, 5):
+        assert sum(bl * cl ** (q - 1) for bl, cl in zip(bhat, c)) == \
+            Fraction(1, q)
+    assert sum(E) == 0
+    # The vectorised map reads the same tableau.
+    assert _kernels._NODES.tolist() == [float(x) for x in c]
+    assert [r.tolist() for r in _kernels._ROWS] == \
+        [[float(x) for x in row] for row in A[1:]]
+
+
+def test_generated_step_evaluates_phi_once_per_offset():
+    # 13 distinct offsets c_i - c_l among the stages; profiles and
+    # tracebacks name the generated body.
+    src = _kernels._step_source()
+    assert src.count("exp(") == src.count("expm1(") == 13
+    assert _kernels._attempt.__code__.co_filename == "<_kernels._attempt>"
 
 
 def test_obtuse_cost_is_flat_in_k():
