@@ -92,16 +92,20 @@ class CornerResult:
 
     ``tau``/``R``/``dR``/``Theta`` are the accepted-step samples (always
     starting at tau = 0; the columns of the kernel's state array), and
-    ``sample`` gives the state at any tau the run covered.  ``exit_state``
-    is set when the run crossed theta_bar, whether it stopped there or
-    continued past the exit (``stop_at_event=False``).  ``horizon`` is the
-    scaled end time the run was given.
+    ``sample`` gives the state at any tau the run covered.  The first
+    ``len(cartesian)`` steps were taken in the kernel's Cartesian chart,
+    and ``cartesian`` holds their start states as complex pairs
+    (x + i y, x' + i y').  ``exit_state`` is set when the run crossed
+    theta_bar, whether it stopped there or continued past the exit
+    (``stop_at_event=False``).  ``horizon`` is the scaled end time the run
+    was given.
     """
 
     tau: np.ndarray
     R: np.ndarray
     dR: np.ndarray
     Theta: np.ndarray
+    cartesian: np.ndarray
     exit_tau: float | None
     exit_state: ScaledState | None
     n_accepted: int
@@ -114,16 +118,19 @@ class CornerResult:
     def sample(self, tau) -> ScaledState:
         """States at scaled times in [0, tau[-1]] (the exit, or at least
         the horizon): the single-step map ``substep_many`` from the start
-        of the accepted step that holds each time, one array per field.
-        Other times raise OutOfPhase; times not in a 1-D array raise
-        InvalidInput."""
+        of the accepted step that holds each time, in that step's chart,
+        one array per field.  Other times raise OutOfPhase; times not in
+        a 1-D array raise InvalidInput."""
         tau = check_times(tau, 0.0, self.tau[-1], "corner sample times")
         if tau.ndim != 1:
             raise InvalidInput("corner sample times must be a 1-D array")
-        # Sample j lies in the step that starts at sample i[j].
-        i = np.searchsorted(self.tau[:-1], tau, side="right") - 1
+        # Sample j lies in the step that starts at sample i[j] (step 0 when
+        # the run took none).
+        i = np.searchsorted(self.tau[1:-1], tau, side="right")
+        cart = i < len(self.cartesian)
         y = substep_many(self.R[i], self.dR[i], self.Theta[i],
-                         tau - self.tau[i], *_flow_constants(self.params))
+                         tau - self.tau[i], *_flow_constants(self.params),
+                         cart, self.cartesian[i[cart]])
         return ScaledState(tau, y[:, 0], y[:, 1], y[:, 2])
 
 
@@ -145,7 +152,9 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     horizon (``default_horizon`` when None), whichever comes first.  With
     ``stop_at_event=False`` the crossing is still located and reported,
     but integration continues to the horizon.  The first trial step is
-    1e-3 kappa.  rtol must be at least ``MIN_RTOL``.
+    1e-3 kappa.  The kernel leaves its free-flight chart by tau1 =
+    eta^1.2 of ``asymptotics.asymptotic_times``.  rtol must be at least
+    ``MIN_RTOL``.
     """
     rtol = check_rtol(rtol)
     atol = check_atol(atol)
@@ -155,13 +164,15 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
         raise InvalidInput(
             f"horizon must be non-negative and finite, got {horizon!r}")
 
-    ts, ys, exit, nacc, nrej = integrate_radial(
+    tau1 = asymptotics.asymptotic_times(params.eta, params.damping).tau1
+    ts, ys, zs, exit, nacc, nrej = integrate_radial(
         params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
-        horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event)
+        horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event, tau1,
+        params.kappa)
 
     R, dR, Theta = ys.T.copy()
     return CornerResult(
-        tau=ts, R=R, dR=dR, Theta=Theta,
+        tau=ts, R=R, dR=dR, Theta=Theta, cartesian=zs,
         exit_tau=None if exit is None else exit[0],
         exit_state=None if exit is None else ScaledState(*exit),
         n_accepted=nacc, n_rejected=nrej, horizon=horizon, params=params)

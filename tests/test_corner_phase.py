@@ -28,8 +28,13 @@ from cornerimpact import (
     scaled_to_cartesian,
 )
 from cornerimpact import _kernels
-from cornerimpact._kernels import _rhs, _substep, integrate_radial
-from cornerimpact.corner_phase import ORACLE_MAX_RHS, default_horizon
+from cornerimpact._kernels import _polar, _rhs, _substep, integrate_radial
+from cornerimpact.corner_phase import (
+    ORACLE_MAX_RHS,
+    _flow_constants,
+    default_horizon,
+    substep_many,
+)
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
 DAMP2 = characteristic_roots(2.0)
@@ -62,19 +67,19 @@ def test_radial_rhs_values():
 def test_acute_exit_regression():
     # Deterministic pin.
     res = integrate_corner(params_at(1e-2), ACUTE)
-    assert res.exit_tau == pytest.approx(4.9997617401402155e-05, rel=1e-12,
+    assert res.exit_tau == pytest.approx(4.9997617400403035e-05, rel=1e-12,
                                          abs=0.0)
     st = res.exit_state
-    assert st.R == pytest.approx(0.005773081589641302, rel=1e-12, abs=0.0)
-    assert st.dR == pytest.approx(86.59130465777689, rel=1e-12)
+    assert st.R == pytest.approx(0.0057730815895653265, rel=1e-12, abs=0.0)
+    assert st.dR == pytest.approx(86.59130465820813, rel=1e-12)
     assert abs(st.Theta - ACUTE.theta_bar) <= 1e-14
     assert res.tau[-1] == res.exit_tau
 
 
 def test_obtuse_exit_regression():
     res = integrate_corner(params_at(1e-2), OBTUSE)
-    assert res.exit_tau == pytest.approx(12.516784287211966, rel=1e-12)
-    assert res.exit_state.R == pytest.approx(1.0254348268261178, rel=1e-12)
+    assert res.exit_tau == pytest.approx(12.516784287077181, rel=1e-12)
+    assert res.exit_state.R == pytest.approx(1.025434826809858, rel=1e-12)
     assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-14
     # The obtuse passage exits well before the default settle horizon.
     assert res.exit_tau < res.horizon
@@ -86,9 +91,18 @@ def test_angle_event_tolerance():
         assert abs(res.exit_state.Theta - ACUTE.theta_bar) <= 1e-14
 
 
-# (alpha, theta_bar, eta): two acute exits and one obtuse.
-REFERENCE_CASES = [(2.0, math.pi / 3.0, 0.1), (1.5, 1.2, 0.1),
-                   (1.5, 2.0 * math.pi / 3.0, 0.1)]
+# (alpha, theta_bar, eta): two acute exits and two obtuse.  At
+# theta_bar = 1.7 the exit time is 1.7175490521903976, which an interval
+# enclosure of the same flow confirms; there the exit lies far past the
+# free-flight window, Theta' is small, and the polar chart's angle error
+# (about 3 rtol) puts the exit 25 rtol off at rtol 1e-10 and 27 rtol off
+# at 1e-13.
+REFERENCE_CASES = [
+    (2.0, math.pi / 3.0, 0.1), (1.5, 1.2, 0.1),
+    (1.5, 2.0 * math.pi / 3.0, 0.1),
+    pytest.param(2.0, 1.7, 0.1, marks=pytest.mark.xfail(
+        strict=True, reason="polar-chart angle error near theta_bar = 1.7")),
+]
 
 
 @pytest.mark.parametrize("alpha, theta_bar, eta", REFERENCE_CASES)
@@ -166,11 +180,20 @@ def test_dense_output_matches_single_step(cone):
     c3, cth = p.E * one * one, math.sqrt(p.E) * one
     lin = lin_roots(p.damping)
     ref = np.empty((ev.size, 3))
+    ta = -(lin[0] + lin[1])
     for j, tau in enumerate(ev):
         i = np.searchsorted(res.tau, tau, side="right") - 1
-        R, V, T = res.R[i], res.dR[i], res.Theta[i]
-        ok, *ref[j] = _substep(R, V, T, *_rhs(R, c3, cth), tau - res.tau[i],
-                               c3, cth, *lin)
+        if i < len(res.cartesian):
+            z0, p0 = res.cartesian[i]
+            x, y, px, py = map(float, (z0.real, z0.imag, p0.real, p0.imag))
+            f1 = ta * cth / (x * x + y * y)
+            ok, *X = _substep(True, x, y, px, py, f1, tau - res.tau[i],
+                              ta * cth, *lin)
+            ref[j] = _polar(*X)
+        else:
+            R, V, T = res.R[i], res.dR[i], res.Theta[i]
+            ok, *ref[j] = _substep(False, R, V, T, *_rhs(R, c3, cth),
+                                   tau - res.tau[i], c3, cth, *lin)
         assert ok
     np.testing.assert_allclose(st.R, ref[:, 0], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(st.Theta, ref[:, 2], rtol=1e-13, atol=0.0)
@@ -183,30 +206,35 @@ def test_linear_part_is_exact():
     # Without the penalty term the flow is the damped-linear propagator
     # itself; Lawson steps carry it exactly, so the step size is free to
     # grow to the horizon.
+    # Both charts: with tau1 = 0 the run starts in the polar chart, and
+    # with tau1 = 50 it stays in the Cartesian one.
     R0, V0 = 1.0, -0.3
-    ts, ys, exit, nacc, _ = integrate_radial(
-        R0, V0, 0.0, 0.0, *lin_roots(DAMP2), 1.0, 50.0, 1e-10, 1e-12,
-        1e-3, True)
-    assert exit is None and nacc <= 10
-    assert ts[-1] == 50.0
-    K2, H2 = kernels_K2_H2(DAMP2, ts)
-    dK2 = kernel_K2_dot(DAMP2, ts)
-    np.testing.assert_allclose(ys[:, 0], H2 * R0 + K2 * V0, rtol=1e-13,
-                               atol=0.0)
-    np.testing.assert_allclose(ys[:, 1], -K2 * R0 + dK2 * V0, rtol=1e-13,
-                               atol=0.0)
+    for tau1 in (0.0, 50.0):
+        ts, ys, zs, exit, nacc, _ = integrate_radial(
+            R0, V0, 0.0, 0.0, *lin_roots(DAMP2), 1.0, 50.0, 1e-10, 1e-12,
+            1e-3, True, tau1, 1.0)
+        assert exit is None and nacc <= 10
+        assert len(zs) == (nacc if tau1 else 0)
+        assert ts[-1] == 50.0
+        K2, H2 = kernels_K2_H2(DAMP2, ts)
+        dK2 = kernel_K2_dot(DAMP2, ts)
+        np.testing.assert_allclose(ys[:, 0], H2 * R0 + K2 * V0, rtol=1e-13,
+                                   atol=0.0)
+        np.testing.assert_allclose(ys[:, 1], -K2 * R0 + dK2 * V0,
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_rest_point_is_exact():
     # At the rest point Rc = c3^(1/4) the penalty force balances the
     # spring.  Each step is taken about the rest point of the frozen
     # force, so it is exact there: the run stays put and its step grows to
-    # the horizon, as in the settle phase of a run past the exit.
+    # the horizon, as in the settle phase of a run past the exit.  The run
+    # starts in the polar chart (tau1 = 0).
     c3, cth = 0.3, 0.5
     Rc = c3 ** 0.25
-    ts, ys, exit, nacc, _ = integrate_radial(
+    ts, ys, _, exit, nacc, _ = integrate_radial(
         Rc, 0.0, c3, cth, *lin_roots(characteristic_roots(8.0)), math.inf,
-        50.0, 1e-10, 1e-12, 1e-3, True)
+        50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
     assert exit is None and nacc <= 10 and ts[-1] == 50.0
     np.testing.assert_allclose(ys[:, 0], Rc, rtol=1e-14, atol=0.0)
     assert np.max(np.abs(ys[:, 1])) <= 1e-14 * Rc
@@ -222,10 +250,11 @@ def test_kernel_step_underflow(cth, error, message):
     # With c3 = 0 nothing stops the radius, which reaches zero near
     # tau = 0.127.  Without an angle the last rejected steps have stage
     # radii outside (0, inf); with cth = 0.5 the error test of the angle
-    # quadrature rejects them first.
+    # quadrature rejects them first.  Both runs are in the polar chart
+    # (tau1 = 0): the Cartesian chart passes straight through the origin.
     with pytest.raises(error, match=message):
         integrate_radial(1.0, -10.0, 0.0, cth, *lin_roots(DAMP2), math.inf,
-                         50.0, 1e-10, 1e-12, 1e-3, True)
+                         50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
 
 
 def test_step_budget_names_the_kernel_budget(monkeypatch):
@@ -245,42 +274,42 @@ def test_step_budget_names_the_kernel_budget(monkeypatch):
 BITWISE_PINS = {
     "acute": dict(
         eta=1e-2, cone=ACUTE, samples=[1e-4, 1e-2, 0.5],
-        exit=(4.9997617401402155e-05, 0.005773081589641302,
-              86.59130465777689, 1.0471975511965976),
-        R=[], dR=[], Theta=[], steps=(53, 0)),
+        exit=(4.9997617400403035e-05, 0.0057730815895653265,
+              86.59130465820813, 1.0471975511965976),
+        R=[], dR=[], Theta=[], steps=(25, 3)),
     "obtuse": dict(
         eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
-        exit=(12.516784287211966, 1.0254348268261178, -0.2575705735704632,
+        exit=(12.516784287077181, 1.025434826809858, -0.25757057356515467,
               2.0943951023931953),
-        R=[0.010407197559978392, 0.9804259663192579, 20.784766543427956],
-        dR=[96.0498928421035, 96.09103743542535, 9.907297643268851],
-        Theta=[1.289813359528239, 1.5684222301103354, 1.571828767599425],
-        steps=(252, 0)),
+        R=[0.010407197559710007, 0.9804259662670929, 20.784766542326505],
+        dR=[96.0498928419015, 96.09103743033472, 9.907297642743984],
+        Theta=[1.2898133595604775, 1.5684222300931858, 1.5718287675787501],
+        steps=(216, 4)),
     "obtuse_far": dict(
         eta=1e-20, cone=OBTUSE, samples=[1.0, 20.0, 60.0, 120.0, 160.0],
-        exit=(167.19758058098014, 1.0252001001012556, -0.25749571991447,
+        exit=(167.19758058455406, 1.0252000990862578, -0.2574957195908892,
               2.0943951023931953),
-        R=[2.139091302813837e+19, 1.3584143569910666e+17,
-           3008001405344.153, 313434.42400606157, 6.940578532657352],
-        dR=[-3.337309714260046e+18, -3.639860299425991e+16,
-            -805991547393.6481, -83984.5007925383, -1.8596674625207796],
-        Theta=[1.5707963279009665, 1.5707963279009665, 1.5707963279009665,
-               1.5707963279064505, 1.5819788524165923],
-        steps=(340, 22)),
+        R=[2.1390913026027926e+19, 1.3584143568570451e+17,
+           3008001405047.385, 313434.42397513683, 6.9405785319726805],
+        dR=[-3.3373097139307873e+18, -3.639860299066882e+16,
+            -805991547314.1293, -83984.50078425204, -1.8596674623377016],
+        Theta=[1.5707963267948966, 1.5707963267948966, 1.5707963267948966,
+               1.5707963268017706, 1.5819788513360935],
+        steps=(178, 19)),
     "past_exit": dict(
         eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
         samples=[1e-4, 1e-2, 0.5, 5.0, 30.0],
-        exit=(1.0910560790904328e-05, 0.0012598152342222133,
-              86.59305062095987, 1.0471975511965976),
-        last=(36.69688332983271, 0.6339250781694045, -0.03881004528695248,
-              2.818272770251655),
-        R=[0.010013064117653932, 0.9242316605941496, 6.103630775045192,
-           4.603814640724943, 0.9602011418210945],
-        dR=[99.65692801898618, 85.22335691995758, -0.34835685288262896,
-            -0.28886873907796323, -0.059970859032666295],
-        Theta=[1.5080309297704406, 1.5707652763164472, 1.5723445561926834,
-               1.5825635891965761, 2.104170583394649],
-        steps=(813, 0)),
+        exit=(1.091056079068564e-05, 0.001259815234205574,
+              86.59305062139181, 1.0471975511965976),
+        last=(36.69688332983271, 0.6339250781335191, -0.038810045284482626,
+              2.8182727703781905),
+        R=[0.010013064117018997, 0.9242316605404862, 6.103630774691071,
+           4.60381464045783, 0.9602011417656556],
+        dR=[99.65692801311545, 85.22335691501458, -0.3483568528625179,
+            -0.2888687390610707, -0.059970859029333794],
+        Theta=[1.5080309297442587, 1.5707652763026, 1.572344556170469,
+               1.5825635891809318, 2.1041705834394318],
+        steps=(777, 4)),
 }
 
 
@@ -391,12 +420,84 @@ def test_tableau_is_consistent():
         [[float(x) for x in row] for row in A[1:]]
 
 
+def reference_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2):
+    """The Cartesian trial step as a plain loop over C, A and E, with the
+    operations of the generated ``_attempt_cartesian`` in its order: per
+    stage the x and y positions, each sum a ``+`` chain from its first term
+    over the nonzero coefficients, with the terms at offset 0 (K = 0) left
+    out, and the velocities at the step end."""
+    c = [Fraction(*x) for x in _kernels.C]
+    A = [[Fraction(*x) for x in row] for row in _kernels.A]
+    E = [Fraction(*x) for x in _kernels.E]
+
+    def phi(i, l):  # (H, K, K') at (c_i - c_l) h
+        s = float(c[i] - c[l]) * h
+        e = math.exp(xi1 * s)
+        q = -math.expm1(-sd2 * s) / sd2
+        return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
+
+    def chain(i, a, first, form, m):  # form: 1 K, 2 K'
+        return h * reduce(add, [
+            float(a[l]) * phi(i, l)[form] * m[l] for l in range(first, len(a))
+            if a[l] and not (form == 1 and c[i] == c[l])])
+
+    X, P = (x, y), (px, py)
+    m = ([-f1 * y], [f1 * x])
+    for i in range(1, len(A)):
+        H, K, dK = phi(i, 0)
+        v = [P[j] + h * float(A[i][0]) * m[j][0] for j in (0, 1)]
+        Xi = [H * X[j] + K * v[j] for j in (0, 1)]
+        if i > 1:
+            Xi = [Xi[j] + chain(i, A[i], 1, 1, m[j]) for j in (0, 1)]
+        Q = Xi[0] * Xi[0] + Xi[1] * Xi[1]
+        if not 0.0 < Q < math.inf:
+            return (False, 0.0, 0.0, 0.0, 0.0, 0.0) + (math.inf,) * 4
+        f = tc / Q
+        m[0].append(-f * Xi[1])
+        m[1].append(f * Xi[0])
+    Pn = [-K * X[j] + dK * v[j] + chain(i, A[i], 1, 2, m[j]) for j in (0, 1)]
+    return (True, *Xi, *Pn, f,
+            *(chain(i, E, 0, form, m[j]) for form in (1, 2) for j in (0, 1)))
+
+
+def test_generated_cartesian_step_matches_the_reference_loop():
+    # Seeded states over many scales: some scaled by 1e-170, whose r^2
+    # underflows to 0, some by 1e160, whose r^2 overflows, and one at the
+    # origin; h from 1e-14 to 1e3.
+    rng = random.Random(29)
+    rejected = 0
+    for n in range(3000):
+        xi1, xi2, sd2 = lin_roots(
+            characteristic_roots(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
+        scale = rng.choice((1e-170, 1e160) + (1.0,) * 8)
+        state = [scale * rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+                 for lo, hi in ((-3.0, 2.5), (-3.0, 2.5), (-6.0, 3.0),
+                                (-6.0, 3.0))]
+        if n == 0:
+            state = [0.0, 0.0, 0.0, 0.0]
+        args = (*state, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6, 6),
+                10.0 ** rng.uniform(-14.0, 3.0),
+                -(xi1 + xi2) * 10.0 ** rng.uniform(-3.0, 1.0), xi1, xi2, sd2)
+        out = _kernels._attempt_cartesian(*args)
+        ref = reference_attempt_cartesian(*args)
+        assert out[0] is ref[0]
+        assert [x.hex() for x in out[1:]] == [x.hex() for x in ref[1:]], args
+        rejected += not out[0]
+        if n == 0:
+            assert not out[0]
+    assert 300 < rejected < 2700
+
+
 def test_generated_step_evaluates_phi_once_per_offset():
-    # 13 distinct offsets c_i - c_l among the stages; profiles and
-    # tracebacks name the generated body.
-    src = _kernels._step_source()
-    assert src.count("exp(") == src.count("expm1(") == 13
-    assert _kernels._attempt.__code__.co_filename == "<_kernels._attempt>"
+    # 13 distinct offsets c_i - c_l among the stages of either chart;
+    # profiles and tracebacks name the generated bodies.
+    for chart, name in (("polar", "_attempt"),
+                        ("cartesian", "_attempt_cartesian")):
+        src = _kernels._step_source(chart)
+        assert src.count("exp(") == src.count("expm1(") == 13
+        assert src.startswith(f"def {name}(")
+        assert getattr(_kernels, name).__code__.co_filename == \
+            f"<_kernels.{name}>"
 
 
 def test_obtuse_cost_is_flat_in_k():
@@ -455,16 +556,52 @@ def test_eval_point_at_accepted_time_matches_state():
 
 
 def test_sample_at_step_starts():
-    # At offset 0 the single-step map gives R' and Theta exactly and R as
-    # w + (R - w), within an ulp; it is not exact in R.
+    # At offset 0 the single-step map gives R' and Theta exactly; R is
+    # exact in the Cartesian chart and w + (R - w), within an ulp, in the
+    # polar chart.
     res = integrate_corner(params_at(1e-2), ConeGeometry(2.0), horizon=20.0,
                            stop_at_event=False)
     starts = res.tau[:-1]
     st = res.sample(starts)
-    assert starts.size > 400
+    assert starts.size > 300 and len(res.cartesian) > 20
     assert np.all(np.abs(st.R - res.R[:-1]) <= np.spacing(res.R[:-1]))
     np.testing.assert_array_equal(st.dR, res.dR[:-1])
     np.testing.assert_array_equal(st.Theta, res.Theta[:-1])
+
+
+def test_sample_is_continuous_across_the_chart_switch():
+    # The run leaves the Cartesian chart at the start of step m: just
+    # before it the last Cartesian step's map, at it the first polar
+    # step's, and both give the stored switch state.
+    res = integrate_corner(params_at(1e-2), OBTUSE)
+    m = len(res.cartesian)
+    assert 0 < m < res.n_accepted
+    t = res.tau[m]
+    st = res.sample([np.nextafter(t, 0.0), t])
+    assert st.dR[1] == res.dR[m] and st.Theta[1] == res.Theta[m]
+    for name in ("R", "dR", "Theta"):
+        np.testing.assert_allclose(getattr(st, name), getattr(res, name)[m],
+                                   rtol=1e-13, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE])
+def test_cartesian_step_ends_match_the_stored_states(cone):
+    # ``sample`` reads a step end as the next step's start, so the map of
+    # the Cartesian steps is evaluated at their full length directly: it
+    # reproduces the stored (R, R', Theta) to round-off.
+    res = integrate_corner(params_at(1e-3), cone)
+    m = len(res.cartesian)
+    assert m > 10
+    i = np.arange(m)
+    y = substep_many(res.R[i], res.dR[i], res.Theta[i],
+                     res.tau[i + 1] - res.tau[i],
+                     *_flow_constants(res.params), np.ones(m, bool),
+                     res.cartesian)
+    np.testing.assert_allclose(y[:, 0], res.R[1:m + 1], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(y[:, 2], res.Theta[1:m + 1], rtol=1e-14,
+                               atol=0.0)
+    assert np.max(np.abs(y[:, 1] - res.dR[1:m + 1])) <= \
+        1e-13 * np.max(np.abs(res.dR))
 
 
 def test_continue_after_event():
@@ -477,9 +614,12 @@ def test_continue_after_event():
 
 
 def test_zero_horizon():
-    res = integrate_corner(params_at(1e-2), ACUTE, horizon=0.0)
+    p = params_at(1e-2)
+    res = integrate_corner(p, ACUTE, horizon=0.0)
     assert res.tau.size == 1 and res.tau[0] == 0.0
     assert res.n_accepted == 0
+    st = res.sample([0.0])
+    assert (st.R[0], st.dR[0], st.Theta[0]) == (p.R0, p.dR0, 0.0)
 
 
 def test_default_horizon_budget():

@@ -283,14 +283,16 @@ def test_positions_at_keeps_shape_and_order(acute_traj):
 
 def test_corner_attempts_are_stepping_only(monkeypatch):
     # The corner samples come from the vectorised single-step map,
-    # which takes no trial step: the trial steps are the run's accepted and
-    # rejected steps plus a few single-step re-runs of the exit search.
+    # which takes no trial step: the trial steps of both charts are the
+    # run's accepted and rejected steps plus a few single-step re-runs of
+    # the exit search.
     from cornerimpact import _kernels, harness
 
     calls = []
-    attempt = _kernels._attempt
-    monkeypatch.setattr(_kernels, "_attempt",
-                        lambda *a: calls.append(1) or attempt(*a))
+    for name in ("_attempt", "_attempt_cartesian"):
+        monkeypatch.setattr(_kernels, name,
+                            lambda *a, f=getattr(_kernels, name), name=name:
+                            calls.append(name) or f(*a))
     runs = []
     corner = harness.integrate_corner
     monkeypatch.setattr(harness, "integrate_corner",
@@ -301,6 +303,8 @@ def test_corner_attempts_are_stepping_only(monkeypatch):
     assert res.exit_tau is not None
     assert traj.metadata["phase_counts"][PHASE_CORNER] > 0
     assert len(calls) <= res.n_accepted + res.n_rejected + 16
+    # This acute run exits in the free flight: every step is Cartesian.
+    assert calls.count("_attempt_cartesian") >= len(res.cartesian) > 0
 
 
 @pytest.mark.parametrize("cfg", [ACUTE_CFG, ACUTE_CFG.override(k=1e4),
@@ -446,11 +450,11 @@ def test_convergence_study_pair():
 # Refactor guard: repr of the sup errors for k = 100, 1e3, 1e4.  A change
 # that moves them on purpose re-records them and lists old and new values.
 CONVERGENCE_PINS = {
-    "acute": (math.pi / 3.0, ["0.02236557659066846", "0.0069114891860723735",
+    "acute": (math.pi / 3.0, ["0.02236557659503343", "0.0069114891860723735",
                               "0.0021839429150603074"]),
-    "obtuse": (2.0 * math.pi / 3.0, ["0.07620498762407196",
-                                     "0.00691337300208606",
-                                     "0.0021854958220332244"]),
+    "obtuse": (2.0 * math.pi / 3.0, ["0.076204987626128",
+                                     "0.00691337300172486",
+                                     "0.002185495821906122"]),
 }
 
 
@@ -781,3 +785,33 @@ def test_converges_toward_limit(acute_traj):
     err = np.max(np.linalg.norm(acute_traj.positions_at(grid) - u_inf,
                                 axis=1))
     assert err < 0.05
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+def test_write_csv_writes_bounded_blocks(monkeypatch, tmp_path, n):
+    # The rows go out in blocks of CSV_BLOCK_ROWS (3 here), one write per
+    # block, with the bytes of one formatted row per line.
+    writes = []
+
+    class Recorder:
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 3)
+    monkeypatch.setattr(harness, "open", Recorder, raising=False)
+    a = np.arange(n) / 3.0
+    path = tmp_path / "t.csv"
+    write_csv({"a": a, "b": np.arange(n)}, path)
+    assert path.read_text() == "a,b\n" + "".join(
+        "%.17g,%d\n" % (x, i) for i, x in enumerate(a))
+    assert len(writes) == 1 + -(-n // 3)
