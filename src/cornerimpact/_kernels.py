@@ -98,16 +98,17 @@ Storage: each accepted step appends its end time to one Python list and
 its state R, V, Theta to another, flat, so that the lists hold floats
 only and no object the garbage collector tracks; the steps taken in the
 Cartesian chart also keep their start state x, y, px, py in a third.  They
-become numpy arrays when the run ends, the third one complex, with
-columns x + i y and px + i py.
+become numpy arrays when the run ends, the third one with columns x, y,
+px, py.
 Sampling: the state at an offset s into an accepted step is the
 single-step map ``_substep`` of that step's chart, of length s from the
 step's start, the same map the exit search solves on.  ``substep_many``
 evaluates it at many (start, offset) pairs of either chart at once in
 numpy, for ``CornerResult.sample`` after a run; it is as accurate as the
-step itself.  In the Cartesian chart it steps z = x + i y in complex
-arithmetic, maps X, P to R and R' as above and adds the angle between X
-and the start's X to the start's Theta.  At
+step itself.  Its maps, ``_polar_many`` and ``_cartesian_many``, are
+generated from the same source as the trial steps, with numpy arrays for
+the numbers.  In the Cartesian chart it maps X, P to R and R' as above
+and adds the angle between X and the start's X to the start's Theta.  At
 offset 0 it returns R' and Theta exactly, and R exactly (Cartesian) or
 as w + (R - w), within an ulp (polar); at the step end it agrees with the
 accepted state to round-off.
@@ -162,36 +163,37 @@ E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200),
 # Attempted steps (accepted + rejected) before a run gives up.
 MAX_STEPS = 4_000_000
 
-# Nodes and rows of the tableau for the vectorised map; the last row
-# (node 1, weights b) is the step end.
-_NODES = np.array([n / d for n, d in C])
-_ROWS = tuple(np.array([n / d for n, d in row]) for row in A[1:])
-
 # The forms of Phi(s) = [[H, K], [-K, K']] from e = e^{xi1 s} and
 # q = -expm1(-sd2 s) / sd2.
 _PHI = {"H": "e * (1.0 - xi1 * q)", "K": "e * q", "dK": "e * (1.0 + xi2 * q)"}
 
-# Per chart: the trial step's name and parameters, its early return, the
-# statements before its first stage, per position component the names of
-# the stage position, its start, the velocity, its start, the perturbation
-# and the folded first-stage velocity v = V + h a_i1 m1, and the
-# statements that check stage k and evaluate its perturbation.
+# Per chart: the names of the trial step and of the array map, their
+# parameters, the trial step's early return, the statements before the
+# first stage, per position component the names of the stage position, its
+# start, the velocity, its start, the perturbation and the folded
+# first-stage velocity v = V + h a_i1 m1, and the statements that check
+# stage k and evaluate its perturbation.  A pair among the statements
+# holds the trial step's form and the array map's (None: left out).
 _CHARTS = {
     "polar": (
-        "_attempt", "R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2",
+        "_attempt", "_polar_many",
+        "R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2",
         "(False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
-        ("w = n1 if n1 < R else R", "u = R - w", "m1 = n1 - w"),
+        (("w = n1 if n1 < R else R", "w = minimum(n1, R)"), "u = R - w",
+         "m1 = n1 - w"),
         (("R", "u", "V", "V", "m", "v"),),
-        ("if not (0.0 < R{k} < INF):", "    return bad", "Q = R{k} * R{k}",
-         "n{k} = c3 / (Q * R{k})", "g{k} = cth / Q", "m{k} = n{k} - w")),
+        (("if not (0.0 < R{k} < INF):", None), ("    return bad", None),
+         "Q = R{k} * R{k}", "n{k} = c3 / (Q * R{k})", "g{k} = cth / Q",
+         "m{k} = n{k} - w")),
     "cartesian": (
-        "_attempt_cartesian", "x, y, px, py, f1, h, tc, xi1, xi2, sd2",
+        "_attempt_cartesian", "_cartesian_many",
+        "x, y, px, py, f1, h, tc, xi1, xi2, sd2",
         "(False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF, INF)",
         ("mx1 = -f1 * y", "my1 = f1 * x"),
         (("x", "x", "px", "px", "mx", "vx"),
          ("y", "y", "py", "py", "my", "vy")),
-        ("Q = x{k} * x{k} + y{k} * y{k}", "if not (0.0 < Q < INF):",
-         "    return bad", "f{k} = tc / Q", "mx{k} = -f{k} * y{k}",
+        ("Q = x{k} * x{k} + y{k} * y{k}", ("if not (0.0 < Q < INF):", None),
+         ("    return bad", None), "f{k} = tc / Q", "mx{k} = -f{k} * y{k}",
          "my{k} = f{k} * x{k}")),
 }
 
@@ -223,9 +225,9 @@ def _minus(x, y):
     return n // g, d // g
 
 
-def _step_source(chart: str) -> str:
-    """Source of the trial step of ``chart`` ("polar" or "cartesian"),
-    expanded from C, A and E.
+def _step_source(chart: str, many: bool = False) -> str:
+    """Source of the trial step of ``chart`` ("polar" or "cartesian"), or
+    with ``many`` of its array map, expanded from C, A and E.
 
     ``_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2)`` is one polar
     trial step of size h from (R, V, T), where (n1, g1) = _rhs(R) is the
@@ -252,14 +254,27 @@ def _step_source(chart: str) -> str:
     that some sum reads.  Each sum is a ``+`` chain from its first term
     over the nonzero coefficients, in tableau order; at offset 0, K = 0
     drops a term and K' = 1 a factor.
+
+    The array map ``_polar_many`` or ``_cartesian_many`` takes the same
+    parameters, each an array over samples or a number, and returns the
+    step-end state alone ((Rn, Vn, Tn) or (xn, yn, pxn, pyn)).  Its body is
+    the trial step's with the same stage sums, less the stage checks, the
+    last stage's perturbation and the error sums, and with
+    ``minimum(n1, R)`` for the conditional.
     """
-    name, params, bad, prelude, comps, check = _CHARTS[chart]
+    name, many_name, params, bad, prelude, comps, check = _CHARTS[chart]
     polar = chart == "polar"
     index = {}  # exact offset -> number of its Phi
     forms = []  # per number, the forms of Phi that a sum reads
-    lines = [f"def {name}({params}):", "    INF = math.inf",
-             f"    bad = {bad}"]
-    lines += [f"    {line}" for line in prelude]
+
+    def side(statements):
+        """This body's statements: its side of each pair."""
+        picked = (x[many] if isinstance(x, tuple) else x for x in statements)
+        return [x for x in picked if x is not None]
+
+    lines = [f"def {many_name}({params}):"] if many else [
+        f"def {name}({params}):", "    INF = math.inf", f"    bad = {bad}"]
+    lines += [f"    {line}" for line in side(prelude)]
 
     def phi(form, i, l):
         """Name of a form of Phi((c_i - c_l) h); a new offset leaves a
@@ -297,24 +312,29 @@ def _step_source(chart: str) -> str:
             lines += [f"    {v} = {V} + h * {n / d!r} * {m}1",
                       f"    {X}{k} = {'w + ' if polar else ''}{H} * {u} + "
                       f"{K} * {v}" + (f" + h * ({rest})" if rest else "")]
-        lines += [f"    {line}".format(k=k) for line in check]
+        if not many or i < len(A) - 1:
+            lines += [f"    {line}".format(k=k) for line in side(check)]
     # The last stage is the step end: its velocity, then the error sums.
     for _, u, P, _, m, v in comps:
         lines.append(f"    {P}{k} = -{K} * {u} + {phi('dK', i, 0)} * {v}"
                      f" + h * ({chain(i, A[i], 1, 'dK', m)})")
     if polar:
         lines.append(f"    T{k} = T + h * ({chain(i, A[i], 0, None, 'm')})")
-    errors = [(f"e{X}", "K", m) for X, _, _, _, m, _ in comps]
-    errors += [(f"e{P}", "dK", m) for _, _, P, _, m, _ in comps]
-    if polar:
-        errors.append(("eT", None, "m"))
-    lines += [f"    {e} = h * ({chain(i, E, 0, form, m)})"
-              for e, form, m in errors]
     state = [f"{X}{k}" for X, *_ in comps]
     state += [f"{P}{k}" for _, _, P, *_ in comps]
-    state += [f"T{k}", f"n{k}", f"g{k}"] if polar else [f"f{k}"]
-    lines.append("    return True, "
-                 + ", ".join(state + [e for e, *_ in errors]))
+    state += [f"T{k}"] if polar else []
+    if many:
+        lines.append("    return " + ", ".join(state))
+    else:
+        errors = [(f"e{X}", "K", m) for X, _, _, _, m, _ in comps]
+        errors += [(f"e{P}", "dK", m) for _, _, P, _, m, _ in comps]
+        if polar:
+            errors.append(("eT", None, "m"))
+        lines += [f"    {e} = h * ({chain(i, E, 0, form, m)})"
+                  for e, form, m in errors]
+        state += [f"n{k}", f"g{k}"] if polar else [f"f{k}"]
+        lines.append("    return True, "
+                     + ", ".join(state + [e for e, *_ in errors]))
     out = []
     for line in lines:
         if isinstance(line, str):
@@ -330,11 +350,17 @@ def _step_source(chart: str) -> str:
 
 
 # Defines ``_attempt`` and ``_attempt_cartesian`` in this module, so that
-# callers look them up here.
+# callers look them up here, and the array maps in a namespace where exp,
+# expm1 and minimum are numpy's.
+_numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum}
 for _chart in _CHARTS:
-    exec(compile(_step_source(_chart), f"<_kernels.{_CHARTS[_chart][0]}>",
-                 "exec"), globals())
-del _chart
+    for _many, _namespace in ((False, globals()), (True, _numpy)):
+        exec(compile(_step_source(_chart, _many),
+                     f"<_kernels.{_CHARTS[_chart][_many]}>", "exec"),
+             _namespace)
+_polar_many = _numpy["_polar_many"]
+_cartesian_many = _numpy["_cartesian_many"]
+del _chart, _many, _namespace, _numpy
 
 
 def _substep(cartesian, *args):
@@ -346,77 +372,37 @@ def _substep(cartesian, *args):
     return _attempt(*args)[:4]
 
 
-def _polar_many(R, V, T, s, c3, cth, xi1, xi2, sd2):
-    """The polar ``_substep`` at many starts and offsets: an (n, 3)
-    array."""
-    n1 = c3 / (R * R * R)
-    w = np.minimum(n1, R)
-    u = R - w
-    m = [n1 - w]
-    g = [cth / (R * R)]
-    for i, row in enumerate(_ROWS, start=1):
-        x = s[:, None] * (_NODES[i] - _NODES[:i])
-        e = np.exp(xi1 * x)
-        q = -np.expm1(-sd2 * x) / sd2
-        K = e * q
-        M = np.column_stack(m)
-        Ri = (w + e[:, 0] * (1.0 - xi1 * q[:, 0]) * u + K[:, 0] * V
-              + s * ((K * M) @ row))
-        if i < len(_ROWS):
-            m.append(c3 / (Ri * Ri * Ri) - w)
-            g.append(cth / (Ri * Ri))
-    D = e * (1.0 + xi2 * q)
-    Vi = -K[:, 0] * u + D[:, 0] * V + s * ((D * M) @ row)
-    Ti = T + s * (np.column_stack(g) @ row)
-    return np.column_stack([Ri, Vi, Ti])
-
-
-def _cartesian_many(z, p, s, tc, xi1, xi2, sd2):
-    """The Cartesian ``_substep`` at many starts and offsets s, with the
-    positions and velocities as complex numbers z = x + i y, p = z' (i z
-    is z turned by a right angle): the end positions and velocities."""
-    m = [tc / (z.real * z.real + z.imag * z.imag) * (1j * z)]
-    for i, row in enumerate(_ROWS, start=1):
-        x = s[:, None] * (_NODES[i] - _NODES[:i])
-        e = np.exp(xi1 * x)
-        q = -np.expm1(-sd2 * x) / sd2
-        K = e * q
-        M = np.column_stack(m)
-        zi = (e[:, 0] * (1.0 - xi1 * q[:, 0]) * z + K[:, 0] * p
-              + s * ((K * M) @ row))
-        if i < len(_ROWS):
-            m.append(tc / (zi.real * zi.real + zi.imag * zi.imag) * (1j * zi))
-    D = e * (1.0 + xi2 * q)
-    return zi, -K[:, 0] * z + D[:, 0] * p + s * ((D * M) @ row)
-
-
-def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, ZP):
+def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
     """The single-step map at many starts (R, V, T) and offsets s >= 0 at
     once, in the chart of each step.
 
     ``cart`` marks the samples whose step was taken in the Cartesian
-    chart, and ``ZP`` holds those steps' start states (x + i y, x' + i y'),
-    one row per marked sample.  Plain numpy over the sample axis, with the
-    stage sums in tableau order.  It steps on the float differences of
-    ``_NODES``, not on the exact offsets of the trial steps, so it agrees
-    with ``_substep`` to round-off and not bit for bit; it must stay so,
-    as the samples of ``test_bitwise_pin`` depend on those bits.  Stage
-    radii are not checked: the offsets lie inside accepted steps.  Returns
-    the end states as an array with columns R, V, Theta.
+    chart, and ``XP`` holds those steps' start states (x, y, x', y'), one
+    row per marked sample.  The maps are ``_polar_many`` and
+    ``_cartesian_many``, generated from the source of the trial steps: the
+    same floating-point operations as ``_substep`` but numpy's exp and
+    expm1, which differ from libm's in the last bit on some arguments, so
+    the samples agree with ``_substep`` to round-off and not always bit
+    for bit.  Stage radii are not checked: the offsets lie inside accepted
+    steps.  Returns the end states as an array with columns R, V, Theta.
     """
     out = np.empty((s.size, 3))
     polar = ~cart
     if polar.any():
-        out[polar] = _polar_many(R[polar], V[polar], T[polar], s[polar],
-                                 c3, cth, xi1, xi2, sd2)
+        R0 = R[polar]
+        Q = R0 * R0
+        out[polar] = np.column_stack(_polar_many(
+            R0, V[polar], T[polar], c3 / (Q * R0), cth / Q, s[polar], c3,
+            cth, xi1, xi2, sd2))
     if cart.any():
-        z0 = ZP[:, 0]
-        z, p = _cartesian_many(z0, ZP[:, 1], s[cart], -(xi1 + xi2) * cth,
-                               xi1, xi2, sd2)
-        x0, y0, x, y = z0.real, z0.imag, z.real, z.imag
+        x0, y0, px0, py0 = XP.T
+        tc = -(xi1 + xi2) * cth
+        x, y, px, py = _cartesian_many(x0, y0, px0, py0,
+                                       tc / (x0 * x0 + y0 * y0), s[cart],
+                                       tc, xi1, xi2, sd2)
         r = np.sqrt(x * x + y * y)
         out[cart, 0] = r
-        out[cart, 1] = x / r * p.real + y / r * p.imag
+        out[cart, 1] = x / r * px + y / r * py
         # The angle turned since the step start, from real products:
         # exactly 0 at offset 0.
         out[cart, 2] = T[cart] + np.arctan2(x0 * y - y0 * x, x0 * x + y0 * y)
@@ -473,11 +459,11 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
     The run steps in the Cartesian chart until the switch under "The
     switch" (tau1 and the corner timescale kappa set it; with tau1 <= 0
     it starts in the polar chart), then in the polar chart.
-    Returns (ts, ys, zs, exit, nacc, nrej): the sample times and states
-    (an (n, 3) array with columns R, R', Theta), the start states
-    (x + i y, px + i py) of the steps taken in the Cartesian chart (an
-    (m, 2) complex array: steps 0 to m - 1), the exit (tau, R, R', Theta)
-    or None when the run did not cross theta_target, and the step counts.
+    Returns (ts, ys, xs, exit, nacc, nrej): the sample times and states
+    (an (n, 3) array with columns R, R', Theta), the start states of the
+    steps taken in the Cartesian chart (an (m, 4) array with columns x, y,
+    px, py: steps 0 to m - 1), the exit (tau, R, R', Theta) or None when
+    the run did not cross theta_target, and the step counts.
     Step i starts at sample i; when the run stops at the event, the last
     step is the full accepted step that holds the crossing.  Raises
     ``SingularRadius`` or ``IntegrationFailure`` as under "Failures".
@@ -491,7 +477,7 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
     nrej = 0
     if tau_end <= 0.0:
         return (np.array(ts), np.array(ys).reshape(-1, 3),
-                np.array(xs).reshape(-1, 4).view(complex), exit, nacc, nrej)
+                np.array(xs).reshape(-1, 4), exit, nacc, nrej)
 
     n1, g1 = _rhs(R, c3, cth)
     cart = tau1 > 0.0
@@ -619,4 +605,4 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
         h *= fac
 
     return (np.array(ts), np.array(ys).reshape(-1, 3),
-            np.array(xs).reshape(-1, 4).view(complex), exit, nacc, nrej)
+            np.array(xs).reshape(-1, 4), exit, nacc, nrej)

@@ -94,11 +94,10 @@ class CornerResult:
     starting at tau = 0; the columns of the kernel's state array), and
     ``sample`` gives the state at any tau the run covered.  The first
     ``len(cartesian)`` steps were taken in the kernel's Cartesian chart,
-    and ``cartesian`` holds their start states as complex pairs
-    (x + i y, x' + i y').  ``exit_state`` is set when the run crossed
-    theta_bar, whether it stopped there or continued past the exit
-    (``stop_at_event=False``).  ``horizon`` is the scaled end time the run
-    was given.
+    and ``cartesian`` holds their start states, one row (x, y, x', y')
+    each.  ``exit_state`` is set when the run crossed theta_bar, whether
+    it stopped there or continued past the exit (``stop_at_event=False``).
+    ``horizon`` is the scaled end time the run was given.
     """
 
     tau: np.ndarray
@@ -165,14 +164,14 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
             f"horizon must be non-negative and finite, got {horizon!r}")
 
     tau1 = asymptotics.asymptotic_times(params.eta, params.damping).tau1
-    ts, ys, zs, exit, nacc, nrej = integrate_radial(
+    ts, ys, xs, exit, nacc, nrej = integrate_radial(
         params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
         horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event, tau1,
         params.kappa)
 
     R, dR, Theta = ys.T.copy()
     return CornerResult(
-        tau=ts, R=R, dR=dR, Theta=Theta, cartesian=zs,
+        tau=ts, R=R, dR=dR, Theta=Theta, cartesian=xs,
         exit_tau=None if exit is None else exit[0],
         exit_state=None if exit is None else ScaledState(*exit),
         n_accepted=nacc, n_rejected=nrej, horizon=horizon, params=params)

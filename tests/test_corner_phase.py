@@ -184,8 +184,7 @@ def test_dense_output_matches_single_step(cone):
     for j, tau in enumerate(ev):
         i = np.searchsorted(res.tau, tau, side="right") - 1
         if i < len(res.cartesian):
-            z0, p0 = res.cartesian[i]
-            x, y, px, py = map(float, (z0.real, z0.imag, p0.real, p0.imag))
+            x, y, px, py = map(float, res.cartesian[i])
             f1 = ta * cth / (x * x + y * y)
             ok, *X = _substep(True, x, y, px, py, f1, tau - res.tau[i],
                               ta * cth, *lin)
@@ -210,11 +209,11 @@ def test_linear_part_is_exact():
     # with tau1 = 50 it stays in the Cartesian one.
     R0, V0 = 1.0, -0.3
     for tau1 in (0.0, 50.0):
-        ts, ys, zs, exit, nacc, _ = integrate_radial(
+        ts, ys, xs, exit, nacc, _ = integrate_radial(
             R0, V0, 0.0, 0.0, *lin_roots(DAMP2), 1.0, 50.0, 1e-10, 1e-12,
             1e-3, True, tau1, 1.0)
         assert exit is None and nacc <= 10
-        assert len(zs) == (nacc if tau1 else 0)
+        assert xs.shape == ((nacc if tau1 else 0), 4)
         assert ts[-1] == 50.0
         K2, H2 = kernels_K2_H2(DAMP2, ts)
         dK2 = kernel_K2_dot(DAMP2, ts)
@@ -281,8 +280,8 @@ BITWISE_PINS = {
         eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
         exit=(12.516784287077181, 1.025434826809858, -0.25757057356515467,
               2.0943951023931953),
-        R=[0.010407197559710007, 0.9804259662670929, 20.784766542326505],
-        dR=[96.0498928419015, 96.09103743033472, 9.907297642743984],
+        R=[0.01040719755971001, 0.9804259662670929, 20.784766542326505],
+        dR=[96.04989284190151, 96.09103743033472, 9.907297642743984],
         Theta=[1.2898133595604775, 1.5684222300931858, 1.5718287675787501],
         steps=(216, 4)),
     "obtuse_far": dict(
@@ -374,11 +373,36 @@ def reference_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
               for form, y in ((1, m), (2, m), (None, g))))
 
 
+def check_array_map(chart, ok, groups):
+    """The array map of ``chart``, in one call on the arguments of the
+    accepted trial steps in ``ok`` (pairs of arguments and step-end
+    state), against their step ends: bit for bit with libm's exp and expm1
+    in place of numpy's, and as it is within 32 eps of the scale of each
+    group of state columns (the largest start or end value in it).  numpy's
+    exp differs from libm's in the last bit on some arguments, and the
+    stage sums amplify that by up to the size of the tableau's weights."""
+    name = f"_{chart}_many"
+    args, ends = zip(*ok)
+    cols = np.array(args).T
+    ends = np.array(ends)
+    libm = {"exp": np.vectorize(math.exp), "expm1": np.vectorize(math.expm1),
+            "minimum": np.minimum}
+    exec(_kernels._step_source(chart, many=True), libm)
+    np.testing.assert_array_equal(np.column_stack(libm[name](*cols)), ends)
+    got = np.column_stack(getattr(_kernels, name)(*cols))
+    size = np.abs(np.stack([cols[:ends.shape[1]].T, ends]))
+    for g in groups:
+        scale = size[:, :, g].max(axis=(0, 2))[:, None]
+        assert np.all(np.abs(got[:, g] - ends[:, g])
+                      <= 32.0 * np.finfo(float).eps * scale), (chart, g)
+
+
 def test_generated_step_matches_the_reference_loop():
     # Seeded states: h from 1e-14 to 1e3, so that many trial steps have a
     # stage radius outside (0, inf), and V = +-0.0 now and then.
     rng = random.Random(19)
     rejected = 0
+    ok = []
     for _ in range(3000):
         xi1, xi2, sd2 = lin_roots(
             characteristic_roots(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
@@ -395,7 +419,10 @@ def test_generated_step_matches_the_reference_loop():
         assert out[0] is ref[0]
         assert [x.hex() for x in out[1:]] == [x.hex() for x in ref[1:]], args
         rejected += not out[0]
+        if out[0]:
+            ok.append((args, out[1:4]))
     assert 100 < rejected < 2900
+    check_array_map("polar", ok, ([0, 1], [2]))
 
 
 def test_tableau_is_consistent():
@@ -414,10 +441,6 @@ def test_tableau_is_consistent():
         assert sum(bl * cl ** (q - 1) for bl, cl in zip(bhat, c)) == \
             Fraction(1, q)
     assert sum(E) == 0
-    # The vectorised map reads the same tableau.
-    assert _kernels._NODES.tolist() == [float(x) for x in c]
-    assert [r.tolist() for r in _kernels._ROWS] == \
-        [[float(x) for x in row] for row in A[1:]]
 
 
 def reference_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2):
@@ -466,6 +489,7 @@ def test_generated_cartesian_step_matches_the_reference_loop():
     # origin; h from 1e-14 to 1e3.
     rng = random.Random(29)
     rejected = 0
+    ok = []
     for n in range(3000):
         xi1, xi2, sd2 = lin_roots(
             characteristic_roots(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
@@ -485,19 +509,33 @@ def test_generated_cartesian_step_matches_the_reference_loop():
         rejected += not out[0]
         if n == 0:
             assert not out[0]
+        if out[0]:
+            ok.append((args, out[1:5]))
     assert 300 < rejected < 2700
+    check_array_map("cartesian", ok, ([0, 1, 2, 3],))
 
 
 def test_generated_step_evaluates_phi_once_per_offset():
-    # 13 distinct offsets c_i - c_l among the stages of either chart;
-    # profiles and tracebacks name the generated bodies.
-    for chart, name in (("polar", "_attempt"),
-                        ("cartesian", "_attempt_cartesian")):
-        src = _kernels._step_source(chart)
-        assert src.count("exp(") == src.count("expm1(") == 13
-        assert src.startswith(f"def {name}(")
-        assert getattr(_kernels, name).__code__.co_filename == \
-            f"<_kernels.{name}>"
+    # 13 distinct offsets c_i - c_l among the stages of either chart, in
+    # the trial step and in the array map; profiles and tracebacks name the
+    # generated bodies.  The array map has no stage checks, and its
+    # statements, but for the first stage's rest point and the return, are
+    # the trial step's, in the same order.
+    for chart, names in (("polar", ("_attempt", "_polar_many")),
+                         ("cartesian", ("_attempt_cartesian",
+                                        "_cartesian_many"))):
+        for many, name in enumerate(names):
+            src = _kernels._step_source(chart, many)
+            assert src.count("exp(") == src.count("expm1(") == 13
+            assert src.startswith(f"def {name}(")
+            assert getattr(_kernels, name).__code__.co_filename == \
+                f"<_kernels.{name}>"
+        step, array = (_kernels._step_source(chart, many)
+                       for many in (False, True))
+        assert "bad" not in array and "INF" not in array
+        step = iter(step.splitlines())
+        assert all(line in step for line in array.splitlines()[1:-1]
+                   if "minimum(" not in line)
 
 
 def test_obtuse_cost_is_flat_in_k():
