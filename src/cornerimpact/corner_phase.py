@@ -152,8 +152,8 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     ``stop_at_event=False`` the crossing is still located and reported,
     but integration continues to the horizon.  The first trial step is
     1e-3 kappa.  The kernel leaves its free-flight chart by tau1 =
-    eta^1.2 of ``asymptotics.asymptotic_times``.  rtol must be at least
-    ``MIN_RTOL``.
+    eta^1.2 of ``asymptotics.asymptotic_times``, or past 10 kappa when
+    kappa > rtol.  rtol must be at least ``MIN_RTOL``.
     """
     rtol = check_rtol(rtol)
     atol = check_atol(atol)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, overrides and CSV output."""
 import argparse
 import dataclasses
+import os
 import subprocess
 import sys
 import time
@@ -11,6 +12,17 @@ import pytest
 
 from cornerimpact import IntegrationFailure, SimConfig
 from cornerimpact.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_child(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python *args`` with this checkout's package importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def test_simulate_exit_zero(tmp_path, capsys):
@@ -77,8 +89,7 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
     (["simulate", "--eta", "0.01"], "--eta"),
 ])
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(argv, flag):
-    proc = subprocess.run([sys.executable, "-m", "cornerimpact", *argv],
-                          capture_output=True, text=True)
+    proc = run_child(["-m", "cornerimpact", *argv])
     assert proc.returncode == 2
     assert "unrecognized arguments: " + flag in proc.stderr
 
@@ -325,10 +336,8 @@ def test_missing_subcommand_exits_two():
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "cornerimpact", "simulate", "--k", "100",
-         "--T", "2.0", "--out", str(out)],
-        capture_output=True, text=True)
+    proc = run_child(["-m", "cornerimpact", "simulate", "--k", "100",
+                      "--T", "2.0", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     assert "exit at t" in proc.stdout
     assert out.exists()
@@ -359,8 +368,7 @@ assert not loaded, loaded[:5]
 def test_cli_runs_without_importing_scipy_integrate():
     # scipy is a test-only dependency: neither the CLI nor the oracle may
     # load any of it.
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT],
-                          capture_output=True, text=True)
+    proc = run_child(["-c", IMPORT_PATH_SCRIPT])
     assert proc.returncode == 0, proc.stderr
 
 

@@ -17,6 +17,7 @@ from cornerimpact import (
     ScaleFreeRun,
     ScaledState,
     SingularRadius,
+    asymptotic_times,
     characteristic_roots,
     integrate_corner,
     kernel_K2_dot,
@@ -273,42 +274,42 @@ def test_step_budget_names_the_kernel_budget(monkeypatch):
 BITWISE_PINS = {
     "acute": dict(
         eta=1e-2, cone=ACUTE, samples=[1e-4, 1e-2, 0.5],
-        exit=(4.9997617400403035e-05, 0.0057730815895653265,
-              86.59130465820813, 1.0471975511965976),
-        R=[], dR=[], Theta=[], steps=(25, 3)),
+        exit=(4.9997617400403076e-05, 0.005773081589565329,
+              86.59130465820805, 1.0471975511965976),
+        R=[], dR=[], Theta=[], steps=(24, 2)),
     "obtuse": dict(
         eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
-        exit=(12.516784287077181, 1.025434826809858, -0.25757057356515467,
+        exit=(12.516784287077707, 1.025434826809619, -0.2575705735650876,
               2.0943951023931953),
-        R=[0.01040719755971001, 0.9804259662670929, 20.784766542326505],
-        dR=[96.04989284190151, 96.09103743033472, 9.907297642743984],
-        Theta=[1.2898133595604775, 1.5684222300931858, 1.5718287675787501],
-        steps=(216, 4)),
+        R=[0.01040719755970993, 0.9804259662669891, 20.78476654232424],
+        dR=[96.0498928419006, 96.09103743032469, 9.9072976427429],
+        Theta=[1.2898133595604748, 1.56842223009345, 1.571828767578945],
+        steps=(215, 3)),
     "obtuse_far": dict(
         eta=1e-20, cone=OBTUSE, samples=[1.0, 20.0, 60.0, 120.0, 160.0],
-        exit=(167.19758058455406, 1.0252000990862578, -0.2574957195908892,
+        exit=(167.1975805844548, 1.0252000991116448, -0.2574957195985625,
               2.0943951023931953),
-        R=[2.1390913026027926e+19, 1.3584143568570451e+17,
-           3008001405047.385, 313434.42397513683, 6.9405785319726805],
-        dR=[-3.3373097139307873e+18, -3.639860299066882e+16,
-            -805991547314.1293, -83984.50078425204, -1.8596674623377016],
+        R=[2.1390913026027938e+19, 1.3584143568570456e+17,
+           3008001405047.3877, 313434.4239751375, 6.94057853197359],
+        dR=[-3.337309713930791e+18, -3.639860299066884e+16,
+            -805991547314.1299, -83984.50078425223, -1.8596674623416156],
         Theta=[1.5707963267948966, 1.5707963267948966, 1.5707963267948966,
-               1.5707963268017706, 1.5819788513360935],
-        steps=(178, 19)),
+               1.570796326801123, 1.581978851363339],
+        steps=(150, 25)),
     "past_exit": dict(
         eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
         samples=[1e-4, 1e-2, 0.5, 5.0, 30.0],
-        exit=(1.091056079068564e-05, 0.001259815234205574,
-              86.59305062139181, 1.0471975511965976),
-        last=(36.69688332983271, 0.6339250781335191, -0.038810045284482626,
-              2.8182727703781905),
-        R=[0.010013064117018997, 0.9242316605404862, 6.103630774691071,
-           4.60381464045783, 0.9602011417656556],
-        dR=[99.65692801311545, 85.22335691501458, -0.3483568528625179,
-            -0.2888687390610707, -0.059970859029333794],
-        Theta=[1.5080309297442587, 1.5707652763026, 1.572344556170469,
-               1.5825635891809318, 2.1041705834394318],
-        steps=(777, 4)),
+        exit=(1.0910560790685655e-05, 0.0012598152342055743,
+              86.59305062139177, 1.0471975511965976),
+        last=(36.69688332983271, 0.6339250781333546, -0.03881004528447773,
+              2.818272770378141),
+        R=[0.010013064117017237, 0.9242316605402395, 6.103630774689426,
+           4.603814640456553, 0.9602011417654026],
+        dR=[99.65692801309541, 85.2233569149919, -0.3483568528624032,
+            -0.28886873906036176, -0.05997085902932685],
+        Theta=[1.5080309297438146, 1.570765276303476, 1.572344556171144,
+               1.5825635891802283, 2.104170583439005],
+        steps=(776, 3)),
 }
 
 
@@ -546,6 +547,35 @@ def test_obtuse_cost_is_flat_in_k():
     steps = [integrate_corner(scaled_params_from_physical(UNIT, DAMP2, k),
                               cone).n_accepted for k in (1e4, 1.2e6)]
     assert max(steps) < 2 * min(steps), steps
+
+
+def test_step_grows_freely_between_the_vertex_and_tau_one():
+    # Between the vertex time kappa ~ eta^2 and tau = 1 the flow has no
+    # scale of its own: the free flight is a straight line and then the
+    # damped-linear part is propagated exactly, so the error estimates lie
+    # far inside the tolerance.  At eta = 1e-70 the run climbs the 141
+    # decades from kappa to tau = 1 in 99 steps, where a growth bound of 5
+    # per step took 207.
+    res = integrate_corner(params_at(1e-70), ConeGeometry(2.0))
+    assert res.exit_tau > 1.0
+    assert np.searchsorted(res.tau, 1.0) <= 120
+
+
+@pytest.mark.parametrize("eta, early", [(1e-6, False), (1e-4, True)])
+def test_early_switch_only_when_kappa_exceeds_rtol(eta, early):
+    # Past 10 kappa the run leaves the Cartesian chart early only when
+    # kappa > rtol, where the vertex passage can limit a step at the run's
+    # tolerance: at eta = 1e-4 (kappa = 2.9e-9) it leaves at about
+    # 10 kappa, at eta = 1e-6 (kappa = 2.9e-13) not before tau1.
+    p = params_at(eta)
+    res = integrate_corner(p, ConeGeometry(2.0), rtol=1e-10)
+    switch = res.tau[len(res.cartesian)]
+    tau1 = asymptotic_times(p.eta, p.damping).tau1
+    assert (p.kappa > 1e-10) == early
+    if early:
+        assert 10.0 * p.kappa <= switch < 12.0 * p.kappa < tau1
+    else:
+        assert switch >= tau1
 
 
 def test_samples_across_long_steps():
