@@ -11,14 +11,14 @@ The right-hand side is autonomous and has four components, each a Python
 float; numpy enters only when a finished run is sampled.  A trial step is
 one flat body, ``_trial``: its 12 stages, the new state and the E5 and E3
 sums of the error norm, each stage sum a ``+`` chain of literal products
-over the nonzero coefficients only.  ``_extra`` is the same for the three
-stages the interpolant adds.  Both bodies are expanded from ``A``, ``E5``
-and ``E3`` when the module loads (``_flat_source``), so the tuples stay
-the one copy of the coefficients.  The interpreter, not the arithmetic,
-sets the cost of a step: the chains call no ``sum`` or ``map`` and leave
-out the 30 zeros among the 104 coefficients of rows 1-12, E5 and E3, and
-they take about half the time of a loop of ``sum(map(mul, row, K))``
-over full rows.
+over the nonzero coefficients only.  ``_extra_many`` is the array form of
+the same chains for the three stages the interpolant adds.  Both bodies
+are expanded from ``A``, ``E5`` and ``E3`` when the module loads
+(``_flat_source``), so the tuples stay the one copy of the coefficients.
+The interpreter, not the arithmetic, sets the cost of a step: the chains
+call no ``sum`` or ``map`` and leave out the 30 zeros among the 104
+coefficients of rows 1-12, E5 and E3, and they take about half the time
+of a loop of ``sum(map(mul, row, K))`` over full rows.
 
 Each chain starts from 0.0 and adds the products in tableau order.  That
 is what CPython 3.11's ``sum`` computes for such a row: it starts from
@@ -28,7 +28,13 @@ is finite.  So the steps are bit-identical to that loop; unlike it, they
 do not depend on the interpreter (CPython 3.12 compensates float sums).
 
 Each accepted step keeps its stages, and ``Solution.dense`` builds the
-interpolant for the steps that hold sample points only.
+interpolant for the steps that hold sample points only, all of them at
+once: ``_extra_many`` reads their stages as (m, 4) arrays from a
+zero-copy ``np.frombuffer`` view of ``Solution.stages``, so each stage sum
+is one chain of numpy operations over all m steps and four components.
+Elementwise float64 ``*`` and ``+`` round as the scalar operations do, so
+a row holds the bits a scalar chain would give.  Only the field stays
+scalar: it is called on each row of z in turn, three calls per step.
 
 The coefficients are copied from ``scipy/integrate/_ivp/
 dop853_coefficients.py`` (scipy; Copyright (c) 2001-2002 Enthought,
@@ -161,14 +167,19 @@ def _chain(coefs, names) -> str:
 
 
 def _flat_source() -> str:
-    """Source of ``_trial`` and ``_extra``, expanded from the tableau.
+    """Source of ``_trial`` and ``_extra_many``, expanded from the tableau.
 
     k{c}_{s} is stage s of component c and z{c} the state a stage is
     evaluated at.  ``_trial(fun, y1..y4, h, k1_0..k4_0)`` returns the new
     state, the E5 and E3 sums per component and the 52 stages, component
-    by component (stage 12 is f at the new state).  ``_extra(fun, y1..y4,
-    h, K)`` takes such 52 stages and returns the 16 stages of each
-    component in turn, with the interpolant's three.
+    by component (stage 12 is f at the new state).
+
+    ``_extra_many(fun, y, h, K)`` is the array form for the interpolant's
+    three stages of m steps at once: y holds the steps' start states,
+    shape (m, 4), h their sizes, shape (m, 1), and K their 13 stages,
+    shape (13, m, 4).  Each stage sum is the same ``+`` chain as in
+    ``_trial``, over (m, 4) arrays, and fun is called on each row of z in
+    turn; it returns stages 13-15, each of shape (m, 4).
     """
     comps = (1, 2, 3, 4)
 
@@ -192,16 +203,19 @@ def _flat_source() -> str:
              *(f"            {_chain(E, [f'k{c}_{j}' for j in range(n)])},"
                for E in (E5, E3) for c in comps),
              f"            ({', '.join(ks(c, n) for c in comps)},))"]
-    extra = ["def _extra(fun, y1, y2, y3, y4, h, K):",
-             f"    {', '.join(ks(c, n) for c in comps)}, = K",
-             *stages(n, len(A) - 1),
-             f"    return {', '.join(f'({ks(c, len(A))})' for c in comps)}"]
+    extra = ["def _extra_many(fun, y, h, K):",
+             f"    {', '.join(f'k_{j}' for j in range(n))} = K"]
+    for s in range(n, len(A)):
+        chain = _chain(A[s], [f"k_{j}" for j in range(s)])
+        extra += [f"    z = y + ({chain}) * h",
+                  f"    k_{s} = np.array(list(map(fun, *z.T.tolist())))"]
+    extra.append("    return " + ", ".join(f"k_{s}" for s in range(n, len(A))))
     return "\n".join(trial + extra) + "\n"
 
 
-_bodies: dict = {}
+_bodies: dict = {"np": np}
 exec(compile(_flat_source(), "<_dop853 flat bodies>", "exec"), _bodies)
-_trial, _extra = _bodies["_trial"], _bodies["_extra"]
+_trial, _extra_many = _bodies["_trial"], _bodies["_extra_many"]
 
 
 class Solution:
@@ -241,10 +255,15 @@ class Solution:
         h = ts[used + 1] - t_old
         y_old = ys[used]
         dy = ys[used + 1] - y_old
-        K = np.array([self._extended_stages(i) for i in used])  # (m, 4, 16)
+        hc = h[:, None]
+        stages = np.frombuffer(self.stages).reshape(-1, 4, N_STAGES + 1)
+        stages = stages[used]
+        K = np.concatenate(
+            (stages, np.dstack(_extra_many(self.fun, y_old, hc,
+                                           stages.transpose(2, 0, 1)))),
+            axis=2)                                     # (m, 4, 16)
         f_old = K[:, :, 0]
         f_new = K[:, :, N_STAGES]
-        hc = h[:, None]
         F = np.empty((len(used), 7, 4))
         F[:, 0] = dy
         F[:, 1] = hc * f_old - dy
@@ -258,13 +277,6 @@ class Solution:
             y += F[:, 6 - i]
             y *= x if i % 2 == 0 else 1.0 - x
         return y + y_old[where]
-
-    def _extended_stages(self, i):
-        """The 16 stage derivatives of step i, per component."""
-        m = 4 * (N_STAGES + 1)
-        return _extra(self.fun, *self.y[4 * i:4 * i + 4],
-                      self.t[i + 1] - self.t[i],
-                      self.stages[m * i:m * (i + 1)])
 
 
 def _rms(a, b, c, d):
@@ -316,9 +328,14 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                           rtol, atol)
     sol.nfev = 2
     t = 0.0
+    INF = math.inf
+    # Plain comparisons instead of the builtins, which cost a call per
+    # attempt: b if b > a else a is what max(a, b) returns and b if b < a
+    # else a what min(a, b) returns, ties and NaN included.
     while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * (math.nextafter(t, INF) - t)
+        if min_step > h_abs:
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
@@ -328,7 +345,9 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                 sol.failure = (f"budget of {max_rhs} right-hand-side "
                                f"evaluations exhausted")
                 return
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
             # Stages 1-11, then f at the new state n as stage 12 (B = A[12]);
             # p and q are the E5 and E3 sums of the stages.
@@ -336,10 +355,18 @@ def _run(sol, t_end, rtol, atol, max_rhs):
              K) = _trial(fun, y1, y2, y3, y4, h, f1, f2, f3, f4)
             sol.nfev += N_STAGES
             # The E5/E3 error norm of DOP853, weighted per component.
-            s1 = atol + max(abs(y1), abs(n1)) * rtol
-            s2 = atol + max(abs(y2), abs(n2)) * rtol
-            s3 = atol + max(abs(y3), abs(n3)) * rtol
-            s4 = atol + max(abs(y4), abs(n4)) * rtol
+            a = abs(y1)
+            b = abs(n1)
+            s1 = atol + (b if b > a else a) * rtol
+            a = abs(y2)
+            b = abs(n2)
+            s2 = atol + (b if b > a else a) * rtol
+            a = abs(y3)
+            b = abs(n3)
+            s3 = atol + (b if b > a else a) * rtol
+            a = abs(y4)
+            b = abs(n4)
+            s4 = atol + (b if b > a else a) * rtol
             e1 = p1 / s1
             e2 = p2 / s2
             e3 = p3 / s3
@@ -358,15 +385,19 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                 if error_norm == 0.0:
                     factor = MAX_FACTOR
                 else:
-                    factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
+                    factor = SAFETY * error_norm ** ERROR_EXPONENT
+                    if not factor < MAX_FACTOR:
+                        factor = MAX_FACTOR
+                if rejected and not factor < 1.0:
+                    factor = 1.0
                 h_abs = h * factor
                 break
-            h_abs = h * max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            factor = SAFETY * error_norm ** ERROR_EXPONENT
+            h_abs = h * (factor if factor > MIN_FACTOR else MIN_FACTOR)
             rejected = True
-        if not all(map(math.isfinite, (n1, n2, n3, n4))):
+        # abs(x) < INF is False for an infinite x and for NaN.
+        if not (abs(n1) < INF and abs(n2) < INF and abs(n3) < INF
+                and abs(n4) < INF):
             sol.failure = "state is not finite"
             return
         t = t_new

@@ -22,7 +22,7 @@ import numpy as np
 from . import asymptotics
 from ._kernels import integrate_radial, substep_many
 from .errors import IntegrationFailure, InvalidInput, SingularRadius
-from .geometry import ConeGeometry, penalty_field
+from .geometry import ConeGeometry, penalty_rhs
 from .linear_phase import DampingParams, InitialData, check_times
 from .scaling import ScaledParams, ScaledState, check_k
 
@@ -213,8 +213,10 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     its form).  No phase decomposition, no polar variables: this is the
     independent check for the pipeline.
 
-    The field is evaluated on Python floats by ``geometry.penalty_field``
-    and stepped by the scalar DOP853 of ``_dop853``.
+    The field is ``geometry.penalty_rhs``, one Python call per evaluation
+    on floats: the region split of ``geometry.penalty_field`` compiled
+    with -2 alpha G - w folded in, the same float operations in the same
+    order.  It is stepped by the scalar DOP853 of ``_dop853``.
 
     Intended for validation windows around the impact (a few crossing
     times).  On much longer horizons at large k the overshoot distance to
@@ -237,14 +239,9 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     rtol = check_rtol(rtol)
     atol = check_atol(atol)
     sk = math.sqrt(k)
-    two_alpha = 2.0 * damping.alpha
-
-    def rhs(x1, x2, v1, v2):
-        w1, w2, g1, g2 = penalty_field(x1, x2, v1, v2, cone)
-        return v1, v2, -two_alpha * g1 - w1, -two_alpha * g2 - w2
-
     y0 = (0.0, float(init.s0), init.dr0 / sk, init.ds0 / sk)
-    sol = _dop853.solve(rhs, y0, horizon * sk, rtol, atol, ORACLE_MAX_RHS)
+    sol = _dop853.solve(penalty_rhs(cone, damping.alpha), y0, horizon * sk,
+                        rtol, atol, ORACLE_MAX_RHS)
     if sol.failure is not None:
         tau = sol.t[-1]
         raise IntegrationFailure(

@@ -14,10 +14,14 @@ three regions according to which part of K is closest:
 * R2 = polar wedge {x2 >= 0, x.d <= 0} -> nearest point is the vertex,
 * R3 = {x.n2 >= 0, x.d >= 0}        -> nearest point (x.d) d on face 2.
 
-These regions are the branches of ``penalty_field``, the one place that
-decides which region a point is in; on overlaps (boundaries) it takes the
-first of K > R1 > R2 > R3.  The spring force of the penalty model is
-k(x - P_K x) and the damping force acts along the same direction:
+These regions are the branches of one source text, ``_REGIONS``, the one
+place that decides which region a point is in; on overlaps (boundaries)
+it takes the first of K > R1 > R2 > R3.  It is compiled into two forms
+when the module loads: ``penalty_field``, which returns w and G, and the
+closure of ``penalty_rhs``, the oracle's fast-time field, which folds
+-2 alpha G - w into the same body so that an evaluation is one Python
+call.  The spring force of the penalty model is k(x - P_K x) and the
+damping force acts along the same direction:
 
     G(x, v) = (v . w) w / |w|^2,   w = x - P_K x,   zero inside K.
 
@@ -29,6 +33,7 @@ All functions are pure; ConeGeometry is immutable and safe to share.
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "project_onto_cone",
     "damping_force_G",
     "penalty_field",
+    "penalty_rhs",
     "pi1",
     "pi2",
     "tangent_cone_project",
@@ -93,31 +99,77 @@ def _as_point(p, name: str = "point") -> np.ndarray:
     return q
 
 
+# The region split, stated once: K > R1 > R2 > R3, tested in that order.
+# w = x - P_K x, and f = v . w / |w|^2 where |w|^2 is not zero.  The three
+# returns (inside K, at |w|^2 = 0, elsewhere) are left open, and
+# ``_field_source`` fills them for each form of the field.
+_REGIONS = """\
+if x1 <= 0.0 and x1 * c + x2 * s <= 0.0:
+    return {inside}
+d_dot = -x1 * s + x2 * c
+if x1 >= 0.0 and x2 <= 0.0:
+    w1, w2 = x1, 0.0
+elif x2 >= 0.0 and d_dot <= 0.0:
+    w1, w2 = x1, x2
+else:
+    w1, w2 = x1 + d_dot * s, x2 - d_dot * c
+ww = w1 * w1 + w2 * w2
+if ww == 0.0:
+    return {still}
+f = (v1 * w1 + v2 * w2) / ww
+return {out}
+"""
+
+
+def _field_source() -> str:
+    """Source of ``penalty_field`` and ``penalty_rhs``: ``_REGIONS`` twice.
+
+    ``penalty_field`` returns (w1, w2, G1, G2) with G = f w.  The
+    right-hand side that ``penalty_rhs`` returns does the float operations
+    of -2 alpha G - w on those values, in the same order; the ones that
+    read no state (-2 alpha * 0.0 and that minus 0.0) are done once, when
+    the closure is made.
+    """
+    def regions(indent, inside, still, out):
+        return textwrap.indent(
+            _REGIONS.format(inside=inside, still=still, out=out), indent)
+
+    return f'''\
 def penalty_field(x1: float, x2: float, v1: float, v2: float,
                   cone: ConeGeometry) -> tuple[float, float, float, float]:
     """Spring displacement w and damping direction G at a state, as floats.
 
     Returns (w1, w2, G1, G2) with w = x - P_K x and G = (v . w / |w|^2) w,
-    in scalar arithmetic and without validation: the inner loop of the
-    oracle.  Its branches are the regions K, R1, R2, R3, tested in that
-    order.  Non-finite input propagates as NaN or inf.
+    in scalar arithmetic and without validation.  Its branches are the
+    regions K, R1, R2, R3, tested in that order.  Non-finite input
+    propagates as NaN or inf.
     """
     c = cone.cos_theta
     s = cone.sin_theta
-    if x1 <= 0.0 and x1 * c + x2 * s <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0
-    d_dot = -x1 * s + x2 * c
-    if x1 >= 0.0 and x2 <= 0.0:
-        w1, w2 = x1, 0.0
-    elif x2 >= 0.0 and d_dot <= 0.0:
-        w1, w2 = x1, x2
-    else:
-        w1, w2 = x1 + d_dot * s, x2 - d_dot * c
-    ww = w1 * w1 + w2 * w2
-    if ww == 0.0:
-        return w1, w2, 0.0, 0.0
-    f = (v1 * w1 + v2 * w2) / ww
-    return w1, w2, f * w1, f * w2
+{regions("    ", "0.0, 0.0, 0.0, 0.0", "w1, w2, 0.0, 0.0",
+         "w1, w2, f * w1, f * w2")}
+
+def penalty_rhs(cone: ConeGeometry, alpha: float):
+    """The first-order penalty field in fast time, as a function of floats.
+
+    ``rhs(x1, x2, v1, v2)`` returns (v1, v2, -2 alpha G1 - w1,
+    -2 alpha G2 - w2) with (w1, w2, G1, G2) = ``penalty_field(x1, x2, v1,
+    v2, cone)``, bit for bit, in one call: the inner loop of the oracle.
+    """
+    c = cone.cos_theta
+    s = cone.sin_theta
+    a = -(2.0 * alpha)
+    zero = a * 0.0
+    free = zero - 0.0
+
+    def rhs(x1, x2, v1, v2):
+{regions("        ", "v1, v2, free, free", "v1, v2, zero - w1, zero - w2",
+         "v1, v2, a * (f * w1) - w1, a * (f * w2) - w2")}
+    return rhs
+'''
+
+
+exec(compile(_field_source(), "<geometry.penalty_field>", "exec"), globals())
 
 
 def project_onto_cone(point, cone: ConeGeometry) -> np.ndarray:

@@ -71,6 +71,32 @@ def test_dense_output_is_accurate_between_steps():
                                rtol=0.0, atol=1e-15)
 
 
+def test_dense_extends_only_the_sampled_steps():
+    # Sampling builds the interpolant's three extra stages for the steps
+    # that hold a sample time and for no other, and counts no field call
+    # of its own in nfev.
+    calls = []
+
+    def counted(*y):
+        calls.append(y)
+        return oscillator(*y)
+
+    sol = _dop853.solve(counted, (1.0, 0.0, 0.0, 1.0), 10.0, 1e-10, 1e-12,
+                        100_000)
+    assert sol.failure is None and len(calls) == sol.nfev
+    nfev = sol.nfev
+    t = sol.t
+    assert len(t) - 1 > 8
+    # Two times inside step 5, one inside step 2, the start (step 0) and
+    # the boundary t[8], which belongs to the earlier step 7.
+    tau = [0.5 * (t[5] + t[6]), 0.25 * (3.0 * t[5] + t[6]),
+           0.5 * (t[2] + t[3]), 0.0, t[8]]
+    del calls[:]
+    sol.dense(tau)
+    assert len(calls) == 3 * len({5, 2, 0, 7})
+    assert sol.nfev == nfev
+
+
 def test_budget_stops_before_it_is_exceeded():
     sol = _dop853.solve(oscillator, (1.0, 0.0, 0.0, 1.0), 1e3, 1e-12,
                         1e-14, 500)
@@ -220,18 +246,33 @@ def step_cases():
 
 @pytest.mark.parametrize("fun, y, h", step_cases())
 def test_flat_step_matches_the_reference_loop(fun, y, h):
-    f = fun(*y)
-    n1, n2, n3, n4, *sums, K = _dop853._trial(fun, *y, h, *f)
-    ref = [[fc] for fc in f]
-    new = reference_stages(fun, y, h, ref,
-                           _dop853.A[1:_dop853.N_STAGES + 1])
-    assert bits((n1, n2, n3, n4)) == bits(new)
-    assert bits(sums) == bits([sum(map(mul, E, Kc))
-                               for E in (_dop853.E5, _dop853.E3)
-                               for Kc in ref])
-    assert bits(K) == bits(sum(ref, []))
-    # The interpolant's three stages.
-    extended = _dop853._extra(fun, *y, h, K)
-    reference_stages(fun, y, h, ref, _dop853.A[_dop853.N_STAGES + 1:])
-    assert [bits(Kc) for Kc in extended] == [bits(Kc) for Kc in ref]
-    assert all(len(Kc) == 16 for Kc in extended)
+    # Three steps of the case, each checked alone, then stacked as the rows
+    # of one call of the interpolant's array body.
+    n = _dop853.N_STAGES + 1
+    starts, sizes, stages, refs = [], [], [], []
+    y_row = y
+    for h_row in (h, 0.5 * h, 2.0 * h):
+        f = fun(*y_row)
+        n1, n2, n3, n4, *sums, K = _dop853._trial(fun, *y_row, h_row, *f)
+        ref = [[fc] for fc in f]
+        new = reference_stages(fun, y_row, h_row, ref, _dop853.A[1:n])
+        assert bits((n1, n2, n3, n4)) == bits(new)
+        assert bits(sums) == bits([sum(map(mul, E, Kc))
+                                   for E in (_dop853.E5, _dop853.E3)
+                                   for Kc in ref])
+        assert bits(K) == bits(sum(ref, []))
+        reference_stages(fun, y_row, h_row, ref, _dop853.A[n:])
+        starts.append(y_row)
+        sizes.append(h_row)
+        stages.append(K)
+        refs.append(ref)
+        y_row = [n1, n2, n3, n4]
+    # The interpolant's three stages of all rows at once, from the stages
+    # laid out as Solution.dense reads them: (stage, row, component).
+    K = np.array(stages).reshape(-1, 4, n).transpose(2, 0, 1)
+    extra = _dop853._extra_many(fun, np.array(starts),
+                                np.array(sizes)[:, None], K)
+    assert [k.shape for k in extra] == [(len(refs), 4)] * 3
+    for s, k in enumerate(extra, n):
+        for row, ref in zip(k.tolist(), refs):
+            assert bits(row) == bits([Kc[s] for Kc in ref])

@@ -19,6 +19,7 @@ from cornerimpact import (
     project_onto_cone,
     tangent_cone_project,
 )
+from cornerimpact.geometry import penalty_rhs
 
 ACUTE = ConeGeometry(math.pi / 3.0)
 OBTUSE = ConeGeometry(2.0 * math.pi / 3.0)
@@ -230,10 +231,9 @@ def _boundary_points(cone):
                      (0.0, 0.0), (2.0, 0.0), tuple(1.5 * cone.face2_normal)])
 
 
-@pytest.mark.parametrize("cone", CONES)
-def test_every_point_is_classified(cone):
-    # Every point, random or on a region line, takes the closed-form w of
-    # its region, and G is v's component along w; all four branches occur.
+def _seeded_states(cone):
+    """400 seeded points and the boundary points, with seeded velocities,
+    every seventh of them zero, and fixed ones on the boundary points."""
     rng = np.random.default_rng(31)
     points = np.vstack([rng.uniform(-3.0, 3.0, (400, 2)),
                         _boundary_points(cone)])
@@ -241,6 +241,14 @@ def test_every_point_is_classified(cone):
     velocities[::7] = 0.0
     velocities[-5:] = [(1.0, -0.5), (0.0, 0.0), (-0.7, 1.2), (0.3, 0.3),
                        (2.0, 1.0)]
+    return points, velocities
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_every_point_is_classified(cone):
+    # Every point, random or on a region line, takes the closed-form w of
+    # its region, and G is v's component along w; all four branches occur.
+    points, velocities = _seeded_states(cone)
     c, s = _cos_sin(cone)
     regions = set()
     for x, v in zip(points, velocities):
@@ -282,13 +290,7 @@ def test_penalty_field_matches_vector_route(cone):
     # The scalar field and its vector wrappers against P_K found as the
     # nearest point of the two boundary rays, with no region split, and G
     # as v's component along w, in every region and on the boundaries.
-    rng = np.random.default_rng(31)
-    points = np.vstack([rng.uniform(-3.0, 3.0, (400, 2)),
-                        _boundary_points(cone)])
-    velocities = rng.uniform(-3.0, 3.0, points.shape)
-    velocities[::7] = 0.0
-    velocities[-5:] = [(1.0, -0.5), (0.0, 0.0), (-0.7, 1.2), (0.3, 0.3),
-                       (2.0, 1.0)]
+    points, velocities = _seeded_states(cone)
     regions = set()
     for x, v in zip(points, velocities):
         regions.add(_region(x, cone))
@@ -331,6 +333,48 @@ def test_penalty_field_at_boundary_points():
 def test_penalty_field_propagates_non_finite_state():
     out = penalty_field(math.nan, -1.0, 0.0, 1.0, ACUTE)
     assert all(math.isnan(c) for c in out)
+
+
+def _rhs_route(x1, x2, v1, v2, cone, alpha):
+    """The first-order fast-time field through ``penalty_field``."""
+    two_alpha = 2.0 * alpha
+    w1, w2, g1, g2 = penalty_field(x1, x2, v1, v2, cone)
+    return v1, v2, -two_alpha * g1 - w1, -two_alpha * g2 - w2
+
+
+def _hex(values):
+    return [float.hex(q) for q in values]
+
+
+@pytest.mark.parametrize("alpha", [1.1, 2.0, 2.9])
+@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
+def test_penalty_rhs_matches_the_penalty_field_route(cone, alpha):
+    # The oracle's one-call field against the route through penalty_field,
+    # bit for bit: seeded points in every region, the boundary points,
+    # zero velocities, signed zeros, and a |w| whose square underflows.
+    points, velocities = _seeded_states(cone)
+    states = [(*x, *v) for x, v in zip(points.tolist(), velocities.tolist())]
+    zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    states += [(*x, *v) for x in zeros + [(-0.0, -2.0), (1e-170, -1.0)]
+               for v in zeros + [(0.4, -1.3)]]
+    rhs = penalty_rhs(cone, alpha)
+    regions = set()
+    for state in states:
+        regions.add(_region(np.array(state[:2]), cone))
+        out = rhs(*state)
+        assert all(type(q) is float for q in out)
+        assert _hex(out) == _hex(_rhs_route(*state, cone, alpha)), state
+    assert regions == {"K", "R1", "R2", "R3"}
+
+
+def test_penalty_rhs_propagates_non_finite_state():
+    rhs = penalty_rhs(ACUTE, 2.0)
+    for state in [(math.nan, -1.0, 0.0, 1.0), (-1.0, math.nan, 0.5, 0.0),
+                  (math.inf, -1.0, 0.0, 1.0), (1.0, 1.0, math.inf, 0.0)]:
+        out = rhs(*state)
+        assert _hex(out) == _hex(_rhs_route(*state, ACUTE, 2.0))
+        assert not any(map(math.isfinite, out[2:])), state
+    assert all(map(math.isnan, rhs(math.nan, -1.0, 0.0, 1.0)[2:]))
 
 
 def test_tangential_projections():
