@@ -11,17 +11,20 @@ for the free flight past the vertex, then the polar chart above.
 
 Lawson stepping (Lawson 1967; Hochbruck & Ostermann, Acta Numerica 2010):
 write a chart's state y as y' = A y + N(y), with the damped-linear part
-A (r, v) = (v, -2 alpha v - r) acting on each position-velocity pair.
-The linear part is propagated exactly by
+A (r, v) = (v, -2 alpha v - omega^2 r) acting on each position-velocity
+pair.  The spring omega^2 is 1 in the Cartesian chart and set per step in
+the polar chart (below).  The linear part is propagated exactly by
 
-    Phi(s) = exp(A s) = [[H2(s), K2(s)], [-K2(s), K2'(s)]],
+    Phi(s) = exp(A s) = [[H(s), K(s)], [-omega^2 K(s), K'(s)]],
 
-the fundamental solutions of ``linear_phase``, in the cancellation-free
-form e = e^{xi1 s}, q = -expm1(-2 sqrt(D) s) / (2 sqrt(D)), K2 = e q,
-H2 = e (1 - xi1 q), K2' = e (1 + xi2 q).  The roots xi1, xi2 and
-2 sqrt(D) come in as arguments from ``linear_phase.characteristic_roots``,
-the same values the face phases use, and 2 alpha = -(xi1 + xi2).  The
-Dormand-Prince tableau (a, b, c) acts on the perturbation M alone:
+at omega^2 = 1 the fundamental solutions H2, K2 of ``linear_phase``, in
+the cancellation-free form e = e^{xi1 s}, m = expm1(-sd2 s),
+K = e (m nu) with nu = -1 / sd2, H = e - xi1 K and K' = e + xi2 K, where
+xi1, xi2 are the roots of x^2 + 2 alpha x + omega^2 and
+sd2 = xi1 - xi2 = 2 sqrt(alpha^2 - omega^2).  At omega^2 = 1 they come in
+as arguments from ``linear_phase.characteristic_roots``, the same values
+the face phases use, and 2 alpha = -(xi1 + xi2).  The Dormand-Prince
+tableau (a, b, c) acts on the perturbation M alone:
 
     U_i     = Phi(c_i h) u_n + h sum_{l<i} a_il Phi((c_i - c_l) h) M_l
     u_{n+1} = Phi(h) u_n     + h sum_l    b_l  Phi((1 - c_l) h)   M_l
@@ -30,6 +33,20 @@ and the embedded error weighs the same terms with b - b^.  The nodes
 increase, so every argument of Phi is >= 0: Phi only decays, and no step
 length overflows it.  The last stage is the step end, so its M is the
 next step's first stage (FSAL).
+
+Phi evaluation: the 13 distinct offsets c_i - c_l are multiples n of
+h / 90 (8, 9, 10, 18, 27, 45, 53, 54, 62, 63, 72, 80 and 90).  A step
+evaluates e and m by ``exp`` and ``expm1`` at the three that are no sum of
+two others (8, 9 and 10), and builds every other one along an addition
+chain (``_phi_chain``, derived from C when the module loads):
+e_{p+q} = e_p e_q and m_{p+q} = m_p + m_q + m_p m_q, which is exact algebra
+for expm1 and does not cancel, as every m lies in (-1, 0].  So a trial step
+makes 3 exp and 3 expm1 calls instead of 13 of each.  Against 40-digit
+values, on three seeded sets of 3,000 draws of alpha in [1 + 1e-8, 1e4]
+and h in [1e-12, 1e3], the chained e were within 4.2 (1 + |xi1 s|) eps
+relative and the chained m within 2.6 eps, where libm's own exp and expm1
+were within 1.1 and 1.5; where e is subnormal the chain loses relative
+precision, at absolute errors below 1e-321.
 
 Cartesian chart, from tau = 0: X = (x, y) = R (cos Theta, sin Theta) and
 P = (px, py) = X'.  There the flow is exactly
@@ -55,19 +72,36 @@ tighter than the polar scale rtol |Theta| does.
 
 Polar chart, after the switch: y = (R, V) with N = (0, c3 / R^3), and the
 angle rides along as a quadrature, so the conserved momentum
-R^2 Theta' = cth holds by construction.  Each step is taken about the
-rest point w of the frozen first-stage force n1 = c3 / R_n^3 (A (w, 0) +
-(0, n1) = 0 gives w = n1), capped at R_n: in u = y - (w, 0) the flow reads
-u' = A u + M(y) with M = N - (0, w).  The shift makes a step exact while
-N stays constant; without it, a step near the rest point Rc = c3^(1/4),
-where c3 / R^3 balances R, would be limited by the quadrature of Phi
-against a constant force (about 30 times shorter than a DP45 step at
-alpha = 8).  The cap keeps w + H2 (R - w) from rounding on the scale of
-n1 >> R in the early window.  N depends on R alone, so stage velocities
-are never formed.  While R >> 1 (the paper's second asymptotic
-R2 = K2 R' + H2 R), N is negligible and y follows the exact linear flow;
-the step is then limited by the Theta quadrature only, and the cost
-hardly grows as eta shrinks.
+R^2 Theta' = cth holds by construction.  Each step linearises the penalty
+about its start R_n: its spring is omega^2 = 1 + 3 n1 / R_n, with
+n1 = c3 / R_n^3 the cached first stage, so that A holds the Jacobian
+-(1 + 3 c3 / R^4) of spring and penalty there and N becomes
+(0, c3 / R^3 + (omega^2 - 1) R).  omega^2 is capped at SPRING_CAP alpha^2,
+so that the roots stay real and apart; while SPRING_CAP alpha^2 <= 1
+(alpha below about 1.005) omega^2 = 1 and the roots are the flow's own.
+The roots xi2 = -alpha - sqrt(alpha^2 - omega^2), xi1 = omega^2 / xi2 and
+sd2 are formed once per accepted step (``_spring``) and at the switch.
+Without the linearisation the explicit stages carry the stiffness
+3 c3 / R^4 (3 at the rest point) against the fast mode -2 alpha, and past
+the exit a run creeps toward the rest point in steps of 2 alpha h ~ 1: at
+eta = 1e-2 the asym-report run to tau3 took 211,391 accepted steps at
+alpha = 300 and 703,765 at alpha = 1000, against 11,949 and 11,755 with
+it, and corner_long trial steps per op fell from 260.9 to 227.3.
+
+Each step is taken about the rest point
+w = (n1 + (omega^2 - 1) R_n) / omega^2 of its frozen first-stage force,
+capped at R_n: in u = y - (w, 0) the flow reads u' = A u + M(y) with
+M = N - (0, omega^2 w).  The shift makes a step exact while N stays
+constant; without it, a step near the rest point Rc = c3^(1/4), where
+c3 / R^3 balances R, would be limited by the quadrature of Phi against a
+constant force (about 30 times shorter than a DP45 step at alpha = 8).
+The cap keeps w + H (R - w) from rounding on the scale of n1 >> R in the
+early window.  With omega^2 = 1 the step does the float operations of the
+step without the spring, bit for bit.  N depends on R alone, so stage
+velocities are never formed.  While R >> 1 (the paper's second asymptotic
+R2 = K2 R' + H2 R), omega^2 is 1 to round-off, N is negligible and y
+follows the exact linear flow; the step is then limited by the Theta
+quadrature only, and the cost hardly grows as eta shrinks.
 
 Step control, in both charts: the error norm err is the RMS above, and
 each attempt scales h by the factor 0.9 err^(-1/5).  An attempt with
@@ -90,6 +124,19 @@ err > 1 is rejected and retried with h shrunk by that factor, at most
   Wanner, Solving ODEs I, II.4, and in ``_dop853``.
 - The switch, below.
 
+A run gives up after MAX_STEPS = 250,000 attempts, over 20 times the
+12,131 of the largest run measured: the asym-report run to tau3 at
+alpha = 300, eta = 1e-2 and the smallest rtol, 100 eps
+(``corner_phase.MIN_RTOL``), the largest over alpha in {1.0001, 1.5, 3,
+30, 300, 1000, 3000, 5000}, eta in {1e-2, 1e-6, 1e-20, 1e-70} and rtol
+in {1e-10, 100 eps} (11,952 at rtol = 1e-10).  From alpha ~ 5100 up, at
+eta = 1e-2, the run settles just below Rc, where the shift w is capped
+at R, and the step is held near 2 alpha h ~ 1 (with the cap at 2 R
+instead, the alpha = 5100 run reached tau = 5 in 132 attempts instead
+of 38,617): it does not finish within 4,000,000 attempts, nor did it
+without the linearisation (measured from 5100 to 7000 and at 1e4), and
+at alpha = 1e4 it spends MAX_STEPS by tau ~ 9 of 46,052, in about 2 s.
+
 The switch: a run leaves the Cartesian chart once, at the end of the
 first accepted step that reaches tau1 = eta^1.2 (where the paper's first
 asymptotic, the free flight, gives way to the damped-linear second).
@@ -109,8 +156,9 @@ and a trial step, ``_attempt`` in the polar chart and
 ``_attempt_cartesian`` in the Cartesian one, is one flat body, generated
 from the one statement of the tableau (``C``, ``A``, ``E``, exact integer
 ratios) when the module loads (``_step_source``): it evaluates Phi inline
-at its 13 distinct offsets (only the forms a stage sum reads) and the
-perturbation inline at its stages, and the error norm sits in the step
+at its 13 distinct offsets (only the forms a stage sum reads, each offset
+where a sum first reads it, after the chain values it is built from) and
+the perturbation inline at its stages, and the error norm sits in the step
 loop.  A Python call costs about as much as a stage's arithmetic: on the
 runs of 64 seeded corner_long and corner_dense benchmark ops, the polar
 body takes 0.65 of the time of one that calls a helper per Phi offset
@@ -130,7 +178,9 @@ evaluates it at many (start, offset) pairs of either chart at once in
 numpy, for ``CornerResult.sample`` after a run; it is as accurate as the
 step itself.  Its maps, ``_polar_many`` and ``_cartesian_many``, are
 generated from the same source as the trial steps, with numpy arrays for
-the numbers.  In the Cartesian chart it maps X, P to R and R' as above
+the numbers.  In the polar chart it rebuilds each step's spring and roots
+from the stored start state with the operations of ``_spring``.  In the
+Cartesian chart it maps X, P to R and R' as above
 and adds the angle between X and the start's X to the start's Theta.  At
 offset 0 it returns R' and Theta exactly, and R exactly (Cartesian) or
 as w + (R - w), within an ulp (polar); at the step end it agrees with the
@@ -156,7 +206,8 @@ Failures: ``integrate_radial`` raises ``SingularRadius`` when the step
 size falls below float resolution and the last rejected step had a stage
 radius (r^2 in the Cartesian chart) outside (0, inf) or a non-finite
 error, and ``IntegrationFailure`` when it falls there after an error-test
-rejection or when MAX_STEPS attempts are spent.
+rejection or when MAX_STEPS attempts are spent; the budget message names
+the tau reached and the horizon.
 """
 from __future__ import annotations
 
@@ -183,34 +234,45 @@ A = (
 E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200),
      (22, 525), (-1, 40))
 
-# Attempted steps (accepted + rejected) before a run gives up.
-MAX_STEPS = 4_000_000
+# Attempted steps (accepted + rejected) before a run gives up: over 20
+# times the 12,131 of the largest run measured (alpha = 300, eta = 1e-2,
+# rtol = 100 eps, to tau3; see "Step control").
+MAX_STEPS = 250_000
 
 # Largest factor by which an accepted step grows the next one.
 MAX_GROWTH = 30.0
 
-# The forms of Phi(s) = [[H, K], [-K, K']] from e = e^{xi1 s} and
-# q = -expm1(-sd2 s) / sd2.
-_PHI = {"H": "e * (1.0 - xi1 * q)", "K": "e * q", "dK": "e * (1.0 + xi2 * q)"}
+# Largest share of alpha^2 that the polar chart's linearised spring takes.
+SPRING_CAP = 0.99
+
+# The forms of Phi(s) = [[H, K], [-omega^2 K, K']] at offset n (in units
+# of h / 90, the lcm of the nodes' denominators) from e = e^{xi1 s},
+# m = expm1(-sd2 s) and nu = -1 / sd2: K first, as the other two read it.
+_PHI = {"K": "e{n} * (m{n} * nu)", "H": "e{n} - xi1 * K{n}",
+        "dK": "e{n} + xi2 * K{n}"}
 
 # Per chart: the names of the trial step and of the array map, their
 # parameters, the trial step's early return, the statements before the
 # first stage, per position component the names of the stage position, its
 # start, the velocity, its start, the perturbation and the folded
-# first-stage velocity v = V + h a_i1 m1, and the statements that check
-# stage k and evaluate its perturbation.  A pair among the statements
-# holds the trial step's form and the array map's (None: left out).
+# first-stage velocity v = V + h a_i1 m1, the statements that check stage k
+# and evaluate its perturbation, and the factor of K in the velocity row
+# (-omega^2 K with the polar chart's spring om2 = omega^2, -K in the
+# Cartesian chart).  A pair among the statements holds the trial step's
+# form and the array map's (None: left out).
 _CHARTS = {
     "polar": (
         "_attempt", "_polar_many",
-        "R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2",
+        "R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2",
         "(False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
-        (("w = n1 if n1 < R else R", "w = minimum(n1, R)"), "u = R - w",
-         "m1 = n1 - w"),
+        ("d = om2 - 1.0", "N1 = n1 + d * R", "w = N1 / om2",
+         ("w = w if w < R else R", "w = minimum(w, R)"), "u = R - w",
+         "om2w = om2 * w", "m1 = N1 - om2w"),
         (("R", "u", "V", "V", "m", "v"),),
         (("if not (0.0 < R{k} < INF):", None), ("    return bad", None),
          "Q = R{k} * R{k}", "n{k} = c3 / (Q * R{k})", "g{k} = cth / Q",
-         "m{k} = n{k} - w")),
+         "m{k} = n{k} + d * R{k} - om2w"),
+        "-om2 * "),
     "cartesian": (
         "_attempt_cartesian", "_cartesian_many",
         "x, y, px, py, f1, h, tc, xi1, xi2, sd2",
@@ -220,8 +282,29 @@ _CHARTS = {
          ("y", "y", "py", "py", "my", "vy")),
         ("Q = x{k} * x{k} + y{k} * y{k}", ("if not (0.0 < Q < INF):", None),
          ("    return bad", None), "f{k} = tc / Q", "mx{k} = -f{k} * y{k}",
-         "my{k} = f{k} * x{k}")),
+         "my{k} = f{k} * x{k}"),
+        "-"),
 }
+
+
+def _phi_chain(offsets):
+    """The addition chain that builds Phi at the positive integer
+    ``offsets``: {n: (p, q)} with p >= q earlier in it and p + q = n, or
+    {n: None} for a base, which the step evaluates by exp and expm1.  Each
+    n takes the pair whose expansion into bases has the fewest factors (on
+    a tie the most even one); an n that is no sum of two earlier ones is a
+    base."""
+    chain, leaves = {}, {}
+    for n in sorted(offsets):
+        pairs = [(leaves[p] + leaves[n - p], p, n - p) for p in chain
+                 if p >= n - p and n - p in chain]
+        if pairs:
+            leaves[n], p, q = min(pairs)
+            chain[n] = (p, q)
+        else:
+            leaves[n] = 1
+            chain[n] = None
+    return chain
 
 
 def _rhs(R, c3, cth):
@@ -235,6 +318,32 @@ def _rhs(R, c3, cth):
     return c3 / (R2 * R), cth / R2
 
 
+def _spring_constants(xi1, xi2, sd2):
+    """(alpha, D, dmax) of the roots (xi1, xi2) and sd2 = 2 sqrt(D): the
+    damping alpha = -(xi1 + xi2) / 2, D = (sd2 / 2)^2 = alpha^2 - 1, and
+    the cap SPRING_CAP alpha^2 - 1 on the polar chart's added spring
+    omega^2 - 1, which is <= 0 when that chart keeps omega^2 = 1."""
+    alpha = -0.5 * (xi1 + xi2)
+    r = 0.5 * sd2
+    return alpha, r * r, SPRING_CAP * alpha * alpha - 1.0
+
+
+def _spring(R, n1, alpha, D, dmax):
+    """(om2, xi1, xi2, sd2): the polar chart's spring om2 = omega^2 at a
+    step start R with first stage n1 = c3 / R^3, and the roots of
+    x^2 + 2 alpha x + omega^2, from the constants of ``_spring_constants``.
+    The run start calls it; the step loop repeats these operations inline
+    after each accepted step, and ``substep_many`` on arrays.  The tests
+    check that every polar step and sample takes the same values."""
+    d = 3.0 * n1 / R
+    if not d < dmax:
+        d = dmax
+    om2 = 1.0 + d
+    r = math.sqrt(D - d)
+    xi2 = -alpha - r
+    return om2, om2 / xi2, xi2, r + r
+
+
 def _polar(x, y, px, py):
     """(R, R', Theta) of the Cartesian state X = (x, y), P = (px, py): R'
     is X.P / R, formed as (x / R) px + (y / R) py so that it is px exactly
@@ -243,23 +352,16 @@ def _polar(x, y, px, py):
     return R, x / R * px + y / R * py, math.atan2(y, x)
 
 
-def _minus(x, y):
-    """x - y of two (numerator, denominator) pairs, in lowest terms."""
-    n = x[0] * y[1] - y[0] * x[1]
-    d = x[1] * y[1]
-    g = math.gcd(n, d)
-    return n // g, d // g
-
-
 def _step_source(chart: str, many: bool = False) -> str:
     """Source of the trial step of ``chart`` ("polar" or "cartesian"), or
     with ``many`` of its array map, expanded from C, A and E.
 
-    ``_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2)`` is one polar
-    trial step of size h from (R, V, T), where (n1, g1) = _rhs(R) is the
-    cached first stage.  It returns (ok, Rn, Vn, Tn, n7, g7, eR, eV, eT):
-    (n7, g7) = _rhs(Rn) is the next step's first stage; e* are the raw
-    embedded error components.
+    ``_attempt(R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2)`` is one
+    polar trial step of size h from (R, V, T), where (n1, g1) = _rhs(R) is
+    the cached first stage and om2 = omega^2 the step's spring, with xi1,
+    xi2 and sd2 its roots (``_spring``).  It returns (ok, Rn, Vn, Tn, n7,
+    g7, eR, eV, eT): (n7, g7) = _rhs(Rn) is the next step's first stage;
+    e* are the raw embedded error components.
     ``_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2)`` is one
     Cartesian trial step of size h from X = (x, y), P = (px, py), with
     tc = 2 alpha cth and the cached first stage f1 = tc / r^2, so that the
@@ -270,28 +372,35 @@ def _step_source(chart: str, many: bool = False) -> str:
     step loop rejects it as it rejects any non-finite error.
 
     Stage i of a position component (polar: radius R{i}, start u, force
-    m{i} = n{i} - w, angle slope g{i}; Cartesian: x{i} and y{i}, starts
-    x and y, forces mx{i} and my{i}) is (w +) H u + K v + h (sum over
-    l >= 2 of a_il K m_l), with H and K at c_i h, the K at (c_i - c_l) h
-    and v = V + h a_i1 m1.  Its velocity, formed at the step end only, is
-    the same sum with -K u and K'.  The error components weigh every m_l
-    (g_l for Theta) with E.  Phi is evaluated once per distinct exact offset,
-    where a sum first reads it: s = c h, e and q, then only the forms
-    that some sum reads.  Each sum is a ``+`` chain from its first term
-    over the nonzero coefficients, in tableau order; at offset 0, K = 0
-    drops a term and K' = 1 a factor.
+    m{i} = n{i} + (omega^2 - 1) R{i} - omega^2 w, angle slope g{i};
+    Cartesian: x{i} and y{i}, starts x and y, forces mx{i} and my{i}) is
+    (w +) H u + K v + h (sum over l >= 2 of a_il K m_l), with H and K at
+    c_i h, the K at (c_i - c_l) h and v = V + h a_i1 m1.  Its velocity,
+    formed at the step end only, is the same sum with -omega^2 K u and K'.
+    The error components weigh every m_l (g_l for Theta) with E.  Phi is
+    evaluated once per distinct exact offset n (in units of h / 90), where
+    a sum first reads it: first e{n} and m{n} with those of the chain that
+    it is built from and that are not yet there (s = c h, then ``exp`` and
+    ``expm1`` at a base), then K{n} and the other forms that some sum
+    reads.  Each sum is a ``+`` chain from its first term over the nonzero
+    coefficients, in tableau order; at offset 0, K = 0 drops a term and
+    K' = 1 a factor.
 
     The array map ``_polar_many`` or ``_cartesian_many`` takes the same
     parameters, each an array over samples or a number, and returns the
     step-end state alone ((Rn, Vn, Tn) or (xn, yn, pxn, pyn)).  Its body is
     the trial step's with the same stage sums, less the stage checks, the
     last stage's perturbation and the error sums, and with
-    ``minimum(n1, R)`` for the conditional.
+    ``minimum(w, R)`` for the conditional.
     """
-    name, many_name, params, bad, prelude, comps, check = _CHARTS[chart]
+    name, many_name, params, bad, prelude, comps, check, dH = _CHARTS[chart]
     polar = chart == "polar"
-    index = {}  # exact offset -> number of its Phi
-    forms = []  # per number, the forms of Phi that a sum reads
+    # Nodes and their offsets c_i - c_l are integers in units of h / unit
+    # (90); index maps each offset that a sum reads to the forms of Phi it
+    # reads there.
+    unit = math.lcm(*(d for _, d in C))
+    nodes = [n * unit // d for n, d in C]
+    index = {}
 
     def side(statements):
         """This body's statements: its side of each pair."""
@@ -301,17 +410,17 @@ def _step_source(chart: str, many: bool = False) -> str:
     lines = [f"def {many_name}({params}):"] if many else [
         f"def {name}({params}):", "    INF = math.inf", f"    bad = {bad}"]
     lines += [f"    {line}" for line in side(prelude)]
+    lines.append("    nu = -1.0 / sd2")
 
     def phi(form, i, l):
         """Name of a form of Phi((c_i - c_l) h); a new offset leaves a
         placeholder for its evaluation in ``lines``."""
-        x = _minus(C[i], C[l])
+        x = nodes[i] - nodes[l]
         if x not in index:
-            index[x] = len(forms)
-            forms.append(set())
+            index[x] = set()
             lines.append(x)
-        forms[index[x]].add(form)
-        return f"{form}{index[x]}"
+        index[x].add(form)
+        return f"{form}{x}"
 
     def chain(i, coefs, first, form, m):
         """Sum over l >= first of coefs[l] form((c_i - c_l) h) m_l, or of
@@ -323,7 +432,7 @@ def _step_source(chart: str, many: bool = False) -> str:
                 continue
             if form is None:
                 terms.append(f"{n / d!r} * g{l + 1}")
-            elif _minus(C[i], C[l])[0]:
+            elif nodes[i] != nodes[l]:
                 terms.append(f"{n / d!r} * {phi(form, i, l)} * {m}{l + 1}")
             elif form == "dK":
                 terms.append(f"{n / d!r} * {m}{l + 1}")
@@ -342,7 +451,7 @@ def _step_source(chart: str, many: bool = False) -> str:
             lines += [f"    {line}".format(k=k) for line in side(check)]
     # The last stage is the step end: its velocity, then the error sums.
     for _, u, P, _, m, v in comps:
-        lines.append(f"    {P}{k} = -{K} * {u} + {phi('dK', i, 0)} * {v}"
+        lines.append(f"    {P}{k} = {dH}{K} * {u} + {phi('dK', i, 0)} * {v}"
                      f" + h * ({chain(i, A[i], 1, 'dK', m)})")
     if polar:
         lines.append(f"    T{k} = T + h * ({chain(i, A[i], 0, None, 'm')})")
@@ -361,17 +470,32 @@ def _step_source(chart: str, many: bool = False) -> str:
         state += [f"n{k}", f"g{k}"] if polar else [f"f{k}"]
         lines.append("    return True, "
                      + ", ".join(state + [e for e, *_ in errors]))
+    # Phi at each offset, built by the chain from its bases where a sum
+    # first reads it.
+    plan = _phi_chain(index)
+    built = set()
+
+    def build(n):
+        """Statements that evaluate e{n} and m{n} and those they read."""
+        if n in built:
+            return []
+        built.add(n)
+        if plan[n] is None:
+            return [f"s = {n / unit!r} * h", f"e{n} = exp(xi1 * s)",
+                    f"m{n} = expm1(-sd2 * s)"]
+        p, q = plan[n]
+        return build(p) + build(q) + [f"e{n} = e{p} * e{q}",
+                                      f"m{n} = m{p} + m{q} + m{p} * m{q}"]
+
     out = []
     for line in lines:
         if isinstance(line, str):
             out.append(line)
             continue
-        j = index[line]
-        out += [f"    s = {line[0] / line[1]!r} * h",
-                "    e = exp(xi1 * s)",
-                "    q = -expm1(-sd2 * s) / sd2"]
-        out += [f"    {form}{j} = {expr}" for form, expr in _PHI.items()
-                if form in forms[j]]
+        out += [f"    {x}" for x in build(line)]
+        out += [f"    {form}{line} = {expr.format(n=line)}"
+                for form, expr in _PHI.items()
+                if form == "K" or form in index[line]]
     return "\n".join(out) + "\n"
 
 
@@ -409,17 +533,29 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
     same floating-point operations as ``_substep`` but numpy's exp and
     expm1, which differ from libm's in the last bit on some arguments, so
     the samples agree with ``_substep`` to round-off and not always bit
-    for bit.  Stage radii are not checked: the offsets lie inside accepted
-    steps.  Returns the end states as an array with columns R, V, Theta.
+    for bit.  A polar step's spring and roots are rebuilt from its start
+    with the operations of ``_spring``.  Stage radii are not checked: the
+    offsets lie inside accepted steps.  Returns the end states as an array
+    with columns R, V, Theta.
     """
     out = np.empty((s.size, 3))
     polar = ~cart
     if polar.any():
         R0 = R[polar]
         Q = R0 * R0
+        n1 = c3 / (Q * R0)
+        roots = (1.0, xi1, xi2, sd2)
+        alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
+        if dmax > 0.0:
+            # Each step's spring and roots, as ``_spring`` forms them.
+            d = np.minimum(3.0 * n1 / R0, dmax)
+            om2 = 1.0 + d
+            r = np.sqrt(D - d)
+            pxi2 = -alpha - r
+            roots = (om2, om2 / pxi2, pxi2, r + r)
         out[polar] = np.column_stack(_polar_many(
-            R0, V[polar], T[polar], c3 / (Q * R0), cth / Q, s[polar], c3,
-            cth, xi1, xi2, sd2))
+            R0, V[polar], T[polar], n1, cth / Q, s[polar], c3, cth,
+            *roots))
     if cart.any():
         x0, y0, px0, py0 = XP.T
         tc = -(xi1 + xi2) * cth
@@ -507,6 +643,12 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
 
     n1, g1 = _rhs(R, c3, cth)
     cart = tau1 > 0.0
+    # The polar chart's spring and roots (omega^2 = 1 and the flow's own
+    # roots while dmax <= 0), set at each polar step start.
+    alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
+    om2, pxi1, pxi2, psd2 = 1.0, xi1, xi2, sd2
+    if not cart and dmax > 0.0:
+        om2, pxi1, pxi2, psd2 = _spring(R, n1, alpha, D, dmax)
     if cart:
         # 2 alpha P_perp = f (-y, x) with f = 2 alpha cth / r^2, which is
         # 2 alpha Theta': f1 = ta g1.
@@ -522,7 +664,9 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
 
     while tau < tau_end:
         if nacc + nrej >= MAX_STEPS:
-            raise IntegrationFailure(f"step budget {MAX_STEPS} exhausted")
+            raise IntegrationFailure(
+                f"step budget {MAX_STEPS} exhausted at tau ~ {tau:.6g} of "
+                f"{tau_end:.6g}")
         if tau + h > tau_end:
             h = tau_end - tau
         if tau + h == tau:
@@ -552,7 +696,7 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
             err = math.sqrt((ex * ex + ey * ey + epx * epx + epy * epy) / 4.0)
         else:
             _, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
-                R, V, Th, n1, g1, h, c3, cth, xi1, xi2, sd2)
+                R, V, Th, n1, g1, h, c3, cth, om2, pxi1, pxi2, psd2)
             a = abs(R)
             b = abs(Rn)
             eR /= atol + rtol * (b if b > a else a)
@@ -595,8 +739,8 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
                 f0, fn = y * ct - x * st, yn * ct - xn * st
             else:
                 def at(s):
-                    ok, Re, Ve, Te = _substep(
-                        False, R, V, Th, n1, g1, s, c3, cth, xi1, xi2, sd2)
+                    ok, Re, Ve, Te = _substep(False, R, V, Th, n1, g1, s,
+                                              c3, cth, om2, pxi1, pxi2, psd2)
                     if not ok:
                         return None
                     return Te - theta_target, cth / (Re * Re), (Re, Ve, Te)
@@ -634,6 +778,18 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
             x, y, px, py, f1 = xn, yn, pxn, pyn, f7  # FSAL
             if tau < tau_end:
                 xs += (x, y, px, py)
+        if not cart and dmax > 0.0:
+            # The next step's spring and roots: _spring(R, n1, alpha, D,
+            # dmax) without the call, which read 7 % slower on four
+            # corner_long pairs (ROADMAP "Dead ends").
+            d = 3.0 * n1 / R
+            if not d < dmax:
+                d = dmax
+            om2 = 1.0 + d
+            r = math.sqrt(D - d)
+            pxi2 = -alpha - r
+            pxi1 = om2 / pxi2
+            psd2 = r + r
         h *= fac
 
     return (np.array(ts), np.array(ys).reshape(-1, 3),

@@ -153,7 +153,9 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     but integration continues to the horizon.  The first trial step is
     1e-3 kappa.  The kernel leaves its free-flight chart by tau1 =
     eta^1.2 of ``asymptotics.asymptotic_times``, or past 10 kappa when
-    kappa > rtol.  rtol must be at least ``MIN_RTOL``.
+    kappa > rtol.  rtol must be at least ``MIN_RTOL``.  A kernel
+    ``IntegrationFailure`` is raised again with alpha and eta in its
+    message.
     """
     rtol = check_rtol(rtol)
     atol = check_atol(atol)
@@ -164,10 +166,15 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
             f"horizon must be non-negative and finite, got {horizon!r}")
 
     tau1 = asymptotics.asymptotic_times(params.eta, params.damping).tau1
-    ts, ys, xs, exit, nacc, nrej = integrate_radial(
-        params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
-        horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event, tau1,
-        params.kappa)
+    try:
+        ts, ys, xs, exit, nacc, nrej = integrate_radial(
+            params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
+            horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event, tau1,
+            params.kappa)
+    except IntegrationFailure as exc:
+        raise IntegrationFailure(
+            f"{exc} (alpha = {params.damping.alpha:g}, "
+            f"eta = {params.eta:g})") from exc
 
     R, dR, Theta = ys.T.copy()
     return CornerResult(

@@ -1,6 +1,7 @@
 """Adaptive corner integration: events, sampling, conservation, oracle."""
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from functools import reduce
@@ -16,6 +17,7 @@ from cornerimpact import (
     InvalidInput,
     ScaleFreeRun,
     ScaledState,
+    SimConfig,
     SingularRadius,
     asymptotic_times,
     characteristic_roots,
@@ -52,6 +54,23 @@ def lin_roots(damping):
     return damping.xi1, damping.xi2, 2.0 * damping.sqrt_delta
 
 
+def polar_spring(R, n1, lin):
+    """(om2, xi1, xi2, sd2) of a polar step from R, with first stage
+    n1 = c3 / R^3, as a run forms them at the step start: omega^2 =
+    1 + 3 n1 / R up to SPRING_CAP alpha^2 and the roots of x^2 + 2 alpha x
+    + omega^2, or omega^2 = 1 and the flow's roots ``lin`` while
+    SPRING_CAP alpha^2 <= 1."""
+    alpha, D, dmax = _kernels._spring_constants(*lin)
+    if not dmax > 0.0:
+        return (1.0, *lin)
+    d = 3.0 * n1 / R
+    d = d if d < dmax else dmax
+    om2 = 1.0 + d
+    r = math.sqrt(D - d)
+    xi2 = -alpha - r
+    return om2, om2 / xi2, xi2, r + r
+
+
 def test_radial_rhs_values():
     p = params_at(1e-2)
     dR, ddR, dTh = radial_rhs(ScaledState(0.0, 1.0, 0.5, 0.0), p)
@@ -79,8 +98,8 @@ def test_acute_exit_regression():
 
 def test_obtuse_exit_regression():
     res = integrate_corner(params_at(1e-2), OBTUSE)
-    assert res.exit_tau == pytest.approx(12.516784287077181, rel=1e-12)
-    assert res.exit_state.R == pytest.approx(1.025434826809858, rel=1e-12)
+    assert res.exit_tau == pytest.approx(12.51678428705805, rel=1e-12)
+    assert res.exit_state.R == pytest.approx(1.025434826814646, rel=1e-12)
     assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-14
     # The obtuse passage exits well before the default settle horizon.
     assert res.exit_tau < res.horizon
@@ -192,8 +211,9 @@ def test_dense_output_matches_single_step(cone):
             ref[j] = _polar(*X)
         else:
             R, V, T = res.R[i], res.dR[i], res.Theta[i]
-            ok, *ref[j] = _substep(False, R, V, T, *_rhs(R, c3, cth),
-                                   tau - res.tau[i], c3, cth, *lin)
+            n1, g1 = _rhs(R, c3, cth)
+            ok, *ref[j] = _substep(False, R, V, T, n1, g1, tau - res.tau[i],
+                                   c3, cth, *polar_spring(R, n1, lin))
         assert ok
     np.testing.assert_allclose(st.R, ref[:, 0], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(st.Theta, ref[:, 2], rtol=1e-13, atol=0.0)
@@ -258,9 +278,32 @@ def test_kernel_step_underflow(cth, error, message):
 
 
 def test_step_budget_names_the_kernel_budget(monkeypatch):
+    # The message names the budget, how far the run got, its horizon, and
+    # the run's alpha and eta.
     monkeypatch.setattr(_kernels, "MAX_STEPS", 10)
-    with pytest.raises(IntegrationFailure, match="step budget 10 exhausted"):
+    with pytest.raises(IntegrationFailure,
+                       match=r"step budget 10 exhausted at tau ~ \S+ of "
+                             r"\S+ \(alpha = 2, eta = 0\.01\)"):
         integrate_corner(params_at(1e-2), OBTUSE)
+
+
+@pytest.mark.parametrize("alpha", [30.0, 300.0, 1000.0])
+def test_large_alpha_run_takes_few_steps(alpha):
+    # The asym-report run at eta = 1e-2 (default data, to tau3): each polar
+    # step linearises the penalty about its start, so the step is not held
+    # at 2 alpha h ~ 1 while the run creeps toward the rest point on the
+    # slow mode.  Without the linearisation these runs took 7,759, 211,391
+    # and 703,765 accepted steps.
+    config = SimConfig().override(alpha=alpha)
+    params = scaled_params_direct(1e-2, config.eps, config.init,
+                                  config.damping)
+    tau3 = asymptotic_times(1e-2, config.damping, gamma1=config.gamma1,
+                            zeta=config.zeta).tau3
+    res = integrate_corner(params, config.cone, rtol=config.rtol,
+                           atol=config.atol, horizon=tau3,
+                           stop_at_event=False)
+    assert res.tau[-1] == tau3
+    assert res.n_accepted <= 15_000
 
 
 # Exit (tau, R, R', Theta), the last sample, the states ``sample`` gives
@@ -270,46 +313,47 @@ def test_step_budget_names_the_kernel_budget(monkeypatch):
 # At eta = 1e-20 the obtuse run takes Lawson steps tens of tau long and
 # the samples fall inside them.  "past_exit" is the asym-report run: it
 # continues past the exit to tau3 = zeta ln(1/eta) at alpha = 8 and
-# settles toward the rest point Rc, where the step is taken about w = n1.
+# settles toward the rest point Rc, where the step is taken about the rest
+# point w of the linearised spring.
 BITWISE_PINS = {
     "acute": dict(
         eta=1e-2, cone=ACUTE, samples=[1e-4, 1e-2, 0.5],
-        exit=(4.9997617400403076e-05, 0.005773081589565329,
-              86.59130465820805, 1.0471975511965976),
+        exit=(4.9997617400403035e-05, 0.005773081589565329,
+              86.5913046582081, 1.0471975511965976),
         R=[], dR=[], Theta=[], steps=(24, 2)),
     "obtuse": dict(
         eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
-        exit=(12.516784287077707, 1.025434826809619, -0.2575705735650876,
+        exit=(12.51678428705805, 1.025434826814646, -0.2575705735673111,
               2.0943951023931953),
-        R=[0.01040719755970993, 0.9804259662669891, 20.78476654232424],
-        dR=[96.0498928419006, 96.09103743032469, 9.9072976427429],
-        Theta=[1.2898133595604748, 1.56842223009345, 1.571828767578945],
-        steps=(215, 3)),
+        R=[0.010407197559709926, 0.9804259662669856, 20.784766542324164],
+        dR=[96.04989284190054, 96.09103743032419, 9.907297642742858],
+        Theta=[1.2898133595604753, 1.5684222300934494, 1.571828767578945],
+        steps=(198, 3)),
     "obtuse_far": dict(
         eta=1e-20, cone=OBTUSE, samples=[1.0, 20.0, 60.0, 120.0, 160.0],
-        exit=(167.1975805844548, 1.0252000991116448, -0.2574957195985625,
+        exit=(167.1975805844844, 1.0252000991041552, -0.2574957195972408,
               2.0943951023931953),
-        R=[2.1390913026027938e+19, 1.3584143568570456e+17,
-           3008001405047.3877, 313434.4239751375, 6.94057853197359],
-        dR=[-3.337309713930791e+18, -3.639860299066884e+16,
-            -805991547314.1299, -83984.50078425223, -1.8596674623416156],
+        R=[2.1390913026027962e+19, 1.3584143568570474e+17,
+           3008001405047.389, 313434.42397513683, 6.940578531969767],
+        dR=[-3.3373097139308027e+18, -3.639860299066887e+16,
+            -805991547314.1305, -83984.50078425204, -1.8596674623283007],
         Theta=[1.5707963267948966, 1.5707963267948966, 1.5707963267948966,
-               1.570796326801123, 1.581978851363339],
-        steps=(150, 25)),
+               1.570796326801123, 1.581978851354739],
+        steps=(133, 25)),
     "past_exit": dict(
         eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
         samples=[1e-4, 1e-2, 0.5, 5.0, 30.0],
-        exit=(1.0910560790685655e-05, 0.0012598152342055743,
-              86.59305062139177, 1.0471975511965976),
-        last=(36.69688332983271, 0.6339250781333546, -0.03881004528447773,
-              2.818272770378141),
-        R=[0.010013064117017237, 0.9242316605402395, 6.103630774689426,
-           4.603814640456553, 0.9602011417654026],
-        dR=[99.65692801309541, 85.2233569149919, -0.3483568528624032,
-            -0.28886873906036176, -0.05997085902932685],
-        Theta=[1.5080309297438146, 1.570765276303476, 1.572344556171144,
-               1.5825635891802283, 2.104170583439005],
-        steps=(776, 3)),
+        exit=(1.0910560790685653e-05, 0.0012598152342055734,
+              86.59305062139171, 1.0471975511965976),
+        last=(36.69688332983271, 0.633925078133331, -0.038810045284181686,
+              2.8182727703978467),
+        R=[0.010013064117017214, 0.92423166054024, 6.103630774689394,
+           4.603814640456421, 0.9602011417653414],
+        dR=[99.65692801309513, 85.22335691499194, -0.34835685286240103,
+            -0.28886873905901106, -0.05997085902853666],
+        Theta=[1.508030929743815, 1.5707652763034763, 1.5723445561711444,
+               1.5825635891996346, 2.1041705834585667],
+        steps=(439, 3)),
 }
 
 
@@ -331,28 +375,74 @@ def test_bitwise_pin(case):
     assert (res.n_accepted, res.n_rejected) == pin["steps"]
 
 
-def reference_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
+def tableau():
+    """C, A and E of ``_kernels`` as exact fractions."""
+    return ([Fraction(*x) for x in _kernels.C],
+            [[Fraction(*x) for x in row] for row in _kernels.A],
+            [Fraction(*x) for x in _kernels.E])
+
+
+def chain_values(h, xi1, sd2):
+    """e = e^{xi1 s} and m = expm1(-sd2 s) at each offset s = c_i - c_l
+    of the tableau, keyed by the offset: by exp and expm1 at the bases of
+    ``_kernels._phi_chain``, and along it e_{p+q} = e_p e_q and
+    m_{p+q} = m_p + m_q + m_p m_q, in the generated steps' order."""
+    c = tableau()[0]
+    unit = math.lcm(*(x.denominator for x in c))
+    offsets = {ci - cl for i, ci in enumerate(c) for cl in c[:i]} - {0}
+    plan = _kernels._phi_chain(int(x * unit) for x in offsets)
+    e, m = {}, {}
+    for n in sorted(plan):
+        if plan[n] is None:
+            s = float(Fraction(n, unit)) * h
+            e[n], m[n] = math.exp(xi1 * s), math.expm1(-sd2 * s)
+        else:
+            p, q = plan[n]
+            e[n], m[n] = e[p] * e[q], m[p] + m[q] + m[p] * m[q]
+    return {Fraction(n, unit): (e[n], m[n]) for n in plan}
+
+
+def reference_phi(h, xi1, xi2, sd2):
+    """(H, K, K') at each offset of the tableau, 0 included: K = e (m nu)
+    with nu = -1 / sd2, H = e - xi1 K and K' = e + xi2 K."""
+    nu = -1.0 / sd2
+    table = {Fraction(0): (1.0, 0.0, 1.0)}
+    for x, (e, m) in chain_values(h, xi1, sd2).items():
+        K = e * (m * nu)
+        table[x] = (e - xi1 * K, K, e + xi2 * K)
+    return table
+
+
+def reference_attempt(R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2,
+                      linearised=True):
     """The trial step as a plain loop over C, A and E, with the operations
     of the generated ``_attempt`` in its order: each sum a ``+`` chain from
     its first term over the nonzero coefficients, with the R terms at
-    offset 0 (K = 0) left out."""
-    c = [Fraction(*x) for x in _kernels.C]
-    A = [[Fraction(*x) for x in row] for row in _kernels.A]
-    E = [Fraction(*x) for x in _kernels.E]
+    offset 0 (K = 0) left out.  With ``linearised=False`` it is the step
+    without the spring omega^2: w = min(n1, R), forces n_k - w and -K u in the
+    velocity row."""
+    c, A, E = tableau()
+    table = reference_phi(h, xi1, xi2, sd2)
 
     def phi(i, l):  # (H, K, K') at (c_i - c_l) h
-        s = float(c[i] - c[l]) * h
-        e = math.exp(xi1 * s)
-        q = -math.expm1(-sd2 * s) / sd2
-        return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
+        return table[c[i] - c[l]]
 
     def chain(i, a, first, form, y):  # form: 1 K, 2 K', None 1
         return [float(a[l]) * (1.0 if form is None else phi(i, l)[form])
                 * y[l] for l in range(first, len(a))
                 if a[l] and not (form == 1 and c[i] == c[l])]
 
-    w = n1 if n1 < R else R
-    u, m, g = R - w, [n1 - w], [g1]
+    if linearised:
+        d = om2 - 1.0
+        N1 = n1 + d * R
+        w = N1 / om2
+        w = w if w < R else R
+        om2w = om2 * w
+        m = [N1 - om2w]
+    else:
+        w = n1 if n1 < R else R
+        m = [n1 - w]
+    u, g = R - w, [g1]
     for i in range(1, len(A)):
         H, K, dK = phi(i, 0)
         v = V + h * float(A[i][0]) * m[0]
@@ -364,10 +454,11 @@ def reference_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
             return (False, 0.0, 0.0, 0.0, 0.0, 0.0) + (math.inf,) * 3
         Q = Ri * Ri
         n, gi = c3 / (Q * Ri), cth / Q
-        m.append(n - w)
+        m.append(n + d * Ri - om2w if linearised else n - w)
         g.append(gi)
     b = A[-1]
-    Vn = -K * u + dK * v + h * reduce(add, chain(i, b, 1, 2, m))
+    Vn = ((-om2 * K if linearised else -K) * u + dK * v
+          + h * reduce(add, chain(i, b, 1, 2, m)))
     Tn = T + h * reduce(add, chain(i, b, 0, None, g))
     return (True, Ri, Vn, Tn, n, gi,
             *(h * reduce(add, chain(i, E, 0, form, y))
@@ -376,36 +467,49 @@ def reference_attempt(R, V, T, n1, g1, h, c3, cth, xi1, xi2, sd2):
 
 def check_array_map(chart, ok, groups):
     """The array map of ``chart``, in one call on the arguments of the
-    accepted trial steps in ``ok`` (pairs of arguments and step-end
-    state), against their step ends: bit for bit with libm's exp and expm1
-    in place of numpy's, and as it is within 32 eps of the scale of each
-    group of state columns (the largest start or end value in it).  numpy's
-    exp differs from libm's in the last bit on some arguments, and the
-    stage sums amplify that by up to the size of the tableau's weights."""
+    trial steps in ``ok`` whose stage radii stayed inside (0, inf) (pairs of
+    arguments and the trial step's output after its flag), against their
+    step ends: bit for bit with libm's exp and expm1 in place of numpy's,
+    and as it is within 32 eps of the scale of each group of state columns
+    (the largest start or end value in it) on the steps whose error
+    estimate is within 1e-2 of that scale, and within 1024 eps on every
+    other step.  numpy's exp differs from libm's in the last bit on some
+    arguments; the Phi chain carries a base's difference into the offsets
+    built from it, and the stage sums amplify it by up to the size of the
+    tableau's weights.  Far from the flow, a stage radius near 0 amplifies
+    it further through the penalty force c3 / R^3: over 32 seeded sets of
+    3,000 draws of either chart the largest differences were 21 eps on the
+    near steps and 638 eps on the others."""
     name = f"_{chart}_many"
-    args, ends = zip(*ok)
+    args, outs = zip(*ok)
+    n = sum(map(len, groups))
     cols = np.array(args).T
-    ends = np.array(ends)
+    ends = np.array([out[:n] for out in outs])
+    errs = np.abs(np.array([out[-n:] for out in outs]))
     libm = {"exp": np.vectorize(math.exp), "expm1": np.vectorize(math.expm1),
             "minimum": np.minimum}
     exec(_kernels._step_source(chart, many=True), libm)
     np.testing.assert_array_equal(np.column_stack(libm[name](*cols)), ends)
     got = np.column_stack(getattr(_kernels, name)(*cols))
-    size = np.abs(np.stack([cols[:ends.shape[1]].T, ends]))
+    size = np.abs(np.stack([cols[:n].T, ends]))
+    eps = np.finfo(float).eps
     for g in groups:
         scale = size[:, :, g].max(axis=(0, 2))[:, None]
-        assert np.all(np.abs(got[:, g] - ends[:, g])
-                      <= 32.0 * np.finfo(float).eps * scale), (chart, g)
+        near = np.all(errs[:, g] <= 1e-2 * scale, axis=1)
+        assert near.sum() > 0.7 * len(ok), (chart, g)
+        bound = np.where(near, 32.0, 1024.0)[:, None] * eps * scale
+        assert np.all(np.abs(got[:, g] - ends[:, g]) <= bound), (chart, g)
 
 
-def test_generated_step_matches_the_reference_loop():
-    # Seeded states: h from 1e-14 to 1e3, so that many trial steps have a
-    # stage radius outside (0, inf), and V = +-0.0 now and then.
-    rng = random.Random(19)
-    rejected = 0
-    ok = []
-    for _ in range(3000):
-        xi1, xi2, sd2 = lin_roots(
+def polar_draws(seed, n):
+    """Seeded arguments of ``_attempt``: h from 1e-14 to 1e3, so that many
+    trial steps have a stage radius outside (0, inf), V = +-0.0 now and
+    then, and the spring omega^2 and roots as a run forms them
+    (``_spring``), or omega^2 = 1 with the flow's own roots one time in
+    four."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        roots = lin_roots(
             characteristic_roots(1.0 + 10.0 ** rng.uniform(-3.0, 2.0)))
         c3 = 10.0 ** rng.uniform(-6.0, 2.0)
         cth = math.sqrt(c3) * rng.uniform(0.1, 1.0)
@@ -413,25 +517,124 @@ def test_generated_step_matches_the_reference_loop():
         V = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 3.0)
         if rng.random() < 0.05:
             V = rng.choice((0.0, -0.0))
-        args = (R, V, rng.uniform(0.0, 3.0), *_rhs(R, c3, cth),
-                10.0 ** rng.uniform(-14.0, 3.0), c3, cth, xi1, xi2, sd2)
+        n1, g1 = _rhs(R, c3, cth)
+        spring = (polar_spring(R, n1, roots) if rng.random() < 0.75
+                  else (1.0, *roots))
+        yield (R, V, rng.uniform(0.0, 3.0), n1, g1,
+               10.0 ** rng.uniform(-14.0, 3.0), c3, cth, *spring)
+
+
+def test_generated_step_matches_the_reference_loop():
+    rejected = 0
+    ok = []
+    for args in polar_draws(19, 3000):
         out = _kernels._attempt(*args)
         ref = reference_attempt(*args)
         assert out[0] is ref[0]
         assert [x.hex() for x in out[1:]] == [x.hex() for x in ref[1:]], args
         rejected += not out[0]
         if out[0]:
-            ok.append((args, out[1:4]))
+            ok.append((args, out[1:]))
     assert 100 < rejected < 2900
     check_array_map("polar", ok, ([0, 1], [2]))
+
+
+def test_unit_spring_is_the_step_without_it():
+    # With omega^2 = 1 the linearised step does the float operations of the
+    # step without the spring, bit for bit, whatever the roots: d R_k = 0
+    # adds 0, omega^2 w = w and -omega^2 K = -K.
+    for a in polar_draws(23, 3000):
+        a = a[:8] + (1.0,) + a[9:]
+        out = _kernels._attempt(*a)
+        ref = reference_attempt(*a, linearised=False)
+        assert [x.hex() for x in out[1:]] == [x.hex() for x in ref[1:]], a
+
+
+@pytest.mark.parametrize("alpha, cone",
+                         [(1.004, OBTUSE), (2.0, OBTUSE), (8.0, ACUTE)])
+def test_each_polar_step_linearises_the_penalty_at_its_start(
+        alpha, cone, monkeypatch):
+    # Every polar trial step of a run (and of its exit search) takes the
+    # spring and roots of ``polar_spring`` at its start, bit for bit:
+    # omega^2 = 1 + 3 c3 / R^4, the Jacobian of spring and penalty at R, up
+    # to SPRING_CAP alpha^2, and the roots of x^2 + 2 alpha x + omega^2;
+    # omega^2 = 1 and the flow's own roots at alpha = 1.004, where
+    # SPRING_CAP alpha^2 <= 1; also the first step of a run that starts in
+    # the polar chart.  Sampling rebuilds the same values.
+    p = scaled_params_direct(1e-3, "derive", UNIT, characteristic_roots(alpha))
+    lin = lin_roots(p.damping)
+    dmax = _kernels._spring_constants(*lin)[2]
+    steps = {}  # start (R, V, T) -> (n1, (om2, xi1, xi2, sd2))
+    step = _kernels._attempt
+
+    def attempt(*args):
+        steps[args[:3]] = args[3], args[8:]
+        return step(*args)
+
+    monkeypatch.setattr(_kernels, "_attempt", attempt)
+    res = integrate_corner(p, cone, horizon=20.0, stop_at_event=False)
+    assert len(steps) > 50
+    # A run that starts in the polar chart (tau1 = 0), below Rc at rest.
+    c3, cth = _flow_constants(p)[:2]
+    R0 = 0.5 * c3 ** 0.25
+    integrate_radial(R0, 0.0, c3, cth, *lin, math.inf, 5.0, 1e-10, 1e-12,
+                     1e-3, False, 0.0, 0.0)
+    assert (R0, 0.0, 0.0) in steps
+    capped = 0
+    for (R, V, T), (n1, spring) in steps.items():
+        assert n1 == _rhs(R, c3, cth)[0]
+        om2, xi1, xi2, sd2 = spring
+        assert spring == polar_spring(R, n1, lin)
+        assert xi1 * xi2 == pytest.approx(om2, rel=1e-14)
+        assert xi1 + xi2 == pytest.approx(-2.0 * alpha, rel=1e-14)
+        assert xi1 - xi2 == pytest.approx(sd2, rel=1e-14)
+        capped += om2 == 1.0 + dmax
+    assert (alpha == 1.004) == all(x[1][0] == 1.0 for x in steps.values())
+    assert (capped > 0) == (dmax > 0.0)
+
+    rows = []  # per sampled polar step: its start and (om2, xi1, xi2, sd2)
+    polar_many = _kernels._polar_many
+
+    def many(R, V, T, *args):
+        rows.extend(zip(R, V, T, *np.broadcast_arrays(R, *args[-4:])[1:]))
+        return polar_many(R, V, T, *args)
+
+    monkeypatch.setattr(_kernels, "_polar_many", many)
+    m = len(res.cartesian)
+    res.sample(0.5 * (res.tau[m:-1] + res.tau[m + 1:]))
+    assert len(rows) == res.tau.size - 1 - m
+    assert all(steps[row[:3]][1] == tuple(row[3:]) for row in rows)
+
+
+def test_phi_chain_is_as_accurate_as_libm():
+    # e and m at every offset, built by the chain from three bases, against
+    # exp and expm1 of each offset directly: seeded draws with alpha from
+    # 1 + 1e-8 to 1e4 (both ends included) and h from 1e-14 to 1e3.  Over
+    # seeds 0-7 the largest differences were 4.5 (1 + |xi1 s|) eps for e
+    # (at most about 9 roundings below 1) and 3.4 eps for m, relative to
+    # the direct value or, where it is subnormal, to the smallest normal.
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    rng = random.Random(31)
+    for j in range(3000):
+        alpha = (1.0 + 1e-8, 1e4, min(1.0 + 10.0 ** rng.uniform(-8.0, 4.0),
+                                      1e4))[min(j, 2)]
+        xi1, _, sd2 = lin_roots(characteristic_roots(alpha))
+        h = 10.0 ** rng.uniform(-14.0, 3.0)
+        values = chain_values(h, xi1, sd2)
+        assert len(values) == 13
+        for x, (e, m) in values.items():
+            s = float(x) * h
+            de, dm = math.exp(xi1 * s), math.expm1(-sd2 * s)
+            assert math.isfinite(e) and math.isfinite(m)
+            assert abs(e - de) <= 5.0 * eps * (1.0 + abs(xi1 * s)) \
+                * max(de, tiny), (alpha, h, x)
+            assert abs(m - dm) <= 4.0 * eps * max(-dm, tiny), (alpha, h, x)
 
 
 def test_tableau_is_consistent():
     # Exact: the rows sum to the nodes, b = A[-1] has order 5 and
     # b^ = b - E order 4.
-    c = [Fraction(*x) for x in _kernels.C]
-    A = [[Fraction(*x) for x in row] for row in _kernels.A]
-    E = [Fraction(*x) for x in _kernels.E]
+    c, A, E = tableau()
     assert [sum(row) for row in A] == c
     b = A[-1] + [Fraction(0)]
     bhat = [bl - el for bl, el in zip(b, E)]
@@ -450,15 +653,11 @@ def reference_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2):
     stage the x and y positions, each sum a ``+`` chain from its first term
     over the nonzero coefficients, with the terms at offset 0 (K = 0) left
     out, and the velocities at the step end."""
-    c = [Fraction(*x) for x in _kernels.C]
-    A = [[Fraction(*x) for x in row] for row in _kernels.A]
-    E = [Fraction(*x) for x in _kernels.E]
+    c, A, E = tableau()
+    table = reference_phi(h, xi1, xi2, sd2)
 
     def phi(i, l):  # (H, K, K') at (c_i - c_l) h
-        s = float(c[i] - c[l]) * h
-        e = math.exp(xi1 * s)
-        q = -math.expm1(-sd2 * s) / sd2
-        return e * (1.0 - xi1 * q), e * q, e * (1.0 + xi2 * q)
+        return table[c[i] - c[l]]
 
     def chain(i, a, first, form, m):  # form: 1 K, 2 K'
         return h * reduce(add, [
@@ -511,23 +710,31 @@ def test_generated_cartesian_step_matches_the_reference_loop():
         if n == 0:
             assert not out[0]
         if out[0]:
-            ok.append((args, out[1:5]))
+            ok.append((args, out[1:]))
     assert 300 < rejected < 2700
     check_array_map("cartesian", ok, ([0, 1, 2, 3],))
 
 
 def test_generated_step_evaluates_phi_once_per_offset():
     # 13 distinct offsets c_i - c_l among the stages of either chart, in
-    # the trial step and in the array map; profiles and tracebacks name the
-    # generated bodies.  The array map has no stage checks, and its
-    # statements, but for the first stage's rest point and the return, are
-    # the trial step's, in the same order.
+    # units of h / 90: 8, 9 and 10 are the bases of the chain, evaluated by
+    # one exp and one expm1 each in the trial step and in the array map,
+    # and each other offset is the sum of two earlier ones.  Profiles and
+    # tracebacks name the generated bodies.  The array map has no stage
+    # checks, and its statements, but for the first stage's rest point and
+    # the return, are the trial step's, in the same order.
+    plan = _kernels._phi_chain(
+        [8, 9, 10, 18, 27, 45, 53, 54, 62, 63, 72, 80, 90])
+    assert [n for n, pq in plan.items() if pq is None] == [8, 9, 10]
+    assert all(p + q == n and p < n and q < n
+               for n, (p, q) in ((n, pq) for n, pq in plan.items() if pq))
     for chart, names in (("polar", ("_attempt", "_polar_many")),
                          ("cartesian", ("_attempt_cartesian",
                                         "_cartesian_many"))):
         for many, name in enumerate(names):
             src = _kernels._step_source(chart, many)
-            assert src.count("exp(") == src.count("expm1(") == 13
+            assert src.count("exp(") == src.count("expm1(") == 3
+            assert src.count(" e90 = ") == src.count(" K90 = ") == 1
             assert src.startswith(f"def {name}(")
             assert getattr(_kernels, name).__code__.co_filename == \
                 f"<_kernels.{name}>"
@@ -669,6 +876,27 @@ def test_cartesian_step_ends_match_the_stored_states(cone):
     np.testing.assert_allclose(y[:, 2], res.Theta[1:m + 1], rtol=1e-14,
                                atol=0.0)
     assert np.max(np.abs(y[:, 1] - res.dR[1:m + 1])) <= \
+        1e-13 * np.max(np.abs(res.dR))
+
+
+@pytest.mark.parametrize("alpha, cone", [(2.0, OBTUSE), (8.0, ACUTE)])
+def test_polar_step_ends_match_the_stored_states(alpha, cone):
+    # The polar twin of the test above, on runs past the exit to a horizon:
+    # the map of each polar step, with the spring and roots rebuilt from
+    # its start, evaluated at its full length reproduces the stored next
+    # state to round-off.
+    p = scaled_params_direct(1e-3, "derive", UNIT, characteristic_roots(alpha))
+    res = integrate_corner(p, cone, horizon=20.0, stop_at_event=False)
+    m = len(res.cartesian)
+    i = np.arange(m, res.tau.size - 1)
+    assert i.size > 50
+    y = substep_many(res.R[i], res.dR[i], res.Theta[i],
+                     res.tau[i + 1] - res.tau[i], *_flow_constants(p),
+                     np.zeros(i.size, bool), res.cartesian[:0])
+    np.testing.assert_allclose(y[:, 0], res.R[i + 1], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(y[:, 2], res.Theta[i + 1], rtol=1e-14,
+                               atol=0.0)
+    assert np.max(np.abs(y[:, 1] - res.dR[i + 1])) <= \
         1e-13 * np.max(np.abs(res.dR))
 
 
