@@ -80,7 +80,8 @@ n1 = c3 / R_n^3 the cached first stage, so that A holds the Jacobian
 so that the roots stay real and apart; while SPRING_CAP alpha^2 <= 1
 (alpha below about 1.005) omega^2 = 1 and the roots are the flow's own.
 The roots xi2 = -alpha - sqrt(alpha^2 - omega^2), xi1 = omega^2 / xi2 and
-sd2 are formed once per accepted step (``_spring``) and at the switch.
+sd2 are formed at the polar loop's entry (``_spring``), at the run start
+or the switch, and then once per accepted step.
 Without the linearisation the explicit stages carry the stiffness
 3 c3 / R^4 (3 at the rest point) against the fast mode -2 alpha, and past
 the exit a run creeps toward the rest point in steps of 2 alpha h ~ 1: at
@@ -103,10 +104,11 @@ R2 = K2 R' + H2 R), omega^2 is 1 to round-off, N is negligible and y
 follows the exact linear flow; the step is then limited by the Theta
 quadrature only, and the cost hardly grows as eta shrinks.
 
-Step control, in both charts: the error norm err is the RMS above, and
-each attempt scales h by the factor 0.9 err^(-1/5).  An attempt with
-err > 1 is rejected and retried with h shrunk by that factor, at most
-10 times (4 times when err is not finite).  After an accepted step
+Step control, the same in both charts and stated once, in the template
+of their step loops: the error norm err is the RMS above, and each
+attempt scales h by the factor 0.9 err^(-1/5).  An attempt with err > 1
+is rejected and retried with h shrunk by that factor, at most 10 times
+(4 times when err is not finite).  After an accepted step
 (err <= 1, so the factor is at least 0.9) three rules set the next h:
 
 - Growth bound.  The factor is at most MAX_GROWTH = 30.  A bound above 5
@@ -158,17 +160,28 @@ from the one statement of the tableau (``C``, ``A``, ``E``, exact integer
 ratios) when the module loads (``_step_source``): it evaluates Phi inline
 at its 13 distinct offsets (only the forms a stage sum reads, each offset
 where a sum first reads it, after the chain values it is built from) and
-the perturbation inline at its stages, and the error norm sits in the step
-loop.  A Python call costs about as much as a stage's arithmetic: on the
-runs of 64 seeded corner_long and corner_dense benchmark ops, the polar
-body takes 0.65 of the time of one that calls a helper per Phi offset
-(13), per perturbation (6) and for the norm (1), with the same
-floating-point operations in the same order and bit-identical results.
+the perturbation inline at its stages.  A Python call costs about as
+much as a stage's arithmetic: on the runs of 64 seeded corner_long and
+corner_dense benchmark ops, the polar body takes 0.65 of the time of one
+that calls a helper per Phi offset (13), per perturbation (6) and for the
+norm (1), with the same floating-point operations in the same order and
+bit-identical results.
 
-Storage: each accepted step appends its end time to one Python list and
-its state R, V, Theta to another, flat, so that the lists hold floats
-only and no object the garbage collector tracks; the steps taken in the
-Cartesian chart also keep their start state x, y, px, py in a third.  They
+Each chart's step loop, ``_run_cartesian`` and ``_run_polar``, is
+generated as well, from one template (``_LOOP``, by ``_loop_source``):
+its trial-step call, its error norm (one scale per state component) and
+its FSAL assignment come from the names in ``_CHARTS``, and what else
+differs (the exit value and slope, the stored row, the statements at the
+loop's entry and after each accepted step) from ``_LOOPS``.
+``integrate_radial`` runs the Cartesian loop and then, from the switch,
+the polar one, so no attempt tests which chart it is in.
+
+Storage: each chart's loop appends the end time of each accepted step
+to one Python list and its row R, V, Theta (the polar state itself, or
+the map of the Cartesian one) to another, flat, so that the lists hold
+floats only and no object the garbage collector tracks; the Cartesian
+loop also keeps the start state x, y, px, py of each step it takes in a
+third, after the run start's, which ``integrate_radial`` stores.  They
 become numpy arrays when the run ends, the third one with columns x, y,
 px, py.
 Sampling: the state at an offset s into an accepted step is the
@@ -286,6 +299,104 @@ _CHARTS = {
         "-"),
 }
 
+# Per chart, what its step loop states beyond the names in ``_CHARTS``:
+# the exit value and its slope, as templates over the state names, the
+# stored (R, R', Theta) row of a state (None: the state itself), the
+# loop's parameters after the shared ones, the statements at its entry
+# and those after each accepted step.
+_LOOPS = {
+    "polar": (
+        "{T} - theta_target", "cth / ({R} * {R})", None, "",
+        ("alpha, D, dmax = _spring_constants(xi1, xi2, sd2)",
+         "if dmax > 0.0:",
+         "    om2, xi1, xi2, sd2 = _spring(R, n1, alpha, D, dmax)"),
+        # Inline after each accepted step: the next step's spring and
+        # roots, _spring(R, n1, alpha, D, dmax) without the call, which
+        # read 7 % slower on four corner_long pairs (ROADMAP "Dead ends").
+        ("if dmax > 0.0:", "    d = 3.0 * n1 / R", "    if not d < dmax:",
+         "        d = dmax", "    om2 = 1.0 + d", "    r = math.sqrt(D - d)",
+         "    xi2 = -alpha - r", "    xi1 = om2 / xi2", "    sd2 = r + r")),
+    "cartesian": (
+        "{y} * ct - {x} * st", "{py} * ct - {px} * st",
+        "_polar({x}, {y}, {px}, {py})", ", xs, tau1, kappa",
+        ("ct, st = math.cos(theta_target), math.sin(theta_target)",
+         "early = kappa > rtol"),
+        # The switch; else the next step's start state is stored.
+        ("if tau >= tau1 or (early and tau >= 10.0 * kappa and fac < 5.0):",
+         "    break", "if tau < tau_end:", "    xs += (x, y, px, py)")),
+}
+
+# The step loop of a chart (``_loop_source``), with the rules under "Step
+# control" stated once.  Each error scale takes the larger of |start| and
+# |end| as max() does (b if b > a else a), without the call: builtin
+# min/max calls cost more per step than plain comparisons.
+_LOOP = """\
+def _run_{chart}({params}, tau, nacc, nrej, exit, tau_end, theta_target,
+                 rtol, atol, stop_at_event, ts, ys{extra}):
+{entry}
+    rejected = last_reject_bad = False
+    while tau < tau_end:
+        if nacc + nrej >= MAX_STEPS:
+            raise IntegrationFailure(
+                f"step budget {{MAX_STEPS}} exhausted at tau ~ {{tau:.6g}} "
+                f"of {{tau_end:.6g}}")
+        if tau + h > tau_end:
+            h = tau_end - tau
+        if tau + h == tau:
+            if last_reject_bad:
+                raise SingularRadius(
+                    f"radius collapsed toward zero near tau ~ {{tau:.6g}}")
+            raise IntegrationFailure(
+                f"step size underflow at tau ~ {{tau:.6g}}")
+        _, {state_n}, {fsal}, {errors} = {step}({params})
+{norm}
+        err = math.sqrt(({squares}) / {size}.0)
+        if not math.isfinite(err):
+            h *= 0.25
+            nrej += 1
+            last_reject_bad = rejected = True
+            continue
+        if err > 1.0:
+            h *= max(0.9 * err ** -0.2, 0.1)
+            nrej += 1
+            last_reject_bad = False
+            rejected = True
+            continue
+        nacc += 1
+        last_reject_bad = False
+{row}
+        if exit is None and {value_n} >= 0.0:
+            def at(s):
+                ok, {state_e} = _substep({cartesian}, {probe})
+                if not ok:
+                    return None
+                return {value_e}, {slope_e}, {row_e}
+            s, state = _locate_exit(at, h, {value}, {value_n}, (Rn, Vn, Tn))
+            exit = (tau + s, *state)
+            if stop_at_event:
+                ts.append(exit[0])
+                ys += exit[1:]
+                break
+        tau += h
+        {state} = {state_n}
+        {cached} = {fsal}
+        ts.append(tau)
+        ys += (Rn, Vn, Tn)
+        if err < 1e-30:
+            fac = MAX_GROWTH
+        else:
+            fac = 0.9 * err ** -0.2
+            if fac > MAX_GROWTH:
+                fac = MAX_GROWTH
+        if rejected:
+            rejected = False
+            if fac > 1.0:
+                fac = 1.0
+        h *= fac
+{after}
+    return tau, h, nacc, nrej, exit
+"""
+
 
 def _phi_chain(offsets):
     """The addition chain that builds Phi at the positive integer
@@ -332,8 +443,9 @@ def _spring(R, n1, alpha, D, dmax):
     """(om2, xi1, xi2, sd2): the polar chart's spring om2 = omega^2 at a
     step start R with first stage n1 = c3 / R^3, and the roots of
     x^2 + 2 alpha x + omega^2, from the constants of ``_spring_constants``.
-    The run start calls it; the step loop repeats these operations inline
-    after each accepted step, and ``substep_many`` on arrays.  The tests
+    The polar loop's entry calls it, at the run start or at the switch;
+    the loop repeats these operations inline after each accepted step,
+    and ``substep_many`` on arrays.  The tests
     check that every polar step and sample takes the same values."""
     d = 3.0 * n1 / R
     if not d < dmax:
@@ -350,6 +462,19 @@ def _polar(x, y, px, py):
     on the x axis, as at tau = 0."""
     R = math.sqrt(x * x + y * y)
     return R, x / R * px + y / R * py, math.atan2(y, x)
+
+
+def _names(chart):
+    """(state, cached, fsal): the names of the state components of
+    ``chart`` (positions, velocities, then the polar chart's angle), of the
+    cached first stage that follows them among its trial step's
+    parameters, and of that stage at the step end, which the trial step
+    returns after the state (FSAL)."""
+    params, comps = _CHARTS[chart][2].split(", "), _CHARTS[chart][5]
+    state = [c[0] for c in comps] + [c[2] for c in comps]
+    state += ["T"] if chart == "polar" else []
+    cached = params[len(state):params.index("h")]
+    return state, cached, [f"{c[:-1]}{len(A)}" for c in cached]
 
 
 def _step_source(chart: str, many: bool = False) -> str:
@@ -455,9 +580,8 @@ def _step_source(chart: str, many: bool = False) -> str:
                      f" + h * ({chain(i, A[i], 1, 'dK', m)})")
     if polar:
         lines.append(f"    T{k} = T + h * ({chain(i, A[i], 0, None, 'm')})")
-    state = [f"{X}{k}" for X, *_ in comps]
-    state += [f"{P}{k}" for _, _, P, *_ in comps]
-    state += [f"T{k}"] if polar else []
+    names, _, fsal = _names(chart)
+    state = [f"{x}{k}" for x in names]
     if many:
         lines.append("    return " + ", ".join(state))
     else:
@@ -467,7 +591,7 @@ def _step_source(chart: str, many: bool = False) -> str:
             errors.append(("eT", None, "m"))
         lines += [f"    {e} = h * ({chain(i, E, 0, form, m)})"
                   for e, form, m in errors]
-        state += [f"n{k}", f"g{k}"] if polar else [f"f{k}"]
+        state += fsal
         lines.append("    return True, "
                      + ", ".join(state + [e for e, *_ in errors]))
     # Phi at each offset, built by the chain from its bases where a sum
@@ -499,15 +623,57 @@ def _step_source(chart: str, many: bool = False) -> str:
     return "\n".join(out) + "\n"
 
 
-# Defines ``_attempt`` and ``_attempt_cartesian`` in this module, so that
-# callers look them up here, and the array maps in a namespace where exp,
-# expm1 and minimum are numpy's.
+def _loop_source(chart: str) -> str:
+    """Source of the step loop ``_run_polar`` or ``_run_cartesian``:
+    ``_LOOP`` filled in with the trial step of ``chart`` and the names of
+    its parameters, state components (an error scale and a FSAL assignment
+    each, in ``_CHARTS`` order) and cached first stage, and its ``_LOOPS``
+    entry.  The loop takes the trial step's parameters, then (tau, nacc,
+    nrej, exit) where the run stands, then the run's constants and the
+    lists of times and (R, R', Theta) rows it appends to; it steps until
+    the horizon, the event when the run stops there, or (Cartesian) the
+    switch, and returns (tau, h, nacc, nrej, exit)."""
+    step, _, params, *_ = _CHARTS[chart]
+    value, slope, row, extra, entry, after = _LOOPS[chart]
+    state, cached, fsal = _names(chart)
+
+    def at(template, suffix):
+        """``template`` at the state names with ``suffix``."""
+        return template.format(**{x: x + suffix for x in state})
+
+    def block(statements, indent):
+        return "\n".join(" " * indent + x for x in statements)
+
+    names = {suffix: ", ".join(x + suffix for x in state)
+             for suffix in ("", "n", "e")}
+    norm = [line for x in state for line in (
+        f"a = abs({x})", f"b = abs({x}n)",
+        f"e{x} /= atol + rtol * (b if b > a else a)")]
+    return _LOOP.format(
+        chart=chart, step=step, params=params, extra=extra,
+        entry=block(entry, 4), after=block(after, 8), norm=block(norm, 8),
+        state=names[""], state_n=names["n"], state_e=names["e"],
+        cached=", ".join(cached), fsal=", ".join(fsal),
+        errors=", ".join("e" + x for x in state),
+        squares=" + ".join(f"e{x} * e{x}" for x in state), size=len(state),
+        row=f"        Rn, Vn, Tn = {at(row, 'n')}" if row else "",
+        row_e=at(row, "e") if row else f"({names['e']})",
+        value=at(value, ""), value_n=at(value, "n"), value_e=at(value, "e"),
+        slope_e=at(slope, "e"), cartesian=chart == "cartesian",
+        probe=", ".join("s" if x == "h" else x for x in params.split(", ")))
+
+
+# Defines ``_attempt``, ``_attempt_cartesian`` and the step loops in this
+# module, so that callers look them up here, and the array maps in a
+# namespace where exp, expm1 and minimum are numpy's.
 _numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum}
 for _chart in _CHARTS:
     for _many, _namespace in ((False, globals()), (True, _numpy)):
         exec(compile(_step_source(_chart, _many),
                      f"<_kernels.{_CHARTS[_chart][_many]}>", "exec"),
              _namespace)
+    exec(compile(_loop_source(_chart), f"<_kernels._run_{_chart}>", "exec"),
+         globals())
 _polar_many = _numpy["_polar_many"]
 _cartesian_many = _numpy["_cartesian_many"]
 del _chart, _many, _namespace, _numpy
@@ -630,167 +796,23 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
     step is the full accepted step that holds the crossing.  Raises
     ``SingularRadius`` or ``IntegrationFailure`` as under "Failures".
     """
-    tau, R, V, Th = 0.0, R0, V0, 0.0
-    ts = [tau]
-    ys = [R, V, Th]
-    xs = []
-    exit = None
-    nacc = 0
-    nrej = 0
-    if tau_end <= 0.0:
-        return (np.array(ts), np.array(ys).reshape(-1, 3),
-                np.array(xs).reshape(-1, 4), exit, nacc, nrej)
-
-    n1, g1 = _rhs(R, c3, cth)
-    cart = tau1 > 0.0
-    # The polar chart's spring and roots (omega^2 = 1 and the flow's own
-    # roots while dmax <= 0), set at each polar step start.
-    alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
-    om2, pxi1, pxi2, psd2 = 1.0, xi1, xi2, sd2
-    if not cart and dmax > 0.0:
-        om2, pxi1, pxi2, psd2 = _spring(R, n1, alpha, D, dmax)
-    if cart:
+    tau, h, nacc, nrej, exit = 0.0, min(h0, tau_end), 0, 0, None
+    ts, ys, xs = [tau], [R0, V0, 0.0], []
+    run = (tau_end, theta_target, rtol, atol, stop_at_event, ts, ys)
+    if tau_end > 0.0 and tau1 > 0.0:
         # 2 alpha P_perp = f (-y, x) with f = 2 alpha cth / r^2, which is
-        # 2 alpha Theta': f1 = ta g1.
+        # 2 alpha Theta': f1 is ta times the angle slope of _rhs.
         ta = -(xi1 + xi2)  # 2 alpha
-        tc = ta * cth
-        x, y, px, py, f1 = R0, 0.0, V0, cth / R0, ta * g1
-        ct, st = math.cos(theta_target), math.sin(theta_target)
-        xs += (x, y, px, py)
-        early = kappa > rtol
-    last_reject_bad = False
-    rejected = False
-    h = min(h0, tau_end)
-
-    while tau < tau_end:
-        if nacc + nrej >= MAX_STEPS:
-            raise IntegrationFailure(
-                f"step budget {MAX_STEPS} exhausted at tau ~ {tau:.6g} of "
-                f"{tau_end:.6g}")
-        if tau + h > tau_end:
-            h = tau_end - tau
-        if tau + h == tau:
-            if last_reject_bad:
-                raise SingularRadius(
-                    f"radius collapsed toward zero near tau ~ {tau:.6g}")
-            raise IntegrationFailure(
-                f"step size underflow at tau ~ {tau:.6g}")
-
-        # Error norm; each scale takes the larger of |start| and |end| as
-        # max() does (b if b > a else a), without the call.
-        if cart:
-            _, xn, yn, pxn, pyn, f7, ex, ey, epx, epy = _attempt_cartesian(
-                x, y, px, py, f1, h, tc, xi1, xi2, sd2)
-            a = abs(x)
-            b = abs(xn)
-            ex /= atol + rtol * (b if b > a else a)
-            a = abs(y)
-            b = abs(yn)
-            ey /= atol + rtol * (b if b > a else a)
-            a = abs(px)
-            b = abs(pxn)
-            epx /= atol + rtol * (b if b > a else a)
-            a = abs(py)
-            b = abs(pyn)
-            epy /= atol + rtol * (b if b > a else a)
-            err = math.sqrt((ex * ex + ey * ey + epx * epx + epy * epy) / 4.0)
-        else:
-            _, Rn, Vn, Tn, n7, g7, eR, eV, eT = _attempt(
-                R, V, Th, n1, g1, h, c3, cth, om2, pxi1, pxi2, psd2)
-            a = abs(R)
-            b = abs(Rn)
-            eR /= atol + rtol * (b if b > a else a)
-            a = abs(V)
-            b = abs(Vn)
-            eV /= atol + rtol * (b if b > a else a)
-            a = abs(Th)
-            b = abs(Tn)
-            eT /= atol + rtol * (b if b > a else a)
-            err = math.sqrt((eR * eR + eV * eV + eT * eT) / 3.0)
-        if not math.isfinite(err):
-            h *= 0.25
-            nrej += 1
-            last_reject_bad = rejected = True
-            continue
-        if err > 1.0:
-            h *= max(0.9 * err ** -0.2, 0.1)
-            nrej += 1
-            last_reject_bad = False
-            rejected = True
-            continue
-
-        # Step accepted.
-        nacc += 1
-        last_reject_bad = False
-        if cart:
-            Rn, Vn, Tn = _polar(xn, yn, pxn, pyn)
-
-        if exit is None and (yn * ct - xn * st >= 0.0 if cart
-                             else Tn >= theta_target):
-            # Each chart's value and slope for the one search.
-            if cart:
-                def at(s):
-                    ok, xe, ye, pxe, pye = _substep(
-                        True, x, y, px, py, f1, s, tc, xi1, xi2, sd2)
-                    if not ok:
-                        return None
-                    return (ye * ct - xe * st, pye * ct - pxe * st,
-                            _polar(xe, ye, pxe, pye))
-                f0, fn = y * ct - x * st, yn * ct - xn * st
-            else:
-                def at(s):
-                    ok, Re, Ve, Te = _substep(False, R, V, Th, n1, g1, s,
-                                              c3, cth, om2, pxi1, pxi2, psd2)
-                    if not ok:
-                        return None
-                    return Te - theta_target, cth / (Re * Re), (Re, Ve, Te)
-                f0, fn = Th - theta_target, Tn - theta_target
-            s, state = _locate_exit(at, h, f0, fn, (Rn, Vn, Tn))
-            exit = (tau + s, *state)
-            if stop_at_event:
-                ts.append(exit[0])
-                ys += exit[1:]
-                break
-
-        tau += h
-        R, V, Th = Rn, Vn, Tn
-        ts.append(tau)
-        ys += (R, V, Th)
-
-        # Plain comparisons: builtin min/max calls cost more per step.
-        # err <= 1 here, so the factor is at least 0.9.
-        if err < 1e-30:
-            fac = MAX_GROWTH
-        else:
-            fac = 0.9 * err ** -0.2
-            if fac > MAX_GROWTH:
-                fac = MAX_GROWTH
-        if rejected:
-            rejected = False
-            if fac > 1.0:
-                fac = 1.0
-        if not cart:
-            n1, g1 = n7, g7  # FSAL
-        elif tau >= tau1 or (early and tau >= 10.0 * kappa and fac < 5.0):
-            cart = False
-            n1, g1 = _rhs(R, c3, cth)
-        else:
-            x, y, px, py, f1 = xn, yn, pxn, pyn, f7  # FSAL
-            if tau < tau_end:
-                xs += (x, y, px, py)
-        if not cart and dmax > 0.0:
-            # The next step's spring and roots: _spring(R, n1, alpha, D,
-            # dmax) without the call, which read 7 % slower on four
-            # corner_long pairs (ROADMAP "Dead ends").
-            d = 3.0 * n1 / R
-            if not d < dmax:
-                d = dmax
-            om2 = 1.0 + d
-            r = math.sqrt(D - d)
-            pxi2 = -alpha - r
-            pxi1 = om2 / pxi2
-            psd2 = r + r
-        h *= fac
-
+        xs += (R0, 0.0, V0, cth / R0)
+        tau, h, nacc, nrej, exit = _run_cartesian(
+            *xs, ta * _rhs(R0, c3, cth)[1], h, ta * cth, xi1, xi2, sd2, tau,
+            nacc, nrej, exit, *run, xs, tau1, kappa)
+    # The polar chart, from the run start or the switch, unless the run
+    # ended in the Cartesian one; its spring is set at the loop's entry.
+    if tau < tau_end and (exit is None or not stop_at_event):
+        R, V, T = ys[-3:]
+        tau, h, nacc, nrej, exit = _run_polar(
+            R, V, T, *_rhs(R, c3, cth), h, c3, cth, 1.0, xi1, xi2, sd2, tau,
+            nacc, nrej, exit, *run)
     return (np.array(ts), np.array(ys).reshape(-1, 3),
             np.array(xs).reshape(-1, 4), exit, nacc, nrej)

@@ -1,6 +1,7 @@
 """Adaptive corner integration: events, sampling, conservation, oracle."""
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -277,14 +278,43 @@ def test_kernel_step_underflow(cth, error, message):
                          50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
 
 
-def test_step_budget_names_the_kernel_budget(monkeypatch):
+@pytest.mark.parametrize("budget, chart", [(10, "cartesian"), (68, "polar")])
+def test_step_budget_names_the_kernel_budget(monkeypatch, budget, chart):
     # The message names the budget, how far the run got, its horizon, and
-    # the run's alpha and eta.
-    monkeypatch.setattr(_kernels, "MAX_STEPS", 10)
+    # the run's alpha and eta.  The budget runs out once in each chart's
+    # loop: the run takes 48 Cartesian steps and switches at tau = 2.9e-4.
+    p = params_at(1e-2)
+    full = integrate_corner(p, OBTUSE)
+    assert len(full.cartesian) == 48
+    switch = full.tau[len(full.cartesian)]
+    monkeypatch.setattr(_kernels, "MAX_STEPS", budget)
     with pytest.raises(IntegrationFailure,
-                       match=r"step budget 10 exhausted at tau ~ \S+ of "
-                             r"\S+ \(alpha = 2, eta = 0\.01\)"):
-        integrate_corner(params_at(1e-2), OBTUSE)
+                       match=rf"step budget {budget} exhausted at tau ~ \S+ "
+                             r"of \S+ \(alpha = 2, eta = 0\.01\)") as exc:
+        integrate_corner(p, OBTUSE)
+    tau = float(re.search(r"tau ~ (\S+)", str(exc.value)).group(1))
+    assert (tau < switch) == (chart == "cartesian")
+
+
+def test_run_that_ends_in_the_cartesian_window_takes_no_polar_step(
+        monkeypatch):
+    # With the horizon at half the switch time the run stays in the
+    # Cartesian loop: every accepted step is Cartesian, the run ends at the
+    # horizon without an exit, and the polar loop is never entered.
+    p = params_at(1e-2)
+    full = integrate_corner(p, OBTUSE)
+    horizon = 0.5 * full.tau[len(full.cartesian)]
+    calls = []
+    step = _kernels._attempt
+    monkeypatch.setattr(_kernels, "_attempt",
+                        lambda *a: calls.append(a) or step(*a))
+    res = integrate_corner(p, OBTUSE, horizon=horizon)
+    assert res.n_accepted == 38 and len(res.cartesian) == res.n_accepted
+    assert res.tau[-1] == horizon and res.exit_tau is None
+    assert calls == []
+    st = res.sample(0.5 * (res.tau[:-1] + res.tau[1:]))
+    for name in ("R", "dR", "Theta"):
+        assert np.all(np.isfinite(getattr(st, name))), name
 
 
 @pytest.mark.parametrize("alpha", [30.0, 300.0, 1000.0])
@@ -744,6 +774,25 @@ def test_generated_step_evaluates_phi_once_per_offset():
         step = iter(step.splitlines())
         assert all(line in step for line in array.splitlines()[1:-1]
                    if "minimum(" not in line)
+
+
+def test_each_step_loop_names_only_its_own_chart():
+    # One template states the step control of both charts; each loop is
+    # generated from it with its own chart's names and tests no chart
+    # flag.  Its error norm has one scale per state component of
+    # ``_CHARTS``.  Profiles and tracebacks name the generated loops.
+    polar, cartesian = (_kernels._loop_source(chart)
+                        for chart in ("polar", "cartesian"))
+    for word in ("_attempt_cartesian", "xs", "tau1"):
+        assert not re.search(rf"\b{word}\b", polar), word
+    for word in ("_attempt(", "om2", "dmax"):
+        assert word not in cartesian, word
+    for src, scales in ((polar, 3), (cartesian, 4)):
+        assert not re.search(r"\bcart\b", src)
+        assert src.count("/= atol + rtol * (b if b > a else a)") == scales
+    for chart in ("polar", "cartesian"):
+        loop = getattr(_kernels, f"_run_{chart}")
+        assert loop.__code__.co_filename == f"<_kernels._run_{chart}>"
 
 
 def test_obtuse_cost_is_flat_in_k():
