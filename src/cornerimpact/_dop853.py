@@ -8,7 +8,18 @@ its initial-step rule, the E5/E3 error norm, safety factor 0.9 and step
 factors clamped to [0.2, 10].
 
 The right-hand side is autonomous and has four components, each a Python
-float; numpy enters only when a finished run is sampled.  A trial step is
+float; numpy enters only when a finished run is sampled.  It may be
+piecewise smooth: ``solve`` takes one smooth field per region of the
+plane of the first two components (a position, whose velocity is the
+last two), with the linear forms that leave each region.  A run starts in
+the region its initial velocity enters and steps with that region's
+field, which extends smoothly past the region's lines, so the E5/E3
+estimate sees no switch inside a step.  After each accepted step it tests
+the region's forms at the step's end; where one has turned positive it
+ends the step on that line instead, as a trial of the length that puts it
+there (``_cut``: a Hermite guess, then Newton re-trials; Hairer, Norsett &
+Wanner, Sec. II.6), and goes on with the field of the region beyond.  The
+step controller does not change.  A trial step is
 one flat body, ``_trial``: its 12 stages, the new state and the E5 and E3
 sums of the error norm, each stage sum a ``+`` chain of literal products
 over the nonzero coefficients only.  ``_extra_many`` is the array form of
@@ -34,7 +45,8 @@ zero-copy ``np.frombuffer`` view of ``Solution.stages``, so each stage sum
 is one chain of numpy operations over all m steps and four components.
 Elementwise float64 ``*`` and ``+`` round as the scalar operations do, so
 a row holds the bits a scalar chain would give.  Only the field stays
-scalar: it is called on each row of z in turn, three calls per step.
+scalar: each row of z goes to its step's own region's field
+(``Solution.region``), three calls per step.
 
 The coefficients are copied from ``scipy/integrate/_ivp/
 dop853_coefficients.py`` (scipy; Copyright (c) 2001-2002 Enthought,
@@ -46,6 +58,7 @@ not needed by an autonomous field and are left out.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 
 import numpy as np
@@ -157,6 +170,10 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0     # -1 / (error estimator order + 1)
+# Locating a switch: iterations of each root search, and how close to its
+# line (in float spacings of the position) a step that ends there lies.
+LOCATE_TRIALS = 8
+SWITCH_TOL = 4.0 * sys.float_info.epsilon
 
 
 def _chain(coefs, names) -> str:
@@ -174,12 +191,12 @@ def _flat_source() -> str:
     state, the E5 and E3 sums per component and the 52 stages, component
     by component (stage 12 is f at the new state).
 
-    ``_extra_many(fun, y, h, K)`` is the array form for the interpolant's
+    ``_extra_many(funs, y, h, K)`` is the array form for the interpolant's
     three stages of m steps at once: y holds the steps' start states,
     shape (m, 4), h their sizes, shape (m, 1), and K their 13 stages,
     shape (13, m, 4).  Each stage sum is the same ``+`` chain as in
-    ``_trial``, over (m, 4) arrays, and fun is called on each row of z in
-    turn; it returns stages 13-15, each of shape (m, 4).
+    ``_trial``, over (m, 4) arrays, and row i of z is passed to its step's
+    field ``funs[i]``; it returns stages 13-15, each of shape (m, 4).
     """
     comps = (1, 2, 3, 4)
 
@@ -203,12 +220,13 @@ def _flat_source() -> str:
              *(f"            {_chain(E, [f'k{c}_{j}' for j in range(n)])},"
                for E in (E5, E3) for c in comps),
              f"            ({', '.join(ks(c, n) for c in comps)},))"]
-    extra = ["def _extra_many(fun, y, h, K):",
+    extra = ["def _extra_many(funs, y, h, K):",
              f"    {', '.join(f'k_{j}' for j in range(n))} = K"]
     for s in range(n, len(A)):
         chain = _chain(A[s], [f"k_{j}" for j in range(s)])
         extra += [f"    z = y + ({chain}) * h",
-                  f"    k_{s} = np.array(list(map(fun, *z.T.tolist())))"]
+                  f"    k_{s} = np.array([f(z1, z2, z3, z4) for f, z1, z2, z3,"
+                  f" z4 in zip(funs, *z.T.tolist())])"]
     extra.append("    return " + ", ".join(f"k_{s}" for s in range(n, len(A))))
     return "\n".join(trial + extra) + "\n"
 
@@ -226,14 +244,16 @@ class Solution:
     the 13 stage derivatives of each component in turn (the last one is f
     at the new state).  ``failure`` is None when the run reached its end
     time, else the reason it stopped; ``nfev`` counts the right-hand-side
-    calls of the stepping loop.
+    calls of the stepping loop.  ``regions`` is the run's field, as
+    ``solve`` takes it, and ``region`` holds the region each step took.
     """
 
-    def __init__(self, fun, y0):
-        self.fun = fun
+    def __init__(self, regions, y0):
+        self.regions = regions
         self.t = array("d", [0.0])
         self.y = array("d", y0)
         self.stages = array("d")
+        self.region = array("b")
         self.nfev = 0
         self.failure: str | None = None
 
@@ -258,8 +278,10 @@ class Solution:
         hc = h[:, None]
         stages = np.frombuffer(self.stages).reshape(-1, 4, N_STAGES + 1)
         stages = stages[used]
+        funs = [self.regions[r][0]
+                for r in np.frombuffer(self.region, np.int8)[used].tolist()]
         K = np.concatenate(
-            (stages, np.dstack(_extra_many(self.fun, y_old, hc,
+            (stages, np.dstack(_extra_many(funs, y_old, hc,
                                            stages.transpose(2, 0, 1)))),
             axis=2)                                     # (m, 4, 16)
         f_old = K[:, :, 0]
@@ -302,17 +324,26 @@ def _initial_step(fun, y, f, t_end, rtol, atol):
     return min(100.0 * h0, h1, t_end)
 
 
-def solve(fun, y0, t_end: float, rtol: float, atol: float,
+def solve(regions, y0, t_end: float, rtol: float, atol: float,
           max_rhs: int) -> Solution:
-    """Integrate y' = fun(*y) from time 0 to ``t_end`` > 0.
+    """Integrate y' = f(*y) from time 0 to ``t_end`` > 0, f by region.
 
-    ``fun`` maps four floats to four floats.  The run stops early, with
-    ``Solution.failure`` set, when the next step attempt would take
-    ``nfev`` past ``max_rhs``, when the step falls below ten float spacings
-    of t, when an accepted state is not finite, or when float arithmetic
-    raises (``ZeroDivisionError``/``OverflowError``).
+    The state is a position (y1, y2) and its velocity (y3, y4).
+    ``regions`` lists, per region, (fun, exits): ``fun`` maps four floats
+    to four floats, the first two of them y3 and y4, and is smooth across
+    the region's lines; each exit (p, q, j) says that the state leaves the
+    region where p y1 + q y2 > 0, into region j.  One region with no exits
+    is a smooth field.  The run starts in the first region that y0 lies in
+    or, on a line, moves into (``_start``), and ends each step that leaves
+    its region on the line it crossed (``_cut``).
+
+    The run stops early, with ``Solution.failure`` set, when the next step
+    attempt would take ``nfev`` past ``max_rhs``, when the step falls
+    below ten float spacings of t, when an accepted state is not finite,
+    or when float arithmetic raises (``ZeroDivisionError``/
+    ``OverflowError``).
     """
-    sol = Solution(fun, y0)
+    sol = Solution(regions, y0)
     try:
         _run(sol, t_end, rtol, atol, max_rhs)
     except ArithmeticError as exc:
@@ -320,9 +351,110 @@ def solve(fun, y0, t_end: float, rtol: float, atol: float,
     return sol
 
 
+def _spent(max_rhs) -> str:
+    return f"budget of {max_rhs} right-hand-side evaluations exhausted"
+
+
+def _start(regions, y1, y2, v1, v2) -> int:
+    """The first region that the state lies in, or on a line of it, moves
+    into: each exit form is negative, or zero with a slope that is not
+    positive.  The last region if no region is found (round-off)."""
+    for j, (_, exits) in enumerate(regions):
+        for p, q, _ in exits:
+            g = p * y1 + q * y2
+            if g > 0.0 or (g == 0.0 and p * v1 + q * v2 > 0.0):
+                break
+        else:
+            return j
+    return len(regions) - 1
+
+
+def _hermite_root(g0, d0, g1, d1):
+    """The root in (0, 1) of the cubic with values g0 <= 0 < g1 and slopes
+    d0, d1 at 0 and 1: Newton's method kept inside the bracket."""
+    c2 = 3.0 * (g1 - g0) - 2.0 * d0 - d1
+    c3 = 2.0 * (g0 - g1) + d0 + d1
+    lo, hi = 0.0, 1.0
+    x = g0 / (g0 - g1)
+    for _ in range(LOCATE_TRIALS):
+        v = g0 + x * (d0 + x * (c2 + x * c3))
+        if v > 0.0:
+            hi = x
+        else:
+            lo = x
+        dv = d0 + x * (2.0 * c2 + 3.0 * x * c3)
+        x = x - v / dv if dv else lo
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
+
+
+def _cut(sol, fun, exits, t, y, f, h, n, K, max_rhs):
+    """End a step that left its region on the exit line it crossed first.
+
+    The step of size h from the state y at time t (f = fun(*y)) ended at n
+    with stages K, past at least one exit line.  The line crossed first is
+    the one whose form g has the earliest root of the cubic Hermite fit to
+    g and its slopes (the velocity's component) at both ends of the step.
+    From that guess, trials of size x from y move x by Newton's rule, with
+    the slope of g at the trial's end, or by regula falsi where that would
+    leave the bracket, until g at the trial's end is within ``SWITCH_TOL``
+    of the end's position or the bracket closes (Hairer, Norsett & Wanner,
+    Sec. II.6).  The last trial ends the step, on whichever side of the
+    line it lies.
+
+    Returns (x, n, K, j) with j the region beyond the line: x = 0 (and n =
+    y) where y already lies on or past it, and x = h where the root is
+    within float spacing of the step's end.  Returns None when the budget
+    runs out first.
+    """
+    y1, y2, y3, y4 = y
+    n1, n2, n3, n4 = n
+    first = math.inf
+    for p, q, j in exits:
+        g_hi = p * n1 + q * n2
+        if g_hi > 0.0:
+            g_lo = p * y1 + q * y2
+            if g_lo >= 0.0:
+                return 0.0, y, K, j
+            x = _hermite_root(g_lo, h * (p * y3 + q * y4),
+                              g_hi, h * (p * n3 + q * n4))
+            if x < first:
+                first, line = x, (p, q, j, g_lo, g_hi)
+    p, q, j, g_lo, g_hi = line
+    lo, hi = 0.0, h
+    x = h * first
+    # Without a trial the guess rounded onto an end of the step.
+    cut = (h, n, K, j) if x >= hi else (0.0, y, K, j)
+    for _ in range(LOCATE_TRIALS):
+        x = (t + x) - t
+        if not lo < x < hi:
+            break
+        if sol.nfev + N_STAGES > max_rhs:
+            sol.failure = _spent(max_rhs)
+            return None
+        n1, n2, n3, n4, *_, K = _trial(fun, y1, y2, y3, y4, x, *f)
+        sol.nfev += N_STAGES
+        cut = (x, (n1, n2, n3, n4), K, j)
+        g = p * n1 + q * n2
+        if abs(g) <= SWITCH_TOL * (abs(n1) + abs(n2)):
+            break
+        if g > 0.0:
+            hi, g_hi = x, g
+        else:
+            lo, g_lo = x, g
+        dg = p * n3 + q * n4
+        x = x - g / dg if dg else lo
+        if not lo < x < hi:
+            x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    return cut
+
+
 def _run(sol, t_end, rtol, atol, max_rhs):
-    fun = sol.fun
+    regions = sol.regions
     y1, y2, y3, y4 = sol.y
+    region = _start(regions, y1, y2, y3, y4)
+    fun, exits = regions[region]
     f1, f2, f3, f4 = fun(y1, y2, y3, y4)
     h_abs = _initial_step(fun, (y1, y2, y3, y4), (f1, f2, f3, f4), t_end,
                           rtol, atol)
@@ -342,8 +474,7 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                 sol.failure = "step size fell below ten float spacings"
                 return
             if sol.nfev + N_STAGES > max_rhs:
-                sol.failure = (f"budget of {max_rhs} right-hand-side "
-                               f"evaluations exhausted")
+                sol.failure = _spent(max_rhs)
                 return
             t_new = t + h_abs
             if t_end < t_new:
@@ -400,9 +531,32 @@ def _run(sol, t_end, rtol, atol, max_rhs):
                 and abs(n4) < INF):
             sol.failure = "state is not finite"
             return
-        t = t_new
-        y1, y2, y3, y4 = n1, n2, n3, n4
-        f1, f2, f3, f4 = K[N_STAGES::N_STAGES + 1]
-        sol.t.append(t)
-        sol.y.extend((y1, y2, y3, y4))
-        sol.stages.extend(K)
+        # A step that leaves its region ends on the line it crosses, and
+        # the run goes on with the field of the region beyond.
+        beyond = region
+        for p, q, _ in exits:
+            if p * n1 + q * n2 > 0.0:
+                cut = _cut(sol, fun, exits, t, (y1, y2, y3, y4),
+                           (f1, f2, f3, f4), h, (n1, n2, n3, n4), K, max_rhs)
+                if cut is None:
+                    return
+                h, (n1, n2, n3, n4), K, beyond = cut
+                t_new = t + h
+                break
+        if h > 0.0:
+            t = t_new
+            y1, y2, y3, y4 = n1, n2, n3, n4
+            sol.t.append(t)
+            sol.y.extend((y1, y2, y3, y4))
+            sol.stages.extend(K)
+            sol.region.append(region)
+        if beyond == region:
+            f1, f2, f3, f4 = K[N_STAGES::N_STAGES + 1]
+            continue
+        if sol.nfev + 1 > max_rhs:
+            sol.failure = _spent(max_rhs)
+            return
+        region = beyond
+        fun, exits = regions[region]
+        f1, f2, f3, f4 = fun(y1, y2, y3, y4)
+        sol.nfev += 1

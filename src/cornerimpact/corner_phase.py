@@ -220,10 +220,14 @@ def oracle_fast_time_integration(init: InitialData, damping: DampingParams,
     its form).  No phase decomposition, no polar variables: this is the
     independent check for the pipeline.
 
-    The field is ``geometry.penalty_rhs``, one Python call per evaluation
-    on floats: the region split of ``geometry.penalty_field`` compiled
-    with -2 alpha G - w folded in, the same float operations in the same
-    order.  It is stepped by the scalar DOP853 of ``_dop853``.
+    The field is ``geometry.penalty_rhs``: one smooth field per region of
+    ``geometry.penalty_field``'s split, each its region's branch with
+    -2 alpha G - w folded in, the same float operations in the same
+    order, one Python call per evaluation.  The scalar DOP853 of
+    ``_dop853`` steps it one region at a time: the run starts in R1, where
+    the initial velocity enters, and each step that crosses a switch (the
+    damping switching on at the boundary of K, or the C0 lines between
+    R1, R2 and R3) ends on it.
 
     Intended for validation windows around the impact (a few crossing
     times).  On much longer horizons at large k the overshoot distance to

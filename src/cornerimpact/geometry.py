@@ -14,14 +14,15 @@ three regions according to which part of K is closest:
 * R2 = polar wedge {x2 >= 0, x.d <= 0} -> nearest point is the vertex,
 * R3 = {x.n2 >= 0, x.d >= 0}        -> nearest point (x.d) d on face 2.
 
-These regions are the branches of one source text, ``_REGIONS``, the one
-place that decides which region a point is in; on overlaps (boundaries)
-it takes the first of K > R1 > R2 > R3.  It is compiled into two forms
-when the module loads: ``penalty_field``, which returns w and G, and the
-closure of ``penalty_rhs``, the oracle's fast-time field, which folds
--2 alpha G - w into the same body so that an evaluation is one Python
-call.  The spring force of the penalty model is k(x - P_K x) and the
-damping force acts along the same direction:
+These regions are stated once, in ``_REGIONS``, by the signs of the linear
+forms x1, x2, x.n2 and x.d (``_FORMS``); on overlaps (boundaries)
+``penalty_field`` takes the first of K > R1 > R2 > R3.  Both forms of the
+field are compiled from them when the module loads: ``penalty_field``,
+which returns w and G, and ``penalty_rhs``, the oracle's fast-time field:
+per region, that region's branch with -2 alpha G - w folded in, one
+Python call per evaluation and no test of the region, and the forms
+that leave it.  The spring force of the penalty model is k(x - P_K x) and
+the damping force acts along the same direction:
 
     G(x, v) = (v . w) w / |w|^2,   w = x - P_K x,   zero inside K.
 
@@ -99,40 +100,93 @@ def _as_point(p, name: str = "point") -> np.ndarray:
     return q
 
 
-# The region split, stated once: K > R1 > R2 > R3, tested in that order.
-# w = x - P_K x, and f = v . w / |w|^2 where |w|^2 is not zero.  The three
-# returns (inside K, at |w|^2 = 0, elsewhere) are left open, and
-# ``_field_source`` fills them for each form of the field.
-_REGIONS = """\
-if x1 <= 0.0 and x1 * c + x2 * s <= 0.0:
-    return {inside}
-d_dot = -x1 * s + x2 * c
-if x1 >= 0.0 and x2 <= 0.0:
-    w1, w2 = x1, 0.0
-elif x2 >= 0.0 and d_dot <= 0.0:
-    w1, w2 = x1, x2
-else:
-    w1, w2 = x1 + d_dot * s, x2 - d_dot * c
-ww = w1 * w1 + w2 * w2
-if ww == 0.0:
-    return {still}
-f = (v1 * w1 + v2 * w2) / ww
-return {out}
-"""
+# The region split, stated once.  Each region is where two of the linear
+# forms of x in ``_FORMS`` have the stated signs.  ``penalty_field`` tests
+# K, R1 and R2 in that order and takes R3 otherwise, so a point on a shared
+# line belongs to the earlier region.  Each form bounds two regions, with
+# opposite signs, and crossing it leads from one into the other.  Outside
+# K, ``w`` is x - P_K x and ``limit`` the damping G where |w|^2 is 0 (on
+# the region's line with K, or where the square underflows): the limit of
+# G from inside the region, v's component along the region's unit normal
+# (1, 0) or n2, and v itself at the vertex in R2, the limit along the path
+# x ~ v tau that reaches it.
+_FORMS = {                      # name: (source, p, q) of the form p x1 + q x2
+    "x1": ("x1", "1.0", "0.0"),
+    "x2": ("x2", "0.0", "1.0"),
+    "n_dot": ("x1 * c + x2 * s", "c", "s"),
+    "d_dot": ("-x1 * s + x2 * c", "-s", "c"),
+}
+_REGIONS = (                    # name, sides, w, limit
+    ("K", (("x1", "<="), ("n_dot", "<=")), None, None),
+    ("R1", (("x1", ">="), ("x2", "<=")), "x1, 0.0", "v1, 0.0"),
+    ("R2", (("x2", ">="), ("d_dot", "<=")), "x1, x2", "v1, v2"),
+    ("R3", (("n_dot", ">="), ("d_dot", ">=")),
+     "x1 + d_dot * s, x2 - d_dot * c",
+     "(v1 * c + v2 * s) * c, (v1 * c + v2 * s) * s"),
+)
+
+
+def _forms(text: str) -> list[str]:
+    """Assignments of the named forms that ``text`` reads."""
+    return [f"{name} = {src}" for name, (src, _, _) in _FORMS.items()
+            if src != name and name in text]
+
+
+def _exits(sides) -> str:
+    """Source of a region's exits: per side (p, q, j), the form signed to
+    be positive outside the region and the region beyond that line."""
+    exits = []
+    for form, op in sides:
+        _, p, q = _FORMS[form]
+        if op == ">=":
+            p, q = f"-({p})", f"-({q})"
+        (j,) = [j for j, (_, other, _, _) in enumerate(_REGIONS)
+                if (form, "<=" if op == ">=" else ">=") in other]
+        exits.append(f"({p}, {q}, {j})")
+    return f"({', '.join(exits)},)"
 
 
 def _field_source() -> str:
-    """Source of ``penalty_field`` and ``penalty_rhs``: ``_REGIONS`` twice.
+    """Source of ``penalty_field`` and ``penalty_rhs``, from ``_REGIONS``.
 
-    ``penalty_field`` returns (w1, w2, G1, G2) with G = f w.  The
-    right-hand side that ``penalty_rhs`` returns does the float operations
-    of -2 alpha G - w on those values, in the same order; the ones that
-    read no state (-2 alpha * 0.0 and that minus 0.0) are done once, when
-    the closure is made.
+    ``penalty_field`` returns (w1, w2, G1, G2) with G = f w.  Each field
+    that ``penalty_rhs`` makes is one region's branch of it, with no test
+    of the region: it does the float operations of -2 alpha G - w on that
+    branch's values, in the same order, and where |w|^2 is 0 it takes the
+    region's ``limit`` for G instead of 0.  The operations that read no
+    state (-2 alpha * 0.0 and that minus 0.0) are done once, when the
+    closure is made.
     """
-    def regions(indent, inside, still, out):
-        return textwrap.indent(
-            _REGIONS.format(inside=inside, still=still, out=out), indent)
+    tests = [" and ".join(f"{form} {op} 0.0" for form, op in sides)
+             for _, sides, _, _ in _REGIONS]
+    split = _forms(" ".join(tests + [w for _, _, w, _ in _REGIONS[1:]]))
+    split += [f"if {tests[0]}:", "    return 0.0, 0.0, 0.0, 0.0"]
+    for i, (_, _, w, _) in enumerate(_REGIONS[1:], 1):
+        head = ("else" if i == len(_REGIONS) - 1
+                else f"{'if' if i == 1 else 'elif'} {tests[i]}")
+        split += [f"{head}:", f"    w1, w2 = {w}"]
+    split += ["ww = w1 * w1 + w2 * w2",
+              "if ww == 0.0:",
+              "    return w1, w2, 0.0, 0.0",
+              "f = (v1 * w1 + v2 * w2) / ww",
+              "return w1, w2, f * w1, f * w2"]
+
+    fields = []
+    for name, _, w, limit in _REGIONS:
+        fields += ["", f"def {name}(x1, x2, v1, v2):"]
+        if w is None:
+            fields.append("    return v1, v2, free, free")
+            continue
+        fields += [f"    {line}" for line in _forms(w)] + [
+            f"    w1, w2 = {w}",
+            "    ww = w1 * w1 + w2 * w2",
+            "    if ww == 0.0:",
+            f"        g1, g2 = {limit}",
+            "        return v1, v2, a * g1 - w1, a * g2 - w2",
+            "    f = (v1 * w1 + v2 * w2) / ww",
+            "    return v1, v2, a * (f * w1) - w1, a * (f * w2) - w2"]
+    regions = ",\n            ".join(
+        f"({name}, {_exits(sides)})" for name, sides, _, _ in _REGIONS)
 
     return f'''\
 def penalty_field(x1: float, x2: float, v1: float, v2: float,
@@ -146,26 +200,28 @@ def penalty_field(x1: float, x2: float, v1: float, v2: float,
     """
     c = cone.cos_theta
     s = cone.sin_theta
-{regions("    ", "0.0, 0.0, 0.0, 0.0", "w1, w2, 0.0, 0.0",
-         "w1, w2, f * w1, f * w2")}
+{textwrap.indent(chr(10).join(split), "    ")}
+
 
 def penalty_rhs(cone: ConeGeometry, alpha: float):
-    """The first-order penalty field in fast time, as a function of floats.
+    """The first-order penalty field in fast time, one field per region.
 
-    ``rhs(x1, x2, v1, v2)`` returns (v1, v2, -2 alpha G1 - w1,
-    -2 alpha G2 - w2) with (w1, w2, G1, G2) = ``penalty_field(x1, x2, v1,
-    v2, cone)``, bit for bit, in one call: the inner loop of the oracle.
+    Returns, for K, R1, R2 and R3 in turn, (rhs, exits).  ``rhs(x1, x2,
+    v1, v2)`` is the region's smooth field (v1, v2, -2 alpha G1 - w1,
+    -2 alpha G2 - w2), one call with no test of the region: inside the
+    region, off its own line, (w1, w2, G1, G2) are those of
+    ``penalty_field(x1, x2, v1, v2, cone)``, bit for bit, and past the
+    region's lines it extends that branch.  Each exit (p, q, j) says that
+    the state leaves the region where p x1 + q x2 > 0, into region j.
+    These are the fields the oracle steps, one region at a time.
     """
     c = cone.cos_theta
     s = cone.sin_theta
     a = -(2.0 * alpha)
-    zero = a * 0.0
-    free = zero - 0.0
+    free = a * 0.0 - 0.0
+{textwrap.indent(chr(10).join(fields), "    ")}
 
-    def rhs(x1, x2, v1, v2):
-{regions("        ", "v1, v2, free, free", "v1, v2, zero - w1, zero - w2",
-         "v1, v2, a * (f * w1) - w1, a * (f * w2) - w2")}
-    return rhs
+    return ({regions})
 '''
 
 

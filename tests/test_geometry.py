@@ -346,35 +346,94 @@ def _hex(values):
     return [float.hex(q) for q in values]
 
 
+REGIONS = ("K", "R1", "R2", "R3")
+
+
 @pytest.mark.parametrize("alpha", [1.1, 2.0, 2.9])
 @pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
 def test_penalty_rhs_matches_the_penalty_field_route(cone, alpha):
-    # The oracle's one-call field against the route through penalty_field,
-    # bit for bit: seeded points in every region, the boundary points,
-    # zero velocities, signed zeros, and a |w| whose square underflows.
+    # Each region's field against the route through penalty_field, bit for
+    # bit, at the states whose priority region it is: seeded points in
+    # every region, the boundary points, zero velocities and signed zeros.
     points, velocities = _seeded_states(cone)
     states = [(*x, *v) for x, v in zip(points.tolist(), velocities.tolist())]
     zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
     states += [(*x, *v) for x in zeros + [(-0.0, -2.0), (1e-170, -1.0)]
                for v in zeros + [(0.4, -1.3)]]
-    rhs = penalty_rhs(cone, alpha)
+    fields = dict(zip(REGIONS, (rhs for rhs, _ in penalty_rhs(cone, alpha))))
     regions = set()
     for state in states:
-        regions.add(_region(np.array(state[:2]), cone))
-        out = rhs(*state)
+        region = _region(np.array(state[:2]), cone)
+        w1, w2, _, _ = penalty_field(*state, cone)
+        if region != "K" and w1 * w1 + w2 * w2 == 0.0:
+            continue            # on the region's line: the limit below
+        regions.add(region)
+        out = fields[region](*state)
         assert all(type(q) is float for q in out)
         assert _hex(out) == _hex(_rhs_route(*state, cone, alpha)), state
-    assert regions == {"K", "R1", "R2", "R3"}
+    assert regions == set(REGIONS)
+    # On a region's own line, where w is 0 or its square underflows, the
+    # route has no damping but the field keeps its limit from inside: v's
+    # component along the unit normal (1, 0) in R1 and n2 in R3, and v at
+    # the vertex in R2.  w itself is 0 there, or far below the spacing of
+    # the acceleration.
+    v = (0.4, -1.3)
+    c, s = _cos_sin(cone)
+    v_n1 = (v[0], 0.0)
+    v_n2 = ((v[0] * c + v[1] * s) * c, (v[0] * c + v[1] * s) * s)
+    for region, x, g in [("R1", (0.0, -2.0), v_n1),
+                         ("R1", (-0.0, -2.0), v_n1),
+                         ("R1", (1e-170, -1.0), v_n1),
+                         ("R2", (0.0, 0.0), v), ("R2", (1e-170, 1e-170), v),
+                         ("R3", (0.0, 0.0), v_n2),
+                         ("R3", (1e-170 * c, 1e-170 * s), v_n2)]:
+        limit = (*v, -2.0 * alpha * g[0], -2.0 * alpha * g[1])
+        np.testing.assert_allclose(fields[region](*x, *v), limit,
+                                   rtol=1e-15, atol=0.0, err_msg=region)
+    # 1e-8 past face 1 and past face 2, the field is within about that
+    # (and R3's cancellation) of its limit on the line.
+    for region, x, normal, g in [("R1", (0.0, -2.0), (1.0, 0.0), v_n1),
+                                 ("R3", 1.5 * cone.face2_direction, (c, s),
+                                  v_n2)]:
+        limit = (*v, -2.0 * alpha * g[0], -2.0 * alpha * g[1])
+        past = np.add(x, 1e-8 * np.array(normal))
+        np.testing.assert_allclose(fields[region](*past, *v), limit,
+                                   rtol=0.0, atol=1e-6, err_msg=region)
+
+
+@pytest.mark.parametrize("cone", CONES)
+def test_penalty_rhs_exits_bound_each_region(cone):
+    # Each exit (p, q, j) of a region is the form positive outside it, so it
+    # is not positive at the seeded points whose priority region that is,
+    # and region j leaves through the same line into this region.
+    regions = penalty_rhs(cone, 2.0)
+    points, _ = _seeded_states(cone)
+    for x in points:
+        i = REGIONS.index(_region(x, cone))
+        for p, q, _ in regions[i][1]:
+            assert p * x[0] + q * x[1] <= 0.0, (REGIONS[i], x)
+    for i, (_, exits) in enumerate(regions):
+        assert len(exits) == 2
+        for p, q, j in exits:
+            assert (-p, -q, i) in regions[j][1]
 
 
 def test_penalty_rhs_propagates_non_finite_state():
-    rhs = penalty_rhs(ACUTE, 2.0)
+    # A non-finite component that a field reads makes its acceleration
+    # non-finite: R1's w reads x1 alone, R2 and R3 read both positions, and
+    # K, free flight, reads no position at all.
+    reads = {"R1": (0, 2, 3), "R2": (0, 1, 2, 3), "R3": (0, 1, 2, 3)}
+    fields = dict(zip(REGIONS, (rhs for rhs, _ in penalty_rhs(ACUTE, 2.0))))
     for state in [(math.nan, -1.0, 0.0, 1.0), (-1.0, math.nan, 0.5, 0.0),
                   (math.inf, -1.0, 0.0, 1.0), (1.0, 1.0, math.inf, 0.0)]:
-        out = rhs(*state)
-        assert _hex(out) == _hex(_rhs_route(*state, ACUTE, 2.0))
-        assert not any(map(math.isfinite, out[2:])), state
-    assert all(map(math.isnan, rhs(math.nan, -1.0, 0.0, 1.0)[2:]))
+        for region, rhs in fields.items():
+            out = rhs(*state)
+            assert _hex(out[:2]) == _hex(state[2:])
+            if region == "K":
+                assert out[2:] == (0.0, 0.0)
+            elif not all(math.isfinite(state[i]) for i in reads[region]):
+                assert not any(map(math.isfinite, out[2:])), (region, state)
+    assert all(map(math.isnan, fields["R3"](math.nan, -1.0, 0.0, 1.0)[2:]))
 
 
 def test_tangential_projections():
