@@ -187,14 +187,20 @@ px, py.
 Sampling: the state at an offset s into an accepted step is the
 single-step map ``_substep`` of that step's chart, of length s from the
 step's start, the same map the exit search solves on.  ``substep_many``
-evaluates it at many (start, offset) pairs of either chart at once in
-numpy, for ``CornerResult.sample`` after a run; it is as accurate as the
-step itself.  Its maps, ``_polar_many`` and ``_cartesian_many``, are
-generated from the same source as the trial steps, with numpy arrays for
-the numbers.  In the polar chart it rebuilds each step's spring and roots
-from the stored start state with the operations of ``_spring``.  In the
-Cartesian chart it maps X, P to R and R' as above
-and adds the angle between X and the start's X to the start's Theta.  At
+evaluates it at many (start, offset) pairs of either chart, for
+``CornerResult.sample`` after a run; it is as accurate as the step
+itself.  Its maps, ``_polar_many`` and ``_cartesian_many``, are generated
+from the same source as the trial steps, compiled once, and run in two
+namespaces: on numpy arrays, all of a chart's samples at once, or, with
+fewer than FEW_SAMPLES of them, on floats one by one, where exp and
+expm1 give numpy's values as floats.  The map on arrays makes about 300
+numpy calls whatever its size, so a single sample costs about a ninth
+as much on floats.  Both routes do the same float operations on the same
+exp and expm1 bits, so a sample's bits do not depend on the samples
+taken with it.  In the polar chart it rebuilds each step's spring and
+roots from the stored start state with ``_spring`` on floats and its
+operations on arrays.  In the Cartesian chart it maps X, P to R and R'
+as above, with numpy's arctan2 on both routes, and adds the angle between X and the start's X to the start's Theta.  At
 offset 0 it returns R' and Theta exactly, and R exactly (Cartesian) or
 as w + (R - w), within an ulp (polar); at the step end it agrees with the
 accepted state to round-off.
@@ -257,6 +263,14 @@ MAX_GROWTH = 30.0
 
 # Largest share of alpha^2 that the polar chart's linearised spring takes.
 SPRING_CAP = 0.99
+
+# Samples of one chart from which ``substep_many`` evaluates them at once
+# on arrays; fewer go through the same map on floats, one by one.  Timed on
+# seeded steps of three runs (2 vCPUs, numpy 2.4.6), the array map costs
+# about 130 us (polar) and 165 us (Cartesian) whatever its size, and the
+# float route about 5 and 7 us a sample (14 and 16 us for one): they
+# break even at about 25 polar and 23 Cartesian samples.
+FEW_SAMPLES = 20
 
 # The forms of Phi(s) = [[H, K], [-omega^2 K, K']] at offset n (in units
 # of h / 90, the lcm of the nodes' denominators) from e = e^{xi1 s},
@@ -443,10 +457,10 @@ def _spring(R, n1, alpha, D, dmax):
     """(om2, xi1, xi2, sd2): the polar chart's spring om2 = omega^2 at a
     step start R with first stage n1 = c3 / R^3, and the roots of
     x^2 + 2 alpha x + omega^2, from the constants of ``_spring_constants``.
-    The polar loop's entry calls it, at the run start or at the switch;
-    the loop repeats these operations inline after each accepted step,
-    and ``substep_many`` on arrays.  The tests
-    check that every polar step and sample takes the same values."""
+    The polar loop's entry calls it, at the run start or at the switch,
+    and ``substep_many`` on few samples; the loop repeats these operations
+    inline after each accepted step, and ``substep_many`` on arrays.  The
+    tests check that every polar step and sample takes the same values."""
     d = 3.0 * n1 / R
     if not d < dmax:
         d = dmax
@@ -663,20 +677,41 @@ def _loop_source(chart: str) -> str:
         probe=", ".join("s" if x == "h" else x for x in params.split(", ")))
 
 
+def _exp(x):
+    """numpy's exp as a float: its bits, which are libm's only mostly."""
+    return float(np.exp(x))
+
+
+def _expm1(x):
+    """numpy's expm1 as a float."""
+    return float(np.expm1(x))
+
+
+def _minimum(a, b):
+    """np.minimum of two floats that are not NaN."""
+    return a if a < b else b
+
+
 # Defines ``_attempt``, ``_attempt_cartesian`` and the step loops in this
-# module, so that callers look them up here, and the array maps in a
-# namespace where exp, expm1 and minimum are numpy's.
+# module, so that callers look them up here.  Each array map is compiled
+# once and its code run in two namespaces: one where exp, expm1 and minimum
+# are numpy's, for arrays of samples, and one where they give numpy's
+# values as floats, for one sample (``_polar_one``, ``_cartesian_one``).
 _numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum}
+_floats = {"exp": _exp, "expm1": _expm1, "minimum": _minimum}
 for _chart in _CHARTS:
-    for _many, _namespace in ((False, globals()), (True, _numpy)):
-        exec(compile(_step_source(_chart, _many),
-                     f"<_kernels.{_CHARTS[_chart][_many]}>", "exec"),
-             _namespace)
+    _step, _many = _CHARTS[_chart][:2]
+    exec(compile(_step_source(_chart), f"<_kernels.{_step}>", "exec"),
+         globals())
+    _code = compile(_step_source(_chart, True), f"<_kernels.{_many}>",
+                    "exec")
+    exec(_code, _numpy)
+    exec(_code, _floats)
     exec(compile(_loop_source(_chart), f"<_kernels._run_{_chart}>", "exec"),
          globals())
-_polar_many = _numpy["_polar_many"]
-_cartesian_many = _numpy["_cartesian_many"]
-del _chart, _many, _namespace, _numpy
+_polar_many, _cartesian_many = _numpy["_polar_many"], _numpy["_cartesian_many"]
+_polar_one, _cartesian_one = _floats["_polar_many"], _floats["_cartesian_many"]
+del _chart, _step, _many, _code, _numpy, _floats
 
 
 def _substep(cartesian, *args):
@@ -688,52 +723,82 @@ def _substep(cartesian, *args):
     return _attempt(*args)[:4]
 
 
+def _polar_samples(R, V, T, s, c3, cth, xi1, xi2, sd2):
+    """(R, R', Theta) at offsets s into polar steps from (R, V, T): rows of
+    an array, or with fewer than FEW_SAMPLES samples a list of rows."""
+    Q = R * R
+    n1, g1 = c3 / (Q * R), cth / Q
+    roots = (1.0, xi1, xi2, sd2)
+    alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
+    if s.size < FEW_SAMPLES:
+        return [_polar_one(*y, c3, cth, *(
+            _spring(y[0], y[3], alpha, D, dmax) if dmax > 0.0 else roots))
+            for y in zip(R.tolist(), V.tolist(), T.tolist(), n1.tolist(),
+                         g1.tolist(), s.tolist())]
+    if dmax > 0.0:
+        # Each step's spring and roots, as ``_spring`` forms them.
+        d = np.minimum(3.0 * n1 / R, dmax)
+        om2 = 1.0 + d
+        r = np.sqrt(D - d)
+        pxi2 = -alpha - r
+        roots = (om2, om2 / pxi2, pxi2, r + r)
+    return np.column_stack(_polar_many(R, V, T, n1, g1, s, c3, cth, *roots))
+
+
+def _cartesian_polar(x0, y0, T, x, y, px, py):
+    """(R, R', Theta) of Cartesian states (x, y, px, py) reached from a
+    step start (x0, y0) at angle T, on floats or arrays alike."""
+    r = np.sqrt(x * x + y * y)
+    # The angle turned since the step start, from real products: exactly 0
+    # at offset 0.
+    return (r, x / r * px + y / r * py,
+            T + np.arctan2(x0 * y - y0 * x, x0 * x + y0 * y))
+
+
+def _cartesian_samples(XP, T, s, cth, xi1, xi2, sd2):
+    """(R, R', Theta) at offsets s into Cartesian steps from the starts XP
+    (rows x, y, x', y') at angles T, as ``_polar_samples`` gives them."""
+    x0, y0 = XP[:, 0], XP[:, 1]
+    tc = -(xi1 + xi2) * cth
+    f1 = tc / (x0 * x0 + y0 * y0)
+    if s.size < FEW_SAMPLES:
+        return [_cartesian_polar(x, y, T0, *_cartesian_one(
+            x, y, px, py, f, s0, tc, xi1, xi2, sd2))
+            for (x, y, px, py), T0, f, s0 in zip(
+                XP.tolist(), T.tolist(), f1.tolist(), s.tolist())]
+    return np.column_stack(_cartesian_polar(x0, y0, T, *_cartesian_many(
+        x0, y0, XP[:, 2], XP[:, 3], f1, s, tc, xi1, xi2, sd2)))
+
+
 def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
     """The single-step map at many starts (R, V, T) and offsets s >= 0 at
     once, in the chart of each step.
 
     ``cart`` marks the samples whose step was taken in the Cartesian
     chart, and ``XP`` holds those steps' start states (x, y, x', y'), one
-    row per marked sample.  The maps are ``_polar_many`` and
-    ``_cartesian_many``, generated from the source of the trial steps: the
-    same floating-point operations as ``_substep`` but numpy's exp and
-    expm1, which differ from libm's in the last bit on some arguments, so
-    the samples agree with ``_substep`` to round-off and not always bit
-    for bit.  A polar step's spring and roots are rebuilt from its start
-    with the operations of ``_spring``.  Stage radii are not checked: the
-    offsets lie inside accepted steps.  Returns the end states as an array
-    with columns R, V, Theta.
+    row per marked sample.  The maps are generated from the source of the
+    trial steps, with the same floating-point operations as ``_substep``
+    but numpy's exp and expm1, which differ from libm's in the last bit on
+    some arguments, so the samples agree with ``_substep`` to round-off
+    and not always bit for bit.  A chart's samples go through its array
+    map, ``_polar_many`` or ``_cartesian_many``, all at once, or, when
+    there are fewer than FEW_SAMPLES of them, through the same map on
+    floats (``_polar_one``, ``_cartesian_one``) one by one.  Both routes
+    do the same operations on the same exp and expm1 bits, so a sample's
+    bits do not depend on the samples it is taken with.  A polar step's
+    spring and roots are rebuilt from its start with the operations of
+    ``_spring``.  Stage radii are not checked: the offsets lie inside
+    accepted steps.  Returns the end states as an array with columns R,
+    V, Theta.
     """
     out = np.empty((s.size, 3))
     polar = ~cart
     if polar.any():
-        R0 = R[polar]
-        Q = R0 * R0
-        n1 = c3 / (Q * R0)
-        roots = (1.0, xi1, xi2, sd2)
-        alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
-        if dmax > 0.0:
-            # Each step's spring and roots, as ``_spring`` forms them.
-            d = np.minimum(3.0 * n1 / R0, dmax)
-            om2 = 1.0 + d
-            r = np.sqrt(D - d)
-            pxi2 = -alpha - r
-            roots = (om2, om2 / pxi2, pxi2, r + r)
-        out[polar] = np.column_stack(_polar_many(
-            R0, V[polar], T[polar], n1, cth / Q, s[polar], c3, cth,
-            *roots))
+        out[polar] = _polar_samples(R[polar], V[polar], T[polar], s[polar],
+                                    c3, cth, xi1, xi2, sd2)
     if cart.any():
-        x0, y0, px0, py0 = XP.T
-        tc = -(xi1 + xi2) * cth
-        x, y, px, py = _cartesian_many(x0, y0, px0, py0,
-                                       tc / (x0 * x0 + y0 * y0), s[cart],
-                                       tc, xi1, xi2, sd2)
-        r = np.sqrt(x * x + y * y)
-        out[cart, 0] = r
-        out[cart, 1] = x / r * px + y / r * py
-        # The angle turned since the step start, from real products:
-        # exactly 0 at offset 0.
-        out[cart, 2] = T[cart] + np.arctan2(x0 * y - y0 * x, x0 * x + y0 * y)
+        out[cart] = _cartesian_samples(XP, T[cart], s[cart], cth, xi1, xi2,
+                                       sd2)
     return out
 
 

@@ -26,6 +26,10 @@ the damping force acts along the same direction:
 
     G(x, v) = (v . w) w / |w|^2,   w = x - P_K x,   zero inside K.
 
+Outside K, where |w|^2 underflows to 0, both forms take G from the
+region's limit in ``_REGIONS``, by the one statement of a branch
+(``_branch``).
+
 ``project_onto_cone`` and ``damping_force_G`` are that field's w and G on
 validated numpy 2-vectors.
 
@@ -146,30 +150,39 @@ def _exits(sides) -> str:
     return f"({', '.join(exits)},)"
 
 
+def _branch(w: str, limit: str, out: str) -> list[str]:
+    """Statements of a region's branch outside K: its w, then G = f w with
+    f = (v . w) / |w|^2, or the region's ``limit`` for G where |w|^2 is 0.
+    ``out`` is the returned tuple, a template over the source of G's
+    components {g1} and {g2}."""
+    return [f"w1, w2 = {w}",
+            "ww = w1 * w1 + w2 * w2",
+            "if ww == 0.0:",
+            f"    g1, g2 = {limit}",
+            "    return " + out.format(g1="g1", g2="g2"),
+            "f = (v1 * w1 + v2 * w2) / ww",
+            "return " + out.format(g1="(f * w1)", g2="(f * w2)")]
+
+
 def _field_source() -> str:
     """Source of ``penalty_field`` and ``penalty_rhs``, from ``_REGIONS``.
 
-    ``penalty_field`` returns (w1, w2, G1, G2) with G = f w.  Each field
-    that ``penalty_rhs`` makes is one region's branch of it, with no test
-    of the region: it does the float operations of -2 alpha G - w on that
-    branch's values, in the same order, and where |w|^2 is 0 it takes the
-    region's ``limit`` for G instead of 0.  The operations that read no
-    state (-2 alpha * 0.0 and that minus 0.0) are done once, when the
-    closure is made.
+    Both state each region's branch with ``_branch``.  ``penalty_field``
+    returns (w1, w2, G1, G2).  Each field that ``penalty_rhs`` makes is
+    one region's branch, with no test of the region: it does the float
+    operations of -2 alpha G - w on that branch's values, in the same
+    order.  The operations that read no state (-2 alpha * 0.0 and that
+    minus 0.0) are done once, when the closure is made.
     """
     tests = [" and ".join(f"{form} {op} 0.0" for form, op in sides)
              for _, sides, _, _ in _REGIONS]
     split = _forms(" ".join(tests + [w for _, _, w, _ in _REGIONS[1:]]))
     split += [f"if {tests[0]}:", "    return 0.0, 0.0, 0.0, 0.0"]
-    for i, (_, _, w, _) in enumerate(_REGIONS[1:], 1):
+    for i, (_, _, w, limit) in enumerate(_REGIONS[1:], 1):
         head = ("else" if i == len(_REGIONS) - 1
                 else f"{'if' if i == 1 else 'elif'} {tests[i]}")
-        split += [f"{head}:", f"    w1, w2 = {w}"]
-    split += ["ww = w1 * w1 + w2 * w2",
-              "if ww == 0.0:",
-              "    return w1, w2, 0.0, 0.0",
-              "f = (v1 * w1 + v2 * w2) / ww",
-              "return w1, w2, f * w1, f * w2"]
+        split += [f"{head}:"] + [f"    {line}" for line in _branch(
+            w, limit, "w1, w2, {g1}, {g2}")]
 
     fields = []
     for name, _, w, limit in _REGIONS:
@@ -177,14 +190,8 @@ def _field_source() -> str:
         if w is None:
             fields.append("    return v1, v2, free, free")
             continue
-        fields += [f"    {line}" for line in _forms(w)] + [
-            f"    w1, w2 = {w}",
-            "    ww = w1 * w1 + w2 * w2",
-            "    if ww == 0.0:",
-            f"        g1, g2 = {limit}",
-            "        return v1, v2, a * g1 - w1, a * g2 - w2",
-            "    f = (v1 * w1 + v2 * w2) / ww",
-            "    return v1, v2, a * (f * w1) - w1, a * (f * w2) - w2"]
+        fields += [f"    {line}" for line in _forms(w) + _branch(
+            w, limit, "v1, v2, a * {g1} - w1, a * {g2} - w2")]
     regions = ",\n            ".join(
         f"({name}, {_exits(sides)})" for name, sides, _, _ in _REGIONS)
 
@@ -195,7 +202,8 @@ def penalty_field(x1: float, x2: float, v1: float, v2: float,
 
     Returns (w1, w2, G1, G2) with w = x - P_K x and G = (v . w / |w|^2) w,
     in scalar arithmetic and without validation.  Its branches are the
-    regions K, R1, R2, R3, tested in that order.  Non-finite input
+    regions K, R1, R2, R3, tested in that order.  Outside K, where |w|^2
+    underflows to 0, G is the region's limit from inside it.  Non-finite input
     propagates as NaN or inf.
     """
     c = cone.cos_theta

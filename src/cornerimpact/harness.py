@@ -3,16 +3,19 @@
 A physical run chains three phases: the face-1 closed form up to the
 crossing time t0, the adaptive corner passage in scaled variables, and
 (once the exit angle is reached) the face-2 closed form.  Both handoffs
-are continuous to round-off, and their residuals are recorded in the
-metadata.  ``simulate_full`` is the run plus its rows; the corner rows
-follow the run's accepted steps, which the step control has already
-placed on the passage's scales.  The ``Trajectory`` keeps the run's
-phase map, so ``positions_at`` gives the exact state at any time, as the
-rows do.
+are continuous to round-off, and their residuals, computed from floats,
+are recorded in the metadata.  A run's phase map gives the states at
+sorted times and the bounds of the corner's rows among them; it makes no
+labels.  ``simulate_full`` is the run plus its rows, labelled by phase
+from those bounds; the corner rows follow the run's accepted steps,
+which the step control has already placed on the passage's scales.  The
+``Trajectory`` keeps the run's phase map, so ``positions_at`` gives the
+exact state at any time, as the rows do.  A corner sample's bits do not
+depend on the times it is sampled with (``_kernels.substep_many``).
 
 ``convergence_study`` measures the sup distance to the anelastic limit
 trajectory over a uniform grid, on the phase map of each run without
-building its rows; ``asymptotic_report`` measures the corner flow
+building its rows or labels; ``asymptotic_report`` measures the corner flow
 against its matched asymptotics on the run's accepted steps, and
 ``phase_portrait`` tabulates the radial vector field.  All tables go
 through ``write_csv`` which prints floats with 17 significant digits so
@@ -40,7 +43,7 @@ from .config import SimConfig
 from .corner_phase import integrate_corner, radial_rhs
 from .errors import InvalidInput
 from .linear_phase import (_check_face_start, _face_state, check_times,
-                           first_crossing_time, r1_phase_state)
+                           first_crossing_time)
 from .moreau import limit_trajectory
 from .scaling import (
     ScaledParams,
@@ -87,7 +90,8 @@ class Trajectory:
     v: np.ndarray               # (n, 2) velocities
     phase: np.ndarray           # labels from {R1-phase, corner, R3-phase}
     metadata: dict
-    # states(t) -> (u, v, phase) at sorted times t in [0, T].
+    # states(t) -> (u, v, i1, i2) at sorted times t in [0, T]: rows i1 to
+    # i2 - 1 are the corner's.
     _states: Callable = field(repr=False, compare=False)
 
     def positions_at(self, t_grid) -> np.ndarray:
@@ -115,15 +119,15 @@ def _run(config: SimConfig, params: ScaledParams):
     its phase map and its ``CornerResult`` (None when T <= t0, where the
     run has no corner).
 
-    The map ``states(t)`` takes sorted times t in [0, T] to (u, v, phase):
-    times up to t0 go to the face-1 closed form, times in (t0, t_bar) to
-    the corner run, sampled at tau = (t - t0) sqrt(k) and mapped by
-    ``scaled_to_cartesian``, and times from the exit t_bar on to the
-    face-2 closed form.  Face 2 starts from the (n2, d2) components of the
-    exit state, ``scaled_to_cartesian`` at the angle Theta - theta_bar;
-    the exit residual is |u . d2|, ``handoff_pos_exit``.  The map checks
-    no times: its callers pass times they have checked or built in
-    [0, T].
+    The map ``states(t)`` takes sorted times t in [0, T] to (u, v, i1, i2):
+    the first i1 times, those up to t0, go to the face-1 closed form, times
+    i1 to i2 - 1, those in (t0, t_bar), to the corner run, sampled at
+    tau = (t - t0) sqrt(k) and mapped by ``scaled_to_cartesian``, and the
+    times from the exit t_bar on to the face-2 closed form.  Face 2 starts
+    from the (n2, d2) components of the exit state, ``scaled_to_cartesian``
+    at the angle Theta - theta_bar; the exit residual is |u . d2|,
+    ``handoff_pos_exit``.  The map checks no times: its callers pass times
+    they have checked or built in [0, T].
     """
     damping, init, cone = config.damping, config.init, config.cone
     k = params.k
@@ -140,13 +144,17 @@ def _run(config: SimConfig, params: ScaledParams):
                                stop_at_event=True)
         st = res.exit_state
         meta["corner_steps"] = res.n_accepted
-        # Handoff residuals at t0 (both are exact formulas; record the
-        # floating-point mismatch).
-        _, u_c0, v_c0 = scaled_to_cartesian(params, 0.0, params.R0,
-                                            params.dR0, 0.0)
-        r_l, rdot_l, s_l, sdot_l = r1_phase_state(init, damping, k, t0)
-        meta["handoff_pos_t0"] = float(np.linalg.norm(u_c0 - (r_l, s_l)))
-        meta["handoff_vel_t0"] = float(np.linalg.norm(v_c0 - (rdot_l, sdot_l)))
+        # Handoff residuals at t0, from floats: the corner start at
+        # Theta = 0, u = (eta R0 / sqrt(k), 0) and
+        # v = (eta R0', eta cth / R0) as ``scaled_to_cartesian`` forms them,
+        # against the face-1 closed form at t0 (both are exact formulas;
+        # record the floating-point mismatch).
+        eta, R0 = params.eta, params.R0
+        r_l, rdot_l, s_l, sdot_l = _face_state(
+            0.0, init.dr0, init.s0, init.ds0, damping, k, np.float64(t0))
+        meta["handoff_pos_t0"] = math.hypot(eta * R0 / sk - r_l, s_l)
+        meta["handoff_vel_t0"] = math.hypot(
+            eta * params.dR0 - rdot_l, eta * params.momentum / R0 - sdot_l)
 
         if st is not None:
             # The map at the angle Theta - theta_bar gives the exit state's
@@ -159,6 +167,10 @@ def _run(config: SimConfig, params: ScaledParams):
                         exit_R=st.R, exit_dR=st.dR, exit_Theta=st.Theta,
                         y1_0=y1_0, dy1_0=dy1_0, dy2_0=dy2_0,
                         handoff_pos_exit=abs(slide))
+
+    # Per column j of a face-2 row: (n2[j], d2[j]).
+    n2d2 = tuple(zip(cone.face2_normal.tolist(),
+                     cone.face2_direction.tolist()))
 
     def states(t):
         # Face 1 holds t <= t0.  At large k, t_bar rounds onto t0, so face 2
@@ -177,12 +189,11 @@ def _run(config: SimConfig, params: ScaledParams):
         if t.size > i2:
             y1, y1d, y2, y2d = _face_state(y1_0, dy1_0, 0.0, dy2_0, damping,
                                            k, t[i2:] - t_bar)
-            n2, d2 = cone.face2_normal, cone.face2_direction
-            u.append(np.outer(y1, n2) + np.outer(y2, d2))
-            v.append(np.outer(y1d, n2) + np.outer(y2d, d2))
-        phase = np.repeat([PHASE_FACE1, PHASE_CORNER, PHASE_FACE2],
-                          [i1, i2 - i1, t.size - i2])
-        return np.concatenate(u), np.concatenate(v), phase
+            # The rows y1 n2 + y2 d2, a column at a time: the products of
+            # np.outer(y1, n2) + np.outer(y2, d2).
+            u.append(np.column_stack([y1 * n + y2 * d for n, d in n2d2]))
+            v.append(np.column_stack([y1d * n + y2d * d for n, d in n2d2]))
+        return np.concatenate(u), np.concatenate(v), i1, i2
 
     return meta, states, res
 
@@ -231,12 +242,12 @@ def simulate_full(config: SimConfig, t_eval=None) -> Trajectory:
             grids.append([T])
 
     t = np.unique(np.concatenate(grids))
-    u, v, phase = states(t)
-    meta["phase_counts"] = {label: int(np.sum(phase == label))
-                            for label in (PHASE_FACE1, PHASE_CORNER,
-                                          PHASE_FACE2)}
-    return Trajectory(t=t, u=u, v=v, phase=phase, metadata=meta,
-                      _states=states)
+    u, v, i1, i2 = states(t)
+    labels = (PHASE_FACE1, PHASE_CORNER, PHASE_FACE2)
+    counts = (i1, i2 - i1, t.size - i2)
+    meta["phase_counts"] = dict(zip(labels, counts))
+    return Trajectory(t=t, u=u, v=v, phase=np.repeat(labels, counts),
+                      metadata=meta, _states=states)
 
 
 def _loglog_order(x, y) -> float | None:
@@ -266,8 +277,10 @@ def convergence_study(config: SimConfig, k_list=None):
     for i, k in enumerate(k_arr):
         params = scaled_params_from_physical(config.init, config.damping, k)
         states = _run(config, params)[1]
-        uk = states(grid)[0]
-        errors[i] = float(np.max(np.linalg.norm(uk - u_inf, axis=1)))
+        d = states(grid)[0] - u_inf
+        d *= d
+        # sqrt(max |d|^2): the bits of max(np.linalg.norm(d, axis=1)).
+        errors[i] = math.sqrt(np.max(d[:, 0] + d[:, 1]))
     table = {"k": k_arr, "sup_error": errors}
     return table, _loglog_order(1.0 / np.sqrt(k_arr), errors)
 

@@ -949,6 +949,47 @@ def test_polar_step_ends_match_the_stored_states(alpha, cone):
         1e-13 * np.max(np.abs(res.dR))
 
 
+@pytest.mark.parametrize("params, cone", [
+    # Acute, at k = 1e3: Cartesian steps, then polar ones past the exit.
+    (scaled_params_from_physical(UNIT, characteristic_roots(2.5), 1e3),
+     ACUTE),
+    # Obtuse, with the polar chart's spring on (alpha = 2).
+    (params_at(1e-3), OBTUSE),
+    # alpha = 1.004: SPRING_CAP alpha^2 < 1, so the spring is off.
+    (scaled_params_direct(1e-3, "derive", UNIT, characteristic_roots(1.004)),
+     OBTUSE),
+], ids=["acute-k1e3", "obtuse-spring", "obtuse-alpha1.004"])
+def test_sample_bits_do_not_depend_on_the_batch(monkeypatch, params, cone):
+    # A chart's samples go through its array map, or one by one through the
+    # same map on floats when there are fewer than FEW_SAMPLES of them.
+    # Seeded times in each chart's steps, in batches of 1, FEW_SAMPLES - 1,
+    # FEW_SAMPLES and 600, give each sample the bits it has when taken
+    # alone, and both routes run in both charts.
+    calls = dict.fromkeys(("_polar_one", "_polar_many", "_cartesian_one",
+                           "_cartesian_many"), 0)
+    for name in calls:
+        def counted(*args, f=getattr(_kernels, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(_kernels, name, counted)
+    res = integrate_corner(params, cone, horizon=20.0, stop_at_event=False)
+    m = len(res.cartesian)
+    assert 0 < m < res.tau.size - 10
+    rng = np.random.default_rng(34)
+    few = _kernels.FEW_SAMPLES
+    for lo, hi in ((0.0, res.tau[m]), (res.tau[m], res.tau[-1])):
+        for n in (1, few - 1, few, 600):
+            t = np.sort(rng.uniform(lo, hi, n))
+            t[0] = lo
+            batch = res.sample(t)
+            for j, tj in enumerate(t.tolist()):
+                alone = res.sample([tj])
+                for name in ("R", "dR", "Theta"):
+                    assert getattr(batch, name)[j].hex() == \
+                        getattr(alone, name)[0].hex(), (n, tj, name)
+    assert all(calls.values()), calls
+
+
 def test_continue_after_event():
     p = params_at(1e-2)
     res = integrate_corner(p, OBTUSE, stop_at_event=False)

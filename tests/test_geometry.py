@@ -354,31 +354,32 @@ REGIONS = ("K", "R1", "R2", "R3")
 def test_penalty_rhs_matches_the_penalty_field_route(cone, alpha):
     # Each region's field against the route through penalty_field, bit for
     # bit, at the states whose priority region it is: seeded points in
-    # every region, the boundary points, zero velocities and signed zeros.
+    # every region, the boundary points, zero velocities, signed zeros and
+    # points where |w|^2 underflows, which both take the region's limit.
     points, velocities = _seeded_states(cone)
     states = [(*x, *v) for x, v in zip(points.tolist(), velocities.tolist())]
     zeros = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
-    states += [(*x, *v) for x in zeros + [(-0.0, -2.0), (1e-170, -1.0)]
+    c, s = _cos_sin(cone)
+    tiny = [(1e-170, -1.0), (1e-170, 1e-170), (1e-170 * c, 1e-170 * s),
+            (1e-170 * (c - s), 1e-170 * (s + c))]
+    states += [(*x, *v) for x in zeros + [(-0.0, -2.0)] + tiny
                for v in zeros + [(0.4, -1.3)]]
     fields = dict(zip(REGIONS, (rhs for rhs, _ in penalty_rhs(cone, alpha))))
     regions = set()
     for state in states:
         region = _region(np.array(state[:2]), cone)
-        w1, w2, _, _ = penalty_field(*state, cone)
-        if region != "K" and w1 * w1 + w2 * w2 == 0.0:
-            continue            # on the region's line: the limit below
         regions.add(region)
         out = fields[region](*state)
         assert all(type(q) is float for q in out)
         assert _hex(out) == _hex(_rhs_route(*state, cone, alpha)), state
     assert regions == set(REGIONS)
-    # On a region's own line, where w is 0 or its square underflows, the
-    # route has no damping but the field keeps its limit from inside: v's
-    # component along the unit normal (1, 0) in R1 and n2 in R3, and v at
-    # the vertex in R2.  w itself is 0 there, or far below the spacing of
-    # the acceleration.
+    # Where |w|^2 underflows, the route's damping is the region's limit
+    # from inside: v's component along the unit normal (1, 0) in R1 and n2
+    # in R3, and v at the vertex in R2.  On a region's own line the route
+    # is K's, and the field keeps that limit.  w itself is 0 there, or far
+    # below the spacing of the acceleration.
     v = (0.4, -1.3)
-    c, s = _cos_sin(cone)
+    assert damping_force_G((1e-170, -1.0), v, cone).tolist() == [0.4, 0.0]
     v_n1 = (v[0], 0.0)
     v_n2 = ((v[0] * c + v[1] * s) * c, (v[0] * c + v[1] * s) * s)
     for region, x, g in [("R1", (0.0, -2.0), v_n1),
