@@ -19,13 +19,17 @@ the region's forms at the step's end; where one has turned positive it
 ends the step on that line instead, as a trial of the length that puts it
 there (``_cut``: a Hermite guess, then Newton re-trials; Hairer, Norsett &
 Wanner, Sec. II.6), and goes on with the field of the region beyond.  The
-step controller does not change.  A trial step is
-one flat body, ``_trial``: its 12 stages, the new state and the E5 and E3
-sums of the error norm, each stage sum a ``+`` chain of literal products
-over the nonzero coefficients only.  ``_extra_many`` is the array form of
-the same chains for the three stages the interpolant adds.  Both bodies
-are expanded from ``A``, ``E5`` and ``E3`` when the module loads
-(``_flat_source``), so the tuples stay the one copy of the coefficients.
+step controller does not change.  A run that cannot go on stops one
+way: the loop raises ``_Stop`` with the reason, ``solve`` records it, and
+``_spend`` is the one check of the right-hand-side budget.
+
+A trial step is one flat body, ``_trial``: its 12 stages, the new state
+and the E5/E3 error norm, each stage sum a ``+`` chain of literal
+products over the nonzero coefficients only.  ``_extra_many`` is the
+array form of the same chains for the three stages the interpolant adds.
+Both bodies are expanded from ``A``, ``E5`` and ``E3`` when the module
+loads (``_flat_source``), so the tuples stay the one copy of the
+coefficients.
 The interpreter, not the arithmetic, sets the cost of a step: the chains
 call no ``sum`` or ``map`` and leave out the 30 zeros among the 104
 coefficients of rows 1-12, E5 and E3, and they take about half the time
@@ -187,9 +191,11 @@ def _flat_source() -> str:
     """Source of ``_trial`` and ``_extra_many``, expanded from the tableau.
 
     k{c}_{s} is stage s of component c and z{c} the state a stage is
-    evaluated at.  ``_trial(fun, y1..y4, h, k1_0..k4_0)`` returns the new
-    state, the E5 and E3 sums per component and the 52 stages, component
-    by component (stage 12 is f at the new state).
+    evaluated at.  ``_trial(fun, y1..y4, h, k1_0..k4_0, rtol, atol)``
+    returns the new state, the E5/E3 error norm of the step and the 52
+    stages, component by component (stage 12 is f at the new state).  The
+    norm scales each component by atol + max(|y|, |new|) rtol and is 0
+    where both sums vanish.
 
     ``_extra_many(funs, y, h, K)`` is the array form for the interpolant's
     three stages of m steps at once: y holds the steps' start states,
@@ -214,12 +220,26 @@ def _flat_source() -> str:
         return ", ".join(f"k{c}_{j}" for j in range(n))
 
     n = N_STAGES + 1
-    trial = ["def _trial(fun, y1, y2, y3, y4, h, k1_0, k2_0, k3_0, k4_0):",
-             *stages(1, N_STAGES),
-             "    return (z1, z2, z3, z4,",
-             *(f"            {_chain(E, [f'k{c}_{j}' for j in range(n)])},"
-               for E in (E5, E3) for c in comps),
-             f"            ({', '.join(ks(c, n) for c in comps)},))"]
+    trial = ["def _trial(fun, y1, y2, y3, y4, h, k1_0, k2_0, k3_0, k4_0,"
+             " rtol, atol):",
+             *stages(1, N_STAGES)]
+    # The E5/E3 error norm of DOP853: each component's sums divided by its
+    # scale s, from the larger of |y| and |z| (b if b > a else a is what
+    # max(a, b) returns, without the call).
+    for c in comps:
+        trial += [f"    a = abs(y{c})", f"    b = abs(z{c})",
+                  f"    s{c} = atol + (b if b > a else a) * rtol"]
+    for name, E in (("err5", E5), ("err3", E3)):
+        trial += [f"    e{c} = ({_chain(E, [f'k{c}_{j}' for j in range(n)])})"
+                  f" / s{c}" for c in comps]
+        trial.append(f"    {name} = "
+                     + " + ".join(f"e{c} * e{c}" for c in comps))
+    trial += ["    if err5 == 0.0 and err3 == 0.0:",
+              "        err = 0.0",
+              "    else:",
+              "        err = h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)",
+              "    return (z1, z2, z3, z4, err,",
+              f"            ({', '.join(ks(c, n) for c in comps)},))"]
     extra = ["def _extra_many(funs, y, h, K):",
              f"    {', '.join(f'k_{j}' for j in range(n))} = K"]
     for s in range(n, len(A)):
@@ -231,7 +251,7 @@ def _flat_source() -> str:
     return "\n".join(trial + extra) + "\n"
 
 
-_bodies: dict = {"np": np}
+_bodies: dict = {"np": np, "math": math}
 exec(compile(_flat_source(), "<_dop853 flat bodies>", "exec"), _bodies)
 _trial, _extra_many = _bodies["_trial"], _bodies["_extra_many"]
 
@@ -244,7 +264,9 @@ class Solution:
     the 13 stage derivatives of each component in turn (the last one is f
     at the new state).  ``failure`` is None when the run reached its end
     time, else the reason it stopped; ``nfev`` counts the right-hand-side
-    calls of the stepping loop.  ``regions`` is the run's field, as
+    calls of the stepping loop, each trial step's and region switch's
+    before they are made, so a trial that float arithmetic interrupts
+    counts in full.  ``regions`` is the run's field, as
     ``solve`` takes it, and ``region`` holds the region each step took.
     """
 
@@ -337,22 +359,36 @@ def solve(regions, y0, t_end: float, rtol: float, atol: float,
     or, on a line, moves into (``_start``), and ends each step that leaves
     its region on the line it crossed (``_cut``).
 
-    The run stops early, with ``Solution.failure`` set, when the next step
-    attempt would take ``nfev`` past ``max_rhs``, when the step falls
-    below ten float spacings of t, when an accepted state is not finite,
-    or when float arithmetic raises (``ZeroDivisionError``/
-    ``OverflowError``).
+    The run stops early, with ``Solution.failure`` set to the reason, when
+    the next trial step or region switch would take ``nfev`` past
+    ``max_rhs``, when the step falls below ten float spacings of t, when
+    an accepted state is not finite, or when float arithmetic raises
+    (``ZeroDivisionError``/``OverflowError``).  The stepping loop raises
+    ``_Stop`` for the first three; this is the one place that sets
+    ``failure``.
     """
     sol = Solution(regions, y0)
     try:
         _run(sol, t_end, rtol, atol, max_rhs)
+    except _Stop as exc:
+        sol.failure = str(exc)
     except ArithmeticError as exc:
         sol.failure = f"float arithmetic failed ({exc})"
     return sol
 
 
-def _spent(max_rhs) -> str:
-    return f"budget of {max_rhs} right-hand-side evaluations exhausted"
+class _Stop(Exception):
+    """Ends a run early; its text is the run's ``Solution.failure``."""
+
+
+def _spend(sol, calls, max_rhs):
+    """Count ``calls`` right-hand-side evaluations about to be made, or
+    stop the run if they would take ``nfev`` past ``max_rhs``."""
+    nfev = sol.nfev + calls
+    if nfev > max_rhs:
+        raise _Stop(f"budget of {max_rhs} right-hand-side evaluations "
+                    "exhausted")
+    sol.nfev = nfev
 
 
 def _start(regions, y1, y2, v1, v2) -> int:
@@ -389,7 +425,7 @@ def _hermite_root(g0, d0, g1, d1):
     return x
 
 
-def _cut(sol, fun, exits, t, y, f, h, n, K, max_rhs):
+def _cut(sol, fun, exits, t, y, f, h, n, K, rtol, atol, max_rhs):
     """End a step that left its region on the exit line it crossed first.
 
     The step of size h from the state y at time t (f = fun(*y)) ended at n
@@ -405,8 +441,7 @@ def _cut(sol, fun, exits, t, y, f, h, n, K, max_rhs):
 
     Returns (x, n, K, j) with j the region beyond the line: x = 0 (and n =
     y) where y already lies on or past it, and x = h where the root is
-    within float spacing of the step's end.  Returns None when the budget
-    runs out first.
+    within float spacing of the step's end.
     """
     y1, y2, y3, y4 = y
     n1, n2, n3, n4 = n
@@ -430,11 +465,8 @@ def _cut(sol, fun, exits, t, y, f, h, n, K, max_rhs):
         x = (t + x) - t
         if not lo < x < hi:
             break
-        if sol.nfev + N_STAGES > max_rhs:
-            sol.failure = _spent(max_rhs)
-            return None
-        n1, n2, n3, n4, *_, K = _trial(fun, y1, y2, y3, y4, x, *f)
-        sol.nfev += N_STAGES
+        _spend(sol, N_STAGES, max_rhs)
+        n1, n2, n3, n4, _, K = _trial(fun, y1, y2, y3, y4, x, *f, rtol, atol)
         cut = (x, (n1, n2, n3, n4), K, j)
         g = p * n1 + q * n2
         if abs(g) <= SWITCH_TOL * (abs(n1) + abs(n2)):
@@ -471,76 +503,41 @@ def _run(sol, t_end, rtol, atol, max_rhs):
         rejected = False
         while True:
             if h_abs < min_step:
-                sol.failure = "step size fell below ten float spacings"
-                return
-            if sol.nfev + N_STAGES > max_rhs:
-                sol.failure = _spent(max_rhs)
-                return
+                raise _Stop("step size fell below ten float spacings")
+            _spend(sol, N_STAGES, max_rhs)
             t_new = t + h_abs
             if t_end < t_new:
                 t_new = t_end
             h = t_new - t
-            # Stages 1-11, then f at the new state n as stage 12 (B = A[12]);
-            # p and q are the E5 and E3 sums of the stages.
-            (n1, n2, n3, n4, p1, p2, p3, p4, q1, q2, q3, q4,
-             K) = _trial(fun, y1, y2, y3, y4, h, f1, f2, f3, f4)
-            sol.nfev += N_STAGES
-            # The E5/E3 error norm of DOP853, weighted per component.
-            a = abs(y1)
-            b = abs(n1)
-            s1 = atol + (b if b > a else a) * rtol
-            a = abs(y2)
-            b = abs(n2)
-            s2 = atol + (b if b > a else a) * rtol
-            a = abs(y3)
-            b = abs(n3)
-            s3 = atol + (b if b > a else a) * rtol
-            a = abs(y4)
-            b = abs(n4)
-            s4 = atol + (b if b > a else a) * rtol
-            e1 = p1 / s1
-            e2 = p2 / s2
-            e3 = p3 / s3
-            e4 = p4 / s4
-            err5 = e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
-            e1 = q1 / s1
-            e2 = q2 / s2
-            e3 = q3 / s3
-            e4 = q4 / s4
-            err3 = e1 * e1 + e2 * e2 + e3 * e3 + e4 * e4
-            if err5 == 0.0 and err3 == 0.0:
-                error_norm = 0.0
-            else:
-                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)
-            if error_norm < 1.0:
-                if error_norm == 0.0:
+            # Stages 1-11, then f at the new state n as stage 12 (B = A[12]).
+            n1, n2, n3, n4, err, K = _trial(fun, y1, y2, y3, y4, h,
+                                            f1, f2, f3, f4, rtol, atol)
+            if err < 1.0:
+                if err == 0.0:
                     factor = MAX_FACTOR
                 else:
-                    factor = SAFETY * error_norm ** ERROR_EXPONENT
+                    factor = SAFETY * err ** ERROR_EXPONENT
                     if not factor < MAX_FACTOR:
                         factor = MAX_FACTOR
                 if rejected and not factor < 1.0:
                     factor = 1.0
                 h_abs = h * factor
                 break
-            factor = SAFETY * error_norm ** ERROR_EXPONENT
+            factor = SAFETY * err ** ERROR_EXPONENT
             h_abs = h * (factor if factor > MIN_FACTOR else MIN_FACTOR)
             rejected = True
         # abs(x) < INF is False for an infinite x and for NaN.
         if not (abs(n1) < INF and abs(n2) < INF and abs(n3) < INF
                 and abs(n4) < INF):
-            sol.failure = "state is not finite"
-            return
+            raise _Stop("state is not finite")
         # A step that leaves its region ends on the line it crosses, and
         # the run goes on with the field of the region beyond.
         beyond = region
         for p, q, _ in exits:
             if p * n1 + q * n2 > 0.0:
-                cut = _cut(sol, fun, exits, t, (y1, y2, y3, y4),
-                           (f1, f2, f3, f4), h, (n1, n2, n3, n4), K, max_rhs)
-                if cut is None:
-                    return
-                h, (n1, n2, n3, n4), K, beyond = cut
+                h, (n1, n2, n3, n4), K, beyond = _cut(
+                    sol, fun, exits, t, (y1, y2, y3, y4), (f1, f2, f3, f4),
+                    h, (n1, n2, n3, n4), K, rtol, atol, max_rhs)
                 t_new = t + h
                 break
         if h > 0.0:
@@ -553,10 +550,7 @@ def _run(sol, t_end, rtol, atol, max_rhs):
         if beyond == region:
             f1, f2, f3, f4 = K[N_STAGES::N_STAGES + 1]
             continue
-        if sol.nfev + 1 > max_rhs:
-            sol.failure = _spent(max_rhs)
-            return
+        _spend(sol, 1, max_rhs)
         region = beyond
         fun, exits = regions[region]
         f1, f2, f3, f4 = fun(y1, y2, y3, y4)
-        sol.nfev += 1

@@ -200,9 +200,10 @@ exp and expm1 bits, so a sample's bits do not depend on the samples
 taken with it.  In the polar chart it rebuilds each step's spring and
 roots from the stored start state with ``_spring`` on floats and its
 operations on arrays.  In the Cartesian chart it maps X, P to R and R'
-as above, with numpy's arctan2 on both routes, and adds the angle between X and the start's X to the start's Theta.  At
-offset 0 it returns R' and Theta exactly, and R exactly (Cartesian) or
-as w + (R - w), within an ulp (polar); at the step end it agrees with the
+as above, with numpy's arctan2 on both routes, and adds the angle
+between X and the start's X to the start's Theta.  At offset 0 it
+returns R' and Theta exactly, and R exactly (Cartesian) or as
+w + (R - w), within an ulp (polar); at the step end it agrees with the
 accepted state to round-off.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of

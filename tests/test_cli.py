@@ -212,6 +212,9 @@ def test_converge_bad_k_list(capsys):
     code = main(["converge", "--k-list", "100,abc"])
     assert code == 2
     assert "comma-separated numbers" in capsys.readouterr().err
+    # A list of empty items is empty, not the default list.
+    assert main(["converge", "--k-list", ","]) == 2
+    assert "--k-list must not be empty" in capsys.readouterr().err
 
 
 def test_asym_report_single_eta(tmp_path, capsys):

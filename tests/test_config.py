@@ -92,7 +92,8 @@ def test_errors_name_the_line():
     ("alpha = 2.0\n\nk = 1e7\n", "line 3: eta = exp(-423.66) leaves double"),
     ("k = 1e-40\n", "line 1: the corner constant R0 = 0.0 is zero"),
     ("eta = 1e-100\n", "line 1: eta = exp(-230.26) leaves double"),
-], ids=["k_list", "eta_list", "k_large", "k_tiny", "eta_tiny"])
+    ("k_list = ,\n", "line 1: k_list must not be empty"),
+], ids=["k_list", "eta_list", "k_large", "k_tiny", "eta_tiny", "k_list_empty"])
 def test_owner_rules_name_the_line(text, fragment):
     # The list entries and k = 1e7 used to fail with no line, or only
     # once a run reached them.

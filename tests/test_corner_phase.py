@@ -112,6 +112,43 @@ def test_angle_event_tolerance():
         assert abs(res.exit_state.Theta - ACUTE.theta_bar) <= 1e-14
 
 
+def locate(at, f0, f1):
+    """``_locate_exit`` over a step of length 1 that ends in the state
+    "end", with the offsets ``at`` was called at."""
+    calls = []
+
+    def logged(s):
+        calls.append(s)
+        return at(s)
+
+    return _kernels._locate_exit(logged, 1.0, f0, f1, "end"), calls
+
+
+def test_exit_search_halves_where_the_single_step_map_fails():
+    # The map fails past 0.25: the bracket's top moves down to each failed
+    # offset, and Newton goes on from the first one that steps.
+    found, calls = locate(
+        lambda s: None if s > 0.25 else (s - 0.2, 1.0, f"at {s}"), -0.2, 0.1)
+    assert calls[:3] == pytest.approx([2.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    assert found == (calls[-1], f"at {calls[-1]}")
+    assert found[0] == pytest.approx(0.2, abs=1e-15)
+    # Where the map fails everywhere, the step's end stands.
+    found, calls = locate(lambda s: None, -0.5, 0.5)
+    assert found == (1.0, "end") and len(calls) > 40
+
+
+def test_exit_search_bisects_where_the_slope_is_zero():
+    found, calls = locate(lambda s: (s - 0.5, 0.0, s), -0.1, 0.9)
+    assert calls[:4] == pytest.approx([0.1, 0.55, 0.325, 0.4375])
+    assert found[0] == found[1] == pytest.approx(0.5, abs=1e-15)
+
+
+def test_exit_search_stops_where_newton_stops_moving():
+    # At 0.5 the value 1e-20 moves s by less than half a float spacing.
+    found, calls = locate(lambda s: (s - 0.5 + 1e-20, 1.0, s), -0.5, 0.5)
+    assert calls == [0.5] and found == (0.5, 0.5)
+
+
 # (alpha, theta_bar, eta): two acute exits and two obtuse.  At
 # theta_bar = 1.7 the exit time is 1.7175490521903976, which an interval
 # enclosure of the same flow confirms; there the exit lies far past the

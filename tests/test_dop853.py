@@ -166,14 +166,45 @@ def test_float_arithmetic_errors_end_the_run(exc):
 
 def test_non_finite_state_ends_the_run():
     # y' = y^2 from 1 blows up at t = 1; the run must stop, not return inf.
+    # The steps shrink towards the pole until they fall below resolution.
     def fun(x1, x2, v1, v2):
         return x1 * x1, 0.0, 0.0, 0.0
 
     sol = _dop853.solve(smooth(fun), (1.0, 0.0, 0.0, 0.0), 2.0, 1e-8,
                         1e-10, 300_000)
-    assert sol.failure is not None
+    assert sol.failure == "step size fell below ten float spacings"
     assert all(map(math.isfinite, sol.y))
-    assert sol.t[-1] == pytest.approx(1.0, abs=1e-6)
+    assert sol.t[-1] == pytest.approx(1.0000000026, abs=1e-10)
+
+
+def test_overflowing_state_ends_the_run():
+    # A slope of 1e300 from 1.7e308 passes the largest float at t ~ 9.7e6;
+    # the step that crosses it is accepted (its error is zero) and its
+    # infinite state must end the run without being stored.
+    def fun(x1, x2, v1, v2):
+        return 1e300, 0.0, 0.0, 0.0
+
+    sol = _dop853.solve(smooth(fun), (1.7e308, 0.0, 0.0, 0.0), 1e8, 1e-8,
+                        1e-10, 300_000)
+    assert sol.failure == "state is not finite"
+    assert all(map(math.isfinite, sol.y))
+    assert sol.t[-1] == pytest.approx(7.28e6, rel=1e-3)
+
+
+def test_zero_error_grows_the_step_tenfold():
+    # In the zero field every error norm is 0: each step is the largest
+    # growth, MAX_FACTOR, times the last, from the initial 1e-6.
+    def fun(x1, x2, v1, v2):
+        return 0.0, 0.0, 0.0, 0.0
+
+    sol = _dop853.solve(smooth(fun), (1.0, 0.0, 0.0, 0.0), 1e3, 1e-8,
+                        1e-10, 300_000)
+    assert sol.failure is None and sol.t[-1] == 1e3
+    steps = np.diff(sol.t)
+    assert len(steps) == 10
+    np.testing.assert_allclose(steps[:-1], 1e-6 * 10.0 ** np.arange(9),
+                               rtol=1e-9)
+    assert sol.nfev == 2 + 10 * _dop853.N_STAGES == 122
 
 
 SCIPY_CASES = [(2.0, k, th) for k in (100.0, 400.0)
@@ -291,22 +322,39 @@ def step_cases():
     return cases
 
 
+def reference_norm(y, new, h, ref, rtol, atol):
+    """The E5/E3 error norm of a step from y to ``new``, from the E5 and E3
+    sums of its stages ``ref``, with the float operations of the stepping
+    loop's former hand-written form."""
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, new)]
+    sums = []
+    for E in (_dop853.E5, _dop853.E3):
+        e = [sum(map(mul, E, Kc)) / s for Kc, s in zip(ref, scale)]
+        sums.append(e[0] * e[0] + e[1] * e[1] + e[2] * e[2] + e[3] * e[3])
+    err5, err3 = sums
+    if err5 == 0.0 and err3 == 0.0:
+        return 0.0
+    return h * err5 / math.sqrt((err5 + 0.01 * err3) * 4.0)
+
+
 @pytest.mark.parametrize("fun, y, h", step_cases())
 def test_flat_step_matches_the_reference_loop(fun, y, h):
     # Three steps of the case, each checked alone, then stacked as the rows
-    # of one call of the interpolant's array body.
+    # of one call of the interpolant's array body.  The free-flight cases
+    # have zero E5 and E3 sums, so a zero norm.
     n = _dop853.N_STAGES + 1
+    rtol, atol = 1e-10, 1e-12
     starts, sizes, stages, refs = [], [], [], []
     y_row = y
     for h_row in (h, 0.5 * h, 2.0 * h):
         f = fun(*y_row)
-        n1, n2, n3, n4, *sums, K = _dop853._trial(fun, *y_row, h_row, *f)
+        n1, n2, n3, n4, err, K = _dop853._trial(fun, *y_row, h_row, *f,
+                                                rtol, atol)
         ref = [[fc] for fc in f]
         new = reference_stages(fun, y_row, h_row, ref, _dop853.A[1:n])
         assert bits((n1, n2, n3, n4)) == bits(new)
-        assert bits(sums) == bits([sum(map(mul, E, Kc))
-                                   for E in (_dop853.E5, _dop853.E3)
-                                   for Kc in ref])
+        assert float.hex(err) == float.hex(
+            reference_norm(y_row, new, h_row, ref, rtol, atol))
         assert bits(K) == bits(sum(ref, []))
         reference_stages(fun, y_row, h_row, ref, _dop853.A[n:])
         starts.append(y_row)

@@ -275,7 +275,8 @@ def test_every_point_is_classified(cone):
 
 
 def _nearest_point_in_K(x, cone):
-    """P_K x as the nearest point of K: x itself, or the nearer boundary ray."""
+    """P_K x as the nearest point of K: x itself, or the nearer boundary
+    ray."""
     if _in_K(x, cone):
         return np.array(x, dtype=float)
     c, s = _cos_sin(cone)

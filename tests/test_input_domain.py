@@ -1,4 +1,5 @@
-"""Seeded property tests: inputs across the domain fail only with named errors."""
+"""Seeded property tests: inputs across the domain fail only with named
+errors."""
 import math
 import re
 import sys
