@@ -66,7 +66,7 @@ quadrature.  Near the vertex R grows linearly in tau, and
 Theta' = cth / R^2 peaks on the scale kappa there: the polar chart's
 step can only grow by a small fixed ratio across that peak, while this
 chart sees a nearly straight line.  The error norm is the RMS over x, y,
-px, py, each on the scale of its own size, as in the polar chart.  Near
+px, py, each on the scale of its own size (see "Step control").  Near
 Theta = pi/2 the scale of x is small, so this chart holds the angle far
 tighter than the polar scale rtol |Theta| does.
 
@@ -85,9 +85,10 @@ or the switch, and then once per accepted step.
 Without the linearisation the explicit stages carry the stiffness
 3 c3 / R^4 (3 at the rest point) against the fast mode -2 alpha, and past
 the exit a run creeps toward the rest point in steps of 2 alpha h ~ 1: at
-eta = 1e-2 the asym-report run to tau3 took 211,391 accepted steps at
-alpha = 300 and 703,765 at alpha = 1000, against 11,949 and 11,755 with
-it, and corner_long trial steps per op fell from 260.9 to 227.3.
+eta = 1e-2 the asym-report run to tau3 took 129,506 accepted steps at
+alpha = 300 and 450,657 at alpha = 1000, against 6,182 and 7,451 with
+it, and corner_long trial steps per op fell from 221.5 to 196.5 (first
+64 ops of seed 7).
 
 Each step is taken about the rest point
 w = (n1 + (omega^2 - 1) R_n) / omega^2 of its frozen first-stage force,
@@ -105,11 +106,24 @@ follows the exact linear flow; the step is then limited by the Theta
 quadrature only, and the cost hardly grows as eta shrinks.
 
 Step control, the same in both charts and stated once, in the template
-of their step loops: the error norm err is the RMS above, and each
-attempt scales h by the factor 0.9 err^(-1/5).  An attempt with err > 1
-is rejected and retried with h shrunk by that factor, at most 10 times
-(4 times when err is not finite).  After an accepted step
-(err <= 1, so the factor is at least 0.9) three rules set the next h:
+of their step loops.  The error norm err is the RMS of the embedded
+error's components, each divided by atol + rtol s.  The size s of a
+component is the larger of its absolute values at the step's start and
+end, but R' in the polar chart takes the state's size in the phase
+plane, the largest of |R'| and |R| at both ends (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4, on the choice of the scales); which sizes
+join a component's own is data, in the chart's ``_LOOPS`` entry.  An
+obtuse run leaves the corner on the slow mode of the damped-linear flow,
+R' ~ xi1 R with |xi1| = alpha - sqrt(alpha^2 - 1) (0.17 to 0.38 for
+alpha in [1.5, 3]), where |R'| alone would hold R' 3 to 6 times tighter
+than R.  On the first 64 corner_long ops of seed 7, R' has the largest
+scaled error in 71 % of the accepted polar steps with |R'| alone and in
+62 % with the phase-plane size, which takes 196.5 trial steps per op
+instead of 227.3.  Each attempt scales h by the factor 0.9 err^(-1/5).
+An attempt with err > 1 is rejected and retried with h shrunk by that
+factor, at most 10 times (4 times when err is not finite).  After an
+accepted step (err <= 1, so the factor is at least 0.9) three rules set
+the next h:
 
 - Growth bound.  The factor is at most MAX_GROWTH = 30.  A bound above 5
   acts only when err < (0.9 / 5)^5 ~ 2e-4, far inside the tolerance.
@@ -127,17 +141,18 @@ is rejected and retried with h shrunk by that factor, at most 10 times
 - The switch, below.
 
 A run gives up after MAX_STEPS = 250,000 attempts, over 20 times the
-12,131 of the largest run measured: the asym-report run to tau3 at
+12,125 of the largest run measured: the asym-report run to tau3 at
 alpha = 300, eta = 1e-2 and the smallest rtol, 100 eps
 (``corner_phase.MIN_RTOL``), the largest over alpha in {1.0001, 1.5, 3,
 30, 300, 1000, 3000, 5000}, eta in {1e-2, 1e-6, 1e-20, 1e-70} and rtol
-in {1e-10, 100 eps} (11,952 at rtol = 1e-10).  From alpha ~ 5100 up, at
-eta = 1e-2, the run settles just below Rc, where the shift w is capped
-at R, and the step is held near 2 alpha h ~ 1 (with the cap at 2 R
-instead, the alpha = 5100 run reached tau = 5 in 132 attempts instead
-of 38,617): it does not finish within 4,000,000 attempts, nor did it
-without the linearisation (measured from 5100 to 7000 and at 1e4), and
-at alpha = 1e4 it spends MAX_STEPS by tau ~ 9 of 46,052, in about 2 s.
+in {1e-10, 100 eps} (7,454 at rtol = 1e-10, alpha = 1000).  From
+alpha ~ 5100 up, at eta = 1e-2, the run settles just below Rc, where the
+shift w is capped at R, and the step is held near 2 alpha h ~ 1 (with
+the cap at 2 R instead, the alpha = 5100 run reached tau = 5 in 132
+attempts instead of 33,162): it does not finish within 4,000,000
+attempts, nor did it without the linearisation (measured from 5100 to
+7000 and at 1e4), and at alpha = 1e4 it spends MAX_STEPS by tau ~ 9 of
+46,052, in about 2 s.
 
 The switch: a run leaves the Cartesian chart once, at the end of the
 first accepted step that reaches tau1 = eta^1.2 (where the paper's first
@@ -224,7 +239,8 @@ huge.  It takes about three single-step re-runs.
 
 Failures: ``integrate_radial`` raises ``SingularRadius`` when the step
 size falls below float resolution and the last rejected step had a stage
-radius (r^2 in the Cartesian chart) outside (0, inf) or a non-finite
+radius (r^2 in the Cartesian chart) outside (0, inf), a polar stage
+radius whose cube underflows to 0 (below R ~ 1e-108), or a non-finite
 error, and ``IntegrationFailure`` when it falls there after an error-test
 rejection or when MAX_STEPS attempts are spent; the budget message names
 the tau reached and the horizon.
@@ -255,7 +271,7 @@ E = ((71, 57600), (0, 1), (-71, 16695), (71, 1920), (-17253, 339200),
      (22, 525), (-1, 40))
 
 # Attempted steps (accepted + rejected) before a run gives up: over 20
-# times the 12,131 of the largest run measured (alpha = 300, eta = 1e-2,
+# times the 12,125 of the largest run measured (alpha = 300, eta = 1e-2,
 # rtol = 100 eps, to tau3; see "Step control").
 MAX_STEPS = 250_000
 
@@ -297,9 +313,9 @@ _CHARTS = {
          ("w = w if w < R else R", "w = minimum(w, R)"), "u = R - w",
          "om2w = om2 * w", "m1 = N1 - om2w"),
         (("R", "u", "V", "V", "m", "v"),),
-        (("if not (0.0 < R{k} < INF):", None), ("    return bad", None),
-         "Q = R{k} * R{k}", "n{k} = c3 / (Q * R{k})", "g{k} = cth / Q",
-         "m{k} = n{k} + d * R{k} - om2w"),
+        ("Q = R{k} * R{k}", "P = Q * R{k}",
+         ("if not (0.0 < P and R{k} < INF):", None), ("    return bad", None),
+         "n{k} = c3 / P", "g{k} = cth / Q", "m{k} = n{k} + d * R{k} - om2w"),
         "-om2 * "),
     "cartesian": (
         "_attempt_cartesian", "_cartesian_many",
@@ -316,12 +332,13 @@ _CHARTS = {
 
 # Per chart, what its step loop states beyond the names in ``_CHARTS``:
 # the exit value and its slope, as templates over the state names, the
-# stored (R, R', Theta) row of a state (None: the state itself), the
-# loop's parameters after the shared ones, the statements at its entry
-# and those after each accepted step.
+# stored (R, R', Theta) row of a state (None: the state itself), the state
+# components whose sizes join a component's own in its error scale (see
+# "Step control"), the loop's parameters after the shared ones, the
+# statements at its entry and those after each accepted step.
 _LOOPS = {
     "polar": (
-        "{T} - theta_target", "cth / ({R} * {R})", None, "",
+        "{T} - theta_target", "cth / ({R} * {R})", None, {"V": ("R",)}, "",
         ("alpha, D, dmax = _spring_constants(xi1, xi2, sd2)",
          "if dmax > 0.0:",
          "    om2, xi1, xi2, sd2 = _spring(R, n1, alpha, D, dmax)"),
@@ -333,7 +350,7 @@ _LOOPS = {
          "    xi2 = -alpha - r", "    xi1 = om2 / xi2", "    sd2 = r + r")),
     "cartesian": (
         "{y} * ct - {x} * st", "{py} * ct - {px} * st",
-        "_polar({x}, {y}, {px}, {py})", ", xs, tau1, kappa",
+        "_polar({x}, {y}, {px}, {py})", {}, ", xs, tau1, kappa",
         ("ct, st = math.cos(theta_target), math.sin(theta_target)",
          "early = kappa > rtol"),
         # The switch; else the next step's start state is stored.
@@ -342,8 +359,8 @@ _LOOPS = {
 }
 
 # The step loop of a chart (``_loop_source``), with the rules under "Step
-# control" stated once.  Each error scale takes the larger of |start| and
-# |end| as max() does (b if b > a else a), without the call: builtin
+# control" stated once.  Each error scale takes the largest of the sizes it
+# reads as max() does (b if b > a else a), without the call: builtin
 # min/max calls cost more per step than plain comparisons.
 _LOOP = """\
 def _run_{chart}({params}, tau, nacc, nrej, exit, tau_end, theta_target,
@@ -508,7 +525,8 @@ def _step_source(chart: str, many: bool = False) -> str:
     perturbation is (-f1 y, f1 x).  It returns (ok, xn, yn, pxn, pyn, f7,
     ex, ey, epx, epy) in the same way.
     In both, ok is False when a stage radius (r^2 in the Cartesian chart)
-    left (0, inf), and the error components are then infinite, so the
+    left (0, inf), or in the polar chart when its cube, the divisor of
+    c3, underflowed to 0; the error components are then infinite, so the
     step loop rejects it as it rejects any non-finite error.
 
     Stage i of a position component (polar: radius R{i}, start u, force
@@ -649,7 +667,7 @@ def _loop_source(chart: str) -> str:
     the horizon, the event when the run stops there, or (Cartesian) the
     switch, and returns (tau, h, nacc, nrej, exit)."""
     step, _, params, *_ = _CHARTS[chart]
-    value, slope, row, extra, entry, after = _LOOPS[chart]
+    value, slope, row, joins, extra, entry, after = _LOOPS[chart]
     state, cached, fsal = _names(chart)
 
     def at(template, suffix):
@@ -661,9 +679,16 @@ def _loop_source(chart: str) -> str:
 
     names = {suffix: ", ".join(x + suffix for x in state)
              for suffix in ("", "n", "e")}
-    norm = [line for x in state for line in (
-        f"a = abs({x})", f"b = abs({x}n)",
-        f"e{x} /= atol + rtol * (b if b > a else a)")]
+    norm = []
+    for x in state:
+        # |start| and |end| of x, then of each component joined to it.
+        sizes = [f"abs({y}{end})" for y in (x, *joins.get(x, ()))
+                 for end in ("", "n")]
+        norm.append(f"a = {sizes[0]}")
+        for size in sizes[1:-1]:
+            norm += [f"b = {size}", "a = b if b > a else a"]
+        norm += [f"b = {sizes[-1]}",
+                 f"e{x} /= atol + rtol * (b if b > a else a)"]
     return _LOOP.format(
         chart=chart, step=step, params=params, extra=extra,
         entry=block(entry, 4), after=block(after, 8), norm=block(norm, 8),

@@ -45,7 +45,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 # Tightest rtol the corner integrator accepts.  Below float resolution the
 # error test cannot pass and a run spends millions of steps before it gives
-# up; at 100 eps the largest run measured took 12,131 step attempts (see
+# up; at 100 eps the largest run measured took 12,125 step attempts (see
 # ``_kernels.MAX_STEPS``).
 MIN_RTOL = 100.0 * sys.float_info.epsilon
 # Right-hand-side evaluations the oracle's stepping loop may spend (12 per

@@ -98,9 +98,11 @@ def test_acute_exit_regression():
 
 
 def test_obtuse_exit_regression():
+    # The run's own values; at rtol 1e-13 the exit lies at
+    # tau = 12.516784290007546 and R = 1.025434826014956.
     res = integrate_corner(params_at(1e-2), OBTUSE)
-    assert res.exit_tau == pytest.approx(12.51678428705805, rel=1e-12)
-    assert res.exit_state.R == pytest.approx(1.025434826814646, rel=1e-12)
+    assert res.exit_tau == pytest.approx(12.51678428704823, rel=1e-12)
+    assert res.exit_state.R == pytest.approx(1.0254348268208007, rel=1e-12)
     assert abs(res.exit_state.Theta - OBTUSE.theta_bar) <= 1e-14
     # The obtuse passage exits well before the default settle horizon.
     assert res.exit_tau < res.horizon
@@ -315,6 +317,56 @@ def test_kernel_step_underflow(cth, error, message):
                          50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("c3", [0.0, 1e-300])
+def test_kernel_stage_radius_cube_underflow(c3):
+    # From R = 1e-100 the radius reaches zero within tau ~ 1e-100, and the
+    # cubes of the stage radii underflow to 0 below R ~ 1e-108 while the
+    # radii themselves are still in (0, inf).  The polar trial step rejects
+    # those stages instead of dividing c3 by the cube, so the run ends as
+    # a collapse, not with a ZeroDivisionError.
+    with pytest.raises(SingularRadius, match="radius collapsed"):
+        integrate_radial(1e-100, -1.0, c3, 0.5, *lin_roots(DAMP2), math.inf,
+                         5.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
+
+
+def test_slow_mode_error_scale_is_the_phase_plane(monkeypatch):
+    # On the slow mode R' = xi1 R (|xi1| = 0.27 at alpha = 2), the paper's
+    # second asymptotic, the polar chart scales the error of R' by the
+    # state's size in the phase plane, max(|R'|, |R|) over the step, not by
+    # |R'| alone, which would hold R' 3.7 times tighter than R.  The run
+    # from R = 10 toward the rest point takes fewer attempts than with the
+    # |R'|-only scale, and its states stay within 10 rtol of a run at
+    # rtol 1e-13, read at its step ends by the single-step map.
+    p = params_at(1e-2)
+    c3, cth = p.E * (1.0 - p.eps) ** 2, math.sqrt(p.E) * (1.0 - p.eps)
+    lin = lin_roots(DAMP2)
+    R0 = 10.0
+
+    def run(rtol, atol):
+        ts, ys, _, exit, nacc, nrej = integrate_radial(
+            R0, lin[0] * R0, c3, cth, *lin, math.inf, 10.0, rtol, atol,
+            1e-3, True, 0.0, 1.0)
+        assert exit is None and ts[-1] == 10.0
+        return ts, ys, nacc + nrej
+
+    ts, ys, attempts = run(1e-10, 1e-12)
+    rts, rys, _ = run(1e-13, 1e-15)
+    i = np.minimum(np.searchsorted(rts, ts, side="right") - 1, rts.size - 2)
+    ref = substep_many(rys[i, 0], rys[i, 1], rys[i, 2], ts - rts[i], c3,
+                       cth, *lin, np.zeros(ts.size, bool), np.empty((0, 4)))
+    plane = np.hypot(ref[:, 0], ref[:, 1])
+    assert np.all(np.hypot(*(ys[:, :2] - ref[:, :2]).T) <= 1e-9 * plane)
+    np.testing.assert_allclose(ys[:, 2], ref[:, 2], rtol=1e-9, atol=0.0)
+    # The same loop with the |R'|-only scale.
+    entry = _kernels._LOOPS["polar"]
+    monkeypatch.setitem(_kernels._LOOPS, "polar", (*entry[:3], {},
+                                                   *entry[4:]))
+    loop = dict(vars(_kernels))
+    exec(_kernels._loop_source("polar"), loop)
+    monkeypatch.setattr(_kernels, "_run_polar", loop["_run_polar"])
+    assert attempts < run(1e-10, 1e-12)[2]
+
+
 @pytest.mark.parametrize("budget, chart", [(10, "cartesian"), (68, "polar")])
 def test_step_budget_names_the_kernel_budget(monkeypatch, budget, chart):
     # The message names the budget, how far the run got, its horizon, and
@@ -359,8 +411,8 @@ def test_large_alpha_run_takes_few_steps(alpha):
     # The asym-report run at eta = 1e-2 (default data, to tau3): each polar
     # step linearises the penalty about its start, so the step is not held
     # at 2 alpha h ~ 1 while the run creeps toward the rest point on the
-    # slow mode.  Without the linearisation these runs took 7,759, 211,391
-    # and 703,765 accepted steps.
+    # slow mode.  Without the linearisation these runs took 3,976, 129,506
+    # and 450,657 accepted steps.
     config = SimConfig().override(alpha=alpha)
     params = scaled_params_direct(1e-2, config.eps, config.init,
                                   config.damping)
@@ -390,37 +442,37 @@ BITWISE_PINS = {
         R=[], dR=[], Theta=[], steps=(24, 2)),
     "obtuse": dict(
         eta=1e-2, cone=OBTUSE, samples=[1e-4, 1e-2, 0.5],
-        exit=(12.51678428705805, 1.025434826814646, -0.2575705735673111,
+        exit=(12.51678428704823, 1.0254348268208007, -0.25757057358261953,
               2.0943951023931953),
         R=[0.010407197559709926, 0.9804259662669856, 20.784766542324164],
         dR=[96.04989284190054, 96.09103743032419, 9.907297642742858],
         Theta=[1.2898133595604753, 1.5684222300934494, 1.571828767578945],
-        steps=(198, 3)),
+        steps=(180, 4)),
     "obtuse_far": dict(
         eta=1e-20, cone=OBTUSE, samples=[1.0, 20.0, 60.0, 120.0, 160.0],
-        exit=(167.1975805844844, 1.0252000991041552, -0.2574957195972408,
+        exit=(167.19758058456273, 1.0252000990874786, -0.25749571960494283,
               2.0943951023931953),
         R=[2.1390913026027962e+19, 1.3584143568570474e+17,
-           3008001405047.389, 313434.42397513683, 6.940578531969767],
+           3008001405047.389, 313434.42397513683, 6.94057853194657],
         dR=[-3.3373097139308027e+18, -3.639860299066887e+16,
-            -805991547314.1305, -83984.50078425204, -1.8596674623283007],
+            -805991547314.1305, -83984.50078425204, -1.859667462246738],
         Theta=[1.5707963267948966, 1.5707963267948966, 1.5707963267948966,
-               1.570796326801123, 1.581978851354739],
-        steps=(133, 25)),
+               1.570796326801123, 1.5819788513307946],
+        steps=(114, 25)),
     "past_exit": dict(
         eta=1e-2, alpha=8.0, cone=ACUTE, horizon=36.69688332983271,
         samples=[1e-4, 1e-2, 0.5, 5.0, 30.0],
         exit=(1.0910560790685653e-05, 0.0012598152342055734,
               86.59305062139171, 1.0471975511965976),
-        last=(36.69688332983271, 0.633925078133331, -0.038810045284181686,
-              2.8182727703978467),
-        R=[0.010013064117017214, 0.92423166054024, 6.103630774689394,
-           4.603814640456421, 0.9602011417653414],
-        dR=[99.65692801309513, 85.22335691499194, -0.34835685286240103,
-            -0.28886873905901106, -0.05997085902853666],
-        Theta=[1.508030929743815, 1.5707652763034763, 1.5723445561711444,
-               1.5825635891996346, 2.1041705834585667],
-        steps=(439, 3)),
+        last=(36.69688332983271, 0.6339250781331411, -0.03881004528118317,
+              2.818272770395175),
+        R=[0.010013064117017214, 0.92423166054024, 6.103630774689397,
+           4.603814640444546, 0.960201141764514],
+        dR=[99.65692801309513, 85.22335691499194, -0.3483568528624012,
+            -0.2888687388697964, -0.05997085901529679],
+        Theta=[1.508030929743815, 1.5707652763034763, 1.5723445561711447,
+               1.582563589203232, 2.1041705834590263],
+        steps=(305, 3)),
 }
 
 
@@ -919,8 +971,11 @@ def test_eval_point_at_accepted_time_matches_state():
 def test_sample_at_step_starts():
     # At offset 0 the single-step map gives R' and Theta exactly; R is
     # exact in the Cartesian chart and w + (R - w), within an ulp, in the
-    # polar chart.
-    res = integrate_corner(params_at(1e-2), ConeGeometry(2.0), horizon=20.0,
+    # polar chart.  At alpha = 3 the run settles toward the rest point on
+    # a slower mode than at alpha = 2, whose steps grow so fast there that
+    # no horizon gives it 300 of them.
+    p = scaled_params_direct(1e-2, "derive", UNIT, characteristic_roots(3.0))
+    res = integrate_corner(p, ConeGeometry(2.0), horizon=40.0,
                            stop_at_event=False)
     starts = res.tau[:-1]
     st = res.sample(starts)

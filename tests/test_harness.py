@@ -453,8 +453,8 @@ CONVERGENCE_PINS = {
     "acute": (math.pi / 3.0, ["0.022365576595036504",
                               "0.0069114891860723735",
                               "0.0021839429150603074"]),
-    "obtuse": (2.0 * math.pi / 3.0, ["0.07620498762600043",
-                                     "0.006913373001722",
+    "obtuse": (2.0 * math.pi / 3.0, ["0.0762049876246794",
+                                     "0.006913373001722007",
                                      "0.00218549582181761"]),
 }
 
