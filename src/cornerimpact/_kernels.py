@@ -870,14 +870,15 @@ def _locate_exit(at, h, f0, f1, end):
 
 
 def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
-                     rtol, atol, h0, stop_at_event, tau1, kappa):
+                     rtol, atol, stop_at_event, tau1, kappa):
     """Adaptive Lawson DP45 integration of the scaled corner flow from
     tau = 0, with the roots (xi1, xi2) and sd2 = 2 sqrt(D) of
     ``linear_phase.characteristic_roots``.
 
     The run steps in the Cartesian chart until the switch under "The
     switch" (tau1 and the corner timescale kappa set it; with tau1 <= 0
-    it starts in the polar chart), then in the polar chart.
+    it starts in the polar chart), then in the polar chart.  The first
+    trial step is 1e-3 kappa, or tau_end if that is shorter.
     Returns (ts, ys, xs, exit, nacc, nrej): the sample times and states
     (an (n, 3) array with columns R, R', Theta), the start states of the
     steps taken in the Cartesian chart (an (m, 4) array with columns x, y,
@@ -887,7 +888,7 @@ def integrate_radial(R0, V0, c3, cth, xi1, xi2, sd2, theta_target, tau_end,
     step is the full accepted step that holds the crossing.  Raises
     ``SingularRadius`` or ``IntegrationFailure`` as under "Failures".
     """
-    tau, h, nacc, nrej, exit = 0.0, min(h0, tau_end), 0, 0, None
+    tau, h, nacc, nrej, exit = 0.0, min(1e-3 * kappa, tau_end), 0, 0, None
     ts, ys, xs = [tau], [R0, V0, 0.0], []
     run = (tau_end, theta_target, rtol, atol, stop_at_event, ts, ys)
     if tau_end > 0.0 and tau1 > 0.0:

@@ -170,8 +170,7 @@ def integrate_corner(params: ScaledParams, cone: ConeGeometry, *,
     try:
         ts, ys, xs, exit, nacc, nrej = integrate_radial(
             params.R0, params.dR0, *_flow_constants(params), cone.theta_bar,
-            horizon, rtol, atol, 1e-3 * params.kappa, stop_at_event, tau1,
-            params.kappa)
+            horizon, rtol, atol, stop_at_event, tau1, params.kappa)
     except IntegrationFailure as exc:
         raise IntegrationFailure(
             f"{exc} (alpha = {params.damping.alpha:g}, "

@@ -14,21 +14,20 @@ three regions according to which part of K is closest:
 * R2 = polar wedge {x2 >= 0, x.d <= 0} -> nearest point is the vertex,
 * R3 = {x.n2 >= 0, x.d >= 0}        -> nearest point (x.d) d on face 2.
 
-These regions are stated once, in ``_REGIONS``, by the signs of the linear
-forms x1, x2, x.n2 and x.d (``_FORMS``); on overlaps (boundaries)
-``penalty_field`` takes the first of K > R1 > R2 > R3.  Both forms of the
-field are compiled from them when the module loads: ``penalty_field``,
-which returns w and G, and ``penalty_rhs``, the oracle's fast-time field:
-per region, that region's branch with -2 alpha G - w folded in, one
-Python call per evaluation and no test of the region, and the forms
-that leave it.  The spring force of the penalty model is k(x - P_K x) and
-the damping force acts along the same direction:
+On overlaps (boundaries) the first of K > R1 > R2 > R3 wins.  The spring
+force of the penalty model is k(x - P_K x) and the damping force acts
+along the same direction:
 
     G(x, v) = (v . w) w / |w|^2,   w = x - P_K x,   zero inside K.
 
-Outside K, where |w|^2 underflows to 0, both forms take G from the
-region's limit in ``_REGIONS``, by the one statement of a branch
-(``_branch``).
+Outside K, where |w|^2 is 0, G is the region's limit from inside it.  The
+field is written twice, as plain functions: ``penalty_field`` tests the
+regions in priority order and returns w and G; ``penalty_rhs`` is the
+oracle's fast-time field, one closure per region with -2 alpha G - w
+folded in and no test of the region, and the lines that leave it.  The
+two do the same float operations on each branch, and
+``tests/test_geometry.py::test_penalty_rhs_matches_the_penalty_field_route``
+holds them bit-equal.
 
 ``project_onto_cone`` and ``damping_force_G`` are that field's w and G on
 validated numpy 2-vectors.
@@ -38,7 +37,6 @@ All functions are pure; ConeGeometry is immutable and safe to share.
 from __future__ import annotations
 
 import math
-import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,98 +102,6 @@ def _as_point(p, name: str = "point") -> np.ndarray:
     return q
 
 
-# The region split, stated once.  Each region is where two of the linear
-# forms of x in ``_FORMS`` have the stated signs.  ``penalty_field`` tests
-# K, R1 and R2 in that order and takes R3 otherwise, so a point on a shared
-# line belongs to the earlier region.  Each form bounds two regions, with
-# opposite signs, and crossing it leads from one into the other.  Outside
-# K, ``w`` is x - P_K x and ``limit`` the damping G where |w|^2 is 0 (on
-# the region's line with K, or where the square underflows): the limit of
-# G from inside the region, v's component along the region's unit normal
-# (1, 0) or n2, and v itself at the vertex in R2, the limit along the path
-# x ~ v tau that reaches it.
-_FORMS = {                      # name: (source, p, q) of the form p x1 + q x2
-    "x1": ("x1", "1.0", "0.0"),
-    "x2": ("x2", "0.0", "1.0"),
-    "n_dot": ("x1 * c + x2 * s", "c", "s"),
-    "d_dot": ("-x1 * s + x2 * c", "-s", "c"),
-}
-_REGIONS = (                    # name, sides, w, limit
-    ("K", (("x1", "<="), ("n_dot", "<=")), None, None),
-    ("R1", (("x1", ">="), ("x2", "<=")), "x1, 0.0", "v1, 0.0"),
-    ("R2", (("x2", ">="), ("d_dot", "<=")), "x1, x2", "v1, v2"),
-    ("R3", (("n_dot", ">="), ("d_dot", ">=")),
-     "x1 + d_dot * s, x2 - d_dot * c",
-     "(v1 * c + v2 * s) * c, (v1 * c + v2 * s) * s"),
-)
-
-
-def _forms(text: str) -> list[str]:
-    """Assignments of the named forms that ``text`` reads."""
-    return [f"{name} = {src}" for name, (src, _, _) in _FORMS.items()
-            if src != name and name in text]
-
-
-def _exits(sides) -> str:
-    """Source of a region's exits: per side (p, q, j), the form signed to
-    be positive outside the region and the region beyond that line."""
-    exits = []
-    for form, op in sides:
-        _, p, q = _FORMS[form]
-        if op == ">=":
-            p, q = f"-({p})", f"-({q})"
-        (j,) = [j for j, (_, other, _, _) in enumerate(_REGIONS)
-                if (form, "<=" if op == ">=" else ">=") in other]
-        exits.append(f"({p}, {q}, {j})")
-    return f"({', '.join(exits)},)"
-
-
-def _branch(w: str, limit: str, out: str) -> list[str]:
-    """Statements of a region's branch outside K: its w, then G = f w with
-    f = (v . w) / |w|^2, or the region's ``limit`` for G where |w|^2 is 0.
-    ``out`` is the returned tuple, a template over the source of G's
-    components {g1} and {g2}."""
-    return [f"w1, w2 = {w}",
-            "ww = w1 * w1 + w2 * w2",
-            "if ww == 0.0:",
-            f"    g1, g2 = {limit}",
-            "    return " + out.format(g1="g1", g2="g2"),
-            "f = (v1 * w1 + v2 * w2) / ww",
-            "return " + out.format(g1="(f * w1)", g2="(f * w2)")]
-
-
-def _field_source() -> str:
-    """Source of ``penalty_field`` and ``penalty_rhs``, from ``_REGIONS``.
-
-    Both state each region's branch with ``_branch``.  ``penalty_field``
-    returns (w1, w2, G1, G2).  Each field that ``penalty_rhs`` makes is
-    one region's branch, with no test of the region: it does the float
-    operations of -2 alpha G - w on that branch's values, in the same
-    order.  The operations that read no state (-2 alpha * 0.0 and that
-    minus 0.0) are done once, when the closure is made.
-    """
-    tests = [" and ".join(f"{form} {op} 0.0" for form, op in sides)
-             for _, sides, _, _ in _REGIONS]
-    split = _forms(" ".join(tests + [w for _, _, w, _ in _REGIONS[1:]]))
-    split += [f"if {tests[0]}:", "    return 0.0, 0.0, 0.0, 0.0"]
-    for i, (_, _, w, limit) in enumerate(_REGIONS[1:], 1):
-        head = ("else" if i == len(_REGIONS) - 1
-                else f"{'if' if i == 1 else 'elif'} {tests[i]}")
-        split += [f"{head}:"] + [f"    {line}" for line in _branch(
-            w, limit, "w1, w2, {g1}, {g2}")]
-
-    fields = []
-    for name, _, w, limit in _REGIONS:
-        fields += ["", f"def {name}(x1, x2, v1, v2):"]
-        if w is None:
-            fields.append("    return v1, v2, free, free")
-            continue
-        fields += [f"    {line}" for line in _forms(w) + _branch(
-            w, limit, "v1, v2, a * {g1} - w1, a * {g2} - w2")]
-    regions = ",\n            ".join(
-        f"({name}, {_exits(sides)})" for name, sides, _, _ in _REGIONS)
-
-    return f'''\
 def penalty_field(x1: float, x2: float, v1: float, v2: float,
                   cone: ConeGeometry) -> tuple[float, float, float, float]:
     """Spring displacement w and damping direction G at a state, as floats.
@@ -203,12 +109,30 @@ def penalty_field(x1: float, x2: float, v1: float, v2: float,
     Returns (w1, w2, G1, G2) with w = x - P_K x and G = (v . w / |w|^2) w,
     in scalar arithmetic and without validation.  Its branches are the
     regions K, R1, R2, R3, tested in that order.  Outside K, where |w|^2
-    underflows to 0, G is the region's limit from inside it.  Non-finite input
+    is 0 (on the region's line with K, or where the square underflows), G
+    is the region's limit from inside it: v's component along the unit
+    normal (1, 0) in R1 and n2 in R3, and v itself at the vertex in R2, the
+    limit along the path x ~ v tau that reaches it.  Non-finite input
     propagates as NaN or inf.
     """
     c = cone.cos_theta
     s = cone.sin_theta
-{textwrap.indent(chr(10).join(split), "    ")}
+    n_dot = x1 * c + x2 * s
+    d_dot = -x1 * s + x2 * c
+    if x1 <= 0.0 and n_dot <= 0.0:
+        return 0.0, 0.0, 0.0, 0.0
+    if x1 >= 0.0 and x2 <= 0.0:
+        w1, w2, g1, g2 = x1, 0.0, v1, 0.0
+    elif x2 >= 0.0 and d_dot <= 0.0:
+        w1, w2, g1, g2 = x1, x2, v1, v2
+    else:
+        w1, w2 = x1 + d_dot * s, x2 - d_dot * c
+        g1, g2 = (v1 * c + v2 * s) * c, (v1 * c + v2 * s) * s
+    ww = w1 * w1 + w2 * w2
+    if ww == 0.0:
+        return w1, w2, g1, g2
+    f = (v1 * w1 + v2 * w2) / ww
+    return w1, w2, f * w1, f * w2
 
 
 def penalty_rhs(cone: ConeGeometry, alpha: float):
@@ -226,14 +150,45 @@ def penalty_rhs(cone: ConeGeometry, alpha: float):
     c = cone.cos_theta
     s = cone.sin_theta
     a = -(2.0 * alpha)
-    free = a * 0.0 - 0.0
-{textwrap.indent(chr(10).join(fields), "    ")}
+    free = a * 0.0 - 0.0  # K's acceleration, which reads no state
 
-    return ({regions})
-'''
+    def K(x1, x2, v1, v2):
+        return v1, v2, free, free
 
+    def R1(x1, x2, v1, v2):
+        w1, w2 = x1, 0.0
+        ww = w1 * w1 + w2 * w2
+        if ww == 0.0:
+            return v1, v2, a * v1 - w1, a * 0.0 - w2
+        f = (v1 * w1 + v2 * w2) / ww
+        return v1, v2, a * (f * w1) - w1, a * (f * w2) - w2
 
-exec(compile(_field_source(), "<geometry.penalty_field>", "exec"), globals())
+    def R2(x1, x2, v1, v2):
+        w1, w2 = x1, x2
+        ww = w1 * w1 + w2 * w2
+        if ww == 0.0:
+            return v1, v2, a * v1 - w1, a * v2 - w2
+        f = (v1 * w1 + v2 * w2) / ww
+        return v1, v2, a * (f * w1) - w1, a * (f * w2) - w2
+
+    def R3(x1, x2, v1, v2):
+        d_dot = -x1 * s + x2 * c
+        w1, w2 = x1 + d_dot * s, x2 - d_dot * c
+        ww = w1 * w1 + w2 * w2
+        if ww == 0.0:
+            vn = v1 * c + v2 * s
+            return v1, v2, a * (vn * c) - w1, a * (vn * s) - w2
+        f = (v1 * w1 + v2 * w2) / ww
+        return v1, v2, a * (f * w1) - w1, a * (f * w2) - w2
+
+    # The exits, per region: K leaves across x1 = 0 into R1 and x.n2 = 0
+    # into R3; R1 across x1 = 0 into K and x2 = 0 into R2; R2 across
+    # x2 = 0 into R1 and x.d = 0 into R3; R3 across x.n2 = 0 into K and
+    # x.d = 0 into R2.
+    return ((K, ((1.0, 0.0, 1), (c, s, 3))),
+            (R1, ((-1.0, -0.0, 0), (0.0, 1.0, 2))),
+            (R2, ((-0.0, -1.0, 1), (-s, c, 3))),
+            (R3, ((-c, -s, 0), (s, -c, 2))))
 
 
 def project_onto_cone(point, cone: ConeGeometry) -> np.ndarray:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cornerimpact
 from cornerimpact import IntegrationFailure, SimConfig
 from cornerimpact.cli import build_parser, main
 
@@ -401,3 +402,18 @@ def test_readme_examples_print_what_readme_shows(command, capsys):
     assert expected
     assert main(command.split()) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_python_api_runs(capsys):
+    # The "Python API" block runs as shown and prints the exit of its
+    # corner run, and every name that the paragraph after it says the
+    # package exports is there.
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    block, after = section.split("```python\n", 1)[1].split("```", 1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == (
+        "4.99999761715256e-07 1.0471975511965976\n")
+    surface = after.split("exports the full surface", 1)[1].split("\n\n")[0]
+    names = surface.split("`")[1::2]
+    assert names[0] == "ConeGeometry" and names[-1] == "write_csv"
+    assert [n for n in names if not hasattr(cornerimpact, n)] == []

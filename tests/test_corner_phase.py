@@ -272,7 +272,7 @@ def test_linear_part_is_exact():
     for tau1 in (0.0, 50.0):
         ts, ys, xs, exit, nacc, _ = integrate_radial(
             R0, V0, 0.0, 0.0, *lin_roots(DAMP2), 1.0, 50.0, 1e-10, 1e-12,
-            1e-3, True, tau1, 1.0)
+            True, tau1, 1.0)
         assert exit is None and nacc <= 10
         assert xs.shape == ((nacc if tau1 else 0), 4)
         assert ts[-1] == 50.0
@@ -294,7 +294,7 @@ def test_rest_point_is_exact():
     Rc = c3 ** 0.25
     ts, ys, _, exit, nacc, _ = integrate_radial(
         Rc, 0.0, c3, cth, *lin_roots(characteristic_roots(8.0)), math.inf,
-        50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
+        50.0, 1e-10, 1e-12, True, 0.0, 1.0)
     assert exit is None and nacc <= 10 and ts[-1] == 50.0
     np.testing.assert_allclose(ys[:, 0], Rc, rtol=1e-14, atol=0.0)
     assert np.max(np.abs(ys[:, 1])) <= 1e-14 * Rc
@@ -314,7 +314,7 @@ def test_kernel_step_underflow(cth, error, message):
     # (tau1 = 0): the Cartesian chart passes straight through the origin.
     with pytest.raises(error, match=message):
         integrate_radial(1.0, -10.0, 0.0, cth, *lin_roots(DAMP2), math.inf,
-                         50.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
+                         50.0, 1e-10, 1e-12, True, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("c3", [0.0, 1e-300])
@@ -326,7 +326,7 @@ def test_kernel_stage_radius_cube_underflow(c3):
     # a collapse, not with a ZeroDivisionError.
     with pytest.raises(SingularRadius, match="radius collapsed"):
         integrate_radial(1e-100, -1.0, c3, 0.5, *lin_roots(DAMP2), math.inf,
-                         5.0, 1e-10, 1e-12, 1e-3, True, 0.0, 1.0)
+                         5.0, 1e-10, 1e-12, True, 0.0, 1.0)
 
 
 def test_slow_mode_error_scale_is_the_phase_plane(monkeypatch):
@@ -345,7 +345,7 @@ def test_slow_mode_error_scale_is_the_phase_plane(monkeypatch):
     def run(rtol, atol):
         ts, ys, _, exit, nacc, nrej = integrate_radial(
             R0, lin[0] * R0, c3, cth, *lin, math.inf, 10.0, rtol, atol,
-            1e-3, True, 0.0, 1.0)
+            True, 0.0, 1.0)
         assert exit is None and ts[-1] == 10.0
         return ts, ys, nacc + nrej
 
@@ -693,11 +693,12 @@ def test_each_polar_step_linearises_the_penalty_at_its_start(
     monkeypatch.setattr(_kernels, "_attempt", attempt)
     res = integrate_corner(p, cone, horizon=20.0, stop_at_event=False)
     assert len(steps) > 50
-    # A run that starts in the polar chart (tau1 = 0), below Rc at rest.
+    # A run that starts in the polar chart (tau1 = 0), below Rc at rest;
+    # kappa = 1 sets its first step to 1e-3.
     c3, cth = _flow_constants(p)[:2]
     R0 = 0.5 * c3 ** 0.25
     integrate_radial(R0, 0.0, c3, cth, *lin, math.inf, 5.0, 1e-10, 1e-12,
-                     1e-3, False, 0.0, 0.0)
+                     False, 0.0, 1.0)
     assert (R0, 0.0, 0.0) in steps
     capped = 0
     for (R, V, T), (n1, spring) in steps.items():

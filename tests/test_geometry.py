@@ -25,6 +25,10 @@ ACUTE = ConeGeometry(math.pi / 3.0)
 OBTUSE = ConeGeometry(2.0 * math.pi / 3.0)
 RIGHT = ConeGeometry(math.pi / 2.0)
 CONES = [ACUTE, RIGHT, OBTUSE]
+# The field's cones: CONES, where cos theta_bar is 6.1e-17 at the right
+# angle, and two near the ends of (0, pi).
+FIELD_CONES = {"acute": ACUTE, "right": RIGHT, "obtuse": OBTUSE,
+               "0.05": ConeGeometry(0.05), "3.1": ConeGeometry(3.1)}
 
 
 def random_points(n, seed, scale=3.0):
@@ -286,7 +290,7 @@ def _nearest_point_in_K(x, cone):
     return min((on_face1, on_face2), key=lambda p: np.hypot(*(x - p)))
 
 
-@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
+@pytest.mark.parametrize("cone", FIELD_CONES.values(), ids=FIELD_CONES)
 def test_penalty_field_matches_vector_route(cone):
     # The scalar field and its vector wrappers against P_K found as the
     # nearest point of the two boundary rays, with no region split, and G
@@ -351,7 +355,7 @@ REGIONS = ("K", "R1", "R2", "R3")
 
 
 @pytest.mark.parametrize("alpha", [1.1, 2.0, 2.9])
-@pytest.mark.parametrize("cone", [ACUTE, OBTUSE], ids=["acute", "obtuse"])
+@pytest.mark.parametrize("cone", FIELD_CONES.values(), ids=FIELD_CONES)
 def test_penalty_rhs_matches_the_penalty_field_route(cone, alpha):
     # Each region's field against the route through penalty_field, bit for
     # bit, at the states whose priority region it is: seeded points in
