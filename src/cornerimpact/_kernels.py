@@ -200,30 +200,34 @@ third, after the run start's, which ``integrate_radial`` stores.  They
 become numpy arrays when the run ends, the third one with columns x, y,
 px, py.
 Sampling: the state at an offset s into an accepted step is the
-single-step map ``_substep`` of that step's chart, of length s from the
-step's start, the same map the exit search solves on.  ``substep_many``
-evaluates it at many (start, offset) pairs of either chart, for
-``CornerResult.sample`` after a run; it is as accurate as the step
-itself.  Its maps, ``_polar_many`` and ``_cartesian_many``, are generated
-from the same source as the trial steps, compiled once, and run in two
-namespaces: on numpy arrays, all of a chart's samples at once, or, with
-fewer than FEW_SAMPLES of them, on floats one by one, where exp and
-expm1 give numpy's values as floats.  The map on arrays makes about 300
-numpy calls whatever its size, so a single sample costs about a ninth
-as much on floats.  Both routes do the same float operations on the same
-exp and expm1 bits, so a sample's bits do not depend on the samples
-taken with it.  In the polar chart it rebuilds each step's spring and
-roots from the stored start state with ``_spring`` on floats and its
-operations on arrays.  In the Cartesian chart it maps X, P to R and R'
-as above, with numpy's arctan2 on both routes, and adds the angle
-between X and the start's X to the start's Theta.  At offset 0 it
-returns R' and Theta exactly, and R exactly (Cartesian) or as
-w + (R - w), within an ulp (polar); at the step end it agrees with the
-accepted state to round-off.
+single-step map of that step's chart, of length s from the step's start.
+It is one map: ``substep_many`` evaluates it at many (start, offset)
+pairs of either chart, for ``CornerResult.sample`` after a run, and
+``_substep`` at one, for the exit search.  It is as accurate as the step
+itself.  Its bodies, ``_polar_many`` and ``_cartesian_many``, are
+generated from the same source as the trial steps, compiled once, and
+run in two namespaces: on numpy arrays, all of a chart's samples at
+once, or on floats one by one (``_polar_one``, ``_cartesian_one``: fewer
+than FEW_SAMPLES samples, and ``_substep``), where exp and expm1 give
+numpy's values as floats.  The map on arrays makes about 300 numpy calls
+whatever its size, so a single sample costs about a ninth as much on
+floats.  Both routes do the same float operations on the same exp and
+expm1 bits, so a sample's bits do not depend on the samples taken with
+it, nor on whether the exit search or ``CornerResult.sample`` takes it.
+In the polar chart it rebuilds each step's spring and roots from the
+stored start state with ``_spring`` on floats and its operations on
+arrays.  In the Cartesian chart it maps X, P to R and R' as above, with
+numpy's arctan2 on both routes, and adds the angle between X and the
+start's X to the start's Theta.  At offset 0 it returns R' and Theta
+exactly, and R exactly (Cartesian) or as w + (R - w), within an ulp
+(polar).  At the step end it agrees with the accepted state to
+round-off, not always bit for bit: the trial steps use libm's exp and
+expm1, which round differently from numpy's in the last bit on some
+arguments.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
-theta_target.  The exit is the root of a chart's value on the exact
-single-step map from the start of the accepted step that crosses it:
+theta_target.  The exit is the root of a chart's value on the sampling
+map (``_substep``) from the start of the accepted step that crosses it:
 Theta - theta_target with slope Theta' = cth / R^2 in the polar chart,
 and the linear form y cos(theta_target) - x sin(theta_target) =
 R sin(Theta - theta_target) with slope py cos(theta_target) -
@@ -231,7 +235,8 @@ px sin(theta_target) in the Cartesian one (an acute exit in the free
 flight).  ``_locate_exit`` is the one search: Newton iterations start
 from the secant guess between the step's end points and stay inside a
 bracket (lo, hi) with value(lo) < 0 <= value(hi); an iterate outside the
-bracket, or one whose step fails, is replaced by the bracket midpoint.
+bracket is replaced by the bracket midpoint.  The map checks no stage
+radius: its offsets lie inside an accepted step, whose stages passed.
 The search stops when the value is 0, when Newton stops moving, or when
 the bracket reaches floating-point resolution, so the exit angle misses
 theta_target by round-off only, even at acute exits where Theta' ~ W is
@@ -308,7 +313,7 @@ _CHARTS = {
     "polar": (
         "_attempt", "_polar_many",
         "R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2",
-        "(False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
+        "(0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
         ("d = om2 - 1.0", "N1 = n1 + d * R", "w = N1 / om2",
          ("w = w if w < R else R", "w = minimum(w, R)"), "u = R - w",
          "om2w = om2 * w", "m1 = N1 - om2w"),
@@ -320,7 +325,7 @@ _CHARTS = {
     "cartesian": (
         "_attempt_cartesian", "_cartesian_many",
         "x, y, px, py, f1, h, tc, xi1, xi2, sd2",
-        "(False, 0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF, INF)",
+        "(0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF, INF)",
         ("mx1 = -f1 * y", "my1 = f1 * x"),
         (("x", "x", "px", "px", "mx", "vx"),
          ("y", "y", "py", "py", "my", "vy")),
@@ -380,7 +385,7 @@ def _run_{chart}({params}, tau, nacc, nrej, exit, tau_end, theta_target,
                     f"radius collapsed toward zero near tau ~ {{tau:.6g}}")
             raise IntegrationFailure(
                 f"step size underflow at tau ~ {{tau:.6g}}")
-        _, {state_n}, {fsal}, {errors} = {step}({params})
+        {state_n}, {fsal}, {errors} = {step}({params})
 {norm}
         err = math.sqrt(({squares}) / {size}.0)
         if not math.isfinite(err):
@@ -399,9 +404,7 @@ def _run_{chart}({params}, tau, nacc, nrej, exit, tau_end, theta_target,
 {row}
         if exit is None and {value_n} >= 0.0:
             def at(s):
-                ok, {state_e} = _substep({cartesian}, {probe})
-                if not ok:
-                    return None
+                {state_e} = _substep({cartesian}, {probe})
                 return {value_e}, {slope_e}, {row_e}
             s, state = _locate_exit(at, h, {value}, {value_n}, (Rn, Vn, Tn))
             exit = (tau + s, *state)
@@ -516,18 +519,19 @@ def _step_source(chart: str, many: bool = False) -> str:
     ``_attempt(R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2)`` is one
     polar trial step of size h from (R, V, T), where (n1, g1) = _rhs(R) is
     the cached first stage and om2 = omega^2 the step's spring, with xi1,
-    xi2 and sd2 its roots (``_spring``).  It returns (ok, Rn, Vn, Tn, n7,
-    g7, eR, eV, eT): (n7, g7) = _rhs(Rn) is the next step's first stage;
-    e* are the raw embedded error components.
+    xi2 and sd2 its roots (``_spring``).  It returns (Rn, Vn, Tn, n7, g7,
+    eR, eV, eT): (n7, g7) = _rhs(Rn) is the next step's first stage; e*
+    are the raw embedded error components.
     ``_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2)`` is one
     Cartesian trial step of size h from X = (x, y), P = (px, py), with
     tc = 2 alpha cth and the cached first stage f1 = tc / r^2, so that the
-    perturbation is (-f1 y, f1 x).  It returns (ok, xn, yn, pxn, pyn, f7,
-    ex, ey, epx, epy) in the same way.
-    In both, ok is False when a stage radius (r^2 in the Cartesian chart)
-    left (0, inf), or in the polar chart when its cube, the divisor of
-    c3, underflowed to 0; the error components are then infinite, so the
-    step loop rejects it as it rejects any non-finite error.
+    perturbation is (-f1 y, f1 x).  It returns (xn, yn, pxn, pyn, f7, ex,
+    ey, epx, epy) in the same way.
+    In both, a stage radius (r^2 in the Cartesian chart) that left
+    (0, inf), or in the polar chart a cube of it, the divisor of c3, that
+    underflowed to 0, ends the step with infinite error components
+    (``bad``), so the step loop rejects it as it rejects any non-finite
+    error.
 
     Stage i of a position component (polar: radius R{i}, start u, force
     m{i} = n{i} + (omega^2 - 1) R{i} - omega^2 w, angle slope g{i};
@@ -615,18 +619,15 @@ def _step_source(chart: str, many: bool = False) -> str:
         lines.append(f"    T{k} = T + h * ({chain(i, A[i], 0, None, 'm')})")
     names, _, fsal = _names(chart)
     state = [f"{x}{k}" for x in names]
-    if many:
-        lines.append("    return " + ", ".join(state))
-    else:
+    if not many:
         errors = [(f"e{X}", "K", m) for X, _, _, _, m, _ in comps]
         errors += [(f"e{P}", "dK", m) for _, _, P, _, m, _ in comps]
         if polar:
             errors.append(("eT", None, "m"))
         lines += [f"    {e} = h * ({chain(i, E, 0, form, m)})"
                   for e, form, m in errors]
-        state += fsal
-        lines.append("    return True, "
-                     + ", ".join(state + [e for e, *_ in errors]))
+        state += fsal + [e for e, *_ in errors]
+    lines.append("    return " + ", ".join(state))
     # Phi at each offset, built by the chain from its bases where a sum
     # first reads it.
     plan = _phi_chain(index)
@@ -722,7 +723,8 @@ def _minimum(a, b):
 # module, so that callers look them up here.  Each array map is compiled
 # once and its code run in two namespaces: one where exp, expm1 and minimum
 # are numpy's, for arrays of samples, and one where they give numpy's
-# values as floats, for one sample (``_polar_one``, ``_cartesian_one``).
+# values as floats, for one sample or one point of the exit search
+# (``_polar_one``, ``_cartesian_one``).
 _numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum}
 _floats = {"exp": _exp, "expm1": _expm1, "minimum": _minimum}
 for _chart in _CHARTS:
@@ -741,19 +743,17 @@ del _chart, _step, _many, _code, _numpy, _floats
 
 
 def _substep(cartesian, *args):
-    """5th-order state at an offset from a step start (no error control):
-    (ok, R, V, T) from the arguments of ``_attempt``, or, in the Cartesian
-    chart, (ok, x, y, px, py) from those of ``_attempt_cartesian``."""
-    if cartesian:
-        return _attempt_cartesian(*args)[:5]
-    return _attempt(*args)[:4]
+    """The single-step map on floats at an offset from a step start, the
+    one ``substep_many`` samples with: (R, V, T) from the arguments of
+    ``_attempt``, or, in the Cartesian chart, (x, y, px, py) from those of
+    ``_attempt_cartesian``, with the offset in place of h."""
+    return (_cartesian_one if cartesian else _polar_one)(*args)
 
 
 def _polar_samples(R, V, T, s, c3, cth, xi1, xi2, sd2):
     """(R, R', Theta) at offsets s into polar steps from (R, V, T): rows of
     an array, or with fewer than FEW_SAMPLES samples a list of rows."""
-    Q = R * R
-    n1, g1 = c3 / (Q * R), cth / Q
+    n1, g1 = _rhs(R, c3, cth)
     roots = (1.0, xi1, xi2, sd2)
     alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
     if s.size < FEW_SAMPLES:
@@ -803,19 +803,19 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
     ``cart`` marks the samples whose step was taken in the Cartesian
     chart, and ``XP`` holds those steps' start states (x, y, x', y'), one
     row per marked sample.  The maps are generated from the source of the
-    trial steps, with the same floating-point operations as ``_substep``
-    but numpy's exp and expm1, which differ from libm's in the last bit on
-    some arguments, so the samples agree with ``_substep`` to round-off
-    and not always bit for bit.  A chart's samples go through its array
-    map, ``_polar_many`` or ``_cartesian_many``, all at once, or, when
-    there are fewer than FEW_SAMPLES of them, through the same map on
-    floats (``_polar_one``, ``_cartesian_one``) one by one.  Both routes
-    do the same operations on the same exp and expm1 bits, so a sample's
-    bits do not depend on the samples it is taken with.  A polar step's
-    spring and roots are rebuilt from its start with the operations of
-    ``_spring``.  Stage radii are not checked: the offsets lie inside
-    accepted steps.  Returns the end states as an array with columns R,
-    V, Theta.
+    trial steps, with their floating-point operations but numpy's exp and
+    expm1, which differ from libm's in the last bit on some arguments, so
+    a sample at a step's full length agrees with the accepted state to
+    round-off and not always bit for bit.  A chart's samples go through
+    its array map, ``_polar_many`` or ``_cartesian_many``, all at once,
+    or, when there are fewer than FEW_SAMPLES of them, through the same
+    map on floats (``_polar_one``, ``_cartesian_one``, which ``_substep``
+    calls) one by one.  Both routes do the same operations on the same exp
+    and expm1 bits, so a sample's bits do not depend on the samples it is
+    taken with.  A polar step's spring and roots are rebuilt from its
+    start with the operations of ``_spring``.  Stage radii are not
+    checked: the offsets lie inside accepted steps.  Returns the end
+    states as an array with columns R, V, Theta.
     """
     out = np.empty((s.size, 3))
     polar = ~cart
@@ -832,11 +832,11 @@ def _locate_exit(at, h, f0, f1, end):
     """Crossing of theta_target inside an accepted step of length h, by
     the search under "Event handling".
 
-    ``at(s)`` is the chart's single-step map at offset s: None when its
-    step fails, else (value, slope, state).  f0 < 0 <= f1 are the values
-    at the step's ends, and ``end`` the state at its end.  Returns
-    (s, state): the last offset whose single-step state could be
-    evaluated, and that state; (h, end) when none could.
+    ``at(s)`` is (value, slope, state) of the chart's single-step map at
+    offset s.  f0 < 0 <= f1 are the values at the step's ends, and ``end``
+    the state at its end.  Returns (s, state): the last offset evaluated,
+    and its state; (h, end) when the bracket is at floating-point
+    resolution from the start.
     """
     lo = 0.0
     hi = h
@@ -847,11 +847,7 @@ def _locate_exit(at, h, f0, f1, end):
             s = 0.5 * (lo + hi)
             if not (lo < s < hi):
                 break  # bracket at floating-point resolution
-        step = at(s)
-        if step is None:
-            hi = s  # the next iterate is the midpoint
-            continue
-        f, slope, state = step
+        f, slope, state = at(s)
         found = (s, state)
         if f == 0.0:
             break

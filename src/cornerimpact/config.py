@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .asymptotics import check_gamma1, check_zeta
-from .corner_phase import check_atol, check_rtol
+from .corner_phase import DEFAULT_ATOL, DEFAULT_RTOL, check_atol, check_rtol
 from .errors import ConfigError, InvalidInput
 from .geometry import ConeGeometry
 from .linear_phase import DampingParams, InitialData, characteristic_roots
@@ -68,11 +68,11 @@ class SimConfig:
     mode: str = "physical"          # "physical" | "scaled"
     k: float | None = None
     eta: float | None = None
-    eps: float | str = "derive"     # "derive" | "zero" | number in [0, 1)
+    eps: float | str = "derive"     # "derive" | number in [0, 1)
     gamma1: float = 1.2
     zeta: float | None = None       # default from asymptotic_times
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_RTOL
+    atol: float = DEFAULT_ATOL
     T: float | None = None          # physical horizon, default 2 t0
     n_grid: int = 2000
     out: str | None = None

@@ -144,17 +144,16 @@ def _run(config: SimConfig, params: ScaledParams):
                                stop_at_event=True)
         st = res.exit_state
         meta["corner_steps"] = res.n_accepted
-        # Handoff residuals at t0, from floats: the corner start at
-        # Theta = 0, u = (eta R0 / sqrt(k), 0) and
-        # v = (eta R0', eta cth / R0) as ``scaled_to_cartesian`` forms them,
-        # against the face-1 closed form at t0 (both are exact formulas;
-        # record the floating-point mismatch).
-        eta, R0 = params.eta, params.R0
+        # Handoff residuals at t0: the corner start at Theta = 0 against
+        # the face-1 closed form at t0 (both are exact formulas; record the
+        # floating-point mismatch).
+        _, u, v = scaled_to_cartesian(params, 0.0, params.R0, params.dR0,
+                                      0.0)
+        (u0, u1), (v0, v1) = u.tolist(), v.tolist()
         r_l, rdot_l, s_l, sdot_l = _face_state(
             0.0, init.dr0, init.s0, init.ds0, damping, k, np.float64(t0))
-        meta["handoff_pos_t0"] = math.hypot(eta * R0 / sk - r_l, s_l)
-        meta["handoff_vel_t0"] = math.hypot(
-            eta * params.dR0 - rdot_l, eta * params.momentum / R0 - sdot_l)
+        meta["handoff_pos_t0"] = math.hypot(u0 - r_l, u1 - s_l)
+        meta["handoff_vel_t0"] = math.hypot(v0 - rdot_l, v1 - sdot_l)
 
         if st is not None:
             # The map at the angle Theta - theta_bar gives the exit state's

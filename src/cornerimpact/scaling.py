@@ -119,12 +119,10 @@ def check_eta(eta) -> float:
 
 
 def check_eps(eps):
-    """The fast-root weight rule: 'derive', 'zero' or a number in [0, 1)."""
-    if not (eps in ("derive", "zero") if isinstance(eps, str)
-            else 0.0 <= eps < 1.0):
+    """The fast-root weight rule: 'derive' or a number in [0, 1)."""
+    if not (eps == "derive" if isinstance(eps, str) else 0.0 <= eps < 1.0):
         raise InvalidInput(
-            f"eps must be 'derive', 'zero' or a number in [0, 1), "
-            f"got {eps!r}")
+            f"eps must be 'derive' or a number in [0, 1), got {eps!r}")
     return eps
 
 
@@ -179,17 +177,15 @@ def scaled_params_direct(eta: float, eps: float | str, init: InitialData,
                          damping: DampingParams) -> ScaledParams:
     """Build scaled parameters from eta directly (scale-free run).
 
-    ``eps`` may be a number in [0, 1), or ``"derive"`` to use the
-    consistency relation eps = eta^{2 (xi2 - xi1)/xi1} implied by a shared
-    physical origin, or ``"zero"`` for the idealised limit.
+    ``eps`` may be a number in [0, 1) (0 for the idealised limit), or
+    ``"derive"`` to use the consistency relation
+    eps = eta^{2 (xi2 - xi1)/xi1} implied by a shared physical origin.
     """
     eta = check_eta(eta)
     _check_scale(math.log(eta), "choose a larger eta")
     eps = check_eps(eps)
     if eps == "derive":
         eps = eta ** (2.0 * (damping.xi2 - damping.xi1) / damping.xi1)
-    elif eps == "zero":
-        eps = 0.0
     return _finish(eta, float(eps), damping, init, None)
 
 

@@ -48,7 +48,7 @@ def test_defaults_validate():
     ("gamma1 = 1.5", "gamma1 must lie in (1, 4/3)"),
     ("theta_bar = 3.5", "theta_bar must lie in (0, pi)"),
     ("mode = quantum", "mode must be 'physical' or 'scaled'"),
-    ("eps = 1.0", "eps must be 'derive', 'zero' or a number in"),
+    ("eps = 1.0", "eps must be 'derive' or a number in"),
     ("k = -1", "k must be positive"),
     ("eta = 1.5", "eta must lie in (0, 1)"),
     ("n_grid = 1", "n_grid must be at least 2"),
@@ -111,14 +111,14 @@ def test_scaled_mode_round_trip():
     cfg = parse_config("mode = scaled\neta = 0.001\neps = 0.1\n")
     assert cfg.mode == "scaled" and cfg.eta == 0.001
     assert cfg.eps == 0.1
-    assert parse_config("eps = zero\n").eps == "zero"
+    assert parse_config("eps = 0\n").eps == 0.0
     assert parse_config("eps = derive\n").eps == "derive"
     assert SimConfig().eps == "derive"
 
 
 def test_eps_errors_name_the_line():
-    with pytest.raises(ConfigError, match=r"line 2: eps must be 'derive', "
-                                          r"'zero' or a number in \[0, 1\), "
+    with pytest.raises(ConfigError, match=r"line 2: eps must be 'derive' "
+                                          r"or a number in \[0, 1\), "
                                           r"got 'maybe'"):
         parse_config("eta = 0.01\neps = maybe\n")
     with pytest.raises(ConfigError, match="line 3: eps must be"):
@@ -128,6 +128,15 @@ def test_eps_errors_name_the_line():
         parse_config("eta = 0.01\neps_policy = fixed\n")
     with pytest.raises(ConfigError, match="eps must be"):
         SimConfig().override(eps="fixed")
+
+
+def test_eps_zero_word_is_refused():
+    # eps = 0 names the idealised limit; the word "zero" is refused, on
+    # its config line.
+    with pytest.raises(ConfigError, match=r"line 3: eps must be 'derive' "
+                                          r"or a number in \[0, 1\), "
+                                          r"got 'zero'"):
+        parse_config("mode = scaled\neta = 0.01\neps = zero\n")
 
 
 def test_eps_reaches_scaled_params(monkeypatch, tmp_path):

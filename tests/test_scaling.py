@@ -78,15 +78,15 @@ def test_eps_policies():
     eta = 0.3
     p = scaled_params_direct(eta, "derive", UNIT, DAMP2)
     assert p.eps == pytest.approx(eta ** exponent, rel=1e-12)
-    assert scaled_params_direct(eta, "zero", UNIT, DAMP2).eps == 0.0
+    assert scaled_params_direct(eta, 0, UNIT, DAMP2).eps == 0.0
     assert scaled_params_direct(eta, 0.25, UNIT, DAMP2).eps == 0.25
     with pytest.raises(InvalidInput):
         scaled_params_direct(eta, "smallest", UNIT, DAMP2)
     with pytest.raises(InvalidInput):
         scaled_params_direct(eta, 1.0, UNIT, DAMP2)
-    # The words are exact, as in a config file: " Zero " is not 'zero'.
-    with pytest.raises(InvalidInput, match="eps must be 'derive', 'zero'"):
-        scaled_params_direct(eta, " Zero ", UNIT, DAMP2)
+    # The word is exact, as in a config file: " Derive " is not 'derive'.
+    with pytest.raises(InvalidInput, match="eps must be 'derive' or"):
+        scaled_params_direct(eta, " Derive ", UNIT, DAMP2)
 
 
 @pytest.mark.parametrize("alpha,k,name", [
@@ -128,7 +128,7 @@ def test_derive_policy_consistency_with_physical():
 @pytest.mark.parametrize("eta", [0.0, 1.0, -0.5, 2.0, math.nan])
 def test_direct_eta_bounds(eta):
     with pytest.raises(InvalidInput):
-        scaled_params_direct(eta, "zero", UNIT, DAMP2)
+        scaled_params_direct(eta, 0.0, UNIT, DAMP2)
 
 
 def test_scale_underflow_guard():
