@@ -80,8 +80,9 @@ n1 = c3 / R_n^3 the cached first stage, so that A holds the Jacobian
 so that the roots stay real and apart; while SPRING_CAP alpha^2 <= 1
 (alpha below about 1.005) omega^2 = 1 and the roots are the flow's own.
 The roots xi2 = -alpha - sqrt(alpha^2 - omega^2), xi1 = omega^2 / xi2 and
-sd2 are formed at the polar loop's entry (``_spring``), at the run start
-or the switch, and then once per accepted step.
+sd2 are formed by the statements of ``_SPRING``: at the polar loop's
+entry, at the run start or the switch, then once per accepted step, and
+at the start of the polar sample map.
 Without the linearisation the explicit stages carry the stiffness
 3 c3 / R^4 (3 at the rest point) against the fast mode -2 alpha, and past
 the exit a run creeps toward the rest point in steps of 2 alpha h ~ 1: at
@@ -214,16 +215,20 @@ whatever its size, so a single sample costs about a ninth as much on
 floats.  Both routes do the same float operations on the same exp and
 expm1 bits, so a sample's bits do not depend on the samples taken with
 it, nor on whether the exit search or ``CornerResult.sample`` takes it.
-In the polar chart it rebuilds each step's spring and roots from the
-stored start state with ``_spring`` on floats and its operations on
-arrays.  In the Cartesian chart it maps X, P to R and R' as above, with
-numpy's arctan2 on both routes, and adds the angle between X and the
-start's X to the start's Theta.  At offset 0 it returns R' and Theta
-exactly, and R exactly (Cartesian) or as w + (R - w), within an ulp
-(polar).  At the step end it agrees with the accepted state to
-round-off, not always bit for bit: the trial steps use libm's exp and
-expm1, which round differently from numpy's in the last bit on some
-arguments.
+The map takes a step's start, the offset and the run's constants, and
+forms at the start what the step loop formed there, with the same
+operations: the first stage (polar n1 = c3 / R^3 and g1 = cth / R^2 as
+``_rhs`` forms them, Cartesian f1 = tc / r^2 as a trial step forms it at
+its end; the run's first step takes 2 alpha times the angle slope of
+``_rhs``, which can differ in the last bit) and, in the polar chart, the
+spring and roots of ``_SPRING``.  In the Cartesian chart it maps X, P to
+R and R' as above, with numpy's arctan2 on both routes, and adds the
+angle between X and the start's X to the start's Theta.  At offset 0 it
+returns R' and Theta exactly, and R exactly (Cartesian) or as
+w + (R - w), within an ulp (polar).  At the step end it agrees with the
+accepted state to round-off, not always bit for bit: the trial steps use
+libm's exp and expm1, which round differently from numpy's in the last
+bit on some arguments.
 
 Event handling: Theta' > 0, so a step contains at most one crossing of
 theta_target.  The exit is the root of a chart's value on the sampling
@@ -253,7 +258,7 @@ the tau reached and the horizon.
 from __future__ import annotations
 
 import math
-from math import exp, expm1  # read by the generated trial steps
+from math import exp, expm1, sqrt  # read by the generated code
 
 import numpy as np
 
@@ -300,12 +305,25 @@ FEW_SAMPLES = 20
 _PHI = {"K": "e{n} * (m{n} * nu)", "H": "e{n} - xi1 * K{n}",
         "dK": "e{n} + xi2 * K{n}"}
 
+# The polar chart's spring at a step start R with first stage n1 (see
+# "Polar chart"), stated once and emitted at the polar loop's entry, after
+# each of its accepted steps and at the start of the polar map: omega^2 =
+# om2 = 1 + d with d = 3 n1 / R up to dmax, and its roots, from the
+# constants (alpha, D, dmax) of ``_spring_constants``.  The pair holds the
+# loop's form of the cap and the map's.
+_SPRING = ("if dmax > 0.0:", "    d = 3.0 * n1 / R",
+           ("    if not d < dmax: d = dmax", "    d = minimum(d, dmax)"),
+           "    om2 = 1.0 + d", "    r = sqrt(D - d)", "    xi2 = -alpha - r",
+           "    xi1 = om2 / xi2", "    sd2 = r + r")
+
 # Per chart: the names of the trial step and of the array map, their
-# parameters, the trial step's early return, the statements before the
-# first stage, per position component the names of the stage position, its
-# start, the velocity, its start, the perturbation and the folded
-# first-stage velocity v = V + h a_i1 m1, the statements that check stage k
-# and evaluate its perturbation, and the factor of K in the velocity row
+# parameters, the trial step's early return, the array map's statements
+# that form at the step start what the step loop formed there (the first
+# stage and, polar, the spring), the statements before the first stage,
+# per position component the names of the stage position, its start, the
+# velocity, its start, the perturbation and the folded first-stage
+# velocity v = V + h a_i1 m1, the statements that check stage k and
+# evaluate its perturbation, and the factor of K in the velocity row
 # (-omega^2 K with the polar chart's spring om2 = omega^2, -K in the
 # Cartesian chart).  A pair among the statements holds the trial step's
 # form and the array map's (None: left out).
@@ -313,7 +331,10 @@ _CHARTS = {
     "polar": (
         "_attempt", "_polar_many",
         "R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2",
+        "R, V, T, h, c3, cth, xi1, xi2, sd2, alpha, D, dmax",
         "(0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF)",
+        ("Q = R * R", "n1 = c3 / (Q * R)", "g1 = cth / Q", "om2 = 1.0",
+         *_SPRING),
         ("d = om2 - 1.0", "N1 = n1 + d * R", "w = N1 / om2",
          ("w = w if w < R else R", "w = minimum(w, R)"), "u = R - w",
          "om2w = om2 * w", "m1 = N1 - om2w"),
@@ -325,7 +346,9 @@ _CHARTS = {
     "cartesian": (
         "_attempt_cartesian", "_cartesian_many",
         "x, y, px, py, f1, h, tc, xi1, xi2, sd2",
+        "x, y, px, py, h, tc, xi1, xi2, sd2",
         "(0.0, 0.0, 0.0, 0.0, 0.0, INF, INF, INF, INF)",
+        ("f1 = tc / (x * x + y * y)",),
         ("mx1 = -f1 * y", "my1 = f1 * x"),
         (("x", "x", "px", "px", "mx", "vx"),
          ("y", "y", "py", "py", "my", "vy")),
@@ -344,15 +367,10 @@ _CHARTS = {
 _LOOPS = {
     "polar": (
         "{T} - theta_target", "cth / ({R} * {R})", None, {"V": ("R",)}, "",
-        ("alpha, D, dmax = _spring_constants(xi1, xi2, sd2)",
-         "if dmax > 0.0:",
-         "    om2, xi1, xi2, sd2 = _spring(R, n1, alpha, D, dmax)"),
-        # Inline after each accepted step: the next step's spring and
-        # roots, _spring(R, n1, alpha, D, dmax) without the call, which
-        # read 7 % slower on four corner_long pairs (ROADMAP "Dead ends").
-        ("if dmax > 0.0:", "    d = 3.0 * n1 / R", "    if not d < dmax:",
-         "        d = dmax", "    om2 = 1.0 + d", "    r = math.sqrt(D - d)",
-         "    xi2 = -alpha - r", "    xi1 = om2 / xi2", "    sd2 = r + r")),
+        ("alpha, D, dmax = _spring_constants(xi1, xi2, sd2)", *_SPRING),
+        # The next step's spring and roots, inline: a call read 7 % slower
+        # on four corner_long pairs (ROADMAP "Dead ends").
+        _SPRING),
     "cartesian": (
         "{y} * ct - {x} * st", "{py} * ct - {px} * st",
         "_polar({x}, {y}, {px}, {py})", {}, ", xs, tau1, kappa",
@@ -474,23 +492,6 @@ def _spring_constants(xi1, xi2, sd2):
     return alpha, r * r, SPRING_CAP * alpha * alpha - 1.0
 
 
-def _spring(R, n1, alpha, D, dmax):
-    """(om2, xi1, xi2, sd2): the polar chart's spring om2 = omega^2 at a
-    step start R with first stage n1 = c3 / R^3, and the roots of
-    x^2 + 2 alpha x + omega^2, from the constants of ``_spring_constants``.
-    The polar loop's entry calls it, at the run start or at the switch,
-    and ``substep_many`` on few samples; the loop repeats these operations
-    inline after each accepted step, and ``substep_many`` on arrays.  The
-    tests check that every polar step and sample takes the same values."""
-    d = 3.0 * n1 / R
-    if not d < dmax:
-        d = dmax
-    om2 = 1.0 + d
-    r = math.sqrt(D - d)
-    xi2 = -alpha - r
-    return om2, om2 / xi2, xi2, r + r
-
-
 def _polar(x, y, px, py):
     """(R, R', Theta) of the Cartesian state X = (x, y), P = (px, py): R'
     is X.P / R, formed as (x / R) px + (y / R) py so that it is px exactly
@@ -499,13 +500,20 @@ def _polar(x, y, px, py):
     return R, x / R * px + y / R * py, math.atan2(y, x)
 
 
+def _side(statements, many):
+    """The statements of one body: the trial step's or step loop's side of
+    each pair, or with ``many`` the array map's, less those left out."""
+    picked = (x[many] if isinstance(x, tuple) else x for x in statements)
+    return [x for x in picked if x is not None]
+
+
 def _names(chart):
     """(state, cached, fsal): the names of the state components of
     ``chart`` (positions, velocities, then the polar chart's angle), of the
     cached first stage that follows them among its trial step's
     parameters, and of that stage at the step end, which the trial step
     returns after the state (FSAL)."""
-    params, comps = _CHARTS[chart][2].split(", "), _CHARTS[chart][5]
+    params, comps = _CHARTS[chart][2].split(", "), _CHARTS[chart][7]
     state = [c[0] for c in comps] + [c[2] for c in comps]
     state += ["T"] if chart == "polar" else []
     cached = params[len(state):params.index("h")]
@@ -519,7 +527,7 @@ def _step_source(chart: str, many: bool = False) -> str:
     ``_attempt(R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2)`` is one
     polar trial step of size h from (R, V, T), where (n1, g1) = _rhs(R) is
     the cached first stage and om2 = omega^2 the step's spring, with xi1,
-    xi2 and sd2 its roots (``_spring``).  It returns (Rn, Vn, Tn, n7, g7,
+    xi2 and sd2 its roots (``_SPRING``).  It returns (Rn, Vn, Tn, n7, g7,
     eR, eV, eT): (n7, g7) = _rhs(Rn) is the next step's first stage; e*
     are the raw embedded error components.
     ``_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2)`` is one
@@ -548,14 +556,20 @@ def _step_source(chart: str, many: bool = False) -> str:
     coefficients, in tableau order; at offset 0, K = 0 drops a term and
     K' = 1 a factor.
 
-    The array map ``_polar_many`` or ``_cartesian_many`` takes the same
-    parameters, each an array over samples or a number, and returns the
-    step-end state alone ((Rn, Vn, Tn) or (xn, yn, pxn, pyn)).  Its body is
-    the trial step's with the same stage sums, less the stage checks, the
-    last stage's perturbation and the error sums, and with
-    ``minimum(w, R)`` for the conditional.
+    The array map ``_polar_many(R, V, T, h, c3, cth, xi1, xi2, sd2,
+    alpha, D, dmax)`` or ``_cartesian_many(x, y, px, py, h, tc, xi1, xi2,
+    sd2)`` takes the step start, the step length and the run's constants,
+    each an array over samples or a number (alpha, D and dmax, from
+    ``_spring_constants`` of the run's roots, numbers), and returns the
+    step-end state alone ((Rn, Vn, Tn) or (xn, yn, pxn, pyn)).  It first
+    forms the cached first stage and, polar, the spring om2 and its roots
+    (``_SPRING``, or om2 = 1 and the run's roots when dmax <= 0); the rest
+    of its body is the trial step's with the same stage sums, less the
+    stage checks, the last stage's perturbation and the error sums, and
+    with ``minimum`` for the conditionals.
     """
-    name, many_name, params, bad, prelude, comps, check, dH = _CHARTS[chart]
+    (name, many_name, params, many_params, bad, head, prelude, comps, check,
+     dH) = _CHARTS[chart]
     polar = chart == "polar"
     # Nodes and their offsets c_i - c_l are integers in units of h / unit
     # (90); index maps each offset that a sum reads to the forms of Phi it
@@ -564,14 +578,10 @@ def _step_source(chart: str, many: bool = False) -> str:
     nodes = [n * unit // d for n, d in C]
     index = {}
 
-    def side(statements):
-        """This body's statements: its side of each pair."""
-        picked = (x[many] if isinstance(x, tuple) else x for x in statements)
-        return [x for x in picked if x is not None]
-
-    lines = [f"def {many_name}({params}):"] if many else [
+    lines = [f"def {many_name}({many_params}):", *(
+        f"    {line}" for line in _side(head, True))] if many else [
         f"def {name}({params}):", "    INF = math.inf", f"    bad = {bad}"]
-    lines += [f"    {line}" for line in side(prelude)]
+    lines += [f"    {line}" for line in _side(prelude, many)]
     lines.append("    nu = -1.0 / sd2")
 
     def phi(form, i, l):
@@ -610,7 +620,7 @@ def _step_source(chart: str, many: bool = False) -> str:
                       f"    {X}{k} = {'w + ' if polar else ''}{H} * {u} + "
                       f"{K} * {v}" + (f" + h * ({rest})" if rest else "")]
         if not many or i < len(A) - 1:
-            lines += [f"    {line}".format(k=k) for line in side(check)]
+            lines += [f"    {line}".format(k=k) for line in _side(check, many)]
     # The last stage is the step end: its velocity, then the error sums.
     for _, u, P, _, m, v in comps:
         lines.append(f"    {P}{k} = {dH}{K} * {u} + {phi('dK', i, 0)} * {v}"
@@ -661,13 +671,14 @@ def _loop_source(chart: str) -> str:
     """Source of the step loop ``_run_polar`` or ``_run_cartesian``:
     ``_LOOP`` filled in with the trial step of ``chart`` and the names of
     its parameters, state components (an error scale and a FSAL assignment
-    each, in ``_CHARTS`` order) and cached first stage, and its ``_LOOPS``
+    each, in ``_CHARTS`` order) and cached first stage, the exit search's
+    call of the sample map on the map's parameters, and its ``_LOOPS``
     entry.  The loop takes the trial step's parameters, then (tau, nacc,
     nrej, exit) where the run stands, then the run's constants and the
     lists of times and (R, R', Theta) rows it appends to; it steps until
     the horizon, the event when the run stops there, or (Cartesian) the
     switch, and returns (tau, h, nacc, nrej, exit)."""
-    step, _, params, *_ = _CHARTS[chart]
+    step, _, params, many_params, *_ = _CHARTS[chart]
     value, slope, row, joins, extra, entry, after = _LOOPS[chart]
     state, cached, fsal = _names(chart)
 
@@ -692,7 +703,8 @@ def _loop_source(chart: str) -> str:
                  f"e{x} /= atol + rtol * (b if b > a else a)"]
     return _LOOP.format(
         chart=chart, step=step, params=params, extra=extra,
-        entry=block(entry, 4), after=block(after, 8), norm=block(norm, 8),
+        entry=block(_side(entry, False), 4),
+        after=block(_side(after, False), 8), norm=block(norm, 8),
         state=names[""], state_n=names["n"], state_e=names["e"],
         cached=", ".join(cached), fsal=", ".join(fsal),
         errors=", ".join("e" + x for x in state),
@@ -701,7 +713,8 @@ def _loop_source(chart: str) -> str:
         row_e=at(row, "e") if row else f"({names['e']})",
         value=at(value, ""), value_n=at(value, "n"), value_e=at(value, "e"),
         slope_e=at(slope, "e"), cartesian=chart == "cartesian",
-        probe=", ".join("s" if x == "h" else x for x in params.split(", ")))
+        probe=", ".join("s" if x == "h" else x
+                        for x in many_params.split(", ")))
 
 
 def _exp(x):
@@ -721,12 +734,13 @@ def _minimum(a, b):
 
 # Defines ``_attempt``, ``_attempt_cartesian`` and the step loops in this
 # module, so that callers look them up here.  Each array map is compiled
-# once and its code run in two namespaces: one where exp, expm1 and minimum
-# are numpy's, for arrays of samples, and one where they give numpy's
-# values as floats, for one sample or one point of the exit search
+# once and its code run in two namespaces: one where exp, expm1, minimum
+# and sqrt are numpy's, for arrays of samples, and one where they give
+# numpy's values as floats, for one sample or one point of the exit search
 # (``_polar_one``, ``_cartesian_one``).
-_numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum}
-_floats = {"exp": _exp, "expm1": _expm1, "minimum": _minimum}
+_numpy = {"exp": np.exp, "expm1": np.expm1, "minimum": np.minimum,
+          "sqrt": np.sqrt}
+_floats = {"exp": _exp, "expm1": _expm1, "minimum": _minimum, "sqrt": sqrt}
 for _chart in _CHARTS:
     _step, _many = _CHARTS[_chart][:2]
     exec(compile(_step_source(_chart), f"<_kernels.{_step}>", "exec"),
@@ -745,30 +759,20 @@ del _chart, _step, _many, _code, _numpy, _floats
 def _substep(cartesian, *args):
     """The single-step map on floats at an offset from a step start, the
     one ``substep_many`` samples with: (R, V, T) from the arguments of
-    ``_attempt``, or, in the Cartesian chart, (x, y, px, py) from those of
-    ``_attempt_cartesian``, with the offset in place of h."""
+    ``_polar_many``, or, in the Cartesian chart, (x, y, px, py) from those
+    of ``_cartesian_many``, with the offset in place of h."""
     return (_cartesian_one if cartesian else _polar_one)(*args)
 
 
 def _polar_samples(R, V, T, s, c3, cth, xi1, xi2, sd2):
-    """(R, R', Theta) at offsets s into polar steps from (R, V, T): rows of
-    an array, or with fewer than FEW_SAMPLES samples a list of rows."""
-    n1, g1 = _rhs(R, c3, cth)
-    roots = (1.0, xi1, xi2, sd2)
-    alpha, D, dmax = _spring_constants(xi1, xi2, sd2)
+    """(R, R', Theta) at offsets s into polar steps from (R, V, T), by the
+    map on the run's constants: rows of an array, or with fewer than
+    FEW_SAMPLES samples a list of rows."""
+    run = (c3, cth, xi1, xi2, sd2, *_spring_constants(xi1, xi2, sd2))
     if s.size < FEW_SAMPLES:
-        return [_polar_one(*y, c3, cth, *(
-            _spring(y[0], y[3], alpha, D, dmax) if dmax > 0.0 else roots))
-            for y in zip(R.tolist(), V.tolist(), T.tolist(), n1.tolist(),
-                         g1.tolist(), s.tolist())]
-    if dmax > 0.0:
-        # Each step's spring and roots, as ``_spring`` forms them.
-        d = np.minimum(3.0 * n1 / R, dmax)
-        om2 = 1.0 + d
-        r = np.sqrt(D - d)
-        pxi2 = -alpha - r
-        roots = (om2, om2 / pxi2, pxi2, r + r)
-    return np.column_stack(_polar_many(R, V, T, n1, g1, s, c3, cth, *roots))
+        return [_polar_one(*y, *run) for y in zip(
+            R.tolist(), V.tolist(), T.tolist(), s.tolist())]
+    return np.column_stack(_polar_many(R, V, T, s, *run))
 
 
 def _cartesian_polar(x0, y0, T, x, y, px, py):
@@ -784,16 +788,14 @@ def _cartesian_polar(x0, y0, T, x, y, px, py):
 def _cartesian_samples(XP, T, s, cth, xi1, xi2, sd2):
     """(R, R', Theta) at offsets s into Cartesian steps from the starts XP
     (rows x, y, x', y') at angles T, as ``_polar_samples`` gives them."""
-    x0, y0 = XP[:, 0], XP[:, 1]
-    tc = -(xi1 + xi2) * cth
-    f1 = tc / (x0 * x0 + y0 * y0)
+    run = (-(xi1 + xi2) * cth, xi1, xi2, sd2)
     if s.size < FEW_SAMPLES:
         return [_cartesian_polar(x, y, T0, *_cartesian_one(
-            x, y, px, py, f, s0, tc, xi1, xi2, sd2))
-            for (x, y, px, py), T0, f, s0 in zip(
-                XP.tolist(), T.tolist(), f1.tolist(), s.tolist())]
-    return np.column_stack(_cartesian_polar(x0, y0, T, *_cartesian_many(
-        x0, y0, XP[:, 2], XP[:, 3], f1, s, tc, xi1, xi2, sd2)))
+            x, y, px, py, s0, *run)) for (x, y, px, py), T0, s0 in zip(
+                XP.tolist(), T.tolist(), s.tolist())]
+    x0, y0, px, py = XP.T
+    return np.column_stack(_cartesian_polar(
+        x0, y0, T, *_cartesian_many(x0, y0, px, py, s, *run)))
 
 
 def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
@@ -812,10 +814,10 @@ def substep_many(R, V, T, s, c3, cth, xi1, xi2, sd2, cart, XP):
     map on floats (``_polar_one``, ``_cartesian_one``, which ``_substep``
     calls) one by one.  Both routes do the same operations on the same exp
     and expm1 bits, so a sample's bits do not depend on the samples it is
-    taken with.  A polar step's spring and roots are rebuilt from its
-    start with the operations of ``_spring``.  Stage radii are not
-    checked: the offsets lie inside accepted steps.  Returns the end
-    states as an array with columns R, V, Theta.
+    taken with.  The map forms each step's first stage and, polar, its
+    spring and roots at the step's start, with the operations of the step
+    loop.  Stage radii are not checked: the offsets lie inside accepted
+    steps.  Returns the end states as an array with columns R, V, Theta.
     """
     out = np.empty((s.size, 3))
     polar = ~cart

@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-range", metavar="LO,HI", default="0.1,2.0",
                    help="radius window (default 0.1,2.0)")
     p.add_argument("--dr-range", metavar="LO,HI", default="-1.0,1.0",
-                   help="radial velocity window (default -1.0,1.0)")
+                   help="radial velocity window (default -1.0,1.0); a "
+                   "negative LO needs the = form, --dr-range=-1.0,1.0")
     p.add_argument("--grid-n", type=int, default=21, metavar="N",
                    help="grid points per axis (0 gives an empty table)")
     return parser

@@ -207,7 +207,16 @@ def scaled_to_cartesian(params: ScaledParams, tau, R, dR, Theta):
     radial = params.eta * R / sk
     cross = params.eta * params.momentum / R
     cos_t, sin_t = np.cos(Theta), np.sin(Theta)
-    u = np.stack([radial * cos_t, radial * sin_t], axis=-1)
-    v = np.stack([params.eta * dR * cos_t - cross * sin_t,
-                  params.eta * dR * sin_t + cross * cos_t], axis=-1)
+    u = _pair(radial * cos_t, radial * sin_t)
+    v = _pair(params.eta * dR * cos_t - cross * sin_t,
+              params.eta * dR * sin_t + cross * cos_t)
     return t, u, v
+
+
+def _pair(a, b):
+    """a and b on a last axis of length 2, as np.stack(axis=-1) gives them,
+    without its overhead on one state."""
+    out = np.empty(np.shape(a) + (2,))
+    out[..., 0] = a
+    out[..., 1] = b
+    return out

@@ -394,14 +394,29 @@ def readme_examples() -> dict:
     return examples
 
 
-@pytest.mark.parametrize("command", ["simulate --k 400 --T 2.0",
-                                     "converge --k-list 100,1000,10000",
-                                     "asym-report --eta-list 1e-2,1e-3,1e-4"])
-def test_readme_examples_print_what_readme_shows(command, capsys):
+@pytest.mark.parametrize("command", [
+    "simulate --k 400 --T 2.0", "converge --k-list 100,1000,10000",
+    "asym-report --eta-list 1e-2,1e-3,1e-4",
+    "phase-portrait --eta 1e-2 --grid-n 50 --out field.csv"])
+def test_readme_examples_print_what_readme_shows(command, capsys, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where an --out file goes
     expected = readme_examples()[command]
     assert expected
     assert main(command.split()) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_negative_window_takes_the_equals_form(capsys):
+    # After a space argparse reads "-0.5,0.5" as a flag (exit 2); the
+    # form that README and the flag's help name runs.
+    with pytest.raises(SystemExit) as err:
+        main(["phase-portrait", "--k", "100", "--dr-range", "-0.5,0.5"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert main(["phase-portrait", "--k", "100", "--grid-n", "3",
+                 "--dr-range=-0.5,0.5"]) == 0
+    assert capsys.readouterr().out == "10 rows (grid 3 x 3 plus rest point)\n"
 
 
 def test_readme_python_api_runs(capsys):

@@ -231,22 +231,18 @@ def test_dense_output_matches_single_step(cone):
     lin = lin_roots(p.damping)
     ref = np.empty((ev.size, 3))
     cart = np.zeros(ev.size, bool)
-    ta = -(lin[0] + lin[1])
+    constants = _kernels._spring_constants(*lin)
     for j, tau in enumerate(ev.tolist()):
         i = np.searchsorted(res.tau, tau, side="right") - 1
         s = tau - res.tau[i].item()
         if i < len(res.cartesian):
-            x, y, px, py = res.cartesian[i].tolist()
-            f1 = ta * cth / (x * x + y * y)
-            ref[j] = _polar(*_substep(True, x, y, px, py, f1, s, ta * cth,
-                                      *lin))
+            ref[j] = _polar(*_substep(True, *res.cartesian[i].tolist(), s,
+                                      -(lin[0] + lin[1]) * cth, *lin))
             cart[j] = True
         else:
             R, V, T = (res.R[i].item(), res.dR[i].item(),
                        res.Theta[i].item())
-            n1, g1 = _rhs(R, c3, cth)
-            ref[j] = _substep(False, R, V, T, n1, g1, s, c3, cth,
-                              *polar_spring(R, n1, lin))
+            ref[j] = _substep(False, R, V, T, s, c3, cth, *lin, *constants)
     for name, got, want in (("R", st.R, ref[:, 0]), ("dR", st.dR, ref[:, 1]),
                             ("Theta", st.Theta[~cart], ref[~cart, 2])):
         assert [x.hex() for x in got.tolist()] == \
@@ -583,33 +579,31 @@ def reference_attempt(R, V, T, n1, g1, h, c3, cth, om2, xi1, xi2, sd2,
               for form, y in ((1, m), (2, m), (None, g))))
 
 
-def check_array_map(chart, ok, groups):
-    """The array map of ``chart``, in one call on the arguments of the
-    trial steps in ``ok`` whose stage radii stayed inside (0, inf) (pairs of
-    arguments and the trial step's output), against their
-    step ends: bit for bit with libm's exp and expm1 in place of numpy's,
-    and as it is within 32 eps of the scale of each group of state columns
-    (the largest start or end value in it) on the steps whose error
-    estimate is within 1e-2 of that scale, and within 1024 eps on every
-    other step.  numpy's exp differs from libm's in the last bit on some
-    arguments; the Phi chain carries a base's difference into the offsets
-    built from it, and the stage sums amplify it by up to the size of the
-    tableau's weights.  Far from the flow, a stage radius near 0 amplifies
-    it further through the penalty force c3 / R^3: over 32 seeded sets of
-    3,000 draws of either chart the largest differences were 21 eps on the
-    near steps and 638 eps on the others."""
-    name = f"_{chart}_many"
+def check_map(chart, ok, groups):
+    """The sample map of ``chart`` on floats, on the arguments in ``ok``
+    (pairs of the map's arguments and the output of the trial step from
+    the same start, of the same length, with the first stage and spring
+    that a run forms there), against the trial steps' ends: bit for bit
+    when compiled with libm's exp and expm1 in place of numpy's, and as
+    it is within 32 eps of the scale of each group of state columns (the
+    largest start or end value in it) on the steps whose error estimate
+    is within 1e-2 of that scale, and within 1024 eps on every other step.
+    numpy's exp differs from libm's in the last bit on some arguments; the
+    Phi chain carries a base's difference into the offsets built from it,
+    and the stage sums amplify it by up to the size of the tableau's
+    weights.  Far from the flow, a stage radius near 0 amplifies it further
+    through the penalty force c3 / R^3: over 32 seeded sets of 3,000 draws
+    of either chart the largest differences were 15 eps on the near steps
+    and 638 eps on the others."""
     args, outs = zip(*ok)
     n = sum(map(len, groups))
-    cols = np.array(args).T
     ends = np.array([out[:n] for out in outs])
     errs = np.abs(np.array([out[-n:] for out in outs]))
-    libm = {"exp": np.vectorize(math.exp), "expm1": np.vectorize(math.expm1),
-            "minimum": np.minimum}
-    exec(_kernels._step_source(chart, many=True), libm)
-    np.testing.assert_array_equal(np.column_stack(libm[name](*cols)), ends)
-    got = np.column_stack(getattr(_kernels, name)(*cols))
-    size = np.abs(np.stack([cols[:n].T, ends]))
+    libm = libm_map(chart)
+    np.testing.assert_array_equal(np.array([libm(*a) for a in args]), ends)
+    one = getattr(_kernels, f"_{chart}_one")
+    got = np.array([one(*a) for a in args])
+    size = np.abs(np.stack([np.array(args)[:, :n], ends]))
     eps = np.finfo(float).eps
     for g in groups:
         scale = size[:, :, g].max(axis=(0, 2))[:, None]
@@ -619,12 +613,23 @@ def check_array_map(chart, ok, groups):
         assert np.all(np.abs(got[:, g] - ends[:, g]) <= bound), (chart, g)
 
 
+def libm_map(chart):
+    """The sample map of ``chart`` on floats, compiled where exp and expm1
+    are libm's, as in the trial steps."""
+    libm = {"exp": math.exp, "expm1": math.expm1, "sqrt": math.sqrt,
+            "minimum": _kernels._minimum}
+    exec(_kernels._step_source(chart, many=True), libm)
+    return libm[f"_{chart}_many"]
+
+
 def polar_draws(seed, n):
-    """Seeded arguments of ``_attempt``: h from 1e-14 to 1e3, so that many
-    trial steps have a stage radius outside (0, inf), V = +-0.0 now and
-    then, and the spring omega^2 and roots as a run forms them
-    (``_spring``), or omega^2 = 1 with the flow's own roots one time in
-    four."""
+    """Seeded arguments of ``_attempt``, each with those of the sample map
+    ``_polar_many`` from the same start, of the same length and with the
+    same spring: h from 1e-14 to 1e3, so that many trial steps have a
+    stage radius outside (0, inf), V = +-0.0 now and then, and the spring
+    omega^2 and roots as a run forms them (``polar_spring``), or
+    omega^2 = 1 with the flow's own roots one time in four, which the map
+    takes with dmax = 0, as in a run that keeps omega^2 = 1."""
     rng = random.Random(seed)
     for _ in range(n):
         roots = lin_roots(
@@ -636,31 +641,35 @@ def polar_draws(seed, n):
         if rng.random() < 0.05:
             V = rng.choice((0.0, -0.0))
         n1, g1 = _rhs(R, c3, cth)
-        spring = (polar_spring(R, n1, roots) if rng.random() < 0.75
-                  else (1.0, *roots))
-        yield (R, V, rng.uniform(0.0, 3.0), n1, g1,
-               10.0 ** rng.uniform(-14.0, 3.0), c3, cth, *spring)
+        alpha, D, dmax = _kernels._spring_constants(*roots)
+        if rng.random() < 0.75:
+            spring = polar_spring(R, n1, roots)
+        else:
+            spring, dmax = (1.0, *roots), 0.0
+        T, h = rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-14.0, 3.0)
+        yield ((R, V, T, n1, g1, h, c3, cth, *spring),
+               (R, V, T, h, c3, cth, *roots, alpha, D, dmax))
 
 
 def test_generated_step_matches_the_reference_loop():
     rejected = 0
     ok = []
-    for args in polar_draws(19, 3000):
+    for args, many in polar_draws(19, 3000):
         out = _kernels._attempt(*args)
         ref = reference_attempt(*args)
         assert [x.hex() for x in out] == [x.hex() for x in ref], args
         rejected += out == POLAR_BAD
         if out != POLAR_BAD:
-            ok.append((args, out))
+            ok.append((many, out))
     assert 100 < rejected < 2900
-    check_array_map("polar", ok, ([0, 1], [2]))
+    check_map("polar", ok, ([0, 1], [2]))
 
 
 def test_unit_spring_is_the_step_without_it():
     # With omega^2 = 1 the linearised step does the float operations of the
     # step without the spring, bit for bit, whatever the roots: d R_k = 0
     # adds 0, omega^2 w = w and -omega^2 K = -K.
-    for a in polar_draws(23, 3000):
+    for a, _ in polar_draws(23, 3000):
         a = a[:8] + (1.0,) + a[9:]
         out = _kernels._attempt(*a)
         ref = reference_attempt(*a, linearised=False)
@@ -677,26 +686,32 @@ def test_each_polar_step_linearises_the_penalty_at_its_start(
     # and the roots of x^2 + 2 alpha x + omega^2; omega^2 = 1 and the
     # flow's own roots at alpha = 1.004, where SPRING_CAP alpha^2 <= 1;
     # also the first step of a run that starts in the polar chart.
-    # Sampling rebuilds the same values.
+    # From each accepted step's start, its length and the run's constants,
+    # the sample map of either chart forms that step's first stage and
+    # spring itself and, compiled with libm's exp and expm1, rebuilds the
+    # step's end bit for bit.
     p = scaled_params_direct(1e-3, "derive", UNIT, characteristic_roots(alpha))
     lin = lin_roots(p.damping)
-    dmax = _kernels._spring_constants(*lin)[2]
-    steps = {}  # start (R, V, T) -> (n1, (om2, xi1, xi2, sd2))
-    step = _kernels._attempt
-
-    def attempt(*args):
-        steps[args[:3]] = args[3], args[8:]
-        return step(*args)
-
-    monkeypatch.setattr(_kernels, "_attempt", attempt)
+    constants = _kernels._spring_constants(*lin)
+    dmax = constants[2]
+    calls = {"polar": [], "cartesian": []}  # per chart: (args, output)
+    for chart, name in (("polar", "_attempt"),
+                        ("cartesian", "_attempt_cartesian")):
+        def attempt(*args, step=getattr(_kernels, name), chart=chart):
+            out = step(*args)
+            calls[chart].append((args, out))
+            return out
+        monkeypatch.setattr(_kernels, name, attempt)
     res = integrate_corner(p, cone, horizon=20.0, stop_at_event=False)
-    assert len(steps) > 50
     # A run that starts in the polar chart (tau1 = 0), below Rc at rest;
     # kappa = 1 sets its first step to 1e-3.
     c3, cth = _flow_constants(p)[:2]
     R0 = 0.5 * c3 ** 0.25
-    integrate_radial(R0, 0.0, c3, cth, *lin, math.inf, 5.0, 1e-10, 1e-12,
-                     False, 0.0, 1.0)
+    nacc = integrate_radial(R0, 0.0, c3, cth, *lin, math.inf, 5.0, 1e-10,
+                            1e-12, False, 0.0, 1.0)[4]
+    # start (R, V, T) -> (n1, (om2, xi1, xi2, sd2))
+    steps = {args[:3]: (args[3], args[8:]) for args, _ in calls["polar"]}
+    assert len(steps) > 50
     assert (R0, 0.0, 0.0) in steps
     capped = 0
     for (R, V, T), (n1, spring) in steps.items():
@@ -710,18 +725,19 @@ def test_each_polar_step_linearises_the_penalty_at_its_start(
     assert (alpha == 1.004) == all(x[1][0] == 1.0 for x in steps.values())
     assert (capped > 0) == (dmax > 0.0)
 
-    rows = []  # per sampled polar step: its start and (om2, xi1, xi2, sd2)
-    polar_many = _kernels._polar_many
-
-    def many(R, V, T, *args):
-        rows.extend(zip(R, V, T, *np.broadcast_arrays(R, *args[-4:])[1:]))
-        return polar_many(R, V, T, *args)
-
-    monkeypatch.setattr(_kernels, "_polar_many", many)
+    # A step's accepted attempt is the last one from its start; h is the
+    # sixth argument of either trial step.
     m = len(res.cartesian)
-    res.sample(0.5 * (res.tau[m:-1] + res.tau[m + 1:]))
-    assert len(rows) == res.tau.size - 1 - m
-    assert all(steps[row[:3]][1] == tuple(row[3:]) for row in rows)
+    for chart, n, run, count in (
+            ("polar", 3, (c3, cth, *lin, *constants),
+             res.n_accepted - m + nacc),
+            ("cartesian", 4, (-(lin[0] + lin[1]) * cth, *lin), m)):
+        accepted = {args[:n]: (args[5], out[:n])
+                    for args, out in calls[chart]}
+        assert len(accepted) == count > 10, chart
+        libm = libm_map(chart)
+        for start, (h, end) in accepted.items():
+            assert libm(*start, h, *run) == end, (chart, start)
 
 
 def test_phi_chain_is_as_accurate_as_libm():
@@ -804,7 +820,9 @@ def reference_attempt_cartesian(x, y, px, py, f1, h, tc, xi1, xi2, sd2):
 def test_generated_cartesian_step_matches_the_reference_loop():
     # Seeded states over many scales: some scaled by 1e-170, whose r^2
     # underflows to 0, some by 1e160, whose r^2 overflows, and one at the
-    # origin; h from 1e-14 to 1e3.
+    # origin; h from 1e-14 to 1e3.  The sample map forms the first stage
+    # f1 = tc / r^2 at its start, so it is checked against the trial steps
+    # from those starts whose r^2 is inside (0, inf), with that f1.
     rng = random.Random(29)
     rejected = 0
     ok = []
@@ -826,10 +844,15 @@ def test_generated_cartesian_step_matches_the_reference_loop():
         rejected += out == CARTESIAN_BAD
         if n == 0:
             assert out == CARTESIAN_BAD
-        if out != CARTESIAN_BAD:
-            ok.append((args, out))
+        x, y = state[:2]
+        if 0.0 < x * x + y * y < math.inf:
+            many = (*state, *args[5:])
+            out = _kernels._attempt_cartesian(
+                *state, args[6] / (x * x + y * y), *args[5:])
+            if out != CARTESIAN_BAD:
+                ok.append((many, out))
     assert 300 < rejected < 2700
-    check_array_map("cartesian", ok, ([0, 1, 2, 3],))
+    check_map("cartesian", ok, ([0, 1, 2, 3],))
 
 
 def test_generated_step_evaluates_phi_once_per_offset():
@@ -838,8 +861,10 @@ def test_generated_step_evaluates_phi_once_per_offset():
     # one exp and one expm1 each in the trial step and in the array map,
     # and each other offset is the sum of two earlier ones.  Profiles and
     # tracebacks name the generated bodies.  The array map has no stage
-    # checks, and its statements, but for the first stage's rest point and
-    # the return, are the trial step's, in the same order.
+    # checks; it first forms at the step start what the step loop forms
+    # there (``_CHARTS``: the first stage and, polar, the spring), and its
+    # other statements, but for the first stage's rest point and the
+    # return, are the trial step's, in the same order.
     plan = _kernels._phi_chain(
         [8, 9, 10, 18, 27, 45, 53, 54, 62, 63, 72, 80, 90])
     assert [n for n, pq in plan.items() if pq is None] == [8, 9, 10]
@@ -858,8 +883,11 @@ def test_generated_step_evaluates_phi_once_per_offset():
         step, array = (_kernels._step_source(chart, many)
                        for many in (False, True))
         assert "bad" not in array and "INF" not in array
+        head = _kernels._side(_kernels._CHARTS[chart][5], True)
+        array = array.splitlines()
+        assert array[1:1 + len(head)] == [f"    {x}" for x in head]
         step = iter(step.splitlines())
-        assert all(line in step for line in array.splitlines()[1:-1]
+        assert all(line in step for line in array[1 + len(head):-1]
                    if "minimum(" not in line)
 
 

@@ -14,6 +14,7 @@ from cornerimpact import (
     integrate_corner,
     scaled_params_direct,
     scaled_params_from_physical,
+    scaled_to_cartesian,
 )
 
 UNIT = InitialData(-1.0, 1.0, 1.0)
@@ -158,3 +159,21 @@ def test_small_eta_asymptotics():
             abs(DAMP2.xi1) * eta ** 4 / (4.0 * DAMP2.delta), rel=1e-2)
         assert p.kappa == pytest.approx(math.sqrt(p.E) * eta * eta,
                                         rel=1e-3)
+
+
+def test_one_state_maps_to_the_bits_of_its_row():
+    # A scalar state gives u and v of shape (2,), with the bits of the
+    # same state's row in an array call.
+    p = scaled_params_from_physical(UNIT, DAMP2, 1e4)
+    rng = np.random.default_rng(39)
+    tau, R, dR = rng.uniform(0.0, 5.0, (3, 40)) * [[1.0], [1.0], [-0.5]]
+    Theta = rng.uniform(0.0, 3.0, 40)
+    t, u, v = scaled_to_cartesian(p, tau, R, dR, Theta)
+    assert u.shape == v.shape == (40, 2)
+    for j in range(40):
+        tj, uj, vj = scaled_to_cartesian(p, tau[j].item(), R[j].item(),
+                                         dR[j].item(), Theta[j].item())
+        assert uj.shape == vj.shape == (2,)
+        assert tj == t[j]
+        assert uj.tobytes() == u[j].tobytes()
+        assert vj.tobytes() == v[j].tobytes()
